@@ -63,12 +63,16 @@ def _load_spec(args) -> SequenceSpec:
 
 
 def _parse_start(s: str, kind: str):
-    if kind == MARGINAL_X:
-        return int(s)
-    parts = s.split(",")
-    if len(parts) != 2:
-        raise StartNotInSupport(f"need x,y for a bivariate start, got {s!r}")
-    return int(parts[0]), int(parts[1])
+    try:
+        if kind == MARGINAL_X:
+            return int(s)
+        parts = s.split(",")
+        if len(parts) == 2:
+            return int(parts[0]), int(parts[1])
+    except ValueError:
+        pass
+    raise StartNotInSupport(f"need an integer start, or x,y for a bivariate "
+                            f"chain, got {s!r}")
 
 
 def _default_start(kind: str):
@@ -279,6 +283,9 @@ def dispatch(argv: list[str]) -> int:
     except ErgochainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

@@ -4,24 +4,28 @@ For a truncated family on {1..N} the package builds three Markov kernels:
 
   marginal_x  the x-marginal birth-death chain, tridiagonal on {1..N}
   dgs         the deterministic-scan Gibbs chain (x then y), supported on
-              the 2N-1 staircase states, not pi-symmetric
+              the 2N-1 staircase states, pentadiagonal, not pi-symmetric
   rgs         the random-scan Gibbs chain that updates x with probability
               scan_p and y otherwise; pi-symmetric with positive self-loops
 
-Product-space states are ordered (1,1), (2,1), (2,2), (3,2), ..., (N,N),
-which keeps both product kernels banded. Total variation curves iterate a
-distribution vector through the kernel; the n-step matrix is never formed.
+Product-space states are ordered (1,1), (2,1), (2,2), (3,2), ..., (N,N).
+On this order a random-scan step moves to a neighbouring state, so rgs is
+a birth-death chain on 2N-1 states, and a deterministic-scan step moves at
+most two states away. Every kernel is therefore stored as its diagonals:
+bands[k][m] = P[i, i+k] with m = min(i, i+k), the layout of
+scipy.sparse.diags, and rows (y, y) and (y+1, y) fill the even and odd
+entries of each band. Total variation curves transport a distribution
+vector by one shifted add per band; the n-step matrix is never formed.
 Spectral summaries use the similarity transform D^{1/2} P D^{-1/2} with
 D = diag(pi), which is symmetric exactly when P is pi-symmetric.
 """
 
 from __future__ import annotations
 
-import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import (
@@ -41,13 +45,34 @@ RGS = "rgs"
 _TV_FLOOR = 1e-13
 
 
+def check_state(kind: str, N: int, state):
+    """state as x or (x, y) of ints when it lies in the chain's support.
+
+    Only integers are accepted, so 2.7 is refused rather than truncated;
+    anything else raises StartNotInSupport.
+    """
+    try:
+        if kind == MARGINAL_X:
+            x = operator.index(state)
+            if 1 <= x <= N:
+                return x
+        else:
+            x, y = map(operator.index, state)
+            if 1 <= y <= N and (x == y or (x == y + 1 and y < N)):
+                return x, y
+    except (TypeError, ValueError):
+        pass
+    raise StartNotInSupport(f"state {state!r} not in chain support")
+
+
 @dataclass(frozen=True)
 class TransitionMatrix:
-    """A kernel, its state list, and its stationary distribution."""
+    """A kernel stored as its diagonals, its states, and its stationary
+    distribution; bands[k][min(i, i+k)] = P[i, i+k]."""
 
     kind: str
     states: list
-    P: sp.csr_matrix = field(repr=False)
+    bands: dict = field(repr=False)
     stationary: np.ndarray = field(repr=False)
     N: int
     scan_p: float | None = None
@@ -56,115 +81,82 @@ class TransitionMatrix:
     def n_states(self) -> int:
         return len(self.states)
 
+    @property
+    def P(self):
+        """The kernel as a scipy.sparse CSR matrix, built on each access."""
+        import scipy.sparse as sp
+
+        offsets = sorted(self.bands)
+        return sp.diags([self.bands[k] for k in offsets], offsets,
+                        shape=(self.n_states, self.n_states), format="csr")
+
     def index_of(self, state) -> int:
         """Position of a state; StartNotInSupport when absent."""
         if self.kind == MARGINAL_X:
-            try:
-                x = int(state)
-            except (TypeError, ValueError):
-                raise StartNotInSupport(f"state {state!r} not in chain support") from None
-            if not 1 <= x <= self.N:
-                raise StartNotInSupport(f"state {state!r} not in chain support")
-            return x - 1
-        try:
-            x, y = state
-        except (TypeError, ValueError):
-            raise StartNotInSupport(f"state {state!r} not in chain support") from None
-        x, y = int(x), int(y)
-        if 1 <= y <= self.N and x == y:
-            return 2 * y - 2
-        if 1 <= y < self.N and x == y + 1:
-            return 2 * y - 1
-        raise StartNotInSupport(f"state {state!r} not in chain support")
+            return check_state(self.kind, self.N, state) - 1
+        x, y = check_state(self.kind, self.N, state)
+        return 2 * y - 2 + (x - y)
 
 
-def _staircase_states(N: int) -> list[tuple[int, int]]:
-    out = [(1, 1)]
-    for y in range(1, N):
-        out.append((y + 1, y))
-        out.append((y + 1, y + 1))
-    return out
+def _stay_probs(fam: BivariateFamily):
+    """P(X = y | Y = y) and P(Y = x | X = x), the conditional stays."""
+    return (np.exp(fam.log_a - fam.log_piy), np.exp(fam.log_a - fam.log_pix))
 
 
 def build_Px(fam: BivariateFamily) -> TransitionMatrix:
     """Tridiagonal kernel of the x-marginal birth-death chain."""
     N = fam.N
     p, q = fam.p, fam.q
-    stay = np.maximum(0.0, 1.0 - p - q)
-    rows, cols, data = [], [], []
-    for x in range(1, N + 1):
-        i = x - 1
-        if x > 1 and q[i] > 0:
-            rows.append(i); cols.append(i - 1); data.append(q[i])
-        rows.append(i); cols.append(i); data.append(stay[i])
-        if x < N and p[i] > 0:
-            rows.append(i); cols.append(i + 1); data.append(p[i])
-    P = sp.csr_matrix((data, (rows, cols)), shape=(N, N))
+    bands = {-1: q[1:], 0: np.maximum(0.0, 1.0 - p - q), 1: p[:-1]}
     return TransitionMatrix(kind=MARGINAL_X, states=list(range(1, N + 1)),
-                            P=P, stationary=fam.pi_x, N=N)
+                            bands=bands, stationary=fam.pi_x, N=N)
 
 
 def build_Pdgs(fam: BivariateFamily) -> TransitionMatrix:
     """Deterministic-scan kernel: draw x' given y, then y' given x'.
 
-    Each row has at most four nonzero entries and depends on the current
-    state only through y.
+    Both rows (y, y) and (y+1, y) move to (y, y-1), (y, y), (y+1, y) and
+    (y+1, y+1) with the same four probabilities, which puts the kernel on
+    offsets -2..2.
     """
-    N = fam.N
-    beta = fam.beta                      # P(X = y+1 | Y = y)
-    ob = np.exp(fam.log_a - fam.log_piy)  # P(X = y | Y = y)
-    delta = fam.delta                    # P(Y = x-1 | X = x)
-    od = np.exp(fam.log_a - fam.log_pix)  # P(Y = x | X = x)
-    states = _staircase_states(N)
-    rows, cols, data = [], [], []
-    for i, (_, y) in enumerate(states):
-        j = y - 1
-        # x' = y, then y' in {y-1, y}
-        if y > 1:
-            _put(rows, cols, data, i, 2 * (y - 1) - 1, ob[j] * delta[j])
-        _put(rows, cols, data, i, 2 * y - 2, ob[j] * od[j])
-        # x' = y + 1 (impossible at y = N), then y' in {y, y+1}
-        if y < N:
-            _put(rows, cols, data, i, 2 * y - 1, beta[j] * delta[j + 1])
-            _put(rows, cols, data, i, 2 * y, beta[j] * od[j + 1])
-    P = sp.csr_matrix((data, (rows, cols)), shape=(2 * N - 1, 2 * N - 1))
-    return TransitionMatrix(kind=DGS, states=states, P=P,
+    N, n = fam.N, 2 * fam.N - 1
+    beta, delta = fam.beta, fam.delta
+    ob, od = _stay_probs(fam)
+    to_yy = ob * od                       # (y, y) -> (y, y)
+    to_down = ob[1:] * delta[1:]          # (y, y-1) for y >= 2
+    to_up = beta[:-1] * delta[1:]         # (y+1, y) for y < N
+    to_upup = beta[:-1] * od[1:]          # (y+1, y+1) for y < N
+    bands = {k: np.zeros(n - abs(k)) for k in range(-2, 3)}
+    bands[0][0::2], bands[0][1::2] = to_yy, to_up
+    bands[1][0::2], bands[1][1::2] = to_up, to_upup
+    bands[2][0::2] = to_upup
+    bands[-1][0::2], bands[-1][1::2] = to_yy[:-1], to_down
+    bands[-2][1::2] = to_down[:-1]
+    return TransitionMatrix(kind=DGS, states=fam.support_states(), bands=bands,
                             stationary=fam.support_probs(), N=N)
 
 
 def build_Prgs(fam: BivariateFamily, scan_p: float) -> TransitionMatrix:
-    """Random-scan kernel: refresh x with probability scan_p, else y."""
+    """Random-scan kernel: refresh x with probability scan_p, else y.
+
+    From (y, y) the x-update reaches (y+1, y) and the y-update (y, y-1);
+    from (y+1, y) they reach (y, y) and (y+1, y+1). Every move is to a
+    neighbour in the staircase order, so the kernel is tridiagonal.
+    """
     if not (isinstance(scan_p, (int, float)) and 0.0 < scan_p < 1.0):
         raise BadScanProbability(f"scan probability {scan_p!r} not in (0, 1)")
-    scan_p = float(scan_p)
-    N = fam.N
-    beta = fam.beta
-    ob = np.exp(fam.log_a - fam.log_piy)
-    delta = fam.delta
-    od = np.exp(fam.log_a - fam.log_pix)
-    states = _staircase_states(N)
-    rows, cols, data = [], [], []
-    for i, (x, y) in enumerate(states):
-        acc: dict[int, float] = {}
-        j, k = y - 1, x - 1
-        # x-update: (x', y) with x' in {y, y+1}
-        acc[2 * y - 2] = acc.get(2 * y - 2, 0.0) + scan_p * ob[j]
-        if y < N:
-            acc[2 * y - 1] = acc.get(2 * y - 1, 0.0) + scan_p * beta[j]
-        # y-update: (x, y') with y' in {x-1, x}
-        if x > 1:
-            acc[2 * (x - 1) - 1] = acc.get(2 * (x - 1) - 1, 0.0) + (1 - scan_p) * delta[k]
-        acc[2 * x - 2] = acc.get(2 * x - 2, 0.0) + (1 - scan_p) * od[k]
-        for col in sorted(acc):
-            _put(rows, cols, data, i, col, acc[col])
-    P = sp.csr_matrix((data, (rows, cols)), shape=(2 * N - 1, 2 * N - 1))
-    return TransitionMatrix(kind=RGS, states=states, P=P,
-                            stationary=fam.support_probs(), N=N, scan_p=scan_p)
-
-
-def _put(rows, cols, data, i, j, v):
-    if v > 0.0:
-        rows.append(i); cols.append(j); data.append(v)
+    s = float(scan_p)
+    t = 1 - s
+    N, n = fam.N, 2 * fam.N - 1
+    beta, delta = fam.beta, fam.delta
+    ob, od = _stay_probs(fam)
+    bands = {k: np.empty(n - abs(k)) for k in (-1, 0, 1)}
+    bands[0][0::2] = s * ob + t * od
+    bands[0][1::2] = s * beta[:-1] + t * delta[1:]
+    bands[1][0::2], bands[1][1::2] = s * beta[:-1], t * od[1:]
+    bands[-1][0::2], bands[-1][1::2] = s * ob[:-1], t * delta[1:]
+    return TransitionMatrix(kind=RGS, states=fam.support_states(), bands=bands,
+                            stationary=fam.support_probs(), N=N, scan_p=s)
 
 
 # -- total variation curves ------------------------------------------------
@@ -208,14 +200,21 @@ def tv_curve(tm: TransitionMatrix, start, n_max: int) -> TVCurve:
     if n_max < 0:
         raise IndexOutOfRange("n_max must be nonnegative")
     i0 = tm.index_of(start)
-    PT = tm.P.T.tocsr()
     pi = tm.stationary
-    v = np.zeros(tm.n_states)
+    n_states = tm.n_states
+    v = np.zeros(n_states)
     v[i0] = 1.0
     values = np.empty(n_max + 1)
     values[0] = 0.5 * np.abs(v - pi).sum()
     for n in range(1, n_max + 1):
-        v = PT @ v
+        # (vP)[i+k] gains v[i] * P[i, i+k] along each band k
+        w = v * tm.bands[0]
+        for k, band in tm.bands.items():
+            if k > 0:
+                w[k:] += v[:n_states - k] * band
+            elif k < 0:
+                w[:n_states + k] += v[-k:] * band
+        v = w
         values[n] = 0.5 * np.abs(v - pi).sum()
     rate, const, window = _fit_rate(values)
     return TVCurve(kind=tm.kind, start=start, n_max=n_max, values=values,
@@ -252,71 +251,30 @@ class SpectralGap:
 
 
 def spectral_gap(tm: TransitionMatrix) -> SpectralGap:
-    """Spectral summary via the symmetrization D^{1/2} P D^{-1/2}.
+    """Second-largest eigenvalue modulus via D^{1/2} P D^{-1/2}.
 
-    The marginal chain is tridiagonal and solved exactly; the random-scan
-    chain is handled by power iteration on the squared operator after
-    deflating the known top eigenvector sqrt(pi). The deterministic-scan
-    chain is not pi-symmetric and is rejected.
+    The marginal and random-scan chains are pi-symmetric birth-death
+    chains, so the symmetrization is tridiagonal with diagonal bands[0]
+    and off-diagonal sqrt(P[i, i+1] P[i+1, i]); no 1/sqrt(pi) is formed.
+    An index-selected eigensolve returns only the two largest eigenvalues
+    and the smallest, in O(N), and the norm is the larger of the second
+    eigenvalue and minus the smallest. The deterministic-scan chain is not
+    pi-symmetric and is rejected.
     """
-    if tm.kind == MARGINAL_X:
-        d0 = tm.P.diagonal()
-        sup = tm.P.diagonal(1)
-        sub = tm.P.diagonal(-1)
-        off = np.sqrt(sup * sub)
-        w = eigh_tridiagonal(d0, off, eigvals_only=True)
-        order = np.argsort(-np.abs(w))
-        top, second = abs(w[order[0]]), abs(w[order[1]])
-        if abs(top - 1.0) > 1e-8:
-            raise ErgochainError(f"top eigenvalue {top!r} is not 1")
-        norm = min(max(second, 0.0), 1.0)
-        return SpectralGap(kind=tm.kind, N=tm.N, norm_estimate=norm,
-                           gap=1.0 - norm, method="tridiagonal")
-    if tm.kind == RGS:
-        norm = _second_modulus_power(tm)
-        return SpectralGap(kind=tm.kind, N=tm.N, norm_estimate=norm,
-                           gap=1.0 - norm, method="power_deflation")
-    raise NotSymmetricKernel(f"spectral gap undefined for kind {tm.kind!r}")
-
-
-def _second_modulus_power(tm: TransitionMatrix, tol: float = 1e-13,
-                          max_iter: int = 200000) -> float:
-    """|lambda_2| by power iteration with the top eigenvector deflated.
-
-    Works on the squared symmetrized operator so sign-degenerate pairs
-    cannot stall convergence. The starting vector is a fixed pseudo-random
-    vector, keeping results reproducible byte for byte.
-    """
-    sqrt_pi = np.sqrt(tm.stationary)
-    D = sp.diags(sqrt_pi)
-    Dinv = sp.diags(1.0 / sqrt_pi)
-    S = (D @ tm.P @ Dinv).tocsr()
-    v1 = sqrt_pi / np.linalg.norm(sqrt_pi)
-
-    rng = np.random.Generator(np.random.Philox(20230915))
-    x = rng.random(tm.n_states) - 0.5
-    x -= v1 * (v1 @ x)
-    nx = np.linalg.norm(x)
-    if nx == 0.0:
-        return 0.0
-    x /= nx
-    prev = math.inf
-    est = 0.0
-    for _ in range(max_iter):
-        y = S @ x
-        y -= v1 * (v1 @ y)
-        est = float(np.linalg.norm(y))       # sqrt of Rayleigh quotient of S^2
-        y = S @ y
-        y -= v1 * (v1 @ y)
-        n2 = np.linalg.norm(y)
-        if n2 == 0.0:
-            est = 0.0
-            break
-        x = y / n2
-        if abs(est - prev) <= tol * max(est, 1e-12):
-            break
-        prev = est
-    return min(max(est, 0.0), 1.0)
+    if tm.kind not in (MARGINAL_X, RGS):
+        raise NotSymmetricKernel(f"spectral gap undefined for kind {tm.kind!r}")
+    d = tm.bands[0]
+    off = np.sqrt(tm.bands[1]) * np.sqrt(tm.bands[-1])
+    n = len(d)
+    second, top = eigh_tridiagonal(d, off, eigvals_only=True,
+                                   select="i", select_range=(n - 2, n - 1))
+    (smallest,) = eigh_tridiagonal(d, off, eigvals_only=True,
+                                   select="i", select_range=(0, 0))
+    if abs(top - 1.0) > 1e-8:
+        raise ErgochainError(f"top eigenvalue {top!r} is not 1")
+    norm = min(max(second, -smallest, 0.0), 1.0)
+    return SpectralGap(kind=tm.kind, N=tm.N, norm_estimate=norm,
+                       gap=1.0 - norm, method="tridiagonal")
 
 
 __all__ = [

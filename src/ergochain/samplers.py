@@ -24,7 +24,7 @@ import numpy as np
 from .diagnostics import BatchMeansEstimate, _from_means
 from .errors import BadScanProbability, IndexOutOfRange, StartNotInSupport
 from .family import BivariateFamily
-from .kernels import DGS, MARGINAL_X, RGS
+from .kernels import DGS, MARGINAL_X, RGS, check_state
 
 CHAIN_IDS = {MARGINAL_X: 0, DGS: 1, RGS: 2}
 
@@ -61,27 +61,6 @@ def rgs_step(fam: BivariateFamily, x: int, y: int, scan_p: float,
         return x_new, y
     y_new = x - 1 if u2 < fam.delta[x - 1] else x
     return x, y_new
-
-
-def _check_bivariate_state(fam: BivariateFamily, state) -> tuple[int, int]:
-    try:
-        x, y = state
-        x, y = int(x), int(y)
-    except (TypeError, ValueError):
-        raise StartNotInSupport(f"need an (x, y) pair, got {state!r}") from None
-    if not (1 <= y <= fam.N and 1 <= x <= fam.N and x - y in (0, 1)):
-        raise StartNotInSupport(f"({x}, {y}) is not a support state")
-    return x, y
-
-
-def _check_marginal_state(fam: BivariateFamily, state) -> int:
-    try:
-        x = int(state)
-    except (TypeError, ValueError):
-        raise StartNotInSupport(f"need an integer state, got {state!r}") from None
-    if not 1 <= x <= fam.N:
-        raise StartNotInSupport(f"{x} is outside 1..{fam.N}")
-    return x
 
 
 @dataclass(frozen=True)
@@ -142,7 +121,7 @@ def run_chain(fam: BivariateFamily, cfg: RunConfig) -> Trace:
 
     rec_steps, rec_x, rec_y = [], [], []
     if cfg.kind == MARGINAL_X:
-        x = _check_marginal_state(fam, cfg.init)
+        x = check_state(MARGINAL_X, fam.N, cfg.init)
         for step in range(1, n + 1):
             x = marginal_step(fam, x, rng.random())
             if g_vals is not None:
@@ -152,7 +131,7 @@ def run_chain(fam: BivariateFamily, cfg: RunConfig) -> Trace:
                 rec_x.append(x)
         ys = None
     else:
-        x, y = _check_bivariate_state(fam, cfg.init)
+        x, y = check_state(cfg.kind, fam.N, cfg.init)
         for step in range(1, n + 1):
             if cfg.kind == DGS:
                 x, y = dgs_step(fam, y, rng.random(), rng.random())
@@ -199,7 +178,7 @@ def run_marginal_ensemble(fam: BivariateFamily, n_chains: int, n_steps: int,
     """
     if n_chains < 1 or n_steps < 0:
         raise IndexOutOfRange("need n_chains >= 1 and n_steps >= 0")
-    x0 = _check_marginal_state(fam, init)
+    x0 = check_state(MARGINAL_X, fam.N, init)
     rng = make_rng(seed, MARGINAL_X)
     states = np.full(n_chains, x0, dtype=np.int64)
 

@@ -158,9 +158,10 @@ def test_sample_json_with_indicator(capsys):
 
 
 def test_sample_bad_start_exits_4(capsys):
-    code, _, err = run(capsys, "sample", "--example", "geometric",
-                       "--n", "50", "--chain", "dgs", "--start", "5")
-    assert code == 4 and err.startswith("error:")
+    for chain, start in (("dgs", "5"), ("marginal_x", "2.5")):
+        code, _, err = run(capsys, "sample", "--example", "geometric",
+                           "--n", "50", "--chain", chain, "--start", start)
+        assert code == 4 and err.startswith("error:")
 
 
 def test_examples_listing(capsys):
@@ -198,7 +199,7 @@ def test_out_writes_file(tmp_path, capsys):
     assert json.loads(target.read_text())["verdict"] == "Geometric"
 
 
-def test_usage_errors_exit_2(capsys):
+def test_usage_errors_exit_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         dispatch(["classify"])                      # no spec source
     assert exc.value.code == 2
@@ -206,3 +207,8 @@ def test_usage_errors_exit_2(capsys):
         dispatch(["classify", "--example", "nope"])
     assert exc.value.code == 2
     capsys.readouterr()
+    missing = str(tmp_path / "missing.json")
+    code, out, err = run(capsys, "classify", "--spec", missing)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert "Traceback" not in err

@@ -1,15 +1,20 @@
 """Exact transition matrices, TV curves, and spectral gaps.
 
 Spectral quantities are cross-checked against dense symmetric
-eigensolves built here from first principles, independent of the sparse
-and tridiagonal paths used by the implementation.
+eigensolves built here from first principles, independent of the banded
+storage and the tridiagonal solver used by the implementation.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ergochain
 from ergochain import (
     DGS,
     MARGINAL_X,
@@ -32,6 +37,45 @@ P1 = 0.5819767068693265     # p_1 of the geometric family, frozen
 
 def _dense(tm):
     return np.asarray(tm.P.todense())
+
+
+def _build(f, kind):
+    return {MARGINAL_X: build_Px, DGS: build_Pdgs,
+            RGS: lambda f: build_Prgs(f, 0.5)}[kind](f)
+
+
+def _dense_reference(f, kind, s=0.5):
+    # every entry of a product kernel from the two conditional laws, one
+    # state at a time, with 1 - beta and 1 - delta for the stays
+    states = f.support_states()
+    idx = {st: i for i, st in enumerate(states)}
+    P = np.zeros((len(states), len(states)))
+
+    def x_moves(y):
+        return [(y + 1, f.beta[y - 1]), (y, 1.0 - f.beta[y - 1])]
+
+    def y_moves(x):
+        return [(x - 1, f.delta[x - 1]), (x, 1.0 - f.delta[x - 1])]
+
+    for i, (x, y) in enumerate(states):
+        if kind == DGS:
+            moves = [((xp, yp), px * py) for xp, px in x_moves(y) if px > 0
+                     for yp, py in y_moves(xp)]
+        else:
+            moves = ([((xp, y), s * px) for xp, px in x_moves(y)]
+                     + [((x, yp), (1 - s) * py) for yp, py in y_moves(x)])
+        for st, prob in moves:
+            if prob > 0:
+                P[i, idx[st]] += prob
+    return P
+
+
+def test_import_leaves_scipy_sparse_unloaded():
+    # the CSR view imports scipy.sparse on first access, not at import
+    src = str(Path(ergochain.__file__).resolve().parents[1])
+    code = "import sys, ergochain; sys.exit('scipy.sparse' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 # -- marginal chain ----------------------------------------------------------
@@ -63,10 +107,19 @@ def test_px_detailed_balance(fam, name):
     assert np.abs(flux_up - both).max() < 1e-14
 
 
-def test_px_is_tridiagonal(fam):
-    P = _dense(build_Px(fam("mixed-geometric", 50)))
-    assert np.abs(np.triu(P, 2)).max() == 0.0
-    assert np.abs(np.tril(P, -2)).max() == 0.0
+@pytest.mark.parametrize("kind,width", [(MARGINAL_X, 1), (DGS, 2), (RGS, 1)])
+def test_kernel_bandwidth(fam, kind, width):
+    rows, cols = np.nonzero(_dense(_build(fam("mixed-geometric", 50), kind)))
+    assert np.abs(rows - cols).max() == width
+
+
+@pytest.mark.parametrize("name", example_names())
+@pytest.mark.parametrize("kind", [DGS, RGS])
+def test_product_kernel_matches_reference(fam, name, kind):
+    # exp of a log-weight difference is good to eps times its magnitude
+    f = fam(name, 40)
+    tol = 8 * np.finfo(float).eps * max(1.0, np.abs(f.log_a).max())
+    assert np.abs(_dense(_build(f, kind)) - _dense_reference(f, kind)).max() < tol
 
 
 # -- deterministic scan ------------------------------------------------------
@@ -175,7 +228,7 @@ def test_index_of_staircase(fam):
     assert tm.index_of((2, 1)) == 1
     assert tm.index_of((2, 2)) == 2
     assert tm.index_of((10, 10)) == 18
-    for bad in [(3, 1), (1, 2), (0, 0), (11, 10), "x"]:
+    for bad in [(3, 1), (1, 2), (0, 0), (11, 10), "x", (2.5, 2)]:
         with pytest.raises(StartNotInSupport):
             tm.index_of(bad)
 
@@ -184,7 +237,7 @@ def test_index_of_marginal(fam):
     tm = build_Px(fam("geometric", 10))
     assert tm.index_of(1) == 0
     assert tm.index_of(10) == 9
-    for bad in [0, 11, (1, 1)]:
+    for bad in [0, 11, (1, 1), 2.7]:
         with pytest.raises(StartNotInSupport):
             tm.index_of(bad)
 
@@ -234,6 +287,19 @@ def test_tv_short_run_has_no_fit(fam):
     assert c.to_json_dict()["gap"] is None
 
 
+@pytest.mark.parametrize("kind", [MARGINAL_X, DGS, RGS])
+def test_tv_curve_matches_dense_transport(fam, kind):
+    tm = _build(fam("mixed-geometric", 30), kind)
+    c = tv_curve(tm, tm.states[3], 60)
+    P = _dense(tm)
+    v = np.zeros(tm.n_states)
+    v[3] = 1.0
+    for n in range(61):
+        assert c.values[n] == pytest.approx(
+            0.5 * np.abs(v - tm.stationary).sum(), abs=1e-14)
+        v = v @ P
+
+
 def test_tv_curve_argument_errors(fam):
     tm = build_Px(fam("geometric", 20))
     with pytest.raises(IndexOutOfRange):
@@ -246,14 +312,22 @@ def test_tv_curve_argument_errors(fam):
 
 
 def test_two_state_flat_chain_has_zero_norm():
-    P = np.array([[0.5, 0.5], [0.5, 0.5]])
-    from scipy.sparse import csr_matrix
+    half = np.array([0.5])
     tm = TransitionMatrix(kind=MARGINAL_X, states=[1, 2],
-                          P=csr_matrix(P), stationary=np.array([0.5, 0.5]),
-                          N=2)
+                          bands={-1: half, 0: np.array([0.5, 0.5]), 1: half},
+                          stationary=np.array([0.5, 0.5]), N=2)
     g = spectral_gap(tm)
     assert g.norm_estimate == pytest.approx(0.0, abs=1e-14)
     assert g.gap == pytest.approx(1.0, abs=1e-14)
+
+
+def test_negative_eigenvalue_sets_the_norm():
+    # a two-state chain that mostly flips has eigenvalues 1 and -0.8
+    flip = np.array([0.9])
+    tm = TransitionMatrix(kind=MARGINAL_X, states=[1, 2],
+                          bands={-1: flip, 0: np.array([0.1, 0.1]), 1: flip},
+                          stationary=np.array([0.5, 0.5]), N=2)
+    assert spectral_gap(tm).norm_estimate == pytest.approx(0.8, abs=1e-14)
 
 
 def _dense_second_modulus(tm):
@@ -275,12 +349,20 @@ def test_marginal_gap_matches_dense_eigensolve(fam, name):
     assert g.norm_estimate == pytest.approx(_dense_second_modulus(tm), abs=1e-11)
 
 
-@pytest.mark.parametrize("name", ["geometric", "power-law"])
+@pytest.mark.parametrize("name", example_names())
 def test_rgs_gap_matches_dense_eigensolve(fam, name):
     tm = build_Prgs(fam(name, 60), 0.5)
     g = spectral_gap(tm)
-    assert g.method == "power_deflation"
-    assert g.norm_estimate == pytest.approx(_dense_second_modulus(tm), abs=1e-9)
+    assert g.method == "tridiagonal"
+    assert g.norm_estimate == pytest.approx(_dense_second_modulus(tm), abs=1e-11)
+
+
+def test_rgs_gap_finite_at_large_N(fam):
+    # 1/sqrt(pi) overflows here, so the gap must come from the bands alone
+    g200 = spectral_gap(build_Prgs(fam("geometric", 200), 0.5)).gap
+    g1000 = spectral_gap(build_Prgs(fam("geometric", 1000), 0.5)).gap
+    assert math.isfinite(g1000)
+    assert g1000 == pytest.approx(g200, abs=1e-4)
 
 
 def test_dgs_gap_refused(fam):

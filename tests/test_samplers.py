@@ -123,6 +123,7 @@ def test_run_config_validation():
 @pytest.mark.parametrize("kind,init", [
     ("marginal_x", 0), ("marginal_x", 51), ("marginal_x", "x"),
     ("dgs", (1, 2)), ("dgs", (3, 1)), ("rgs", (0, 0)), ("rgs", (51, 50)),
+    ("marginal_x", 2.7), ("dgs", (2.5, 2)),
 ])
 def test_bad_initial_states(fam50, kind, init):
     cfg = RunConfig(kind=kind, n_steps=5, seed=0, init=init,

@@ -37,7 +37,6 @@ from .drift import (
     RgsDriftCertificate,
     find_drift_certificate,
     lift_to_rgs,
-    tail_surrogates,
     verify_drift,
 )
 from .errors import EmptyReport, IndexOutOfRange, UnknownFormat
@@ -48,7 +47,7 @@ from .family import (
     build_family,
     tail_limits,
 )
-from .subgeo import SubgeoReport, build_subgeo_report
+from .subgeo import build_subgeo_report
 
 GEOMETRIC = "Geometric"
 SUBGEOMETRIC = "Subgeometric"
@@ -60,8 +59,6 @@ EVIDENCE_NUMERIC = "numeric-estimates"
 _BORDERLINE = (0.99, 1.01)
 _EQUIVALENCE_NOTE = ("limits of a_i/a_{i-1} and a_i/b_i exist, so the geometric "
                      "and subgeometric outcomes are exhaustive")
-
-_QUANTITY_KEYS = ("A", "m", "M", "a_over_bprev", "b_over_a", "r_hat", "q_hat")
 
 
 @dataclass(frozen=True)
@@ -161,14 +158,22 @@ def classify(spec: SequenceSpec, N: int = 200,
     horizon = max(4 * N, 2 * window)
     est = tail_limits(spec, window=window, horizon=horizon)
 
-    quantities = {"A": est.A, "m": est.m, "M": est.M,
-                  "a_over_bprev": est.a_over_bprev, "b_over_a": est.b_over_a}
-    r_hat, q_hat = tail_surrogates(fam)
-    quantities["r_hat"], quantities["q_hat"] = r_hat, q_hat
-
     dl = spec.declared_limits
     premise = dl is not None and dl.A is not None and dl.lim_ab is not None
     note = _EQUIVALENCE_NOTE if premise else None
+
+    # one certificate search; steps 1 and 4 both read its verified form
+    cert = find_drift_certificate(fam)
+    quantities = {"A": est.A, "m": est.m, "M": est.M,
+                  "a_over_bprev": est.a_over_bprev, "b_over_a": est.b_over_a,
+                  "r_hat": cert.r_hat, "q_hat": cert.q_hat}
+    certified = _verified(cert, fam, scan_p)
+
+    def geometric(basis, evidence):
+        return ErgodicityVerdict(
+            verdict=GEOMETRIC, basis=basis, evidence=evidence, N=N,
+            scan_p=scan_p, quantities=quantities, certificate=certified,
+            equivalence_note=note)
 
     # 1. ratio test on trusted limits
     trusted = all(est.converged[k] for k in
@@ -178,13 +183,9 @@ def classify(spec: SequenceSpec, N: int = 200,
         all_declared = all(est.declared[k] for k in
                            ("A", "m", "M", "a_over_bprev", "b_over_a"))
         borderline = _BORDERLINE[0] <= bound <= _BORDERLINE[1] and not all_declared
-        if bound < 1.0 and not borderline:
-            verdict = _certified_geometric(
-                fam, basis="ratio_test",
-                evidence=EVIDENCE_DECLARED if all_declared else EVIDENCE_NUMERIC,
-                scan_p=scan_p, quantities=quantities, note=note)
-            if verdict is not None:
-                return verdict
+        if bound < 1.0 and not borderline and certified is not None:
+            return geometric("ratio_test",
+                             EVIDENCE_DECLARED if all_declared else EVIDENCE_NUMERIC)
 
     # 2. diverging statistics
     report = build_subgeo_report(fam, horizon=horizon, scan_p=scan_p)
@@ -210,33 +211,23 @@ def classify(spec: SequenceSpec, N: int = 200,
                 equivalence_note=note)
 
     # 4. drift certificate straight from the truncated tail
-    verdict = _certified_geometric(fam, basis="drift", evidence=EVIDENCE_NUMERIC,
-                                   scan_p=scan_p, quantities=quantities, note=note)
-    if verdict is not None:
-        return verdict
+    if certified is not None:
+        return geometric("drift", EVIDENCE_NUMERIC)
 
     return ErgodicityVerdict(verdict=INCONCLUSIVE, basis=None,
                              evidence=EVIDENCE_NUMERIC, N=N, scan_p=scan_p,
                              quantities=quantities, equivalence_note=note)
 
 
-def _certified_geometric(fam, basis, evidence, scan_p, quantities, note):
-    """Geometric verdict with a verified certificate, or None."""
-    cert = find_drift_certificate(fam)
-    if isinstance(cert, NoCertificate):
+def _verified(cert, fam, scan_p):
+    """The certificate, lifted to the random scan when scan_p is set, if
+    it verifies on the truncated support; otherwise None."""
+    if isinstance(cert, NoCertificate) or not verify_drift(cert, fam).holds:
         return None
-    if not verify_drift(cert, fam).holds:
-        return None
-    out_cert = cert
-    if scan_p is not None:
-        lifted = lift_to_rgs(cert, scan_p)
-        if not verify_drift(lifted, fam).holds:
-            return None
-        out_cert = lifted
-    return ErgodicityVerdict(
-        verdict=GEOMETRIC, basis=basis, evidence=evidence, N=fam.N,
-        scan_p=scan_p, quantities=quantities, certificate=out_cert,
-        equivalence_note=note)
+    if scan_p is None:
+        return cert
+    lifted = lift_to_rgs(cert, scan_p)
+    return lifted if verify_drift(lifted, fam).holds else None
 
 
 # -- reporting -------------------------------------------------------------

@@ -11,12 +11,18 @@ L = max_{x <= x0} E[V(X_1) | X_0 = x], giving
 
     E[V(X_1) | X_0 = x] <= rho V(x) + L        for every x.
 
-z must stay below 2 / (r + 1) where r bounds p_x / q_x in the tail; the
-rate used is rho = 1 + (q/2)(z - 1)((r + 1)/2 - 1/z) with q a tail lower
-bound on q_x. Tail surrogates r_hat and q_hat are max and min over the
-upper half of {2..N}, excluding the last two indices where truncation
-distorts p. When r_hat is 0.99 or larger the tail evidence cannot
-separate the family from the critical case and no certificate is issued.
+Tail surrogates r_hat (a bound on p_x / q_x) and q_hat (a lower bound on
+q_x) are max and min over the upper half of {2..N}, excluding the last
+two indices where truncation distorts p; r_hat is formed from log a,
+log b and log pi_Y so it stays finite where p and q underflow. For
+z < 2 / (r + 1) the certified rate is
+
+    rho(z) = 1 + (q/2)(z - 1)((r + 1)/2 - 1/z),
+
+which is smallest at z* = sqrt(2 / (r + 1)), inside (1, 2 / (r + 1)),
+with rho* = 1 - (q/2)(1 - sqrt((r + 1)/2))^2. The certificate uses z*.
+When r_hat is 0.99 or larger the tail evidence cannot separate the
+family from the critical case and no certificate is issued.
 
 A certificate for the random-scan chain with scan probability s follows
 by lifting: for any c strictly between s/(1-s) and s/(rho (1-s)),
@@ -24,20 +30,24 @@ by lifting: for any c strictly between s/(1-s) and s/(rho (1-s)),
     W(x, y) = V(x) + c G(y),   G(y) = ((a_y + z b_y) / (a_y + b_y)) z^y,
     gamma   = max{(1-s)(c rho + 1), s (1 + c) / c}  <  1,
 
-and one random-scan step satisfies E W <= gamma W + (1-s) c L. All
-verification is exhaustive over the truncated support and carried out in
-log space, so certificates remain checkable when z^x overflows.
+and one random-scan step satisfies E W <= gamma W + (1-s) c L.
+Verification is exhaustive over the truncated support: the one-step
+expectation of V (or W) is taken through the banded kernel itself,
+build_Px or build_Prgs, with kernels.log_expect, and both sides are
+compared in log space, so certificates remain checkable when z^x
+overflows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadScanProbability, BadZ, COutOfRange, IndexOutOfRange
-from .family import BivariateFamily, _encode_extended
+from .errors import BadZ, COutOfRange, IndexOutOfRange
+from .family import BivariateFamily, _encode_extended, _exp_sat
+from .kernels import build_Prgs, build_Px, check_scan_p, log_expect
 
 # Tail ratio estimates at or above this are treated as critical.
 R_BORDERLINE = 0.99
@@ -59,27 +69,25 @@ def px_drift_coefficient(fam: BivariateFamily, z: float, x: int) -> float:
 
 def tail_surrogates(fam: BivariateFamily) -> tuple[float, float]:
     """(r_hat, q_hat): max p_x/q_x and min q_x over the upper half of
-    {2..N} with the truncation-distorted indices N-1 and N excluded."""
+    {2..N} with the truncation-distorted indices N-1 and N excluded.
+
+    p_x / q_x = t_x / t_{x-1} with t_y = a_y b_y / (a_y + b_y), so r_hat
+    is taken from log t and stays finite where p and q underflow.
+    """
     lo = max(2, fam.N // 2)
     hi = fam.N - 2
     if hi < lo:
         raise IndexOutOfRange(f"N = {fam.N} leaves no tail window")
-    sl = slice(lo - 1, hi)
-    r_hat = float(np.max(fam.p[sl] / fam.q[sl]))
-    q_hat = float(np.min(fam.q[sl]))
+    log_t = fam.log_a + fam.log_b - fam.log_piy
+    r_hat = _exp_sat(float(np.max(np.diff(log_t)[lo - 2:hi - 1])))
+    q_hat = float(np.min(fam.q[lo - 1:hi]))
     return r_hat, q_hat
 
 
 def log_PxV(fam: BivariateFamily, log_z: float) -> np.ndarray:
     """log E[z^{X_1} | X_0 = x] for x = 1..N, computed in log space."""
-    x = np.arange(1, fam.N + 1, dtype=float)
-    stay = np.maximum(0.0, 1.0 - fam.p - fam.q)
-    with np.errstate(divide="ignore"):
-        lp = np.log(fam.p) + (x + 1) * log_z
-        lq = np.log(fam.q) + (x - 1) * log_z
-        ls = np.log(stay) + x * log_z
-    out = np.logaddexp(np.logaddexp(lp, lq), ls)
-    return out
+    x = np.arange(1, fam.N + 1)
+    return log_expect(build_Px(fam), x * log_z)
 
 
 @dataclass(frozen=True)
@@ -148,15 +156,12 @@ def rho_bound(r_hat: float, q_hat: float, z: float) -> float:
     return 1.0 + 0.5 * q_hat * (z - 1.0) * (0.5 * (r_hat + 1.0) - 1.0 / z)
 
 
-def find_drift_certificate(fam: BivariateFamily, z_grid=None,
-                           grid_size: int = 64):
-    """Search a z grid for the smallest certified rate.
+def find_drift_certificate(fam: BivariateFamily):
+    """The certificate at the optimal base z* = sqrt(2 / (r_hat + 1)).
 
-    Returns a DriftCertificate or a NoCertificate value. The default grid
-    is geometric with grid_size points strictly inside (1, 2/(r_hat+1)).
-    Ties in rho resolve to the smaller z. The threshold x0 is the largest
-    index whose coefficient exceeds rho (at least 1), so the drift bound
-    holds pointwise beyond it by construction.
+    Returns a DriftCertificate or a NoCertificate value. The threshold x0
+    is the largest index whose coefficient exceeds rho (at least 1), so
+    the drift bound holds pointwise beyond it by construction.
     """
     r_hat, q_hat = tail_surrogates(fam)
     if r_hat >= R_BORDERLINE:
@@ -166,37 +171,23 @@ def find_drift_certificate(fam: BivariateFamily, z_grid=None,
     if not q_hat > 0.0:
         return NoCertificate(reason="tail down-probability estimate is zero",
                              r_hat=r_hat, q_hat=q_hat)
-    z_max = 2.0 / (r_hat + 1.0)
-    if z_grid is None:
-        inset = (z_max - 1.0) * 1e-4
-        z_grid = np.geomspace(1.0 + inset, z_max - inset, grid_size)
-    else:
-        z_grid = np.asarray(z_grid, dtype=float)
-        z_grid = z_grid[(z_grid > 1.0) & (z_grid < z_max)]
-    if z_grid.size == 0:
-        return NoCertificate(reason="no admissible z in the grid",
-                             r_hat=r_hat, q_hat=q_hat)
-
-    rhos = np.array([rho_bound(r_hat, q_hat, z) for z in z_grid])
-    k = int(np.argmin(rhos))
-    z, rho = float(z_grid[k]), float(rhos[k])
+    z = math.sqrt(2.0 / (r_hat + 1.0))
+    rho = rho_bound(r_hat, q_hat, z)
     if not rho < 1.0:
         return NoCertificate(reason="no z with certified rate below one",
                              r_hat=r_hat, q_hat=q_hat)
 
-    log_z = math.log(z)
-    coeff = fam.p * (z - 1.0) + fam.q * (1.0 / z - 1.0) + 1.0
+    coeff = drift_coefficient(fam.p, fam.q, z)
     violators = np.where(coeff[1:] > rho)[0]        # indices for x = 2..N
     x0 = int(violators[-1] + 2) if violators.size else 1
-    log_L = float(np.max(log_PxV(fam, log_z)[:x0]))
+    log_L = float(np.max(log_PxV(fam, math.log(z))[:x0]))
     return DriftCertificate(z=z, rho=rho, log_L=log_L, x0=x0,
                             r_hat=r_hat, q_hat=q_hat, N=fam.N)
 
 
 def admissible_c_interval(cert: DriftCertificate, scan_p: float) -> tuple[float, float]:
     """Open interval of lift constants c for the given scan probability."""
-    if not 0.0 < scan_p < 1.0:
-        raise BadScanProbability(f"scan probability {scan_p!r} not in (0, 1)")
+    check_scan_p(scan_p)
     lo = scan_p / (1.0 - scan_p)
     hi = scan_p / (cert.rho * (1.0 - scan_p))
     return lo, hi
@@ -248,49 +239,28 @@ def verify_drift(cert, fam: BivariateFamily) -> DriftReport:
     """Check a certificate's drift inequality at every support state.
 
     Accepts a DriftCertificate (marginal chain, states x = 1..N) or an
-    RgsDriftCertificate (all 2N-1 staircase pairs). Both sides of the
-    inequality are evaluated in log space.
+    RgsDriftCertificate (all 2N-1 staircase pairs, where state m is
+    (x, y) = ((m+1)//2 + 1, m//2 + 1)). The one-step expectation of the
+    test function is taken through the chain's banded kernel with
+    log_expect and compared with the certified bound in log space.
     """
     if isinstance(cert, RgsDriftCertificate):
-        return _verify_rgs(cert, fam)
-    log_z = math.log(cert.z)
-    lhs = log_PxV(fam, log_z)
-    x = np.arange(1, fam.N + 1, dtype=float)
-    rhs = np.logaddexp(math.log(cert.rho) + x * log_z, cert.log_L)
-    viol = lhs - rhs
+        log_z = math.log(cert.base.z)
+        tm = build_Prgs(fam, cert.scan_p)
+        m = np.arange(tm.n_states)
+        x, y = (m + 1) // 2 + 1, m // 2 + 1
+        log_W = np.logaddexp(x * log_z, math.log(cert.c) + _log_G(fam, log_z)[y - 1])
+        log_rate, log_const = math.log(cert.gamma), cert.log_bound_constant
+    else:
+        log_z = math.log(cert.z)
+        tm = build_Px(fam)
+        log_W = np.arange(1, fam.N + 1) * log_z
+        log_rate, log_const = math.log(cert.rho), cert.log_L
+    viol = log_expect(tm, log_W) - np.logaddexp(log_rate + log_W, log_const)
     k = int(np.argmax(viol))
     mv = float(viol[k])
     return DriftReport(max_violation=mv, holds=mv <= 1e-10,
-                       worst_state=k + 1, checked=fam.N)
-
-
-def _verify_rgs(cert: RgsDriftCertificate, fam: BivariateFamily) -> DriftReport:
-    base = cert.base
-    s, c = cert.scan_p, cert.c
-    log_z = math.log(base.z)
-    log_c = math.log(c)
-    lG = _log_G(fam, log_z)
-    lPxV = log_PxV(fam, log_z)
-
-    states = fam.support_states()
-    xs = np.array([st[0] for st in states], dtype=float)
-    ys = np.array([st[1] for st in states], dtype=int)
-    lV = xs * log_z
-    lG_y = lG[ys - 1]
-    lPxV_x = lPxV[np.asarray(xs, dtype=int) - 1]
-
-    lhs = np.logaddexp(
-        math.log(s) + math.log1p(c) + lG_y,
-        np.logaddexp(math.log(1.0 - s) + lV,
-                     math.log(1.0 - s) + log_c + lPxV_x),
-    )
-    lW = np.logaddexp(lV, log_c + lG_y)
-    rhs = np.logaddexp(math.log(cert.gamma) + lW, cert.log_bound_constant)
-    viol = lhs - rhs
-    k = int(np.argmax(viol))
-    mv = float(viol[k])
-    return DriftReport(max_violation=mv, holds=mv <= 1e-10,
-                       worst_state=states[k], checked=len(states))
+                       worst_state=tm.states[k], checked=tm.n_states)
 
 
 __all__ = [

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,12 +64,26 @@ def _encode_extended(v):
     return v
 
 
-def _decode_extended(v):
+_EXTENDED = {"inf": math.inf, "-inf": -math.inf, "nan": math.nan}
+
+
+def _real(v, name: str) -> float:
+    """A JSON number as a float; UnknownFormat for bools, strings and the rest."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise UnknownFormat(f"{name} must be a number, got {v!r}")
+    try:
+        return float(v)
+    except OverflowError:
+        raise UnknownFormat(f"{name} = {v!r} is out of range") from None
+
+
+def _decode_extended(v, name: str = "value"):
+    """Inverse of _encode_extended: None, a number, or "inf"/"-inf"/"nan"."""
     if v is None:
         return None
-    if isinstance(v, str):
-        return float(v)
-    return float(v)
+    if isinstance(v, str) and v in _EXTENDED:
+        return _EXTENDED[v]
+    return _real(v, name)
 
 
 @dataclass(frozen=True)
@@ -91,7 +105,9 @@ class TailLimits:
 
     @staticmethod
     def from_json_dict(d: dict) -> "TailLimits":
-        return TailLimits(**{k: _decode_extended(d.get(k)) for k in _LIMIT_FIELDS})
+        if not isinstance(d, dict):
+            raise UnknownFormat(f"declared_limits must be an object, got {d!r}")
+        return TailLimits(**{k: _decode_extended(d.get(k), k) for k in _LIMIT_FIELDS})
 
 
 @dataclass(frozen=True)
@@ -128,8 +144,8 @@ class SequenceSpec:
         if self.kind not in KINDS:
             raise NonPositiveSequence(f"unknown sequence kind {self.kind!r}")
         if self.kind == "power_law":
-            if self.d is None or not self.d > 1:
-                raise NonPositiveSequence("power_law requires d > 1")
+            if self.d is None or not (math.isfinite(self.d) and self.d > 1):
+                raise NonPositiveSequence("power_law requires a finite d > 1")
             for v in (self.c1, self.c2):
                 if v is None or not (math.isfinite(v) and v > 0):
                     raise NonPositiveSequence("power_law requires c1 > 0 and c2 > 0")
@@ -253,22 +269,31 @@ class SequenceSpec:
             params = d.get("params", {})
         except (TypeError, KeyError) as exc:
             raise UnknownFormat(f"malformed spec document: {exc}") from exc
+        if not isinstance(params, dict):
+            raise UnknownFormat(f"params must be an object, got {params!r}")
         limits = None
         if d.get("declared_limits") is not None:
             limits = TailLimits.from_json_dict(d["declared_limits"])
+
+        def scalar(name):
+            v = params.get(name)
+            return None if v is None else _real(v, name)
+
+        def array(name):
+            v = params.get(name, [])
+            if not isinstance(v, list):
+                raise UnknownFormat(f"{name} must be an array, got {v!r}")
+            return tuple(_real(e, f"{name} entry") for e in v)
+
         if kind == "power_law":
-            return SequenceSpec(kind=kind, d=params.get("d"), c1=params.get("c1"),
-                                c2=params.get("c2"), declared_limits=limits)
+            return SequenceSpec(kind=kind, d=scalar("d"), c1=scalar("c1"),
+                                c2=scalar("c2"), declared_limits=limits)
         if kind in ("geometric", "mixed_geometric", "alternating"):
-            return SequenceSpec(kind=kind, c=params.get("c"), declared_limits=limits)
+            return SequenceSpec(kind=kind, c=scalar("c"), declared_limits=limits)
         if kind == "table":
-            return SequenceSpec(
-                kind=kind,
-                a_table=tuple(params.get("a", ())),
-                b_table=tuple(params.get("b", ())),
-                tail_ratio=params.get("tail_ratio"),
-                declared_limits=limits,
-            )
+            return SequenceSpec(kind=kind, a_table=array("a"), b_table=array("b"),
+                                tail_ratio=scalar("tail_ratio"),
+                                declared_limits=limits)
         raise NonPositiveSequence(f"unknown sequence kind {kind!r}")
 
     @staticmethod
@@ -281,32 +306,6 @@ class SequenceSpec:
 
 
 # -- normalization solving ----------------------------------------------
-
-
-def _bisect_increasing(f, lo: float, hi: float, tol: float = 1e-14) -> float:
-    """Root of a strictly increasing f by bisection to relative width tol."""
-    flo, fhi = f(lo), f(hi)
-    for _ in range(200):
-        if flo <= 0:
-            break
-        lo /= 2.0
-        flo = f(lo)
-    for _ in range(200):
-        if fhi >= 0:
-            break
-        hi *= 2.0
-        fhi = f(hi)
-    if flo > 0 or fhi < 0:
-        raise NonPositiveSequence("mass equation has no positive root")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if f(mid) <= 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= tol * hi:
-            break
-    return 0.5 * (lo + hi)
 
 
 def _total_mass(kind: str, c: float, d: float | None = None) -> float:
@@ -325,10 +324,18 @@ def _total_mass(kind: str, c: float, d: float | None = None) -> float:
 
 
 def solve_constant(kind: str, d: float | None = None) -> float:
-    """Constant making the untruncated mass equal one, by bisection."""
+    """Constant making the untruncated mass equal one.
+
+    The mass is affine in c for every kind, (1 + c) k, c k + k' or
+    2 c zeta(d), so the root of m(c) = 1 is (1 - m(0)) / (m(1) - m(0)).
+    """
     if kind == "power_law" and (d is None or not d > 1):
         raise NonPositiveSequence("power_law requires d > 1")   # zeta(d) finite
-    return _bisect_increasing(lambda c: _total_mass(kind, c, d) - 1.0, 0.5, 2.0)
+    m0, m1 = _total_mass(kind, 0.0, d), _total_mass(kind, 1.0, d)
+    c = (1.0 - m0) / (m1 - m0)
+    if not c > 0:
+        raise NonPositiveSequence("mass equation has no positive root")
+    return c
 
 
 # -- factory helpers -----------------------------------------------------
@@ -490,9 +497,7 @@ def _shift_down(logs: np.ndarray) -> np.ndarray:
 
 
 def _renormalize(la: np.ndarray, lb: np.ndarray):
-    from scipy.special import logsumexp
-
-    log_mass = logsumexp(np.concatenate([la, lb[np.isfinite(lb)]]))
+    log_mass = np.logaddexp.reduce(np.concatenate([la, lb]))
     if not np.isfinite(log_mass):
         raise DegenerateTruncation("retained mass is zero or not finite")
     return la - log_mass, lb - log_mass, log_mass

@@ -14,8 +14,10 @@ a birth-death chain on 2N-1 states, and a deterministic-scan step moves at
 most two states away. Every kernel is therefore stored as its diagonals:
 bands[k][m] = P[i, i+k] with m = min(i, i+k), the layout of
 scipy.sparse.diags, and rows (y, y) and (y+1, y) fill the even and odd
-entries of each band. Total variation curves transport a distribution
-vector by one shifted add per band; the n-step matrix is never formed.
+entries of each band. Total variation curves transport the difference
+from pi by one shifted add per band; the n-step matrix is never formed.
+One-step expectations log (P f) come from log f the same way, with one
+logaddexp per band (log_expect), so drift checks never form f itself.
 Spectral summaries use the similarity transform D^{1/2} P D^{-1/2} with
 D = diag(pi), which is symmetric exactly when P is pi-symmetric.
 """
@@ -63,6 +65,14 @@ def check_state(kind: str, N: int, state):
     except (TypeError, ValueError):
         pass
     raise StartNotInSupport(f"state {state!r} not in chain support")
+
+
+def check_scan_p(scan_p) -> float:
+    """scan_p as a float when it lies strictly inside (0, 1); anything
+    else raises BadScanProbability."""
+    if not (isinstance(scan_p, (int, float)) and 0.0 < scan_p < 1.0):
+        raise BadScanProbability(f"scan probability {scan_p!r} not in (0, 1)")
+    return float(scan_p)
 
 
 @dataclass(frozen=True)
@@ -143,9 +153,7 @@ def build_Prgs(fam: BivariateFamily, scan_p: float) -> TransitionMatrix:
     from (y+1, y) they reach (y, y) and (y+1, y+1). Every move is to a
     neighbour in the staircase order, so the kernel is tridiagonal.
     """
-    if not (isinstance(scan_p, (int, float)) and 0.0 < scan_p < 1.0):
-        raise BadScanProbability(f"scan probability {scan_p!r} not in (0, 1)")
-    s = float(scan_p)
+    s = check_scan_p(scan_p)
     t = 1 - s
     N, n = fam.N, 2 * fam.N - 1
     beta, delta = fam.beta, fam.delta
@@ -157,6 +165,21 @@ def build_Prgs(fam: BivariateFamily, scan_p: float) -> TransitionMatrix:
     bands[-1][0::2], bands[-1][1::2] = s * ob[:-1], t * delta[1:]
     return TransitionMatrix(kind=RGS, states=fam.support_states(), bands=bands,
                             stationary=fam.support_probs(), N=N, scan_p=s)
+
+
+def log_expect(tm: TransitionMatrix, log_f: np.ndarray) -> np.ndarray:
+    """log (P f)[i] = log sum_k P[i, i+k] f[i+k] for every state i, from
+    log f; zero entries of a band contribute nothing."""
+    n = tm.n_states
+    out = np.full(n, -np.inf)
+    with np.errstate(divide="ignore"):
+        for k, band in tm.bands.items():
+            if k >= 0:
+                rows, terms = slice(0, n - k), np.log(band) + log_f[k:]
+            else:
+                rows, terms = slice(-k, n), np.log(band) + log_f[:n + k]
+            out[rows] = np.logaddexp(out[rows], terms)
+    return out
 
 
 # -- total variation curves ------------------------------------------------
@@ -196,16 +219,20 @@ class TVCurve:
 
 
 def tv_curve(tm: TransitionMatrix, start, n_max: int) -> TVCurve:
-    """TV to stationarity for n = 0..n_max by iterated vector transport."""
+    """TV to stationarity for n = 0..n_max by iterated vector transport.
+
+    Since pi P = pi, the difference v = delta_start - pi is transported
+    itself, so rounding stays relative to the distance rather than to pi
+    and the tail of the curve is resolved down to the fit floor.
+    """
     if n_max < 0:
         raise IndexOutOfRange("n_max must be nonnegative")
     i0 = tm.index_of(start)
-    pi = tm.stationary
     n_states = tm.n_states
-    v = np.zeros(n_states)
-    v[i0] = 1.0
+    v = -tm.stationary
+    v[i0] += 1.0
     values = np.empty(n_max + 1)
-    values[0] = 0.5 * np.abs(v - pi).sum()
+    values[0] = 0.5 * np.abs(v).sum()
     for n in range(1, n_max + 1):
         # (vP)[i+k] gains v[i] * P[i, i+k] along each band k
         w = v * tm.bands[0]
@@ -215,7 +242,7 @@ def tv_curve(tm: TransitionMatrix, start, n_max: int) -> TVCurve:
             elif k < 0:
                 w[:n_states + k] += v[-k:] * band
         v = w
-        values[n] = 0.5 * np.abs(v - pi).sum()
+        values[n] = 0.5 * np.abs(v).sum()
     rate, const, window = _fit_rate(values)
     return TVCurve(kind=tm.kind, start=start, n_max=n_max, values=values,
                    fitted_rate=rate, fitted_constant=const, fit_window=window)
@@ -280,5 +307,6 @@ def spectral_gap(tm: TransitionMatrix) -> SpectralGap:
 __all__ = [
     "MARGINAL_X", "DGS", "RGS",
     "TransitionMatrix", "TVCurve", "SpectralGap",
-    "build_Px", "build_Pdgs", "build_Prgs", "tv_curve", "spectral_gap",
+    "build_Px", "build_Pdgs", "build_Prgs", "check_scan_p", "log_expect",
+    "tv_curve", "spectral_gap",
 ]

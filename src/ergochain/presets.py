@@ -2,8 +2,8 @@
 
 Four standard members of the staircase class, one per tail regime the
 classifier distinguishes. Normalization constants are solved at first
-use by bisection on the closed-form untruncated mass (solve_constant),
-so each spec integrates to one before truncation.
+use in closed form, since the untruncated mass is affine in the constant
+(solve_constant), so each spec integrates to one before truncation.
 """
 
 from __future__ import annotations

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import BatchMeansEstimate, _from_means
-from .errors import BadScanProbability, IndexOutOfRange, StartNotInSupport
+from .errors import IndexOutOfRange, StartNotInSupport
 from .family import BivariateFamily
-from .kernels import DGS, MARGINAL_X, RGS, check_state
+from .kernels import DGS, MARGINAL_X, RGS, check_scan_p, check_state
 
 CHAIN_IDS = {MARGINAL_X: 0, DGS: 1, RGS: 2}
 
@@ -84,9 +84,7 @@ class RunConfig:
         if self.thin < 1:
             raise IndexOutOfRange("thin must be >= 1")
         if self.kind == RGS:
-            if self.scan_p is None or not 0.0 < self.scan_p < 1.0:
-                raise BadScanProbability(
-                    f"rgs needs scan_p in (0, 1), got {self.scan_p!r}")
+            check_scan_p(self.scan_p)
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,7 @@ import numpy as np
 
 from .errors import IndexOutOfRange
 from .family import BivariateFamily, SequenceSpec
+from .kernels import check_scan_p
 
 _DIVERGE_LEVEL = math.log(1e3)
 _DIVERGE_GROWTH = math.log(1.1)
@@ -83,7 +84,10 @@ class NormBounds:
 
 def operator_norm_bounds(fam: BivariateFamily, scan_p: float | None = None) -> NormBounds:
     """1 - min_i T_i for the marginal kernel, and the random-scan analogue
-    1 - scan_p min_i T_i when a scan probability is given."""
+    1 - scan_p min_i T_i when a scan probability is given; a scan
+    probability outside (0, 1) raises BadScanProbability."""
+    if scan_p is not None:
+        scan_p = check_scan_p(scan_p)
     log_T = _log_T(fam)
     k = int(np.argmin(log_T))
     min_T = float(np.exp(log_T[k]))

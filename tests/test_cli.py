@@ -164,6 +164,33 @@ def test_sample_bad_start_exits_4(capsys):
         assert code == 4 and err.startswith("error:")
 
 
+MALFORMED_SPECS = {
+    "str-param": {"kind": "geometric", "params": {"c": "x"}},
+    "numeric-str-param": {"kind": "power_law", "params": {"d": "2", "c1": 1, "c2": 1}},
+    "bool-param": {"kind": "geometric", "params": {"c": True}},
+    "infinite-d": {"kind": "power_law", "params": {"d": float("inf"), "c1": 1, "c2": 1}},
+    "params-not-object": {"kind": "geometric", "params": []},
+    "table-entry-str": {"kind": "table", "params": {"a": [1.0, "x"], "b": [1.0]}},
+    "table-not-array": {"kind": "table", "params": {"a": 5, "b": [1.0]}},
+    "limit-str": {"kind": "geometric", "params": {"c": 1.0},
+                  "declared_limits": {"A": "abc"}},
+    "limits-not-object": {"kind": "geometric", "params": {"c": 1.0},
+                          "declared_limits": [1]},
+}
+
+
+@pytest.mark.parametrize("argv", [
+    *(("classify", "--spec", json.dumps(doc)) for doc in MALFORMED_SPECS.values()),
+    ("classify", "--example", "power-law", "--scan-p", "1.5"),
+    ("subgeo", "--example", "geometric", "--scan-p", "1.5"),
+], ids=[*MALFORMED_SPECS, "classify-scan-p", "subgeo-scan-p"])
+def test_domain_errors_exit_4(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 4 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_examples_listing(capsys):
     code, out, _ = run(capsys, "examples")
     assert code == 0 and len(out.splitlines()) == 4

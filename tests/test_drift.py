@@ -6,6 +6,7 @@ search that normally produces their inputs.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +27,8 @@ from ergochain import (
     px_drift_coefficient,
     verify_drift,
 )
-from ergochain.drift import log_PxV, tail_surrogates
+from ergochain.drift import log_PxV, rho_bound, tail_surrogates
+from ergochain.kernels import build_Prgs, log_expect
 
 COEF_GEO_Z13_X10 = 0.960187767622529   # frozen direct evaluation
 Z_UPPER_GEO = 1.4621171572600098       # 2 / (e^{-1} + 1)
@@ -108,10 +110,23 @@ def test_no_certificate_for_heavy_tail():
     assert out.r_hat >= 0.999
 
 
-def test_no_certificate_when_grid_excluded(fam):
-    f = fam("geometric", 100)
-    out = find_drift_certificate(f, z_grid=[1.8, 2.5])
-    assert isinstance(out, NoCertificate)
+def test_certificate_uses_optimal_z(fam):
+    f = fam("geometric", 200)
+    cert = find_drift_certificate(f)
+    assert cert.z == math.sqrt(2.0 / (cert.r_hat + 1.0))
+    assert cert.rho == rho_bound(cert.r_hat, cert.q_hat, cert.z)
+    for step in (1.0 - 1e-3, 1.0 + 1e-3):
+        assert rho_bound(cert.r_hat, cert.q_hat, cert.z * step) >= cert.rho
+
+
+@pytest.mark.parametrize("name", ["alternating", "mixed-geometric"])
+def test_tail_ratio_finite_where_p_and_q_underflow(fam, name):
+    # p and q both underflow in this tail, so a plain p/q would be 0/0
+    f = fam(name, 1000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r_hat, _ = tail_surrogates(f)
+    assert r_hat == pytest.approx(math.exp(-2.0), rel=1e-9)
 
 
 # -- random-scan lift --------------------------------------------------------
@@ -161,6 +176,32 @@ def test_lifted_certificate_verifies_on_support(fam):
     assert rep.holds
     assert rep.checked == 2 * 100 - 1
     assert lifted.gamma > cert.rho
+
+
+@pytest.mark.parametrize("name", ["power-law", "geometric", "mixed-geometric",
+                                  "alternating"])
+@pytest.mark.parametrize("scan_p", [0.1, 0.5, 0.9])
+def test_kernel_lift_expectation_matches_reference(fam, name, scan_p):
+    # Reference: the analytic one-step expectation of W = V + c G,
+    #   s (1 + c) G(y) + (1 - s)(V(x) + c PxV(x)),
+    # since the x-update averages V over X | Y = y, which is G(y), and the
+    # y-update averages G over Y | X = x, which is one marginal step of V.
+    f = fam(name, 200)
+    base = DriftCertificate(z=1.05, rho=0.99, log_L=0.0, x0=1, r_hat=0.5,
+                            q_hat=0.1, N=200)
+    cert = lift_to_rgs(base, scan_p)
+    s, c, z = scan_p, cert.c, base.z
+    states = f.support_states()
+    x = np.array([st[0] for st in states])
+    y = np.array([st[1] for st in states])
+    G = (f.a + z * f.b) / (f.a + f.b) * z ** np.arange(1, f.N + 1)
+    xs = np.arange(1, f.N + 1)
+    PxV = (f.p * z ** (xs + 1) + f.q * z ** (xs - 1)
+           + (1.0 - f.p - f.q) * z ** xs)
+    ref = s * (1.0 + c) * G[y - 1] + (1.0 - s) * (z ** x + c * PxV[x - 1])
+    log_W = np.log(z ** x + c * G[y - 1])
+    got = log_expect(build_Prgs(f, scan_p), log_W)
+    assert np.allclose(got, np.log(ref), rtol=0, atol=1e-12)
 
 
 def test_certificate_json_fields(fam):

@@ -46,23 +46,23 @@ Q2 = 0.33065155633076704
 
 def test_solve_constant_geometric():
     c = solve_constant("geometric")
-    assert abs(c - GEO_C) < 1e-13
-    assert abs(c - (math.e - 2.0)) < 1e-13
+    assert c == pytest.approx(GEO_C, rel=1e-15, abs=0)
+    assert c == pytest.approx(math.e - 2.0, rel=1e-15, abs=0)
 
 
 def test_solve_constant_power_law():
     c = solve_constant("power_law", d=2.0)
-    assert abs(c - PL_C) < 1e-12
-    assert abs(c - 3.0 / math.pi**2) < 1e-12
+    assert c == pytest.approx(PL_C, rel=1e-15, abs=0)
+    assert c == pytest.approx(3.0 / math.pi**2, rel=1e-15, abs=0)
 
 
 def test_solve_constant_mixed_and_alternating():
     cm = solve_constant("mixed_geometric")
     ca = solve_constant("alternating")
-    assert abs(cm - MIXED_C) < 1e-12
+    assert cm == pytest.approx(MIXED_C, rel=1e-15, abs=0)
     # the alternating family permutes the same two series, so the total
     # mass and hence the solved constant coincide with the mixed family
-    assert abs(ca - cm) < 1e-12
+    assert ca == pytest.approx(cm, rel=1e-15, abs=0)
 
 
 def test_geometric_head_values_after_truncation(fam):

@@ -31,6 +31,7 @@ from ergochain import (
     spectral_gap,
     tv_curve,
 )
+from ergochain.kernels import log_expect
 
 P1 = 0.5819767068693265     # p_1 of the geometric family, frozen
 
@@ -298,6 +299,43 @@ def test_tv_curve_matches_dense_transport(fam, kind):
         assert c.values[n] == pytest.approx(
             0.5 * np.abs(v - tm.stationary).sum(), abs=1e-14)
         v = v @ P
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="reference needs extended-precision long double")
+def test_tv_curve_tail_matches_extended_precision(fam):
+    # geometric mixes fast, so after 400 steps TV is near 1e-12 and a
+    # transport of the distribution itself loses about 3 digits there
+    f = fam("geometric", 200)
+    la, lb = f.log_a.astype(np.longdouble), f.log_b.astype(np.longdouble)
+    a, b = np.exp(la), np.exp(lb)
+    b_prev = np.concatenate(([0.0], b[:-1])).astype(np.longdouble)
+    pix, piy = a + b_prev, a + b
+    p = a * b / (pix * piy)
+    q = np.concatenate(([0.0], a[:-1] * b[:-1] / piy[:-1])) / pix
+    pi = pix / pix.sum()
+    d = -pi
+    d[0] += 1
+    ref = [0.5 * np.abs(d).sum()]
+    for _ in range(400):
+        d = d * (1 - p - q) + np.concatenate(([0.0], d[:-1] * p[:-1])) \
+            + np.concatenate((d[1:] * q[1:], [0.0]))
+        ref.append(0.5 * np.abs(d).sum())
+    ref = np.array(ref, dtype=float)
+    c = tv_curve(build_Px(f), 1, 400)
+    assert np.max(np.abs(c.values - ref) / ref) < 5e-4
+    ref_rate = np.exp(np.polyfit(np.arange(201, 401), np.log(ref[201:]), 1)[0])
+    assert c.fit_window == (201, 400)
+    assert c.fitted_rate == pytest.approx(ref_rate, abs=1e-6)
+
+
+@pytest.mark.parametrize("kind", [MARGINAL_X, DGS, RGS])
+def test_log_expect_matches_dense_product(fam, kind):
+    # the dgs bands hold structural zeros, which must contribute nothing
+    tm = _build(fam("mixed-geometric", 30), kind)
+    log_f = np.linspace(-3.0, 5.0, tm.n_states)
+    got = log_expect(tm, log_f)
+    assert np.allclose(got, np.log(_dense(tm) @ np.exp(log_f)), rtol=0, atol=1e-13)
 
 
 def test_tv_curve_argument_errors(fam):

@@ -35,7 +35,7 @@ _CHAINS = (MARGINAL_X, DGS, RGS)
 
 
 def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -169,8 +169,7 @@ def _cmd_drift(args) -> int:
     fam = build_family(_load_spec(args), args.n)
     cert = find_drift_certificate(fam)
     if isinstance(cert, NoCertificate):
-        _emit(_dump_json({"certificate": None, "reason": cert.reason,
-                          "r_hat": cert.r_hat, "q_hat": cert.q_hat}), args.out)
+        _emit(_dump_json(cert.to_json_dict()), args.out)
         return 3
     if args.scan_p is not None:
         cert = lift_to_rgs(cert, args.scan_p)

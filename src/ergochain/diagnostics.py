@@ -31,14 +31,19 @@ class BatchMeansEstimate:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
-def _from_means(g_bar: float, means: np.ndarray, batch_size: int,
-                n: int) -> BatchMeansEstimate:
-    means = np.asarray(means, dtype=np.float64)
-    m = means.size
+def check_num_batches(m: int, batch_size: int, n: int) -> None:
+    """Raise TooFewSamples unless there are the 4 batches batch means needs."""
     if m < 4:
         raise TooFewSamples(
             f"batch means needs at least 4 batches, got {m} "
             f"(n={n}, batch_size={batch_size})")
+
+
+def _from_means(g_bar: float, means: np.ndarray, batch_size: int,
+                n: int) -> BatchMeansEstimate:
+    means = np.asarray(means, dtype=np.float64)
+    m = means.size
+    check_num_batches(m, batch_size, n)
     sigma2 = batch_size * float(np.var(means, ddof=1))
     return BatchMeansEstimate(g_bar=g_bar, sigma2_hat=sigma2,
                               mcse=float(np.sqrt(sigma2 / n)),

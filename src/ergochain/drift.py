@@ -125,6 +125,11 @@ class NoCertificate:
     r_hat: float | None = None
     q_hat: float | None = None
 
+    def to_json_dict(self) -> dict:
+        return {"certificate": None, "reason": self.reason,
+                "r_hat": _encode_extended(self.r_hat),
+                "q_hat": _encode_extended(self.q_hat)}
+
 
 @dataclass(frozen=True)
 class RgsDriftCertificate:

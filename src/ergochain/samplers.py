@@ -13,6 +13,12 @@ so a trace is reproducible from (seed, chain kind) alone:
 
 Streams are keyed by Philox with entropy (seed, chain id) so the three
 kinds never share uniforms even under the same seed.
+
+The samplers draw uniforms in blocks: rng.random(k) yields the same
+doubles, in the same order, as k calls of rng.random(), so a trace does
+not depend on the block size.  run_chain steps over those blocks with
+the rules above inlined; marginal_step, dgs_step and rgs_step state the
+same rules one step at a time.
 """
 
 from __future__ import annotations
@@ -21,12 +27,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import BatchMeansEstimate, _from_means
-from .errors import IndexOutOfRange, StartNotInSupport
+from .diagnostics import BatchMeansEstimate, _from_means, check_num_batches
+from .errors import IndexOutOfRange, StartNotInSupport, TooFewSamples
 from .family import BivariateFamily
 from .kernels import DGS, MARGINAL_X, RGS, check_scan_p, check_state
 
 CHAIN_IDS = {MARGINAL_X: 0, DGS: 1, RGS: 2}
+
+# run_chain draws the uniforms of this many steps at once
+_BLOCK = 8192
+# run_marginal_ensemble applies g to this many steps' states at once
+_ROWS = 256
 
 
 def make_rng(seed: int, kind: str) -> np.random.Generator:
@@ -104,50 +115,70 @@ class Trace:
 
     def to_csv(self) -> str:
         lines = ["step,x,y"]
+        steps, xs = self.steps.tolist(), self.xs.tolist()
         if self.ys is None:
-            lines += [f"{s},{x}," for s, x in zip(self.steps, self.xs)]
+            lines += [f"{s},{x}," for s, x in zip(steps, xs)]
         else:
             lines += [f"{s},{x},{y}"
-                      for s, x, y in zip(self.steps, self.xs, self.ys)]
+                      for s, x, y in zip(steps, xs, self.ys.tolist())]
         return "\n".join(lines) + "\n"
 
 
 def run_chain(fam: BivariateFamily, cfg: RunConfig) -> Trace:
     rng = make_rng(cfg.seed, cfg.kind)
-    n = cfg.n_steps
-    g_vals = np.empty(n, dtype=np.float64) if cfg.g is not None else None
-
-    rec_steps, rec_x, rec_y = [], [], []
-    if cfg.kind == MARGINAL_X:
+    n, thin, g = cfg.n_steps, cfg.thin, cfg.g
+    g_vals = np.empty(n, dtype=np.float64) if g is not None else None
+    marginal = cfg.kind == MARGINAL_X
+    if marginal:
         x = check_state(MARGINAL_X, fam.N, cfg.init)
-        for step in range(1, n + 1):
-            x = marginal_step(fam, x, rng.random())
-            if g_vals is not None:
-                g_vals[step - 1] = cfg.g(x)
-            if step % cfg.thin == 0:
-                rec_steps.append(step)
-                rec_x.append(x)
-        ys = None
+        # marginal_step's rule; p + q here is the same double it forms
+        p, pq = fam.p.tolist(), (fam.p + fam.q).tolist()
     else:
         x, y = check_state(cfg.kind, fam.N, cfg.init)
-        for step in range(1, n + 1):
+        beta, delta, scan_p = fam.beta.tolist(), fam.delta.tolist(), cfg.scan_p
+
+    rec_x, rec_y = [], []
+    done = 0
+    while done < n:
+        m = min(_BLOCK, n - done)
+        xs, ys = [], []
+        if marginal:
+            for u in rng.random(m).tolist():
+                if u < p[x - 1]:
+                    x += 1
+                elif u < pq[x - 1]:
+                    x -= 1
+                xs.append(x)
+        else:
+            # (u1, u2) pairs in draw order, as in dgs_step and rgs_step
+            u = iter(rng.random(2 * m).tolist())
             if cfg.kind == DGS:
-                x, y = dgs_step(fam, y, rng.random(), rng.random())
+                for u1, u2 in zip(u, u):
+                    x = y + 1 if u1 < beta[y - 1] else y
+                    y = x - 1 if u2 < delta[x - 1] else x
+                    xs.append(x)
+                    ys.append(y)
             else:
-                x, y = rgs_step(fam, x, y, cfg.scan_p,
-                                rng.random(), rng.random())
-            if g_vals is not None:
-                g_vals[step - 1] = cfg.g(x, y)
-            if step % cfg.thin == 0:
-                rec_steps.append(step)
-                rec_x.append(x)
-                rec_y.append(y)
-        ys = np.asarray(rec_y, dtype=np.int64)
+                for u1, u2 in zip(u, u):
+                    if u1 < scan_p:
+                        x = y + 1 if u2 < beta[y - 1] else y
+                    else:
+                        y = x - 1 if u2 < delta[x - 1] else x
+                    xs.append(x)
+                    ys.append(y)
+        if g_vals is not None:
+            g_vals[done:done + m] = list(map(g, xs) if marginal else map(g, xs, ys))
+        # keep the states of steps thin, 2 thin, ...; step done + j + 1
+        first = (thin - 1 - done) % thin
+        rec_x += xs[first::thin]
+        rec_y += ys[first::thin]
+        done += m
 
     g_mean = float(g_vals.mean()) if g_vals is not None and n > 0 else None
-    return Trace(kind=cfg.kind, seed=cfg.seed, n_steps=n, thin=cfg.thin,
-                 steps=np.asarray(rec_steps, dtype=np.int64),
-                 xs=np.asarray(rec_x, dtype=np.int64), ys=ys,
+    return Trace(kind=cfg.kind, seed=cfg.seed, n_steps=n, thin=thin,
+                 steps=np.arange(thin, n + 1, thin, dtype=np.int64),
+                 xs=np.asarray(rec_x, dtype=np.int64),
+                 ys=None if marginal else np.asarray(rec_y, dtype=np.int64),
                  g_mean=g_mean, g_values=g_vals)
 
 
@@ -169,54 +200,73 @@ def run_marginal_ensemble(fam: BivariateFamily, n_chains: int, n_steps: int,
                           block: int = 8192) -> EnsembleResult:
     """Run n_chains marginal chains in lockstep from a common start.
 
-    g, when given, must map an int64 state vector to a float vector; per
-    chain the running mean and a batch-means error estimate are returned.
-    Uniforms are drawn step-major in blocks of shape (block, n_chains),
-    so chain k sees the same stream regardless of block size.
+    g, when given, must be elementwise: it receives an int64 array of
+    states of shape (rows, n_chains), one row per step for up to
+    _ROWS steps at a time, and returns floats of the same shape.  Per
+    chain the running mean and a batch-means error estimate are
+    returned; at least 4 batches are needed, and a shorter run raises
+    TooFewSamples before any step is taken.  Uniforms are drawn
+    step-major in blocks of shape (block, n_chains), so chain k sees the
+    same stream regardless of block size.
     """
     if n_chains < 1 or n_steps < 0:
         raise IndexOutOfRange("need n_chains >= 1 and n_steps >= 0")
+    if block < 1:
+        raise IndexOutOfRange(f"block must be >= 1, got {block}")
     x0 = check_state(MARGINAL_X, fam.N, init)
-    rng = make_rng(seed, MARGINAL_X)
-    states = np.full(n_chains, x0, dtype=np.int64)
 
     track = g is not None
     if track:
         if batch_size is None:
             batch_size = max(1, int(np.sqrt(n_steps)))
+        if batch_size < 1:
+            raise TooFewSamples(f"batch_size must be >= 1, got {batch_size}")
         n_batches = n_steps // batch_size
-        batch_means = np.zeros((n_chains, max(n_batches, 1)), dtype=np.float64)
+        check_num_batches(n_batches, batch_size, n_steps)
+        batch_means = np.zeros((n_chains, n_batches), dtype=np.float64)
         batch_acc = np.zeros(n_chains, dtype=np.float64)
         total = np.zeros(n_chains, dtype=np.float64)
+        rows = np.empty((_ROWS, n_chains), dtype=np.int64)
 
-    p, q = fam.p, fam.q
+    rng = make_rng(seed, MARGINAL_X)
+    # 0-based levels: the up-move when u < p, the down-move when
+    # p <= u < p + q, so the level moves by 2 up - (u < p + q)
+    s = np.full(n_chains, x0 - 1, dtype=np.int64)
+    p, pq = fam.p, fam.p + fam.q
     done = 0
     while done < n_steps:
         m = min(block, n_steps - done)
         # step-major draws: step j hands row j to the chains, so the
         # stream seen by chain k does not depend on the block size
         U = rng.random((m, n_chains))
-        for j in range(m):
-            u = U[j]
-            pu = p[states - 1]
-            up = u < pu
-            down = ~up & (u < pu + q[states - 1])
-            states = states + up - down
+        for c0 in range(0, m, _ROWS):
+            c = min(_ROWS, m - c0)
+            for j in range(c):
+                u = U[c0 + j]
+                up = u < p.take(s)
+                lt = u < pq.take(s)
+                s += up
+                s += up
+                s -= lt
+                if track:
+                    rows[j] = s
             if track:
-                gv = g(states)
-                total += gv
-                step = done + j + 1
-                batch_acc += gv
-                if step % batch_size == 0 and step // batch_size <= n_batches:
-                    batch_means[:, step // batch_size - 1] = batch_acc / batch_size
-                    batch_acc[:] = 0.0
+                # rows are added one at a time in step order, so every
+                # sum rounds as it would step by step
+                for step, gv in enumerate(g(rows[:c] + 1), done + c0 + 1):
+                    total += gv
+                    batch_acc += gv
+                    if step % batch_size == 0:
+                        batch_means[:, step // batch_size - 1] = batch_acc / batch_size
+                        batch_acc[:] = 0.0
         done += m
 
+    states = s + 1
     if not track:
         return EnsembleResult(n_chains, n_steps, states, None, None)
-    g_bar = total / n_steps if n_steps > 0 else np.full(n_chains, np.nan)
-    ests = [_from_means(float(g_bar[k]), batch_means[k, :n_batches],
-                        batch_size, n_steps) for k in range(n_chains)]
+    g_bar = total / n_steps
+    ests = [_from_means(float(g_bar[k]), batch_means[k], batch_size, n_steps)
+            for k in range(n_chains)]
     return EnsembleResult(n_chains, n_steps, states, g_bar, ests)
 
 

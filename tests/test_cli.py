@@ -75,6 +75,20 @@ def test_drift_refusal_exits_3(capsys):
     assert d["certificate"] is None and d["reason"]
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_drift_refusal_with_infinite_tail_ratio_is_strict_json(capsys):
+    # tail weights alternate with 1e-320, so the tail ratio overflows
+    spec = table(tuple([1, 1e-320] * 10), tuple([1, 1e-320] * 10),
+                 tail_ratio=0.5).to_json()
+    code, out, _ = run(capsys, "drift", "--n", "20", "--spec", spec)
+    assert code == 3
+    d = json.loads(out, parse_constant=_reject_constant)
+    assert d["certificate"] is None and d["r_hat"] == "inf"
+
+
 def test_spectrum_marginal(capsys):
     code, out, _ = run(capsys, "spectrum", "--example", "geometric",
                        "--n", "100")

@@ -6,6 +6,8 @@ standardized deviation sits well inside three sigma; they are exact
 replays, not flaky Monte Carlo.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from ergochain import (
     IndexOutOfRange,
     RunConfig,
     StartNotInSupport,
+    TooFewSamples,
     build_Pdgs,
     build_Prgs,
     build_Px,
@@ -178,6 +181,15 @@ def test_rgs_trace_stays_in_support(fam50):
     assert np.all((dx == 0) | (dy == 0))
 
 
+@pytest.mark.parametrize("kind,init", [("marginal_x", 5), ("dgs", (5, 5))])
+def test_trace_csv_matches_arrays(fam50, kind, init):
+    tr = run_chain(fam50, RunConfig(kind=kind, n_steps=500, seed=2,
+                                    init=init, thin=3))
+    ys = tr.ys if tr.ys is not None else [""] * len(tr.xs)
+    rows = [f"{tr.steps[i]},{tr.xs[i]},{ys[i]}" for i in range(len(tr.xs))]
+    assert tr.to_csv() == "\n".join(["step,x,y", *rows]) + "\n"
+
+
 def test_trace_csv_formats(fam50):
     tr = run_chain(fam50, RunConfig(kind="marginal_x", n_steps=3, seed=0, init=5))
     lines = tr.to_csv().splitlines()
@@ -187,6 +199,113 @@ def test_trace_csv_formats(fam50):
     tr2 = run_chain(fam50, RunConfig(kind="dgs", n_steps=3, seed=0, init=(5, 5)))
     cells = tr2.to_csv().splitlines()[1].split(",")
     assert len(cells) == 3 and all(c for c in cells)
+
+
+# -- frozen traces -------------------------------------------------------------
+
+# SHA-256 of every array a run returns, computed with the per-step loop that
+# run_chain used before it drew its uniforms in blocks.  A change to the
+# uniform order, the step rule, the thinning or the g bookkeeping shows here.
+TRACE_DIGESTS = {
+    ("geometric", "marginal_x", 0): "850aba6207dbdc01772a59bf636a9b52e7d53fb2ffda8cb89e95d0891e4a577d",
+    ("geometric", "marginal_x", 1): "9bca8c6c013238324f26000ec2e3989990c52142d96f98f3ba3dcd14f93c3676",
+    ("geometric", "dgs", 0): "13c690901467f4eb23aa56ef499ff188ad8be9fb212ba7176bfe1cca38025120",
+    ("geometric", "dgs", 1): "fae47d56fe4a401657d37476ca1cc3b7691d3a5ce1f9e8a51624a8e0d6ea1e19",
+    ("geometric", "rgs", 0): "0acbc4a8dc936f09c4f238dfc742090830413bb1dad9d9682fa99836534817c1",
+    ("geometric", "rgs", 1): "100d81bd788c1eaf9657ae9c8f99501b9fea85df59735ab13564459fc37bb726",
+    ("power-law", "marginal_x", 0): "f85376d7df930a0a5c399f8e1c413728e7c2351132fc14741420071b2b9fc6b4",
+    ("power-law", "marginal_x", 1): "19eeaa197d76ce1f8f2ee5c42a22dc0123de01b6b9c9f83b3812e13f385e21be",
+    ("power-law", "dgs", 0): "52f154158a6aca6854f75eccd0a1a29a064edb8b5910d43a57404c7fbe8231a9",
+    ("power-law", "dgs", 1): "4cc524425dc8c43d2f13c654b58063a18115ae651985e516c6711a9ea3eec75e",
+    ("power-law", "rgs", 0): "736782d535a17788a82c614ef75e3690508e0b72fa9b7f27003dd203105f3503",
+    ("power-law", "rgs", 1): "224cf8266f8598c6e365013ff5d2356c286c6da7613f9954d80df401318d27cb",
+}
+ENSEMBLE_DIGESTS = {
+    (1, 5000, 8192): "bf7550e7fec8e9ed62141db213689b6a4f38f6d2ade3ea902708e77f13c44aa6",
+    (3, 4000, 997): "a4ace9b3752171706601fbac6781cdef29c7f6a7707e801a66b2aebeacb4ad9a",
+}
+
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(b"-" if a is None else np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("case", [*TRACE_DIGESTS, *ENSEMBLE_DIGESTS],
+                         ids=lambda c: "-".join(map(str, c)))
+def test_trace_digests_are_frozen(case):
+    if case in TRACE_DIGESTS:
+        name, kind, seed = case
+        fam = build_family(example_spec(name), 50)
+        # 20 000 steps cross the sampler's internal block of uniforms
+        cfg = RunConfig(kind=kind, n_steps=20_000, seed=seed,
+                        init=1 if kind == "marginal_x" else (1, 1), thin=7,
+                        scan_p=0.3 if kind == "rgs" else None,
+                        g=((lambda x: 0.1 * x) if kind == "marginal_x"
+                           else (lambda x, y: 0.1 * x + y / 3)))
+        tr = run_chain(fam, cfg)
+        got = _digest(tr.steps, tr.xs, tr.ys, tr.g_values,
+                      np.float64(tr.g_mean))
+        assert got == TRACE_DIGESTS[case]
+    else:
+        n_chains, n_steps, block = case
+        fam = build_family(example_spec("geometric"), 50)
+        res = run_marginal_ensemble(fam, n_chains, n_steps, seed=3, init=4,
+                                    g=lambda s: 0.1 * s + (s % 3) / 3,
+                                    block=block)
+        est = np.array([(e.g_bar, e.sigma2_hat, e.mcse)
+                        for e in res.estimates])
+        got = _digest(res.final_states, res.g_bar, est)
+        assert got == ENSEMBLE_DIGESTS[case]
+
+
+def _reference_run(fam, cfg):
+    """The per-step loop: one step function call per step, over sequential
+    scalar draws from make_rng."""
+    rng = make_rng(cfg.seed, cfg.kind)
+    steps, xs, ys, g_vals = [], [], [], []
+    if cfg.kind == "marginal_x":
+        x = cfg.init
+        for step in range(1, cfg.n_steps + 1):
+            x = marginal_step(fam, x, rng.random())
+            g_vals.append(cfg.g(x))
+            if step % cfg.thin == 0:
+                steps.append(step)
+                xs.append(x)
+        return steps, xs, None, g_vals
+    x, y = cfg.init
+    for step in range(1, cfg.n_steps + 1):
+        if cfg.kind == "dgs":
+            x, y = dgs_step(fam, y, rng.random(), rng.random())
+        else:
+            x, y = rgs_step(fam, x, y, cfg.scan_p, rng.random(), rng.random())
+        g_vals.append(cfg.g(x, y))
+        if step % cfg.thin == 0:
+            steps.append(step)
+            xs.append(x)
+            ys.append(y)
+    return steps, xs, ys, g_vals
+
+
+@pytest.mark.parametrize("kind", ["marginal_x", "dgs", "rgs"])
+@pytest.mark.parametrize("name", ["geometric", "power-law",
+                                  "mixed-geometric", "alternating"])
+def test_run_chain_matches_step_functions(name, kind):
+    fam = build_family(example_spec(name), 50)
+    cfg = RunConfig(kind=kind, n_steps=17_000, seed=4,
+                    init=3 if kind == "marginal_x" else (3, 3), thin=3,
+                    scan_p=0.6 if kind == "rgs" else None,
+                    g=((lambda x: x / 7) if kind == "marginal_x"
+                       else (lambda x, y: x / 7 - y)))
+    tr = run_chain(fam, cfg)
+    steps, xs, ys, g_vals = _reference_run(fam, cfg)
+    assert tr.steps.tolist() == steps
+    assert tr.xs.tolist() == xs
+    assert (tr.ys is None and ys is None) or tr.ys.tolist() == ys
+    assert tr.g_values.tolist() == g_vals
+    assert tr.g_mean == float(np.mean(g_vals))
 
 
 # -- seeded frequency checks against exact kernel rows ----------------------
@@ -315,6 +434,17 @@ def test_ensemble_argument_validation(fam50):
         run_marginal_ensemble(fam50, 0, 10, seed=0, init=1)
     with pytest.raises(StartNotInSupport):
         run_marginal_ensemble(fam50, 1, 10, seed=0, init=0)
+    for block in (0, -3):
+        with pytest.raises(IndexOutOfRange):
+            run_marginal_ensemble(fam50, 1, 10, seed=0, init=1, block=block)
+    # fewer than 4 batches is refused before any step is simulated
+    def g(states):
+        pytest.fail("g called on a run too short for batch means")
+
+    for n_steps, batch_size in ((0, None), (10, None), (100, 0)):
+        with pytest.raises(TooFewSamples):
+            run_marginal_ensemble(fam50, 1, n_steps, seed=0, init=1, g=g,
+                                  batch_size=batch_size)
 
 
 def test_ensemble_long_run_mean_within_error_bars():

@@ -25,6 +25,7 @@ from .drift import (
 )
 from .errors import (
     BadScanProbability,
+    BadSeed,
     BadZ,
     COutOfRange,
     DegenerateTruncation,
@@ -124,6 +125,6 @@ __all__ = [
     # errors
     "ErgochainError", "NonPositiveSequence", "DegenerateTruncation",
     "OutOfSupport", "IndexOutOfRange", "BadScanProbability",
-    "StartNotInSupport", "NotSymmetricKernel", "BadZ", "COutOfRange",
+    "StartNotInSupport", "BadSeed", "NotSymmetricKernel", "BadZ", "COutOfRange",
     "TooFewSamples", "UnknownFormat", "EmptyReport",
 ]

@@ -37,6 +37,10 @@ class StartNotInSupport(ErgochainError):
     """A requested start state is not a state of the kernel."""
 
 
+class BadSeed(ErgochainError):
+    """A random seed is not a nonnegative integer."""
+
+
 class NotSymmetricKernel(ErgochainError):
     """An operation requiring a pi-symmetric kernel got a non-symmetric one."""
 

@@ -20,6 +20,10 @@ One-step expectations log (P f) come from log f the same way, with one
 logaddexp per band (log_expect), so drift checks never form f itself.
 Spectral summaries use the similarity transform D^{1/2} P D^{-1/2} with
 D = diag(pi), which is symmetric exactly when P is pi-symmetric.
+
+scipy is imported only where it is used: scipy.linalg by spectral_gap and
+scipy.sparse by TransitionMatrix.P, so importing this module, building
+kernels and transporting TV curves load numpy alone.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ import operator
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import (
     BadScanProbability,
@@ -290,6 +293,8 @@ def spectral_gap(tm: TransitionMatrix) -> SpectralGap:
     """
     if tm.kind not in (MARGINAL_X, RGS):
         raise NotSymmetricKernel(f"spectral gap undefined for kind {tm.kind!r}")
+    from scipy.linalg import eigh_tridiagonal
+
     d = tm.bands[0]
     off = np.sqrt(tm.bands[1]) * np.sqrt(tm.bands[-1])
     n = len(d)

@@ -23,12 +23,13 @@ same rules one step at a time.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .diagnostics import BatchMeansEstimate, _from_means, check_num_batches
-from .errors import IndexOutOfRange, StartNotInSupport, TooFewSamples
+from .errors import BadSeed, IndexOutOfRange, StartNotInSupport, TooFewSamples
 from .family import BivariateFamily
 from .kernels import DGS, MARGINAL_X, RGS, check_scan_p, check_state
 
@@ -41,10 +42,20 @@ _ROWS = 256
 
 
 def make_rng(seed: int, kind: str) -> np.random.Generator:
-    """Philox generator keyed by (seed, chain id); kinds never collide."""
+    """Philox generator keyed by (seed, chain id); kinds never collide.
+
+    The seed must be a nonnegative integer, so 2.7 is refused rather than
+    truncated; anything else raises BadSeed.
+    """
     if kind not in CHAIN_IDS:
         raise StartNotInSupport(f"unknown chain kind {kind!r}")
-    ss = np.random.SeedSequence((int(seed), CHAIN_IDS[kind]))
+    try:
+        seed = operator.index(seed)
+        if seed < 0:
+            raise ValueError
+    except (TypeError, ValueError):
+        raise BadSeed(f"seed must be a nonnegative integer, got {seed!r}") from None
+    ss = np.random.SeedSequence((seed, CHAIN_IDS[kind]))
     return np.random.Generator(np.random.Philox(ss))
 
 

@@ -1,9 +1,14 @@
 """Command line behavior: exit codes, formats, and file output."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ergochain
 from ergochain import table
 from ergochain.cli import dispatch
 from ergochain.diagnostics import CLT_NOTE
@@ -197,7 +202,8 @@ MALFORMED_SPECS = {
     *(("classify", "--spec", json.dumps(doc)) for doc in MALFORMED_SPECS.values()),
     ("classify", "--example", "power-law", "--scan-p", "1.5"),
     ("subgeo", "--example", "geometric", "--scan-p", "1.5"),
-], ids=[*MALFORMED_SPECS, "classify-scan-p", "subgeo-scan-p"])
+    ("sample", "--example", "geometric", "--seed", "-1"),
+], ids=[*MALFORMED_SPECS, "classify-scan-p", "subgeo-scan-p", "sample-seed"])
 def test_domain_errors_exit_4(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 4 and out == ""
@@ -253,3 +259,61 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error:")
     assert "Traceback" not in err
+
+
+# -- scipy stays unloaded outside the eigensolve -----------------------------
+
+# Run in a fresh interpreter: prints the exit codes of the commands and
+# the scipy modules loaded before and after them.
+_FRESH = """
+import contextlib, io, json, sys
+import ergochain
+from ergochain import build_Pdgs, build_Prgs, build_Px, build_family, example_spec
+from ergochain.cli import dispatch
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+fam = build_family(example_spec("power-law"), 50)
+build_Px(fam), build_Pdgs(fam), build_Prgs(fam, 0.5)
+before = scipy_modules()
+with (contextlib.redirect_stdout(io.StringIO()),
+      contextlib.redirect_stderr(io.StringIO())):
+    codes = [dispatch(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "before": before, "after": scipy_modules()}))
+"""
+
+
+def _fresh_run(*argvs):
+    src = str(Path(ergochain.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", _FRESH, json.dumps(argvs)],
+                          env=env, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def test_commands_leave_scipy_unloaded():
+    # only the tridiagonal eigensolve needs scipy; a module-level import
+    # anywhere else would put its import time on every command
+    n = ["--n", "50"]
+    res = _fresh_run(
+        ["classify", "--example", "power-law", *n],
+        ["drift", "--example", "geometric", "--scan-p", "0.5", *n],
+        ["subgeo", "--example", "power-law", "--scan-p", "0.5", *n],
+        ["tvcurve", "--example", "power-law", "--chain", "dgs", "--steps", "50", *n],
+        ["sample", "--example", "power-law", "--chain", "rgs", "--steps", "500",
+         "--g-indicator", "2", "--format", "json", *n],
+        ["report", *n],
+        ["examples"],
+        ["spectrum", "--example", "geometric", "--chain", "dgs", *n],
+    )
+    assert res["codes"] == [0, 0, 0, 0, 0, 0, 0, 4]
+    assert res["before"] == [] and res["after"] == []
+
+
+def test_spectrum_loads_scipy_linalg_when_solving():
+    res = _fresh_run(["spectrum", "--example", "geometric", "--chain", "rgs",
+                      "--n", "50"])
+    assert res["codes"] == [0]
+    assert res["before"] == []
+    assert "scipy.linalg" in res["after"]

@@ -30,6 +30,7 @@ from ergochain import (
     table,
     tail_limits,
 )
+from ergochain.family import _zeta
 
 # frozen normalization constants (independent series summation)
 GEO_C = 0.7182818284590451          # equals e - 2
@@ -54,6 +55,39 @@ def test_solve_constant_power_law():
     c = solve_constant("power_law", d=2.0)
     assert c == pytest.approx(PL_C, rel=1e-15, abs=0)
     assert c == pytest.approx(3.0 / math.pi**2, rel=1e-15, abs=0)
+
+
+# -- the pure-Python zeta behind the power-law constant ----------------------
+
+
+def test_zeta_matches_scipy():
+    from scipy.special import zeta
+
+    assert _zeta(2.0) == float(zeta(2.0))     # the built-in's constant
+    for d in np.linspace(1.0001, 60.0, 2001):
+        ref = float(zeta(d))
+        assert abs(_zeta(d) - ref) <= 4 * math.ulp(ref), d
+
+
+def test_zeta_closed_forms():
+    assert _zeta(2.0) == pytest.approx(math.pi**2 / 6, rel=1e-15, abs=0)
+    assert _zeta(4.0) == pytest.approx(math.pi**4 / 90, rel=1e-15, abs=0)
+
+
+def test_zeta_is_within_an_ulp_of_extended_precision():
+    # denser near d = 1, where the pole term dominates
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for d in 1.0 + np.geomspace(1e-4, 59.0, 300):
+            ref = float(mpmath.zeta(float(d)))
+            assert abs(_zeta(d) - ref) <= math.ulp(ref), d
+
+
+@pytest.mark.parametrize("d", [1.0001, 400.0])
+def test_power_law_constant_at_extreme_d(d):
+    spec = power_law(d)
+    assert spec.c1 == spec.c2 == pytest.approx(0.5 / _zeta(d), rel=1e-15, abs=0)
+    assert 0.0 < spec.c1 <= 0.5
 
 
 def test_solve_constant_mixed_and_alternating():

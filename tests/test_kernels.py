@@ -6,15 +6,10 @@ storage and the tridiagonal solver used by the implementation.
 """
 
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import ergochain
 from ergochain import (
     DGS,
     MARGINAL_X,
@@ -69,14 +64,6 @@ def _dense_reference(f, kind, s=0.5):
             if prob > 0:
                 P[i, idx[st]] += prob
     return P
-
-
-def test_import_leaves_scipy_sparse_unloaded():
-    # the CSR view imports scipy.sparse on first access, not at import
-    src = str(Path(ergochain.__file__).resolve().parents[1])
-    code = "import sys, ergochain; sys.exit('scipy.sparse' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": src}
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 # -- marginal chain ----------------------------------------------------------

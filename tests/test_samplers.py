@@ -13,6 +13,7 @@ import pytest
 
 from ergochain import (
     BadScanProbability,
+    BadSeed,
     IndexOutOfRange,
     RunConfig,
     StartNotInSupport,
@@ -133,6 +134,22 @@ def test_bad_initial_states(fam50, kind, init):
                     scan_p=0.5 if kind == "rgs" else None)
     with pytest.raises(StartNotInSupport):
         run_chain(fam50, cfg)
+
+
+@pytest.mark.parametrize("seed", [-1, 2.7, "3", None])
+def test_bad_seeds(fam50, seed):
+    # refused, not truncated: 2.7 would otherwise replay the stream of 2
+    with pytest.raises(BadSeed):
+        make_rng(seed, "marginal_x")
+    with pytest.raises(BadSeed):
+        run_chain(fam50, RunConfig(kind="dgs", n_steps=5, seed=seed, init=(1, 1)))
+
+
+def test_integer_like_seeds_share_the_stream():
+    a = make_rng(7, "rgs").random(5)
+    assert np.array_equal(make_rng(np.int64(7), "rgs").random(5), a)
+    assert np.array_equal(make_rng(0, "rgs").random(5),
+                          make_rng(np.uint8(0), "rgs").random(5))
 
 
 def test_identical_seeds_identical_traces(fam50):
@@ -437,6 +454,9 @@ def test_ensemble_argument_validation(fam50):
     for block in (0, -3):
         with pytest.raises(IndexOutOfRange):
             run_marginal_ensemble(fam50, 1, 10, seed=0, init=1, block=block)
+    for seed in (-1, 2.7):
+        with pytest.raises(BadSeed):
+            run_marginal_ensemble(fam50, 1, 10, seed=seed, init=1)
     # fewer than 4 batches is refused before any step is simulated
     def g(states):
         pytest.fail("g called on a run too short for batch means")

@@ -15,7 +15,7 @@ from pathlib import Path
 from .classify import INCONCLUSIVE, classify, verdict_report
 from .diagnostics import CLT_NOTE, batch_means
 from .drift import NoCertificate, find_drift_certificate, lift_to_rgs
-from .errors import ErgochainError, StartNotInSupport
+from .errors import ErgochainError, StartNotInSupport, UnknownFormat
 from .family import SequenceSpec, build_family
 from .kernels import (
     DGS,
@@ -58,7 +58,10 @@ def _load_spec(args) -> SequenceSpec:
         return example_spec(args.example)
     text = args.spec
     if not text.lstrip().startswith("{"):
-        text = Path(text).read_text()
+        try:
+            text = Path(text).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise UnknownFormat(f"spec file is not UTF-8 text: {exc}") from None
     return SequenceSpec.from_json(text)
 
 

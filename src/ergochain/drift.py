@@ -13,8 +13,8 @@ L = max_{x <= x0} E[V(X_1) | X_0 = x], giving
 
 Tail surrogates r_hat (a bound on p_x / q_x) and q_hat (a lower bound on
 q_x) are max and min over the upper half of {2..N}, excluding the last
-two indices where truncation distorts p; r_hat is formed from log a,
-log b and log pi_Y so it stays finite where p and q underflow. For
+two indices where truncation distorts p; r_hat is formed from the
+family's log_t so it stays finite where p and q underflow. For
 z < 2 / (r + 1) the certified rate is
 
     rho(z) = 1 + (q/2)(z - 1)((r + 1)/2 - 1/z),
@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import BadZ, COutOfRange, IndexOutOfRange
 from .family import BivariateFamily, _encode_extended, _exp_sat
-from .kernels import build_Prgs, build_Px, check_scan_p, log_expect
+from .kernels import build_Prgs, build_Px, check_scan_p, log_expect, staircase_xy
 
 # Tail ratio estimates at or above this are treated as critical.
 R_BORDERLINE = 0.99
@@ -71,15 +71,14 @@ def tail_surrogates(fam: BivariateFamily) -> tuple[float, float]:
     """(r_hat, q_hat): max p_x/q_x and min q_x over the upper half of
     {2..N} with the truncation-distorted indices N-1 and N excluded.
 
-    p_x / q_x = t_x / t_{x-1} with t_y = a_y b_y / (a_y + b_y), so r_hat
-    is taken from log t and stays finite where p and q underflow.
+    p_x / q_x = t_x / t_{x-1} with t the family's edge conductance, so
+    r_hat is taken from fam.log_t and stays finite where p and q underflow.
     """
     lo = max(2, fam.N // 2)
     hi = fam.N - 2
     if hi < lo:
         raise IndexOutOfRange(f"N = {fam.N} leaves no tail window")
-    log_t = fam.log_a + fam.log_b - fam.log_piy
-    r_hat = _exp_sat(float(np.max(np.diff(log_t)[lo - 2:hi - 1])))
+    r_hat = _exp_sat(float(np.max(np.diff(fam.log_t)[lo - 2:hi - 1])))
     q_hat = float(np.min(fam.q[lo - 1:hi]))
     return r_hat, q_hat
 
@@ -244,28 +243,29 @@ def verify_drift(cert, fam: BivariateFamily) -> DriftReport:
     """Check a certificate's drift inequality at every support state.
 
     Accepts a DriftCertificate (marginal chain, states x = 1..N) or an
-    RgsDriftCertificate (all 2N-1 staircase pairs, where state m is
-    (x, y) = ((m+1)//2 + 1, m//2 + 1)). The one-step expectation of the
-    test function is taken through the chain's banded kernel with
-    log_expect and compared with the certified bound in log space.
+    RgsDriftCertificate (all 2N-1 staircase pairs, positioned by
+    kernels.staircase_xy). The one-step expectation of the test function
+    is taken through the chain's banded kernel with log_expect and
+    compared with the certified bound in log space.
     """
     if isinstance(cert, RgsDriftCertificate):
         log_z = math.log(cert.base.z)
         tm = build_Prgs(fam, cert.scan_p)
-        m = np.arange(tm.n_states)
-        x, y = (m + 1) // 2 + 1, m // 2 + 1
+        x, y = staircase_xy(fam.N)
         log_W = np.logaddexp(x * log_z, math.log(cert.c) + _log_G(fam, log_z)[y - 1])
         log_rate, log_const = math.log(cert.gamma), cert.log_bound_constant
     else:
         log_z = math.log(cert.z)
         tm = build_Px(fam)
-        log_W = np.arange(1, fam.N + 1) * log_z
+        x, y = np.arange(1, fam.N + 1), None
+        log_W = x * log_z
         log_rate, log_const = math.log(cert.rho), cert.log_L
     viol = log_expect(tm, log_W) - np.logaddexp(log_rate + log_W, log_const)
     k = int(np.argmax(viol))
     mv = float(viol[k])
+    worst = int(x[k]) if y is None else (int(x[k]), int(y[k]))
     return DriftReport(max_violation=mv, holds=mv <= 1e-10,
-                       worst_state=tm.states[k], checked=tm.n_states)
+                       worst_state=worst, checked=tm.n_states)
 
 
 __all__ = [

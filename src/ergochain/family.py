@@ -23,6 +23,11 @@ chain with up and down probabilities
     p_x = a_x b_x / ((a_x + b_{x-1}) (a_x + b_x))
     q_x = a_{x-1} b_{x-1} / ((a_x + b_{x-1}) (a_{x-1} + b_{x-1}))
 
+build_family stores these conditional laws once: the stays as stay_x and
+stay_y, the moves as beta and delta, p and q, and log_t = log t_y with
+t_y = a_y b_y / (a_y + b_y) = pi_X(y) p_y, the conductance between
+levels y and y + 1; kernels, drift and subgeo read them from there.
+
 Finite families are produced by truncating a sequence specification at a
 level N: indices above N are dropped, b_N is forced to zero so the
 support is exactly {1..N}^2, and the retained mass is renormalized.
@@ -91,7 +96,8 @@ class TailLimits:
     """Declared limiting ratios of a sequence specification.
 
     Each field is a nonnegative extended real or None when the limit is
-    unknown or does not exist. lim_ab is the common value of
+    unknown or does not exist; anything else, NaN and negative values
+    included, raises UnknownFormat. lim_ab is the common value of
     liminf a_i/b_i and limsup a_i/b_i when that limit exists.
     """
 
@@ -99,6 +105,13 @@ class TailLimits:
     lim_ab: float | None = None
     lim_a_over_bprev: float | None = None
     lim_b_over_a: float | None = None
+
+    def __post_init__(self):
+        for k in _LIMIT_FIELDS:
+            v = getattr(self, k)
+            if not (v is None or (isinstance(v, (int, float)) and 0 <= v <= math.inf)):
+                raise UnknownFormat(f"declared limit {k} = {v!r} must be null "
+                                    "or lie in [0, inf]")
 
     def to_json_dict(self) -> dict:
         return {k: _encode_extended(getattr(self, k)) for k in _LIMIT_FIELDS}
@@ -424,6 +437,8 @@ class BivariateFamily:
     Arrays are indexed by 0..N-1 for levels 1..N. log_b[N-1] is -inf
     because b_N is forced to zero by the truncation. retained_mass is the
     spec's raw mass kept by the truncation, before renormalization.
+    stay_x[x-1] = P(Y = x | X = x), stay_y[y-1] = P(X = y | Y = y) and
+    log_t[y-1] = log a_y + log b_y - log pi_Y(y) (-inf at y = N).
     """
 
     spec: SequenceSpec
@@ -439,6 +454,9 @@ class BivariateFamily:
     delta: np.ndarray = field(default=None, repr=False)
     p: np.ndarray = field(default=None, repr=False)
     q: np.ndarray = field(default=None, repr=False)
+    stay_x: np.ndarray = field(default=None, repr=False)
+    stay_y: np.ndarray = field(default=None, repr=False)
+    log_t: np.ndarray = field(default=None, repr=False)
 
     @property
     def a(self) -> np.ndarray:
@@ -466,21 +484,6 @@ class BivariateFamily:
             return float(np.exp(self.log_b[y - 1]))
         return 0.0
 
-    def support_states(self) -> list[tuple[int, int]]:
-        """Staircase states (1,1), (2,1), (2,2), ..., (N,N); 2N-1 of them."""
-        out = [(1, 1)]
-        for y in range(1, self.N):
-            out.append((y + 1, y))
-            out.append((y + 1, y + 1))
-        return out
-
-    def support_probs(self) -> np.ndarray:
-        """pi over support_states(), in the same order."""
-        logs = np.empty(2 * self.N - 1)
-        logs[0::2] = self.log_a
-        logs[1::2] = self.log_b[: self.N - 1]
-        return np.exp(logs)
-
 
 def build_family(spec: SequenceSpec, N: int) -> BivariateFamily:
     """Truncate spec at level N, force b_N = 0, and renormalize.
@@ -502,16 +505,17 @@ def build_family(spec: SequenceSpec, N: int) -> BivariateFamily:
     log_piy = np.logaddexp(la, lb)
     beta = np.exp(lb - log_piy)                     # P(X = y+1 | Y = y)
     delta = np.exp(_shift_down(lb) - log_pix)       # P(Y = x-1 | X = x)
-    alpha = np.exp(la - log_pix)                    # P(Y = x | X = x)
-    one_minus_beta = np.exp(la - log_piy)
-    p = beta * alpha
-    q = delta * np.concatenate(([0.0], one_minus_beta[:-1]))
+    stay_x = np.exp(la - log_pix)                   # P(Y = x | X = x)
+    stay_y = np.exp(la - log_piy)                   # P(X = y | Y = y)
+    p = beta * stay_x
+    q = delta * np.concatenate(([0.0], stay_y[:-1]))
 
     return BivariateFamily(
         spec=spec, N=int(N), log_a=la, log_b=lb,
         retained_mass=float(np.exp(log_mass)),
         log_pix=log_pix, log_piy=log_piy,
-        beta=beta, delta=delta, p=p, q=q,
+        beta=beta, delta=delta, p=p, q=q, stay_x=stay_x, stay_y=stay_y,
+        log_t=la + lb - log_piy,
     )
 
 

@@ -9,12 +9,16 @@ For a truncated family on {1..N} the package builds three Markov kernels:
               scan_p and y otherwise; pi-symmetric with positive self-loops
 
 Product-space states are ordered (1,1), (2,1), (2,2), (3,2), ..., (N,N).
+This module owns that order: staircase_xy maps position m to its state,
+index_of maps a state back and check_state is their domain, so a kernel
+stores no state list and TransitionMatrix.states is derived on access.
 On this order a random-scan step moves to a neighbouring state, so rgs is
 a birth-death chain on 2N-1 states, and a deterministic-scan step moves at
 most two states away. Every kernel is therefore stored as its diagonals:
 bands[k][m] = P[i, i+k] with m = min(i, i+k), the layout of
 scipy.sparse.diags, and rows (y, y) and (y+1, y) fill the even and odd
-entries of each band. Total variation curves transport the difference
+entries of each band, products of the family's conditional laws stay_x,
+stay_y, beta and delta. Total variation curves transport the difference
 from pi by one shifted add per band; the n-step matrix is never formed.
 One-step expectations log (P f) come from log f the same way, with one
 logaddexp per band (log_expect), so drift checks never form f itself.
@@ -78,13 +82,25 @@ def check_scan_p(scan_p) -> float:
     return float(scan_p)
 
 
+def staircase_xy(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """x and y of the 2N-1 staircase states: m -> ((m+1)//2 + 1, m//2 + 1)."""
+    m = np.arange(2 * N - 1)
+    return (m + 1) // 2 + 1, m // 2 + 1
+
+
+def _staircase_pi(fam: BivariateFamily) -> np.ndarray:
+    """pi on the staircase order: a_y at (y, y), b_y at (y+1, y)."""
+    logs = np.empty(2 * fam.N - 1)
+    logs[0::2], logs[1::2] = fam.log_a, fam.log_b[:-1]
+    return np.exp(logs)
+
+
 @dataclass(frozen=True)
 class TransitionMatrix:
-    """A kernel stored as its diagonals, its states, and its stationary
-    distribution; bands[k][min(i, i+k)] = P[i, i+k]."""
+    """A kernel stored as its diagonals and its stationary distribution;
+    bands[k][min(i, i+k)] = P[i, i+k]."""
 
     kind: str
-    states: list
     bands: dict = field(repr=False)
     stationary: np.ndarray = field(repr=False)
     N: int
@@ -92,7 +108,15 @@ class TransitionMatrix:
 
     @property
     def n_states(self) -> int:
-        return len(self.states)
+        return len(self.stationary)
+
+    @property
+    def states(self) -> list:
+        """x = 1..N or the staircase (x, y) pairs, built on each access."""
+        if self.kind == MARGINAL_X:
+            return list(range(1, self.N + 1))
+        x, y = staircase_xy(self.N)
+        return list(zip(x.tolist(), y.tolist()))
 
     @property
     def P(self):
@@ -111,18 +135,11 @@ class TransitionMatrix:
         return 2 * y - 2 + (x - y)
 
 
-def _stay_probs(fam: BivariateFamily):
-    """P(X = y | Y = y) and P(Y = x | X = x), the conditional stays."""
-    return (np.exp(fam.log_a - fam.log_piy), np.exp(fam.log_a - fam.log_pix))
-
-
 def build_Px(fam: BivariateFamily) -> TransitionMatrix:
     """Tridiagonal kernel of the x-marginal birth-death chain."""
-    N = fam.N
     p, q = fam.p, fam.q
     bands = {-1: q[1:], 0: np.maximum(0.0, 1.0 - p - q), 1: p[:-1]}
-    return TransitionMatrix(kind=MARGINAL_X, states=list(range(1, N + 1)),
-                            bands=bands, stationary=fam.pi_x, N=N)
+    return TransitionMatrix(MARGINAL_X, bands, fam.pi_x, fam.N)
 
 
 def build_Pdgs(fam: BivariateFamily) -> TransitionMatrix:
@@ -132,9 +149,8 @@ def build_Pdgs(fam: BivariateFamily) -> TransitionMatrix:
     (y+1, y+1) with the same four probabilities, which puts the kernel on
     offsets -2..2.
     """
-    N, n = fam.N, 2 * fam.N - 1
-    beta, delta = fam.beta, fam.delta
-    ob, od = _stay_probs(fam)
+    n = 2 * fam.N - 1
+    beta, delta, ob, od = fam.beta, fam.delta, fam.stay_y, fam.stay_x
     to_yy = ob * od                       # (y, y) -> (y, y)
     to_down = ob[1:] * delta[1:]          # (y, y-1) for y >= 2
     to_up = beta[:-1] * delta[1:]         # (y+1, y) for y < N
@@ -145,8 +161,7 @@ def build_Pdgs(fam: BivariateFamily) -> TransitionMatrix:
     bands[2][0::2] = to_upup
     bands[-1][0::2], bands[-1][1::2] = to_yy[:-1], to_down
     bands[-2][1::2] = to_down[:-1]
-    return TransitionMatrix(kind=DGS, states=fam.support_states(), bands=bands,
-                            stationary=fam.support_probs(), N=N)
+    return TransitionMatrix(DGS, bands, _staircase_pi(fam), fam.N)
 
 
 def build_Prgs(fam: BivariateFamily, scan_p: float) -> TransitionMatrix:
@@ -158,16 +173,14 @@ def build_Prgs(fam: BivariateFamily, scan_p: float) -> TransitionMatrix:
     """
     s = check_scan_p(scan_p)
     t = 1 - s
-    N, n = fam.N, 2 * fam.N - 1
-    beta, delta = fam.beta, fam.delta
-    ob, od = _stay_probs(fam)
+    n = 2 * fam.N - 1
+    beta, delta, ob, od = fam.beta, fam.delta, fam.stay_y, fam.stay_x
     bands = {k: np.empty(n - abs(k)) for k in (-1, 0, 1)}
     bands[0][0::2] = s * ob + t * od
     bands[0][1::2] = s * beta[:-1] + t * delta[1:]
     bands[1][0::2], bands[1][1::2] = s * beta[:-1], t * od[1:]
     bands[-1][0::2], bands[-1][1::2] = s * ob[:-1], t * delta[1:]
-    return TransitionMatrix(kind=RGS, states=fam.support_states(), bands=bands,
-                            stationary=fam.support_probs(), N=N, scan_p=s)
+    return TransitionMatrix(RGS, bands, _staircase_pi(fam), fam.N, scan_p=s)
 
 
 def log_expect(tm: TransitionMatrix, log_f: np.ndarray) -> np.ndarray:
@@ -313,5 +326,5 @@ __all__ = [
     "MARGINAL_X", "DGS", "RGS",
     "TransitionMatrix", "TVCurve", "SpectralGap",
     "build_Px", "build_Pdgs", "build_Prgs", "check_scan_p", "log_expect",
-    "tv_curve", "spectral_gap",
+    "staircase_xy", "tv_curve", "spectral_gap",
 ]

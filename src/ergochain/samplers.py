@@ -37,7 +37,8 @@ CHAIN_IDS = {MARGINAL_X: 0, DGS: 1, RGS: 2}
 
 # run_chain draws the uniforms of this many steps at once
 _BLOCK = 8192
-# run_marginal_ensemble applies g to this many steps' states at once
+# run_marginal_ensemble draws the uniforms of, and applies g to, this
+# many steps at once
 _ROWS = 256
 
 
@@ -207,8 +208,7 @@ class EnsembleResult:
 
 def run_marginal_ensemble(fam: BivariateFamily, n_chains: int, n_steps: int,
                           seed: int, init: int, g=None,
-                          batch_size: int | None = None,
-                          block: int = 8192) -> EnsembleResult:
+                          batch_size: int | None = None) -> EnsembleResult:
     """Run n_chains marginal chains in lockstep from a common start.
 
     g, when given, must be elementwise: it receives an int64 array of
@@ -217,13 +217,11 @@ def run_marginal_ensemble(fam: BivariateFamily, n_chains: int, n_steps: int,
     chain the running mean and a batch-means error estimate are
     returned; at least 4 batches are needed, and a shorter run raises
     TooFewSamples before any step is taken.  Uniforms are drawn
-    step-major in blocks of shape (block, n_chains), so chain k sees the
-    same stream regardless of block size.
+    step-major, (rows, n_chains) at a time, so chain k sees the same
+    stream as one draw per step would give it.
     """
     if n_chains < 1 or n_steps < 0:
         raise IndexOutOfRange("need n_chains >= 1 and n_steps >= 0")
-    if block < 1:
-        raise IndexOutOfRange(f"block must be >= 1, got {block}")
     x0 = check_state(MARGINAL_X, fam.N, init)
 
     track = g is not None
@@ -244,33 +242,27 @@ def run_marginal_ensemble(fam: BivariateFamily, n_chains: int, n_steps: int,
     # p <= u < p + q, so the level moves by 2 up - (u < p + q)
     s = np.full(n_chains, x0 - 1, dtype=np.int64)
     p, pq = fam.p, fam.p + fam.q
-    done = 0
-    while done < n_steps:
-        m = min(block, n_steps - done)
+    for c0 in range(0, n_steps, _ROWS):
+        c = min(_ROWS, n_steps - c0)
         # step-major draws: step j hands row j to the chains, so the
-        # stream seen by chain k does not depend on the block size
-        U = rng.random((m, n_chains))
-        for c0 in range(0, m, _ROWS):
-            c = min(_ROWS, m - c0)
-            for j in range(c):
-                u = U[c0 + j]
-                up = u < p.take(s)
-                lt = u < pq.take(s)
-                s += up
-                s += up
-                s -= lt
-                if track:
-                    rows[j] = s
+        # stream seen by chain k does not depend on the chunk size
+        for j, u in enumerate(rng.random((c, n_chains))):
+            up = u < p.take(s)
+            lt = u < pq.take(s)
+            s += up
+            s += up
+            s -= lt
             if track:
-                # rows are added one at a time in step order, so every
-                # sum rounds as it would step by step
-                for step, gv in enumerate(g(rows[:c] + 1), done + c0 + 1):
-                    total += gv
-                    batch_acc += gv
-                    if step % batch_size == 0:
-                        batch_means[:, step // batch_size - 1] = batch_acc / batch_size
-                        batch_acc[:] = 0.0
-        done += m
+                rows[j] = s
+        if track:
+            # rows are added one at a time in step order, so every
+            # sum rounds as it would step by step
+            for step, gv in enumerate(g(rows[:c] + 1), c0 + 1):
+                total += gv
+                batch_acc += gv
+                if step % batch_size == 0:
+                    batch_means[:, step // batch_size - 1] = batch_acc / batch_size
+                    batch_acc[:] = 0.0
 
     states = s + 1
     if not track:

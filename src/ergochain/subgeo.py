@@ -23,9 +23,9 @@ is unbounded, by the identity
 1 / T_i = (1 - mu_i) (S1_i + S2_i + b_{i-1}/a_{i-1} + 1).
 
 Statistics are evaluated on the untruncated spec out to a horizon (four
-truncation levels by default) in log space; a statistic is flagged
-diverging when its running maximum tops 10^3 and is still growing by ten
-percent in the last quarter of the horizon.
+truncation levels by default, and at least 16) in log space; a statistic
+is flagged diverging when its running maximum tops 10^3 and is still
+growing by ten percent in the last quarter of the horizon.
 """
 
 from __future__ import annotations
@@ -60,9 +60,7 @@ def _log_T(fam: BivariateFamily) -> np.ndarray:
     """log T_i for i = 2..N."""
     log_mu = _log_mu(fam)[1:]
     log_omm = _log_one_minus_mu(fam)[1:]
-    j = slice(0, fam.N - 1)  # index i-1 = 1..N-1
-    log_ab = fam.log_a[j] + fam.log_b[j] - fam.log_piy[j]
-    return log_ab - log_mu - log_omm
+    return fam.log_t[:-1] - log_mu - log_omm    # t_{i-1}, i = 2..N
 
 
 def conditional_variance_stat(fam: BivariateFamily, i: int) -> float:
@@ -204,7 +202,7 @@ def build_subgeo_report(fam: BivariateFamily, horizon: int | None = None,
                         scan_p: float | None = None) -> SubgeoReport:
     """Assemble mu, T, beta, norm bounds, and divergence flags for a family."""
     if horizon is None:
-        horizon = 4 * fam.N
+        horizon = max(4 * fam.N, 16)
     if horizon < fam.N:
         raise IndexOutOfRange("horizon must reach the truncation level")
     stats = divergence_statistics(fam.spec, horizon)

@@ -195,6 +195,10 @@ MALFORMED_SPECS = {
                   "declared_limits": {"A": "abc"}},
     "limits-not-object": {"kind": "geometric", "params": {"c": 1.0},
                           "declared_limits": [1]},
+    "limit-negative": {"kind": "geometric", "params": {"c": 1},
+                       "declared_limits": {"A": -5, "lim_ab": -3}},
+    "limit-nan": {"kind": "geometric", "params": {"c": 1},
+                  "declared_limits": {"A": "nan", "lim_ab": "nan"}},
 }
 
 
@@ -209,6 +213,26 @@ def test_domain_errors_exit_4(capsys, argv):
     assert code == 4 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error:")
     assert "Traceback" not in err
+
+
+def test_spec_file_not_utf8_exits_4(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_bytes(b"\xff\xfe" + '{"kind": "geometric"}'.encode("utf-16-le"))
+    code, out, err = run(capsys, "classify", "--spec", str(path))
+    assert code == 4 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("n", ["2", "3"])
+def test_subgeo_default_horizon_at_small_n(capsys, n):
+    # the default horizon 4N is floored at the statistics' minimum of 16
+    code, out, err = run(capsys, "subgeo", "--example", "geometric", "--n", n,
+                         "--format", "json")
+    assert code == 0 and err == ""
+    assert json.loads(out)["horizon"] == 16
+    code, out, _ = run(capsys, "subgeo", "--example", "geometric", "--n", n)
+    assert code == 0 and len(out.splitlines()) == int(n)   # header, i = 2..N
 
 
 def test_examples_listing(capsys):

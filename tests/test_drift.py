@@ -191,7 +191,7 @@ def test_kernel_lift_expectation_matches_reference(fam, name, scan_p):
                             q_hat=0.1, N=200)
     cert = lift_to_rgs(base, scan_p)
     s, c, z = scan_p, cert.c, base.z
-    states = f.support_states()
+    states = build_Prgs(f, scan_p).states
     x = np.array([st[0] for st in states])
     y = np.array([st[1] for st in states])
     G = (f.a + z * f.b) / (f.a + f.b) * z ** np.arange(1, f.N + 1)

@@ -17,6 +17,7 @@ from ergochain import (
     NonPositiveSequence,
     OutOfSupport,
     SequenceSpec,
+    TailLimits,
     UnknownFormat,
     alternating,
     birth_death_probs,
@@ -164,13 +165,6 @@ def test_joint_and_support(fam):
     with pytest.raises(OutOfSupport):
         f.joint(1, 21)
 
-    states = f.support_states()
-    assert len(states) == 2 * f.N - 1
-    assert states[:3] == [(1, 1), (2, 1), (2, 2)]
-    probs = f.support_probs()
-    assert abs(probs.sum() - 1.0) < 1e-12
-    assert probs[1] == pytest.approx(f.joint(2, 1), abs=0)
-
 
 def test_two_point_table():
     # one explicit level each; truncation at 2 keeps a_1, a_2, b_1 only
@@ -291,6 +285,16 @@ def test_tail_limits_argument_validation():
         tail_limits(spec, window=5, horizon=800)
     with pytest.raises(IndexOutOfRange):
         tail_limits(spec, window=50, horizon=60)
+
+
+def test_declared_limits_must_be_nonnegative():
+    ok = TailLimits(A=0, lim_ab=math.inf, lim_a_over_bprev=None, lim_b_over_a=2.5)
+    assert ok.A == 0 and ok.lim_ab == math.inf
+    for bad in (-5.0, -math.inf, math.nan, "1", [1.0]):
+        with pytest.raises(UnknownFormat):
+            TailLimits(A=bad)
+        with pytest.raises(UnknownFormat):
+            table((1.0,), (1.0,), declared_limits=TailLimits(lim_b_over_a=bad))
 
 
 def test_alternating_declares_nothing():

@@ -6,6 +6,7 @@ storage and the tridiagonal solver used by the implementation.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,7 +44,7 @@ def _build(f, kind):
 def _dense_reference(f, kind, s=0.5):
     # every entry of a product kernel from the two conditional laws, one
     # state at a time, with 1 - beta and 1 - delta for the stays
-    states = f.support_states()
+    states = build_Pdgs(f).states
     idx = {st: i for i, st in enumerate(states)}
     P = np.zeros((len(states), len(states)))
 
@@ -230,6 +231,41 @@ def test_index_of_marginal(fam):
             tm.index_of(bad)
 
 
+@pytest.mark.parametrize("N", [2, 3, 50])
+@pytest.mark.parametrize("kind", [MARGINAL_X, DGS, RGS])
+def test_state_map_round_trip(fam, kind, N):
+    for name in example_names():
+        f = fam(name, N)
+        tm = _build(f, kind)
+        states = tm.states
+        assert len(states) == tm.n_states
+        for m, s in enumerate(states):
+            assert tm.index_of(s) == m
+            if kind == MARGINAL_X:
+                assert tm.stationary[m] == f.pi_x[s - 1]
+            else:
+                assert tm.stationary[m] == f.joint(*s)
+    if kind != MARGINAL_X:
+        assert len(states) == 2 * N - 1
+        assert states[:3] == [(1, 1), (2, 1), (2, 2)][:len(states)]
+        assert abs(tm.stationary.sum() - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("build", [build_Pdgs, lambda f: build_Prgs(f, 0.5)],
+                         ids=[DGS, RGS])
+def test_kernel_retains_only_bands_and_stationary(fam, build):
+    f = fam("power-law", 20_000)
+    build(f)                        # warm numpy's caches outside the trace
+    tracemalloc.start()
+    try:
+        tm = build(f)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    data = sum(b.nbytes for b in tm.bands.values()) + tm.stationary.nbytes
+    assert retained <= 1.25 * data
+
+
 # -- TV curves ---------------------------------------------------------------
 
 
@@ -338,7 +374,7 @@ def test_tv_curve_argument_errors(fam):
 
 def test_two_state_flat_chain_has_zero_norm():
     half = np.array([0.5])
-    tm = TransitionMatrix(kind=MARGINAL_X, states=[1, 2],
+    tm = TransitionMatrix(kind=MARGINAL_X,
                           bands={-1: half, 0: np.array([0.5, 0.5]), 1: half},
                           stationary=np.array([0.5, 0.5]), N=2)
     g = spectral_gap(tm)
@@ -349,7 +385,7 @@ def test_two_state_flat_chain_has_zero_norm():
 def test_negative_eigenvalue_sets_the_norm():
     # a two-state chain that mostly flips has eigenvalues 1 and -0.8
     flip = np.array([0.9])
-    tm = TransitionMatrix(kind=MARGINAL_X, states=[1, 2],
+    tm = TransitionMatrix(kind=MARGINAL_X,
                           bands={-1: flip, 0: np.array([0.1, 0.1]), 1: flip},
                           stationary=np.array([0.5, 0.5]), N=2)
     assert spectral_gap(tm).norm_estimate == pytest.approx(0.8, abs=1e-14)

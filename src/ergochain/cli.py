@@ -15,7 +15,7 @@ from pathlib import Path
 from .classify import INCONCLUSIVE, classify, verdict_report
 from .diagnostics import CLT_NOTE, batch_means
 from .drift import NoCertificate, find_drift_certificate, lift_to_rgs
-from .errors import ErgochainError, StartNotInSupport, UnknownFormat
+from .errors import ErgochainError, IndexOutOfRange, StartNotInSupport, UnknownFormat
 from .family import SequenceSpec, build_family
 from .kernels import (
     DGS,
@@ -32,6 +32,8 @@ from .samplers import RunConfig, run_chain
 from .subgeo import build_subgeo_report
 
 _CHAINS = (MARGINAL_X, DGS, RGS)
+# largest truncation level --n accepts; the family arrays are sized by it
+MAX_N = 10 ** 6
 
 
 def _dump_json(obj) -> str:
@@ -50,19 +52,24 @@ def _add_spec_args(p: argparse.ArgumentParser) -> None:
     grp.add_argument("--spec", help="family spec: inline JSON or a file path")
     grp.add_argument("--example", choices=example_names(),
                      help="one of the built-in families")
-    p.add_argument("--n", type=int, default=200, help="truncation level")
+    p.add_argument("--n", type=int, default=200,
+                   help=f"truncation level, at most {MAX_N}")
 
 
 def _load_spec(args) -> SequenceSpec:
     if args.example is not None:
         return example_spec(args.example)
     text = args.spec
-    if not text.lstrip().startswith("{"):
+    if not text.lstrip().startswith(("{", "[", '"')):
         try:
             text = Path(text).read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:
             raise UnknownFormat(f"spec file is not UTF-8 text: {exc}") from None
     return SequenceSpec.from_json(text)
+
+
+def _family(args):
+    return build_family(_load_spec(args), args.n)
 
 
 def _parse_start(s: str, kind: str):
@@ -150,7 +157,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="classify several families at once")
     p.add_argument("--examples", default="all",
                    help="comma-separated example names, or all")
-    p.add_argument("--n", type=int, default=200)
+    p.add_argument("--n", type=int, default=200,
+                   help=f"truncation level, at most {MAX_N}")
     p.add_argument("--scan-p", type=float, default=None)
     p.add_argument("--format", choices=("table", "json"), default="table")
     p.add_argument("--out")
@@ -169,7 +177,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_drift(args) -> int:
-    fam = build_family(_load_spec(args), args.n)
+    fam = _family(args)
     cert = find_drift_certificate(fam)
     if isinstance(cert, NoCertificate):
         _emit(_dump_json(cert.to_json_dict()), args.out)
@@ -181,14 +189,14 @@ def _cmd_drift(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    fam = build_family(_load_spec(args), args.n)
+    fam = _family(args)
     tm = _build_matrix(fam, args.chain, args.scan_p)
     _emit(_dump_json(spectral_gap(tm).to_json_dict()), args.out)
     return 0
 
 
 def _cmd_tvcurve(args) -> int:
-    fam = build_family(_load_spec(args), args.n)
+    fam = _family(args)
     tm = _build_matrix(fam, args.chain, args.scan_p)
     start = (_parse_start(args.start, args.chain) if args.start is not None
              else _default_start(args.chain))
@@ -201,7 +209,7 @@ def _cmd_tvcurve(args) -> int:
 
 
 def _cmd_subgeo(args) -> int:
-    fam = build_family(_load_spec(args), args.n)
+    fam = _family(args)
     report = build_subgeo_report(fam, horizon=args.horizon, scan_p=args.scan_p)
     if args.format == "json":
         _emit(_dump_json(report.to_json_dict()), args.out)
@@ -211,7 +219,7 @@ def _cmd_subgeo(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    fam = build_family(_load_spec(args), args.n)
+    fam = _family(args)
     start = (_parse_start(args.start, args.chain) if args.start is not None
              else _default_start(args.chain))
     g = None
@@ -281,6 +289,8 @@ _COMMANDS = {
 def dispatch(argv: list[str]) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "n", 0) > MAX_N:
+            raise IndexOutOfRange(f"--n {args.n} exceeds the limit {MAX_N}")
         return _COMMANDS[args.command](args)
     except ErgochainError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -277,11 +277,10 @@ class SequenceSpec:
 
     @staticmethod
     def from_json_dict(d: dict) -> "SequenceSpec":
-        try:
-            kind = d["kind"]
-            params = d.get("params", {})
-        except (TypeError, KeyError) as exc:
-            raise UnknownFormat(f"malformed spec document: {exc}") from exc
+        if not isinstance(d, dict) or "kind" not in d:
+            raise UnknownFormat("spec must be a JSON object with a kind, "
+                                f"got {d!r:.60}")
+        kind, params = d["kind"], d.get("params", {})
         if not isinstance(params, dict):
             raise UnknownFormat(f"params must be an object, got {params!r}")
         limits = None

@@ -22,8 +22,9 @@ stay_y, beta and delta. Total variation curves transport the difference
 from pi by one shifted add per band; the n-step matrix is never formed.
 One-step expectations log (P f) come from log f the same way, with one
 logaddexp per band (log_expect), so drift checks never form f itself.
-Spectral summaries use the similarity transform D^{1/2} P D^{-1/2} with
-D = diag(pi), which is symmetric exactly when P is pi-symmetric.
+Spectral gaps come from the edge matrix E: D (I - P) = B^T diag(e) B with
+D = diag(pi), B the first-difference matrix and e_k = pi_k P[k, k+1] the
+edge conductances, so I - P on mean-zero functions has the spectrum of E.
 
 scipy is imported only where it is used: scipy.linalg by spectral_gap and
 scipy.sparse by TransitionMatrix.P, so importing this module, building
@@ -39,7 +40,6 @@ import numpy as np
 
 from .errors import (
     BadScanProbability,
-    ErgochainError,
     IndexOutOfRange,
     NotSymmetricKernel,
     StartNotInSupport,
@@ -294,32 +294,32 @@ class SpectralGap:
 
 
 def spectral_gap(tm: TransitionMatrix) -> SpectralGap:
-    """Second-largest eigenvalue modulus via D^{1/2} P D^{-1/2}.
+    """1 - (second-largest eigenvalue modulus) from the edge matrix E.
 
-    The marginal and random-scan chains are pi-symmetric birth-death
-    chains, so the symmetrization is tridiagonal with diagonal bands[0]
-    and off-diagonal sqrt(P[i, i+1] P[i+1, i]); no 1/sqrt(pi) is formed.
-    An index-selected eigensolve returns only the two largest eigenvalues
-    and the smallest, in O(N), and the norm is the larger of the second
-    eigenvalue and minus the smallest. The deterministic-scan chain is not
-    pi-symmetric and is rejected.
+    E is tridiagonal with diagonal up[k] + down[k] and off-diagonal
+    -sqrt(down[k] up[k+1]), up = bands[1], down = bands[-1]; its eigenvalues
+    are 1 - lambda over the spectrum of P less one 1. So the gap is
+    lambda_min(E) unless an eigenvalue of P below 0 is larger in modulus,
+    i.e. E has eigenvalues above 2 - lambda_min(E), which the positive
+    semidefinite marginal and random-scan kernels never have. lambda_min(E)
+    at or below eps times E's Gershgorin bound, the bisection's tolerance,
+    is not resolved and gives a gap of 0.0. dgs kernels are rejected.
     """
     if tm.kind not in (MARGINAL_X, RGS):
         raise NotSymmetricKernel(f"spectral gap undefined for kind {tm.kind!r}")
     from scipy.linalg import eigh_tridiagonal
 
-    d = tm.bands[0]
-    off = np.sqrt(tm.bands[1]) * np.sqrt(tm.bands[-1])
-    n = len(d)
-    second, top = eigh_tridiagonal(d, off, eigvals_only=True,
-                                   select="i", select_range=(n - 2, n - 1))
-    (smallest,) = eigh_tridiagonal(d, off, eigvals_only=True,
-                                   select="i", select_range=(0, 0))
-    if abs(top - 1.0) > 1e-8:
-        raise ErgochainError(f"top eigenvalue {top!r} is not 1")
-    norm = min(max(second, -smallest, 0.0), 1.0)
-    return SpectralGap(kind=tm.kind, N=tm.N, norm_estimate=norm,
-                       gap=1.0 - norm, method="tridiagonal")
+    up, down = tm.bands[1], tm.bands[-1]
+    d, off = up + down, -np.sqrt(down[:-1]) * np.sqrt(up[1:])
+    tol = np.finfo(float).eps * np.max(d - np.r_[0.0, off] - np.r_[off, 0.0])
+    (lowest,) = eigh_tridiagonal(d, off, eigvals_only=True, tol=tol,
+                                 select="i", select_range=(0, 0))
+    gap = lowest if lowest > tol else 0.0
+    flips = eigh_tridiagonal(d, off, eigvals_only=True, tol=tol,
+                             select="v", select_range=(2.0 - gap, np.inf))
+    gap = float(np.clip(min(gap, 2.0 - flips.max(initial=-np.inf)), 0.0, 1.0))
+    return SpectralGap(kind=tm.kind, N=tm.N, norm_estimate=1.0 - gap,
+                       gap=gap, method="tridiagonal")
 
 
 __all__ = [

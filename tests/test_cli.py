@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -207,12 +208,38 @@ MALFORMED_SPECS = {
     ("classify", "--example", "power-law", "--scan-p", "1.5"),
     ("subgeo", "--example", "geometric", "--scan-p", "1.5"),
     ("sample", "--example", "geometric", "--seed", "-1"),
-], ids=[*MALFORMED_SPECS, "classify-scan-p", "subgeo-scan-p", "sample-seed"])
+    ("classify", "--spec", "[]"),
+    ("classify", "--spec", ' "x"'),
+], ids=[*MALFORMED_SPECS, "classify-scan-p", "subgeo-scan-p", "sample-seed",
+        "spec-array", "spec-string"])
 def test_domain_errors_exit_4(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 4 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["classify", "drift", "spectrum", "tvcurve",
+                                     "subgeo", "sample", "report"])
+def test_n_above_limit_exits_4_before_allocating(capsys, command):
+    spec = [] if command == "report" else ["--example", "geometric"]
+    started = time.perf_counter()
+    code, out, err = run(capsys, command, *spec, "--n", "100000000",
+                         *(["--steps", "1"] if command == "sample" else []))
+    assert time.perf_counter() - started < 2.0
+    assert code == 4 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+def test_spectrum_rgs_on_underflowing_table(capsys):
+    # LAPACK's bisection failed to converge on this kernel's symmetrization
+    spec = json.dumps({"kind": "table", "params": {
+        "a": [1e-207, 1e-153], "b": [1e-207, 1e-118], "tail_ratio": 0.5}})
+    code, out, err = run(capsys, "spectrum", "--spec", spec, "--n", "8",
+                         "--chain", "rgs")
+    assert code == 0 and err == ""
+    d = json.loads(out, parse_constant=pytest.fail)
+    assert 0.0 <= d["gap"] <= 1.0 and d["rate"] == 1.0 - d["gap"]
 
 
 def test_spec_file_not_utf8_exits_4(tmp_path, capsys):

@@ -23,8 +23,10 @@ from ergochain import (
     build_Pdgs,
     build_Prgs,
     build_Px,
+    build_family,
     example_names,
     spectral_gap,
+    table,
     tv_curve,
 )
 from ergochain.kernels import log_expect
@@ -452,4 +454,111 @@ def test_spectral_gap_json_shape(fam):
     d = spectral_gap(build_Px(fam("geometric", 50))).to_json_dict()
     assert set(d) == {"rate", "constant", "gap", "N"}
     assert d["constant"] is None
-    assert d["gap"] == pytest.approx(1.0 - d["rate"], abs=0)
+    assert d["rate"] == pytest.approx(1.0 - d["gap"], abs=0)
+
+
+@pytest.mark.parametrize("name", ["mixed-geometric", "alternating"])
+@pytest.mark.parametrize("kind", [MARGINAL_X, RGS])
+def test_unresolved_gap_is_exactly_zero(fam, name, kind):
+    # these gaps lie below float64 resolution at N = 200; the bisection's
+    # noise (3e-17 on the alternating marginal) is not a gap
+    g = spectral_gap(_build(fam(name, 200), kind))
+    assert g.gap == 0.0 and g.norm_estimate == 1.0
+
+
+def test_random_table_gaps_match_dense_eigensolve():
+    # entries 10^U(-300, 0) make kernels whose symmetrization LAPACK's
+    # bisection could not converge on; the gap must come out finite and
+    # agree with the dense solve wherever D^{1/2} P D^{-1/2} is finite
+    rng = np.random.default_rng(20261018)
+    compared = 0
+    for _ in range(150):
+        N = int(rng.integers(2, 31))
+        a, b = (tuple(10.0 ** rng.uniform(-300, 0, int(rng.integers(1, N + 1))))
+                for _ in range(2))
+        f = build_family(table(a, b, tail_ratio=float(rng.uniform(0.01, 0.99))), N)
+        for tm in (build_Px(f), build_Prgs(f, float(rng.uniform(0.01, 0.99)))):
+            g = spectral_gap(tm).gap
+            assert 0.0 <= g <= 1.0
+            with np.errstate(all="ignore"):
+                d = np.sqrt(tm.stationary)
+                S = (d[:, None] / d[None, :]) * _dense(tm)
+            if np.isfinite(S).all():
+                ev = np.sort(np.abs(np.linalg.eigvalsh((S + S.T) / 2.0)))
+                assert g == pytest.approx(1.0 - ev[-2], abs=1e-12)
+                compared += 1
+    assert compared > 200
+
+
+@pytest.mark.parametrize("name", ["geometric", "power-law"])
+@pytest.mark.parametrize("N", [20, 200, 2000])
+@pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
+def test_three_chain_identity(fam, name, N, s):
+    # the random-scan gap is a function of the marginal gap g alone
+    f = fam(name, N)
+    stg = s * (1.0 - s) * spectral_gap(build_Px(f)).gap
+    expected = 2.0 * stg / (1.0 + math.sqrt(1.0 - 4.0 * stg))
+    assert spectral_gap(build_Prgs(f, s)).gap == pytest.approx(expected, abs=1e-14)
+
+
+def _exact_gap(f, kind, s=0.5):
+    # 1 - second eigenvalue modulus at 60 digits, with every transition
+    # built from the two conditional laws of pi(x, y) = a_x 1(x = y) +
+    # b_y 1(x = y + 1) and pi-symmetrized with sqrt(pi)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        a = [mpmath.exp(mpmath.mpf(float(v))) for v in f.log_a]
+        b = [mpmath.exp(mpmath.mpf(float(v))) for v in f.log_b[:-1]] + [0]
+
+        def joint(x, y):
+            if y < 1:
+                return 0
+            return a[y - 1] if x == y else b[y - 1] if x == y + 1 else 0
+
+        def x_law(y):
+            return {x: joint(x, y) / (a[y - 1] + b[y - 1]) for x in (y, y + 1)
+                    if joint(x, y)}
+
+        def y_law(x):
+            return {y: joint(x, y) / (joint(x, x - 1) + a[x - 1])
+                    for y in (x - 1, x) if joint(x, y)}
+
+        if kind == MARGINAL_X:
+            states = list(range(1, f.N + 1))
+            pi = [joint(x, x) + joint(x, x - 1) for x in states]
+
+            def moves(x):
+                out = {}
+                for y, py in y_law(x).items():
+                    for xp, px in x_law(y).items():
+                        out[xp] = out.get(xp, 0) + py * px
+                return out
+        else:
+            states = build_Pdgs(f).states
+            pi = [joint(*st) for st in states]
+
+            def moves(st):
+                x, y = st
+                out = {}
+                for xp, px in x_law(y).items():
+                    out[(xp, y)] = out.get((xp, y), 0) + s * px
+                for yp, py in y_law(x).items():
+                    out[(x, yp)] = out.get((x, yp), 0) + (1 - s) * py
+                return out
+
+        idx = {st: i for i, st in enumerate(states)}
+        S = mpmath.zeros(len(states))
+        for i, st in enumerate(states):
+            for to, prob in moves(st).items():
+                j = idx[to]
+                S[i, j] += mpmath.sqrt(pi[i] / pi[j]) * prob
+        ev = sorted(mpmath.eigsy((S + S.T) / 2, eigvals_only=True))
+        return float(1 - max(ev[-2], -ev[0]))
+
+
+@pytest.mark.parametrize("name", ["geometric", "power-law"])
+@pytest.mark.parametrize("kind", [MARGINAL_X, RGS])
+def test_gap_matches_exact_reference(fam, name, kind):
+    f = fam(name, 25)
+    assert spectral_gap(_build(f, kind)).gap == pytest.approx(
+        _exact_gap(f, kind), rel=1e-12)

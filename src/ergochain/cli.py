@@ -34,6 +34,10 @@ from .subgeo import build_subgeo_report
 _CHAINS = (MARGINAL_X, DGS, RGS)
 # largest truncation level --n accepts; the family arrays are sized by it
 MAX_N = 10 ** 6
+# largest --steps: tvcurve allocates one float per step, sample keeps the trace
+MAX_STEPS = 10 ** 7
+# largest subgeo --horizon: the default horizon at MAX_N
+MAX_HORIZON = 4 * MAX_N
 
 
 def _dump_json(obj) -> str:
@@ -126,14 +130,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chain", choices=_CHAINS, default=MARGINAL_X)
     p.add_argument("--scan-p", type=float, default=0.5)
     p.add_argument("--start", default=None)
-    p.add_argument("--steps", type=int, default=400)
+    p.add_argument("--steps", type=int, default=400,
+                   help=f"at most {MAX_STEPS}")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out")
 
     p = sub.add_parser("subgeo", help="conditional-variance and tail statistics")
     _add_spec_args(p)
     p.add_argument("--scan-p", type=float, default=None)
-    p.add_argument("--horizon", type=int, default=None)
+    p.add_argument("--horizon", type=int, default=None,
+                   help=f"at most {MAX_HORIZON}")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out")
 
@@ -141,7 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_spec_args(p)
     p.add_argument("--chain", choices=_CHAINS, default=MARGINAL_X)
     p.add_argument("--scan-p", type=float, default=0.5)
-    p.add_argument("--steps", type=int, default=1000)
+    p.add_argument("--steps", type=int, default=1000,
+                   help=f"at most {MAX_STEPS}")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--start", default=None)
     p.add_argument("--thin", type=int, default=1)
@@ -291,6 +298,12 @@ def dispatch(argv: list[str]) -> int:
     try:
         if getattr(args, "n", 0) > MAX_N:
             raise IndexOutOfRange(f"--n {args.n} exceeds the limit {MAX_N}")
+        if getattr(args, "steps", 0) > MAX_STEPS:
+            raise IndexOutOfRange(f"--steps {args.steps} exceeds the limit "
+                                  f"{MAX_STEPS}")
+        if (getattr(args, "horizon", None) or 0) > MAX_HORIZON:
+            raise IndexOutOfRange(f"--horizon {args.horizon} exceeds the limit "
+                                  f"{MAX_HORIZON}")
         return _COMMANDS[args.command](args)
     except ErgochainError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,9 +26,9 @@ Spectral gaps come from the edge matrix E: D (I - P) = B^T diag(e) B with
 D = diag(pi), B the first-difference matrix and e_k = pi_k P[k, k+1] the
 edge conductances, so I - P on mean-zero functions has the spectrum of E.
 
-scipy is imported only where it is used: scipy.linalg by spectral_gap and
-scipy.sparse by TransitionMatrix.P, so importing this module, building
-kernels and transporting TV curves load numpy alone.
+The only scipy import is scipy.sparse, inside TransitionMatrix.P, so
+importing this module, building kernels, transporting TV curves and
+solving spectral gaps load numpy alone.
 """
 
 from __future__ import annotations
@@ -293,31 +293,79 @@ class SpectralGap:
                 "gap": self.gap, "N": self.N}
 
 
+def _positive_definite(d: np.ndarray, c: np.ndarray, sigma: float,
+                       sign: float) -> bool:
+    """Whether sign (E - sigma I) is positive definite, for the symmetric
+    tridiagonal E with diagonal d and squared off-diagonals c.
+
+    Odd-even reduction: the even positions are the pivots, and eliminating
+    them leaves their Schur complement, tridiagonal on the odd positions,
+    so about log2(n) whole-array steps decide. A positive definite matrix
+    keeps every value bounded, since c_k < a_k a_{k+1} at every level.
+    """
+    a = sign * (d - sigma)
+    # overflow, and the inf * 0 after it, happen only when the matrix is not
+    # positive definite; they leave a later pivot at -inf or NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        while a.size > 1:
+            p = a[0::2]
+            if not p.min() > 0.0:        # also refuses a NaN pivot
+                return False
+            m = a.size // 2
+            left, right = c[0::2] / p[:m], c[1::2] / p[1:]
+            a = a[1::2] - left
+            a[:right.size] -= right
+            c = right[:m - 1] * left[1:]
+    return bool(a.size == 0 or a[0] > 0.0)
+
+
+def _bisect(d, c, lo: float, hi: float, tol: float, sign: float) -> float:
+    """E's lowest eigenvalue (sign 1) or highest (sign -1) to within tol,
+    given that it lies in [lo, hi]."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        # a positive definite shift puts the lowest eigenvalue above mid
+        # and the highest below it
+        if _positive_definite(d, c, mid, sign) == (sign > 0):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def spectral_gap(tm: TransitionMatrix) -> SpectralGap:
     """1 - (second-largest eigenvalue modulus) from the edge matrix E.
 
     E is tridiagonal with diagonal up[k] + down[k] and off-diagonal
     -sqrt(down[k] up[k+1]), up = bands[1], down = bands[-1]; its eigenvalues
-    are 1 - lambda over the spectrum of P less one 1. So the gap is
+    are 1 - lambda over the spectrum of P less one 1. Every eigenvalue is
+    found by bisection on one test, whether a shift of E is positive
+    definite, to within tol = eps times E's Gershgorin bound. The gap is
     lambda_min(E) unless an eigenvalue of P below 0 is larger in modulus,
-    i.e. E has eigenvalues above 2 - lambda_min(E), which the positive
-    semidefinite marginal and random-scan kernels never have. lambda_min(E)
-    at or below eps times E's Gershgorin bound, the bisection's tolerance,
-    is not resolved and gives a gap of 0.0. dgs kernels are rejected.
+    i.e. (2 - gap) I - E is not positive definite; that test passes on the
+    positive semidefinite marginal and random-scan kernels, and only when
+    it fails is lambda_max(E) bisected as well. A gap of 0.0 means that
+    E - tol I is not positive definite: lambda_min(E) is at or below the
+    bisection's resolution, not that the chain fails to mix. dgs kernels
+    are rejected.
     """
     if tm.kind not in (MARGINAL_X, RGS):
         raise NotSymmetricKernel(f"spectral gap undefined for kind {tm.kind!r}")
-    from scipy.linalg import eigh_tridiagonal
-
     up, down = tm.bands[1], tm.bands[-1]
-    d, off = up + down, -np.sqrt(down[:-1]) * np.sqrt(up[1:])
-    tol = np.finfo(float).eps * np.max(d - np.r_[0.0, off] - np.r_[off, 0.0])
-    (lowest,) = eigh_tridiagonal(d, off, eigvals_only=True, tol=tol,
-                                 select="i", select_range=(0, 0))
-    gap = lowest if lowest > tol else 0.0
-    flips = eigh_tridiagonal(d, off, eigvals_only=True, tol=tol,
-                             select="v", select_range=(2.0 - gap, np.inf))
-    gap = float(np.clip(min(gap, 2.0 - flips.max(initial=-np.inf)), 0.0, 1.0))
+    off = np.sqrt(down[:-1]) * np.sqrt(up[1:])
+    bound = np.max(up + down + np.r_[0.0, off] + np.r_[off, 0.0])
+    # bisect on E / 2^k with 2^k >= bound: exact, and c cannot underflow
+    # where every entry of E is tiny; lo, hi and the results are in E / 2^k
+    scale = np.ldexp(1.0, np.frexp(bound)[1])
+    d, c = (up + down) / scale, (down[:-1] / scale) * (up[1:] / scale)
+    top, tol = bound / scale, np.finfo(float).eps * bound / scale
+    lowest = 0.0
+    if _positive_definite(d, c, tol, 1.0):
+        lowest = _bisect(d, c, tol, top, tol, 1.0)
+    if not _positive_definite(d, c, 2.0 / scale - lowest, -1.0):
+        highest = _bisect(d, c, 2.0 / scale - lowest, top, tol, -1.0)
+        lowest = min(lowest, 2.0 / scale - highest)
+    gap = float(np.clip(lowest * scale, 0.0, 1.0))
     return SpectralGap(kind=tm.kind, N=tm.N, norm_estimate=1.0 - gap,
                        gap=gap, method="tridiagonal")
 

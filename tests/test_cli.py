@@ -231,6 +231,19 @@ def test_n_above_limit_exits_4_before_allocating(capsys, command):
     assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ("tvcurve", "--example", "geometric", "--steps", "100000000"),
+    ("sample", "--example", "geometric", "--steps", "100000000"),
+    ("subgeo", "--example", "geometric", "--horizon", "1000000000"),
+], ids=["tvcurve-steps", "sample-steps", "subgeo-horizon"])
+def test_size_above_limit_exits_4_before_allocating(capsys, argv):
+    started = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - started < 2.0
+    assert code == 4 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
 def test_spectrum_rgs_on_underflowing_table(capsys):
     # LAPACK's bisection failed to converge on this kernel's symmetrization
     spec = json.dumps({"kind": "table", "params": {
@@ -312,7 +325,7 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-# -- scipy stays unloaded outside the eigensolve -----------------------------
+# -- no command loads scipy --------------------------------------------------
 
 # Run in a fresh interpreter: prints the exit codes of the commands and
 # the scipy modules loaded before and after them.
@@ -344,9 +357,11 @@ def _fresh_run(*argvs):
 
 
 def test_commands_leave_scipy_unloaded():
-    # only the tridiagonal eigensolve needs scipy; a module-level import
-    # anywhere else would put its import time on every command
+    # spectral gaps are solved with numpy alone, and a module-level scipy
+    # import anywhere would put its import time on every command
     n = ["--n", "50"]
+    table_spec = json.dumps({"kind": "table", "params": {
+        "a": [1.0, 0.5], "b": [0.5, 0.25], "tail_ratio": 0.5}})
     res = _fresh_run(
         ["classify", "--example", "power-law", *n],
         ["drift", "--example", "geometric", "--scan-p", "0.5", *n],
@@ -357,14 +372,9 @@ def test_commands_leave_scipy_unloaded():
         ["report", *n],
         ["examples"],
         ["spectrum", "--example", "geometric", "--chain", "dgs", *n],
+        ["spectrum", "--example", "geometric", "--chain", "marginal_x", *n],
+        ["spectrum", "--example", "geometric", "--chain", "rgs", *n],
+        ["spectrum", "--spec", table_spec, "--chain", "rgs", *n],
     )
-    assert res["codes"] == [0, 0, 0, 0, 0, 0, 0, 4]
+    assert res["codes"] == [0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0]
     assert res["before"] == [] and res["after"] == []
-
-
-def test_spectrum_loads_scipy_linalg_when_solving():
-    res = _fresh_run(["spectrum", "--example", "geometric", "--chain", "rgs",
-                      "--n", "50"])
-    assert res["codes"] == [0]
-    assert res["before"] == []
-    assert "scipy.linalg" in res["after"]

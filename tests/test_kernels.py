@@ -29,7 +29,7 @@ from ergochain import (
     table,
     tv_curve,
 )
-from ergochain.kernels import log_expect
+from ergochain.kernels import _positive_definite, log_expect
 
 P1 = 0.5819767068693265     # p_1 of the geometric family, frozen
 
@@ -393,6 +393,52 @@ def test_negative_eigenvalue_sets_the_norm():
     assert spectral_gap(tm).norm_estimate == pytest.approx(0.8, abs=1e-14)
 
 
+def test_positive_definite_matches_dense_eigensolve():
+    # every length 1-64, so that the odd-even reduction meets every shape of
+    # odd and even tails; squared off-diagonals from 0 down to 1e-300;
+    # diagonals of both signs, or positive down to 1e-300, whose tiny pivots
+    # overflow the reduction at the shift 0; shifts on both sides of both
+    # ends of the spectrum
+    rng = np.random.default_rng(20261018)
+    eps = np.finfo(float).eps
+    checked = 0
+    for n in range(1, 65):
+        for draw in range(6):
+            d = (10.0 ** rng.uniform(-300, 0, n) if draw % 2
+                 else rng.uniform(-1.0, 1.0, n))
+            c = 10.0 ** rng.uniform(-300, 0, n - 1)
+            c[rng.random(n - 1) < 0.2] = 0.0
+            off = np.sqrt(c)
+            ev = np.linalg.eigvalsh(np.diag(d) + np.diag(off, 1) + np.diag(off, -1))
+            norm = np.abs(ev).max()
+            near = norm * 10.0 ** rng.uniform(-14, 0, 4)
+            sigmas = np.r_[ev[0] - near[0], ev[0] + near[1], ev[-1] - near[2],
+                           ev[-1] + near[3], rng.uniform(ev[0], ev[-1], 2), 0.0]
+            for sigma in sigmas:
+                # run at every shift, so that no RuntimeWarning escapes, and
+                # compare where rounding cannot decide the answer
+                resolved = np.abs(ev - sigma).min() > 8 * eps * norm
+                for sign in (1.0, -1.0):
+                    answer = _positive_definite(d, c, sigma, sign)
+                    if resolved:
+                        assert answer == bool((sign * (ev - sigma) > 0).all())
+                        checked += 1
+    assert checked > 4000
+
+
+def test_gap_of_a_tiny_kernel_scales_with_it(fam):
+    # every move of the chain scaled by 2^-600: E and its gap scale alike,
+    # while the squared off-diagonals of E would underflow unscaled
+    tm = build_Px(fam("geometric", 30))
+    tiny = 2.0 ** -600
+    up, down = tm.bands[1] * tiny, tm.bands[-1] * tiny
+    slow = TransitionMatrix(
+        kind=MARGINAL_X, stationary=tm.stationary, N=tm.N,
+        bands={-1: down, 0: 1.0 - np.r_[up, 0.0] - np.r_[0.0, down], 1: up})
+    assert spectral_gap(slow).gap == pytest.approx(
+        spectral_gap(tm).gap * tiny, rel=1e-12)
+
+
 def _dense_second_modulus(tm):
     # independent route: dense symmetrization and full eigensolve
     P = _dense(tm)
@@ -562,3 +608,17 @@ def test_gap_matches_exact_reference(fam, name, kind):
     f = fam(name, 25)
     assert spectral_gap(_build(f, kind)).gap == pytest.approx(
         _exact_gap(f, kind), rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["mixed-geometric", "alternating"])
+@pytest.mark.parametrize("kind", [MARGINAL_X, RGS])
+def test_slow_gap_matches_exact_reference(fam, name, kind):
+    # these gaps (about 5e-11 at N = 25) are resolved to the bisection's
+    # absolute tolerance, eps times the Gershgorin bound of the edge matrix
+    # E, which is about 1e-5 of them, so they are pinned to that tolerance
+    f = fam(name, 25)
+    tm = _build(f, kind)
+    up, down = tm.bands[1], tm.bands[-1]
+    off = np.sqrt(down[:-1]) * np.sqrt(up[1:])
+    tol = np.finfo(float).eps * np.max(up + down + np.r_[0.0, off] + np.r_[off, 0.0])
+    assert spectral_gap(tm).gap == pytest.approx(_exact_gap(f, kind), abs=tol)

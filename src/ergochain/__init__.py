@@ -17,6 +17,7 @@ from .drift import (
     NoCertificate,
     RgsDriftCertificate,
     admissible_c_interval,
+    certify,
     drift_coefficient,
     find_drift_certificate,
     lift_to_rgs,
@@ -108,7 +109,7 @@ __all__ = [
     "drift_coefficient", "px_drift_coefficient",
     "DriftCertificate", "NoCertificate", "RgsDriftCertificate",
     "find_drift_certificate", "admissible_c_interval", "lift_to_rgs",
-    "DriftReport", "verify_drift",
+    "DriftReport", "verify_drift", "certify",
     # subgeo
     "conditional_variance_stat", "operator_norm_bounds", "NormBounds",
     "divergence_statistics", "DivergenceStats",

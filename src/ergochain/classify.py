@@ -35,9 +35,8 @@ from .drift import (
     DriftCertificate,
     NoCertificate,
     RgsDriftCertificate,
-    find_drift_certificate,
-    lift_to_rgs,
-    verify_drift,
+    certificate_from_json_dict,
+    certify,
 )
 from .errors import EmptyReport, IndexOutOfRange, UnknownFormat
 from .family import (
@@ -87,7 +86,7 @@ class ErgodicityVerdict:
             "quantities": {k: _encode_extended(v)
                            for k, v in self.quantities.items()},
             "certificate": None if self.certificate is None
-            else _cert_json(self.certificate),
+            else self.certificate.to_json_dict(),
             "subgeo": self.subgeo_summary,
             "equivalence_note": self.equivalence_note,
         }
@@ -97,6 +96,7 @@ class ErgodicityVerdict:
 
     @staticmethod
     def from_json_dict(d: dict) -> "ErgodicityVerdict":
+        cert = d.get("certificate")
         return ErgodicityVerdict(
             verdict=d["verdict"],
             basis=d.get("basis"),
@@ -105,7 +105,7 @@ class ErgodicityVerdict:
             scan_p=d.get("scan_p"),
             quantities={k: _decode_extended(v)
                         for k, v in d.get("quantities", {}).items()},
-            certificate=_cert_from_json(d.get("certificate")),
+            certificate=None if cert is None else certificate_from_json_dict(cert),
             subgeo_summary=d.get("subgeo"),
             equivalence_note=d.get("equivalence_note"),
             label=d.get("label"),
@@ -114,27 +114,6 @@ class ErgodicityVerdict:
     @staticmethod
     def from_json(text: str) -> "ErgodicityVerdict":
         return ErgodicityVerdict.from_json_dict(json.loads(text))
-
-
-def _cert_json(cert) -> dict:
-    out = cert.to_json_dict()
-    base = cert.base if isinstance(cert, RgsDriftCertificate) else cert
-    out["log_L"] = base.log_L
-    out["N"] = base.N
-    return out
-
-
-def _cert_from_json(d: dict | None):
-    if d is None:
-        return None
-    log_L = d["log_L"] if "log_L" in d else math.log(_decode_extended(d["L"]))
-    base = DriftCertificate(z=d["z"], rho=d["rho"], log_L=log_L, x0=int(d["x0"]),
-                            r_hat=d["r_hat"], q_hat=d["q_hat"], N=int(d["N"]))
-    if "rgs" in d and d["rgs"] is not None:
-        r = d["rgs"]
-        return RgsDriftCertificate(base=base, scan_p=r["scan_p"], c=r["c"],
-                                   gamma=r["gamma"])
-    return base
 
 
 def _ratio_bound(A: float, m: float, M: float) -> float:
@@ -162,12 +141,13 @@ def classify(spec: SequenceSpec, N: int = 200,
     premise = dl is not None and dl.A is not None and dl.lim_ab is not None
     note = _EQUIVALENCE_NOTE if premise else None
 
-    # one certificate search; steps 1 and 4 both read its verified form
-    cert = find_drift_certificate(fam)
+    # one verified certificate; steps 1 and 4 both read it
+    cert = certify(fam, scan_p)
+    base = getattr(cert, "base", cert)
     quantities = {"A": est.A, "m": est.m, "M": est.M,
                   "a_over_bprev": est.a_over_bprev, "b_over_a": est.b_over_a,
-                  "r_hat": cert.r_hat, "q_hat": cert.q_hat}
-    certified = _verified(cert, fam, scan_p)
+                  "r_hat": base.r_hat, "q_hat": base.q_hat}
+    certified = None if isinstance(cert, NoCertificate) else cert
 
     def geometric(basis, evidence):
         return ErgodicityVerdict(
@@ -219,17 +199,6 @@ def classify(spec: SequenceSpec, N: int = 200,
                              quantities=quantities, equivalence_note=note)
 
 
-def _verified(cert, fam, scan_p):
-    """The certificate, lifted to the random scan when scan_p is set, if
-    it verifies on the truncated support; otherwise None."""
-    if isinstance(cert, NoCertificate) or not verify_drift(cert, fam).holds:
-        return None
-    if scan_p is None:
-        return cert
-    lifted = lift_to_rgs(cert, scan_p)
-    return lifted if verify_drift(lifted, fam).holds else None
-
-
 # -- reporting -------------------------------------------------------------
 
 
@@ -246,11 +215,9 @@ def verdict_report(verdicts: list[ErgodicityVerdict], fmt: str = "table") -> str
     rows = [headers]
     for v in verdicts:
         if v.certificate is not None:
-            base = (v.certificate.base if isinstance(v.certificate, RgsDriftCertificate)
-                    else v.certificate)
-            info = f"rho={base.rho:.6g}"
+            info = f"rho={getattr(v.certificate, 'base', v.certificate).rho:.6g}"
         elif v.subgeo_summary is not None:
-            info = f"norm_lb={v.subgeo_summary['norm_lower_bound']:.6g}"
+            info = f"min_T={v.subgeo_summary['min_T']:.3g}"
         else:
             info = "-"
         rows.append((v.label or "-", str(v.N), v.verdict, v.basis or "-",

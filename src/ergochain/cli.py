@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .classify import INCONCLUSIVE, classify, verdict_report
 from .diagnostics import CLT_NOTE, batch_means
-from .drift import NoCertificate, find_drift_certificate, lift_to_rgs
+from .drift import NoCertificate, certify
 from .errors import ErgochainError, IndexOutOfRange, StartNotInSupport, UnknownFormat
 from .family import SequenceSpec, build_family
 from .kernels import (
@@ -36,6 +36,9 @@ _CHAINS = (MARGINAL_X, DGS, RGS)
 MAX_N = 10 ** 6
 # largest --steps: tvcurve allocates one float per step, sample keeps the trace
 MAX_STEPS = 10 ** 7
+# largest tvcurve steps x states (N, or 2N - 1 for dgs and rgs): at 6 ns
+# (large N) to 70 ns (N = 100) per state-step, about a minute at most
+MAX_TV_WORK = 10 ** 9
 # largest subgeo --horizon: the default horizon at MAX_N
 MAX_HORIZON = 4 * MAX_N
 
@@ -184,15 +187,9 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_drift(args) -> int:
-    fam = _family(args)
-    cert = find_drift_certificate(fam)
-    if isinstance(cert, NoCertificate):
-        _emit(_dump_json(cert.to_json_dict()), args.out)
-        return 3
-    if args.scan_p is not None:
-        cert = lift_to_rgs(cert, args.scan_p)
+    cert = certify(_family(args), args.scan_p)
     _emit(_dump_json(cert.to_json_dict()), args.out)
-    return 0
+    return 3 if isinstance(cert, NoCertificate) else 0
 
 
 def _cmd_spectrum(args) -> int:
@@ -234,8 +231,12 @@ def _cmd_sample(args) -> int:
         t = args.g_indicator
         g = ((lambda x: float(x >= t)) if args.chain == MARGINAL_X
              else (lambda x, y: float(x >= t)))
+    if args.thin < 1:
+        raise IndexOutOfRange("thin must be >= 1")
+    # the JSON prints only the state after the last step: record just that one
+    thin = args.thin if args.format == "csv" else max(args.steps, 1)
     cfg = RunConfig(kind=args.chain, n_steps=args.steps, seed=args.seed,
-                    init=start, thin=args.thin,
+                    init=start, thin=thin,
                     scan_p=args.scan_p if args.chain == RGS else None, g=g)
     trace = run_chain(fam, cfg)
     if args.format == "csv":
@@ -246,7 +247,7 @@ def _cmd_sample(args) -> int:
         final = (int(trace.xs[-1]) if trace.ys is None
                  else [int(trace.xs[-1]), int(trace.ys[-1])])
     out = {"kind": trace.kind, "n_steps": trace.n_steps, "seed": trace.seed,
-           "thin": trace.thin, "final_state": final, "g": None}
+           "thin": args.thin, "final_state": final, "g": None}
     if g is not None and trace.n_steps > 0:
         est = batch_means(trace.g_values)
         gd = est.to_json_dict()
@@ -304,6 +305,12 @@ def dispatch(argv: list[str]) -> int:
         if (getattr(args, "horizon", None) or 0) > MAX_HORIZON:
             raise IndexOutOfRange(f"--horizon {args.horizon} exceeds the limit "
                                   f"{MAX_HORIZON}")
+        if args.command == "tvcurve":
+            states = args.n if args.chain == MARGINAL_X else 2 * args.n - 1
+            if args.steps * states > MAX_TV_WORK:
+                raise IndexOutOfRange(
+                    f"--steps {args.steps} x {states} states exceeds the "
+                    f"tvcurve budget of {MAX_TV_WORK} state-steps")
         return _COMMANDS[args.command](args)
     except ErgochainError as exc:
         print(f"error: {exc}", file=sys.stderr)

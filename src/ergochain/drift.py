@@ -35,13 +35,14 @@ Verification is exhaustive over the truncated support: the one-step
 expectation of V (or W) is taken through the banded kernel itself,
 build_Px or build_Prgs, with kernels.log_expect, and both sides are
 compared in log space, so certificates remain checkable when z^x
-overflows.
+overflows. certify runs search, verification, lift and the lifted
+verification in that order; it is the one path that issues a certificate.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -106,14 +107,9 @@ class DriftCertificate:
         return math.exp(self.log_L)
 
     def to_json_dict(self) -> dict:
-        return {
-            "z": self.z,
-            "rho": self.rho,
-            "L": _encode_extended(self.L),
-            "x0": self.x0,
-            "r_hat": self.r_hat,
-            "q_hat": self.q_hat,
-        }
+        out = asdict(self)
+        out["L"] = _encode_extended(self.L)
+        return out
 
 
 @dataclass(frozen=True)
@@ -153,6 +149,14 @@ class RgsDriftCertificate:
             "bound_constant": _encode_extended(math.exp(self.log_bound_constant)),
         }
         return out
+
+
+def certificate_from_json_dict(d: dict):
+    """The DriftCertificate or RgsDriftCertificate that to_json_dict wrote."""
+    base = DriftCertificate(**{f.name: d[f.name] for f in fields(DriftCertificate)})
+    r = d.get("rgs")
+    return base if r is None else RgsDriftCertificate(
+        base=base, scan_p=r["scan_p"], c=r["c"], gamma=r["gamma"])
 
 
 def rho_bound(r_hat: float, q_hat: float, z: float) -> float:
@@ -268,10 +272,39 @@ def verify_drift(cert, fam: BivariateFamily) -> DriftReport:
                        worst_state=worst, checked=tm.n_states)
 
 
+def certify(fam: BivariateFamily, scan_p: float | None = None):
+    """The marginal certificate, lifted to the random scan when scan_p is
+    given, that verify_drift accepts; or a NoCertificate whose reason
+    names the step that stopped: the search, a verification, or a lift
+    float64 cannot represent (COutOfRange). A scan_p outside (0, 1)
+    raises BadScanProbability before the search."""
+    if scan_p is not None:
+        check_scan_p(scan_p)
+    cert = find_drift_certificate(fam)
+    if isinstance(cert, NoCertificate):
+        return cert
+
+    def refuse(reason):
+        return NoCertificate(reason=reason, r_hat=cert.r_hat, q_hat=cert.q_hat)
+
+    if not verify_drift(cert, fam).holds:
+        return refuse("marginal certificate fails verification")
+    if scan_p is None:
+        return cert
+    try:
+        lifted = lift_to_rgs(cert, scan_p)
+    except COutOfRange as exc:
+        return refuse(f"lift to the random scan failed: {exc}")
+    if not verify_drift(lifted, fam).holds:
+        return refuse("lifted certificate fails verification")
+    return lifted
+
+
 __all__ = [
     "R_BORDERLINE",
     "DriftCertificate", "NoCertificate", "RgsDriftCertificate", "DriftReport",
     "drift_coefficient", "px_drift_coefficient", "tail_surrogates",
     "rho_bound", "find_drift_certificate", "admissible_c_interval",
-    "lift_to_rgs", "verify_drift", "log_PxV",
+    "lift_to_rgs", "verify_drift", "log_PxV", "certify",
+    "certificate_from_json_dict",
 ]

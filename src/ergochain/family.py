@@ -221,9 +221,9 @@ class SequenceSpec:
     def log_mass_beyond(self, horizon: int) -> float:
         """log of the untruncated mass sum_{i > horizon} (a_i + b_i).
 
-        Closed form for the geometric kinds, a midpoint integral estimate
-        for power laws, and tail-ratio extrapolation for tables. Used to
-        complete tail sums that are otherwise evaluated termwise.
+        Closed form for the geometric kinds, the Euler-Maclaurin sum of
+        _zeta for power laws, and tail-ratio extrapolation for tables.
+        Used to complete tail sums that are otherwise evaluated termwise.
         """
         if horizon < 1:
             raise IndexOutOfRange("horizon must be at least 1")
@@ -235,8 +235,8 @@ class SequenceSpec:
             fast = -2.0 * (h + 1.0) - math.log(1.0 - math.exp(-2.0))
             return float(np.logaddexp(slow, fast))
         if self.kind == "power_law":
-            return (math.log(self.c1 + self.c2)
-                    + (1.0 - self.d) * math.log(h + 0.5) - math.log(self.d - 1.0))
+            return (math.log(self.c1 + self.c2) - self.d * math.log(h + 1.0)
+                    + math.log(_zeta(self.d, horizon + 1)))
         # table: remaining explicit entries plus the geometric extension
         logs = []
         r = self.tail_ratio
@@ -328,18 +328,22 @@ _EM_COEFFS = tuple(
         (-236364091, 2730)), 1))
 
 
-def _zeta(s: float) -> float:
-    """Riemann zeta at real s > 1 by Euler-Maclaurin from n = 9:
+def _zeta(s: float, m: int = 1) -> float:
+    """m^s zeta(s, m) = m^s sum_{k >= m} k^-s at real s > 1 and integer
+    m >= 1 (Riemann zeta at m = 1), by Euler-Maclaurin from n = m + 8:
 
-        zeta(s) = sum_{k<9} k^-s + 9^(1-s)/(s-1) + 9^-s/2
-                  + sum_j B_2j/(2j)! s(s+1)...(s+2j-2) 9^(-s-2j+1),
+        sum_{k>=m} (k/m)^-s = sum_{m<=k<n} (k/m)^-s + (n/m)^(1-s) m/(s-1)
+                  + (n/m)^-s/2
+                  + sum_j B_2j/(2j)! s(s+1)...(s+2j-2) (n/m)^-s n^(-2j+1),
 
-    j = 1..12, whose remainder is below 1e-17 relative for every s > 1.
+    j = 1..12. The scaling by m^s keeps the value between 1 and about
+    m/(s-1), so it cannot underflow. The remainder is below 1e-17
+    relative; for m > 1 rounding k/m costs up to about s ulps.
     """
-    n = 9
-    terms = [k ** -s for k in range(1, n)]
-    terms += [n ** (1.0 - s) / (s - 1.0), 0.5 * n ** -s]
-    t = s * n ** -s / n                     # s 9^(-s-1), the j = 1 factor
+    n = m + 8
+    terms = [(k / m) ** -s for k in range(m, n)]
+    terms += [(n / m) ** (1.0 - s) * m / (s - 1.0), 0.5 * (n / m) ** -s]
+    t = s * (n / m) ** -s / n               # the j = 1 factor
     for j, coef in enumerate(_EM_COEFFS, 1):
         terms.append(coef * t)
         t = t * (s + 2 * j - 1) / n * (s + 2 * j) / n

@@ -120,7 +120,10 @@ class TransitionMatrix:
 
     @property
     def P(self):
-        """The kernel as a scipy.sparse CSR matrix, built on each access."""
+        """The kernel as a scipy.sparse CSR matrix, built on each access.
+
+        Needs scipy, which is not a runtime dependency: install the
+        package's test extra or scipy itself."""
         import scipy.sparse as sp
 
         offsets = sorted(self.bands)

@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, formats, and file output."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,6 +16,14 @@ from ergochain.cli import dispatch
 from ergochain.diagnostics import CLT_NOTE
 
 INCONCLUSIVE_SPEC = table((1.0,), (1.0,), tail_ratio=0.999).to_json()
+# certifies with rho within ulps of 1, so no lift to the random scan fits
+# in float64: gamma rounds to 1.0 at scan probability 0.871
+UNLIFTABLE_SPEC = json.dumps({"kind": "table", "params": {
+    "a": [1.2602965398145352e-38, 2.6507480257709705e-267,
+          3.70335196283661e-135, 3.0989551395265743e-125],
+    "b": [8.734113359284468e-165, 3.831735966407416e-299,
+          1.155024330605395e-179, 1.141077950296553e-112],
+    "tail_ratio": 0.7686484683596883}})
 
 
 def run(capsys, *argv):
@@ -61,6 +70,7 @@ def test_drift_certificate_found(capsys):
     assert code == 0
     d = json.loads(out)
     assert d["rho"] < 1.0 and d["z"] > 1.0
+    assert d["N"] == 200 and d["L"] == pytest.approx(math.exp(d["log_L"]))
 
 
 def test_drift_lifted_to_random_scan(capsys):
@@ -79,6 +89,26 @@ def test_drift_refusal_exits_3(capsys):
     assert code == 3
     d = json.loads(out)
     assert d["certificate"] is None and d["reason"]
+
+
+@pytest.mark.parametrize("command", ["classify", "drift"])
+def test_unrepresentable_lift_is_undecided(capsys, command):
+    code, out, err = run(capsys, command, "--spec", UNLIFTABLE_SPEC,
+                         "--n", "154", "--scan-p", "0.871")
+    assert code == 3 and err == ""
+    d = json.loads(out, parse_constant=_reject_constant)
+    assert d["certificate"] is None
+    if command == "classify":
+        assert d["verdict"] == "Inconclusive"
+    else:
+        assert "lift" in d["reason"]
+
+
+def test_unlifted_certificate_is_geometric(capsys):
+    code, out, _ = run(capsys, "classify", "--spec", UNLIFTABLE_SPEC, "--n", "154")
+    assert code == 0 and json.loads(out)["verdict"] == "Geometric"
+    code, out, _ = run(capsys, "drift", "--spec", UNLIFTABLE_SPEC, "--n", "154")
+    assert code == 0 and json.loads(out)["rho"] < 1.0
 
 
 def _reject_constant(name):
@@ -177,6 +207,25 @@ def test_sample_json_with_indicator(capsys):
     assert g["note"] == CLT_NOTE
 
 
+@pytest.mark.parametrize("chain", ["marginal_x", "rgs"])
+@pytest.mark.parametrize("thin", ["1", "3", "20"])
+def test_sample_json_final_state_is_after_the_last_step(capsys, chain, thin):
+    argv = ("sample", "--example", "power-law", "--steps", "10", "--seed", "0",
+            "--chain", chain)
+    _, csv_out, _ = run(capsys, *argv)
+    last = [int(c) for c in csv_out.splitlines()[-1].split(",") if c]
+    code, out, _ = run(capsys, *argv, "--thin", thin, "--format", "json")
+    d = json.loads(out)
+    assert code == 0 and last[0] == 10 and d["thin"] == int(thin)
+    assert d["final_state"] == (last[1] if chain == "marginal_x" else last[1:])
+
+
+def test_sample_json_without_steps_has_no_final_state(capsys):
+    code, out, _ = run(capsys, "sample", "--example", "geometric",
+                       "--steps", "0", "--format", "json")
+    assert code == 0 and json.loads(out)["final_state"] is None
+
+
 def test_sample_bad_start_exits_4(capsys):
     for chain, start in (("dgs", "5"), ("marginal_x", "2.5")):
         code, _, err = run(capsys, "sample", "--example", "geometric",
@@ -206,11 +255,14 @@ MALFORMED_SPECS = {
 @pytest.mark.parametrize("argv", [
     *(("classify", "--spec", json.dumps(doc)) for doc in MALFORMED_SPECS.values()),
     ("classify", "--example", "power-law", "--scan-p", "1.5"),
+    ("drift", "--example", "power-law", "--n", "10000", "--scan-p", "1.5"),
     ("subgeo", "--example", "geometric", "--scan-p", "1.5"),
     ("sample", "--example", "geometric", "--seed", "-1"),
+    ("sample", "--example", "geometric", "--thin", "0", "--format", "json"),
     ("classify", "--spec", "[]"),
     ("classify", "--spec", ' "x"'),
-], ids=[*MALFORMED_SPECS, "classify-scan-p", "subgeo-scan-p", "sample-seed",
+], ids=[*MALFORMED_SPECS, "classify-scan-p", "drift-scan-p", "subgeo-scan-p",
+        "sample-seed", "sample-json-thin",
         "spec-array", "spec-string"])
 def test_domain_errors_exit_4(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -235,7 +287,12 @@ def test_n_above_limit_exits_4_before_allocating(capsys, command):
     ("tvcurve", "--example", "geometric", "--steps", "100000000"),
     ("sample", "--example", "geometric", "--steps", "100000000"),
     ("subgeo", "--example", "geometric", "--horizon", "1000000000"),
-], ids=["tvcurve-steps", "sample-steps", "subgeo-horizon"])
+    ("tvcurve", "--example", "geometric", "--n", "200", "--steps", "10000000"),
+    ("tvcurve", "--example", "geometric", "--n", "1000000", "--steps", "10000000"),
+    ("tvcurve", "--example", "geometric", "--chain", "dgs", "--n", "100",
+     "--steps", "10000000"),
+], ids=["tvcurve-steps", "sample-steps", "subgeo-horizon", "tvcurve-work",
+        "tvcurve-work-large-n", "tvcurve-work-dgs"])
 def test_size_above_limit_exits_4_before_allocating(capsys, argv):
     started = time.perf_counter()
     code, out, err = run(capsys, *argv)
@@ -292,6 +349,15 @@ def test_report_all_examples(capsys):
     verdicts = [l.split()[2] for l in lines[1:]]
     assert verdicts == ["Subgeometric", "Geometric", "Subgeometric",
                         "Subgeometric"]
+
+
+def test_table_rate_info_resolves_tiny_min_T(capsys):
+    # 1 - min_T rounds to 1 here, so the norm bound alone would print 1
+    code, out, _ = run(capsys, "report", "--examples", "mixed-geometric,alternating")
+    assert code == 0
+    for row in out.splitlines()[1:]:
+        info = row.split()[-1]
+        assert info.startswith("min_T=") and 0.0 < float(info[6:]) < 1e-80
 
 
 def test_report_subset_json(capsys):

@@ -5,6 +5,8 @@ synthetic certificate, so the formulas are checked independently of the
 search that normally produces their inputs.
 """
 
+import dataclasses
+import json
 import math
 import warnings
 
@@ -18,16 +20,26 @@ from ergochain import (
     DriftCertificate,
     IndexOutOfRange,
     NoCertificate,
+    RgsDriftCertificate,
     admissible_c_interval,
     build_family,
+    classify,
     drift_coefficient,
+    example_spec,
     find_drift_certificate,
     lift_to_rgs,
     power_law,
     px_drift_coefficient,
+    table,
     verify_drift,
 )
-from ergochain.drift import log_PxV, rho_bound, tail_surrogates
+from ergochain.drift import (
+    certificate_from_json_dict,
+    certify,
+    log_PxV,
+    rho_bound,
+    tail_surrogates,
+)
 from ergochain.kernels import build_Prgs, log_expect
 
 COEF_GEO_Z13_X10 = 0.960187767622529   # frozen direct evaluation
@@ -207,8 +219,85 @@ def test_kernel_lift_expectation_matches_reference(fam, name, scan_p):
 def test_certificate_json_fields(fam):
     cert = find_drift_certificate(fam("geometric", 100))
     d = cert.to_json_dict()
-    assert {"z", "rho", "L", "x0", "r_hat", "q_hat"} <= set(d)
+    assert {"z", "rho", "L", "x0", "r_hat", "q_hat", "log_L", "N"} <= set(d)
     lifted = lift_to_rgs(cert, 0.25)
     d2 = lifted.to_json_dict()
     assert d2["rgs"]["scan_p"] == 0.25
     assert {"c", "gamma", "bound_constant"} <= set(d2["rgs"])
+
+
+# -- certify: search, verify, lift, verify --------------------------------
+
+# rho is within a few ulps of 1, so the lift's gamma rounds to 1.0
+UNLIFTABLE = table(
+    (1.2602965398145352e-38, 2.6507480257709705e-267, 3.70335196283661e-135,
+     3.0989551395265743e-125),
+    (8.734113359284468e-165, 3.831735966407416e-299, 1.155024330605395e-179,
+     1.141077950296553e-112),
+    tail_ratio=0.7686484683596883)
+
+
+def _round_trip(cert):
+    return certificate_from_json_dict(json.loads(json.dumps(cert.to_json_dict())))
+
+
+def test_certify_refuses_an_unrepresentable_lift():
+    f = build_family(UNLIFTABLE, 154)
+    cert = certify(f)
+    assert isinstance(cert, DriftCertificate) and 1.0 - cert.rho < 1e-15
+    with pytest.raises(COutOfRange):
+        lift_to_rgs(cert, 0.871)
+    out = certify(f, 0.871)
+    assert isinstance(out, NoCertificate) and "lift" in out.reason
+    assert (out.r_hat, out.q_hat) == (cert.r_hat, cert.q_hat)
+
+
+def test_certify_checks_scan_p_before_searching():
+    f = build_family(example_spec("power-law"), 10000)
+    assert isinstance(certify(f), NoCertificate)
+    for s in (0.0, 1.0, 1.5):
+        with pytest.raises(BadScanProbability):
+            certify(f, s)
+
+
+@pytest.mark.parametrize("scan_p, failing, step", [
+    (None, DriftCertificate, "marginal"), (0.5, RgsDriftCertificate, "lifted")])
+def test_certify_refuses_a_certificate_that_fails_verification(
+        fam, monkeypatch, scan_p, failing, step):
+    import ergochain.drift as drift
+
+    real = drift.verify_drift
+
+    def verify(cert, f):
+        rep = real(cert, f)
+        return dataclasses.replace(rep, holds=rep.holds and type(cert) is not failing)
+
+    monkeypatch.setattr(drift, "verify_drift", verify)
+    out = certify(fam("geometric", 100), scan_p)
+    assert isinstance(out, NoCertificate) and step in out.reason
+
+
+def test_certify_sweep_agrees_with_classify_and_round_trips():
+    # random tables in the style of the tail-underflow sweeps; a few of
+    # them certify with rho within ulps of 1, where the lift cannot be
+    # represented and classify used to raise
+    rng = np.random.default_rng(20261018)
+    unliftable = lifted = 0
+    for _ in range(800):
+        k = int(rng.integers(3, 21))
+        a = tuple(10.0 ** rng.uniform(-300, 0, k))
+        b = tuple(10.0 ** rng.uniform(-300, 0, k))
+        spec = table(a, b, tail_ratio=float(rng.uniform(0.05, 0.95)))
+        N, s = int(rng.integers(10, 151)), float(rng.uniform(0.05, 0.95))
+        f = build_family(spec, N)
+        v = classify(spec, N, scan_p=s)
+        cert = certify(f, s)
+        if v.certificate is not None:
+            assert cert == v.certificate
+        if isinstance(cert, NoCertificate):
+            unliftable += "lift" in cert.reason
+            continue
+        lifted += 1
+        assert _round_trip(cert) == cert
+        assert _round_trip(cert.base) == cert.base == certify(f)
+    assert unliftable >= 1 and lifted >= 10

@@ -124,10 +124,26 @@ def test_log_mass_beyond_matches_termwise_sum():
         direct = np.logaddexp.reduce(
             np.concatenate([spec.log_a(i), spec.log_b(i)]))
         rel = math.exp(spec.log_mass_beyond(horizon) - direct) - 1.0
-        # the power-law form is a midpoint integral estimate, the rest
-        # are exact geometric sums
+        # the reference stops after 4 000 terms, which drops about 0.8 % of
+        # the power-law tail; the rest are exact geometric sums
         tol = 0.02 if name == "power-law" else 1e-10
         assert abs(rel) < tol, name
+
+
+def test_power_law_mass_beyond_matches_hurwitz_zeta():
+    # sum_{i > h} (c1 + c2) i^-d = (c1 + c2) zeta(d, h + 1); d = 400 at
+    # h = 4e6 puts the mass near e^-6072, far below float range, where the
+    # log itself carries an ulp of 9e-13
+    mpmath = pytest.importorskip("mpmath")
+    cases = [(d, h) for d in (1.5, 2.0, 3.0, 6.0)
+             for h in (1, 8, 16, 50, 800, 10**6)] + [(400.0, 4 * 10**6)]
+    with mpmath.workdps(40):
+        for d, h in cases:
+            spec = power_law(d)
+            ref = float(mpmath.log((mpmath.mpf(spec.c1) + spec.c2)
+                                   * mpmath.zeta(d, h + 1)))
+            tol = 1e-12 + 4 * math.ulp(ref)
+            assert abs(spec.log_mass_beyond(h) - ref) <= tol, (d, h)
 
 
 def test_conditional_probabilities_geometric(fam):

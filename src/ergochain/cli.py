@@ -36,8 +36,11 @@ _CHAINS = (MARGINAL_X, DGS, RGS)
 MAX_N = 10 ** 6
 # largest --steps: tvcurve allocates one float per step, sample keeps the trace
 MAX_STEPS = 10 ** 7
-# largest tvcurve steps x states (N, or 2N - 1 for dgs and rgs): at 6 ns
-# (large N) to 70 ns (N = 100) per state-step, about a minute at most
+# largest tvcurve steps x states transported per step: the states within
+# bw * steps of the start (bw = 2 for dgs, 1 otherwise), at most all N, or
+# 2N - 1 for dgs and rgs. A window inside the chain grows by 2 bw a step,
+# so such runs end in seconds (dgs, N = 10^6, 15 800 steps: 2.5 s); the
+# slowest are 10^7 steps on about 100 states, 10 to 17 us a step
 MAX_TV_WORK = 10 ** 9
 # largest subgeo --horizon: the default horizon at MAX_N
 MAX_HORIZON = 4 * MAX_N
@@ -307,6 +310,8 @@ def dispatch(argv: list[str]) -> int:
                                   f"{MAX_HORIZON}")
         if args.command == "tvcurve":
             states = args.n if args.chain == MARGINAL_X else 2 * args.n - 1
+            bw = 2 if args.chain == DGS else 1
+            states = min(states, 2 * bw * args.steps + 1)
             if args.steps * states > MAX_TV_WORK:
                 raise IndexOutOfRange(
                     f"--steps {args.steps} x {states} states exceeds the "

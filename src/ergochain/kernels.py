@@ -20,6 +20,10 @@ scipy.sparse.diags, and rows (y, y) and (y+1, y) fill the even and odd
 entries of each band, products of the family's conditional laws stay_x,
 stay_y, beta and delta. Total variation curves transport the difference
 from pi by one shifted add per band; the n-step matrix is never formed.
+After n steps the start's mass lies within n times the widest band offset
+of the start, so outside that window the difference is exactly -pi: it is
+transported only inside the window, and pi's mass outside comes from
+cumulative sums over the range the chain can reach.
 One-step expectations log (P f) come from log f the same way, with one
 logaddexp per band (log_expect), so drift checks never form f itself.
 Spectral gaps come from the edge matrix E: D (I - P) = B^T diag(e) B with
@@ -212,10 +216,12 @@ class TVCurve:
     n = 0..n_max, with the 1/2 L1 convention. fitted_rate and
     fitted_constant come from a least-squares line through log TV over
     fit_window, the trailing half of the steps with TV above 1e-13;
-    they are None when fewer than five such steps exist.
+    they are None when fewer than five such steps exist. N is the
+    kernel's truncation level.
     """
 
     kind: str
+    N: int
     start: object
     n_max: int
     values: np.ndarray = field(repr=False)
@@ -233,7 +239,7 @@ class TVCurve:
             "rate": self.fitted_rate,
             "constant": self.fitted_constant,
             "gap": None if self.fitted_rate is None else 1.0 - self.fitted_rate,
-            "N": int(len(self.values) - 1),
+            "N": self.N,
         }
 
 
@@ -243,28 +249,54 @@ def tv_curve(tm: TransitionMatrix, start, n_max: int) -> TVCurve:
     Since pi P = pi, the difference v = delta_start - pi is transported
     itself, so rounding stays relative to the distance rather than to pi
     and the tail of the curve is resolved down to the fit floor.
+
+    delta_start P^n is zero outside the window of states within n * bw of
+    the start, bw the widest band offset, so there v is exactly -pi. Each
+    step updates v on that window only, reading the previous v on the
+    window widened by bw, where entries never updated still hold -pi; TV is
+    half the sum of |v| on the window plus pi's mass outside it. That mass
+    comes from cumulative sums of pi over the range reachable in n_max
+    steps plus one sum of each remainder beyond it, so every array but v
+    is sized by the window, not by the number of states. Once the window
+    covers every state, a step is the plain transport.
     """
     if n_max < 0:
         raise IndexOutOfRange("n_max must be nonnegative")
     i0 = tm.index_of(start)
     n_states = tm.n_states
-    v = -tm.stationary
+    pi = tm.stationary
+    bw = max(abs(k) for k in tm.bands)
+    r_lo = max(0, i0 - n_max * bw)
+    r_hi = min(n_states, i0 + n_max * bw + 1)
+    # mass_left[lo - r_lo] is pi's mass below state lo, and
+    # mass_right[r_hi - hi] its mass at hi and above; no subtraction, so a
+    # tiny tail mass keeps its relative accuracy
+    mass_left = np.concatenate(([pi[:r_lo].sum()], pi[r_lo:i0])).cumsum()
+    mass_right = np.concatenate(([pi[r_hi:].sum()],
+                                 pi[i0 + 1:r_hi][::-1])).cumsum()
+    v = -pi
     v[i0] += 1.0
     values = np.empty(n_max + 1)
-    values[0] = 0.5 * np.abs(v).sum()
+    lo, hi = i0, i0 + 1
+    values[0] = 0.5 * (abs(float(v[i0])) + mass_left[-1] + mass_right[-1])
     for n in range(1, n_max + 1):
-        # (vP)[i+k] gains v[i] * P[i, i+k] along each band k
-        w = v * tm.bands[0]
+        lo, hi = max(0, lo - bw), min(n_states, hi + bw)
+        # (vP)[j] gains v[j-k] * P[j-k, j] along each band k
+        w = v[lo:hi] * tm.bands[0][lo:hi]
         for k, band in tm.bands.items():
             if k > 0:
-                w[k:] += v[:n_states - k] * band
+                a = max(lo, k)
+                w[a - lo:] += v[a - k:hi - k] * band[a - k:hi - k]
             elif k < 0:
-                w[:n_states + k] += v[-k:] * band
-        v = w
-        values[n] = 0.5 * np.abs(v).sum()
+                b = min(hi, n_states + k)
+                w[:b - lo] += v[lo - k:b - k] * band[lo:b]
+        v[lo:hi] = w
+        values[n] = 0.5 * (float(np.abs(w).sum()) + mass_left.item(lo - r_lo)
+                           + mass_right.item(r_hi - hi))
     rate, const, window = _fit_rate(values)
-    return TVCurve(kind=tm.kind, start=start, n_max=n_max, values=values,
-                   fitted_rate=rate, fitted_constant=const, fit_window=window)
+    return TVCurve(kind=tm.kind, N=tm.N, start=start, n_max=n_max,
+                   values=values, fitted_rate=rate, fitted_constant=const,
+                   fit_window=window)
 
 
 def _fit_rate(values: np.ndarray):

@@ -159,6 +159,21 @@ def test_tvcurve_json(capsys):
     d = json.loads(out)
     assert set(d) == {"rate", "constant", "gap", "N"}
     assert 0.0 < d["rate"] < 1.0
+    assert d["N"] == 60
+
+
+@pytest.mark.parametrize("steps", ["400", "1000"])
+def test_tvcurve_at_largest_n_transports_only_the_reachable_window(capsys, steps):
+    # 1000 steps x 1 999 999 states is above the budget, but the transport
+    # touches at most 4 001 states a step
+    started = time.perf_counter()
+    code, out, err = run(capsys, "tvcurve", "--example", "power-law",
+                         "--chain", "dgs", "--n", "1000000", "--steps", steps,
+                         "--format", "json")
+    assert time.perf_counter() - started < 3.0
+    assert code == 0 and err == ""
+    d = json.loads(out)
+    assert d["N"] == 1_000_000 and 0.0 < d["rate"] < 1.0
 
 
 def test_subgeo_formats(capsys):

@@ -315,22 +315,50 @@ def test_tv_short_run_has_no_fit(fam):
 
 @pytest.mark.parametrize("kind", [MARGINAL_X, DGS, RGS])
 def test_tv_curve_matches_dense_transport(fam, kind):
-    tm = _build(fam("mixed-geometric", 30), kind)
-    c = tv_curve(tm, tm.states[3], 60)
-    P = _dense(tm)
-    v = np.zeros(tm.n_states)
-    v[3] = 1.0
-    for n in range(61):
-        assert c.values[n] == pytest.approx(
-            0.5 * np.abs(v - tm.stationary).sum(), abs=1e-14)
-        v = v @ P
+    # starts at either end and inside, and runs that stop before and after
+    # the reachable window covers every state (after 15 to 58 steps at
+    # N = 30, and 1 or 2 at N = 2)
+    for N in (2, 30):
+        tm = _build(fam("mixed-geometric", N), kind)
+        P = _dense(tm)
+        n = tm.n_states
+        for i0 in sorted({0, min(3, n - 1), n // 2, n - 1}):
+            v = np.zeros(n)
+            v[i0] = 1.0
+            ref = []
+            for _ in range(61):
+                ref.append(0.5 * np.abs(v - tm.stationary).sum())
+                v = v @ P
+            for n_max in (0, 1, 10, 60):
+                c = tv_curve(tm, tm.states[i0], n_max)
+                assert c.values == pytest.approx(ref[:n_max + 1], abs=1e-14)
+
+
+def _longdouble_tv(tm, n_max):
+    # the plain transport of delta_0 - pi over every state, in long double,
+    # from the float64 bands
+    n = tm.n_states
+    d = -tm.stationary.astype(np.longdouble)
+    d[0] += 1
+    ref = [0.5 * np.abs(d).sum()]
+    for _ in range(n_max):
+        w = d * tm.bands[0].astype(np.longdouble)
+        for k, band in tm.bands.items():
+            if k > 0:
+                w[k:] += d[:n - k] * band.astype(np.longdouble)
+            elif k < 0:
+                w[:n + k] += d[-k:] * band.astype(np.longdouble)
+        d = w
+        ref.append(0.5 * np.abs(d).sum())
+    return np.array(ref, dtype=float)
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
                     reason="reference needs extended-precision long double")
 def test_tv_curve_tail_matches_extended_precision(fam):
-    # geometric mixes fast, so after 400 steps TV is near 1e-12 and a
-    # transport of the distribution itself loses about 3 digits there
+    # geometric mixes fast, so after 400 steps TV is near 1e-12 (marginal
+    # and dgs) and a transport of the distribution itself loses about 3
+    # digits there
     f = fam("geometric", 200)
     la, lb = f.log_a.astype(np.longdouble), f.log_b.astype(np.longdouble)
     a, b = np.exp(la), np.exp(lb)
@@ -346,12 +374,29 @@ def test_tv_curve_tail_matches_extended_precision(fam):
         d = d * (1 - p - q) + np.concatenate(([0.0], d[:-1] * p[:-1])) \
             + np.concatenate((d[1:] * q[1:], [0.0]))
         ref.append(0.5 * np.abs(d).sum())
-    ref = np.array(ref, dtype=float)
-    c = tv_curve(build_Px(f), 1, 400)
-    assert np.max(np.abs(c.values - ref) / ref) < 5e-4
-    ref_rate = np.exp(np.polyfit(np.arange(201, 401), np.log(ref[201:]), 1)[0])
-    assert c.fit_window == (201, 400)
-    assert c.fitted_rate == pytest.approx(ref_rate, abs=1e-6)
+    cases = [(build_Px(f), 1, np.array(ref, dtype=float))]
+    cases += [(tm, (1, 1), _longdouble_tv(tm, 400))
+              for tm in (build_Pdgs(f), build_Prgs(f, 0.5))]
+    for tm, start, ref in cases:
+        c = tv_curve(tm, start, 400)
+        assert np.max(np.abs(c.values - ref) / ref) < 5e-4
+        ref_rate = np.exp(np.polyfit(np.arange(201, 401), np.log(ref[201:]), 1)[0])
+        assert c.fit_window == (201, 400)
+        assert c.fitted_rate == pytest.approx(ref_rate, abs=1e-6)
+
+
+def test_tv_curve_allocates_only_the_window(fam):
+    # 100 dgs steps reach 201 of the 39 999 states: beyond the difference
+    # vector and the curve, nothing should scale with the state count
+    tm = build_Pdgs(fam("power-law", 20_000))
+    tv_curve(tm, (1, 1), 100)       # warm numpy's caches outside the trace
+    tracemalloc.start()
+    try:
+        tv_curve(tm, (1, 1), 100)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= tm.stationary.nbytes + 64 * 1024
 
 
 @pytest.mark.parametrize("kind", [MARGINAL_X, DGS, RGS])

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 from .drift import (
@@ -133,9 +134,7 @@ def classify(spec: SequenceSpec, N: int = 200,
     if N < 10:
         raise IndexOutOfRange("classification needs N >= 10")
     fam = build_family(spec, N)
-    window = max(10, min(50, N))
-    horizon = max(4 * N, 2 * window)
-    est = tail_limits(spec, window=window, horizon=horizon)
+    est = tail_limits(spec, window=min(50, N), horizon=4 * N)
 
     dl = spec.declared_limits
     premise = dl is not None and dl.A is not None and dl.lim_ab is not None
@@ -156,19 +155,17 @@ def classify(spec: SequenceSpec, N: int = 200,
             equivalence_note=note)
 
     # 1. ratio test on trusted limits
-    trusted = all(est.converged[k] for k in
-                  ("A", "m", "M", "a_over_bprev", "b_over_a"))
+    trusted = all(est.converged.values())
     if trusted and math.isfinite(est.a_over_bprev) and math.isfinite(est.b_over_a):
         bound = _ratio_bound(est.A, est.m, est.M)
-        all_declared = all(est.declared[k] for k in
-                           ("A", "m", "M", "a_over_bprev", "b_over_a"))
+        all_declared = all(est.declared.values())
         borderline = _BORDERLINE[0] <= bound <= _BORDERLINE[1] and not all_declared
         if bound < 1.0 and not borderline and certified is not None:
             return geometric("ratio_test",
                              EVIDENCE_DECLARED if all_declared else EVIDENCE_NUMERIC)
 
     # 2. diverging statistics
-    report = build_subgeo_report(fam, horizon=horizon, scan_p=scan_p)
+    report = build_subgeo_report(fam, scan_p=scan_p)
     fired = report.stats.first_diverging()
     if fired is not None:
         return ErgodicityVerdict(
@@ -202,6 +199,17 @@ def classify(spec: SequenceSpec, N: int = 200,
 # -- reporting -------------------------------------------------------------
 
 
+def _min_T_text(summary: dict) -> str:
+    """min_T to three significant digits, from log10_min_T where min_T is
+    below the normal floats and has lost digits or underflowed to 0
+    (summaries read from older JSON lack the key)."""
+    log10 = summary.get("log10_min_T")
+    if summary["min_T"] >= sys.float_info.min or log10 is None:
+        return f"{summary['min_T']:.3g}"
+    from decimal import Context, Decimal    # imported only for such rows
+    return f"{Context(prec=3).power(10, Decimal(log10)).normalize():g}"
+
+
 def verdict_report(verdicts: list[ErgodicityVerdict], fmt: str = "table") -> str:
     """Render verdicts as an aligned table or a JSON array."""
     if not verdicts:
@@ -217,7 +225,7 @@ def verdict_report(verdicts: list[ErgodicityVerdict], fmt: str = "table") -> str
         if v.certificate is not None:
             info = f"rho={getattr(v.certificate, 'base', v.certificate).rho:.6g}"
         elif v.subgeo_summary is not None:
-            info = f"min_T={v.subgeo_summary['min_T']:.3g}"
+            info = f"min_T={_min_T_text(v.subgeo_summary)}"
         else:
             info = "-"
         rows.append((v.label or "-", str(v.N), v.verdict, v.basis or "-",

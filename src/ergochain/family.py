@@ -54,7 +54,9 @@ from .errors import (
 
 KINDS = ("power_law", "geometric", "mixed_geometric", "alternating", "table")
 
-_LIMIT_FIELDS = ("A", "lim_ab", "lim_a_over_bprev", "lim_b_over_a")
+# each declared limit and the tail_limits estimates it replaces
+_LIMITS = {"A": ("A",), "lim_ab": ("m", "M"),
+           "lim_a_over_bprev": ("a_over_bprev",), "lim_b_over_a": ("b_over_a",)}
 
 
 def _encode_extended(v):
@@ -107,20 +109,20 @@ class TailLimits:
     lim_b_over_a: float | None = None
 
     def __post_init__(self):
-        for k in _LIMIT_FIELDS:
+        for k in _LIMITS:
             v = getattr(self, k)
             if not (v is None or (isinstance(v, (int, float)) and 0 <= v <= math.inf)):
                 raise UnknownFormat(f"declared limit {k} = {v!r} must be null "
                                     "or lie in [0, inf]")
 
     def to_json_dict(self) -> dict:
-        return {k: _encode_extended(getattr(self, k)) for k in _LIMIT_FIELDS}
+        return {k: _encode_extended(getattr(self, k)) for k in _LIMITS}
 
     @staticmethod
     def from_json_dict(d: dict) -> "TailLimits":
         if not isinstance(d, dict):
             raise UnknownFormat(f"declared_limits must be an object, got {d!r}")
-        return TailLimits(**{k: _decode_extended(d.get(k), k) for k in _LIMIT_FIELDS})
+        return TailLimits(**{k: _decode_extended(d.get(k), k) for k in _LIMITS})
 
 
 @dataclass(frozen=True)
@@ -196,7 +198,8 @@ class SequenceSpec:
         x = i.astype(float)
         if self.kind == "power_law":
             c = self.c1 if which == "a" else self.c2
-            return math.log(c) - self.d * np.log(x)
+            with np.errstate(over="ignore"):    # -inf, which build_family refuses
+                return math.log(c) - self.d * np.log(x)
         if self.kind == "geometric":
             return (math.log(self.c) - x) if which == "a" else -x
         if self.kind == "mixed_geometric":
@@ -512,13 +515,17 @@ def build_family(spec: SequenceSpec, N: int) -> BivariateFamily:
     stay_y = np.exp(la - log_piy)                   # P(X = y | Y = y)
     p = beta * stay_x
     q = delta * np.concatenate(([0.0], stay_y[:-1]))
+    with np.errstate(over="ignore"):    # log a_y + log b_y below -1.8e308
+        log_t = la + lb - log_piy
+    if not np.isfinite(log_t[:-1]).all():
+        raise NonPositiveSequence("spec generated a nonpositive or nonfinite value")
 
     return BivariateFamily(
         spec=spec, N=int(N), log_a=la, log_b=lb,
-        retained_mass=float(np.exp(log_mass)),
+        retained_mass=_exp_sat(float(log_mass)),
         log_pix=log_pix, log_piy=log_piy,
         beta=beta, delta=delta, p=p, q=q, stay_x=stay_x, stay_y=stay_y,
-        log_t=la + lb - log_piy,
+        log_t=log_t,
     )
 
 
@@ -567,21 +574,13 @@ class TailEstimates:
     converged: dict
     declared: dict
 
-    def to_json_dict(self) -> dict:
-        return {
-            "A": _encode_extended(self.A),
-            "m": _encode_extended(self.m),
-            "M": _encode_extended(self.M),
-            "a_over_bprev": _encode_extended(self.a_over_bprev),
-            "b_over_a": _encode_extended(self.b_over_a),
-            "converged": dict(self.converged),
-            "declared": dict(self.declared),
-        }
-
 
 def _exp_sat(log_v: float) -> float:
     """exp that saturates to inf instead of raising on overflow."""
-    return math.inf if log_v > 709.0 else math.exp(log_v)
+    try:
+        return math.exp(log_v)
+    except OverflowError:
+        return math.inf
 
 
 def tail_limits(spec: SequenceSpec, window: int = 50, horizon: int = 800) -> TailEstimates:
@@ -599,38 +598,21 @@ def tail_limits(spec: SequenceSpec, window: int = 50, horizon: int = 800) -> Tai
     la, lb = spec.log_a(i), spec.log_b(i)
     lap, lbp = spec.log_a(i - 1), spec.log_b(i - 1)
 
-    def est(logs: np.ndarray, op) -> tuple[float, bool]:
+    ratios = {"A": (la - lap, np.max), "m": (la - lb, np.min),
+              "M": (la - lb, np.max), "a_over_bprev": (la - lbp, np.max),
+              "b_over_a": (lb - la, np.max)}
+    vals, conv = {}, {}
+    for k, (logs, op) in ratios.items():
         half = len(logs) // 2
-        e1, e2 = op(logs[:half]), op(logs[half:])
-        e = op(logs)
-        return float(e), bool(abs(e2 - e1) <= 1e-6)
-
-    A_log, A_ok = est(la - lap, np.max)
-    m_log, m_ok = est(la - lb, np.min)
-    M_log, M_ok = est(la - lb, np.max)
-    abp_log, abp_ok = est(la - lbp, np.max)
-    boa_log, boa_ok = est(lb - la, np.max)
-
-    vals = {
-        "A": _exp_sat(A_log), "m": _exp_sat(m_log), "M": _exp_sat(M_log),
-        "a_over_bprev": _exp_sat(abp_log), "b_over_a": _exp_sat(boa_log),
-    }
-    conv = {"A": A_ok, "m": m_ok, "M": M_ok, "a_over_bprev": abp_ok, "b_over_a": boa_ok}
+        vals[k] = _exp_sat(float(op(logs)))
+        conv[k] = bool(abs(op(logs[half:]) - op(logs[:half])) <= 1e-6)
     decl = {k: False for k in vals}
 
-    dl = spec.declared_limits
-    if dl is not None:
-        if dl.A is not None:
-            vals["A"], conv["A"], decl["A"] = dl.A, True, True
-        if dl.lim_ab is not None:
-            vals["m"] = vals["M"] = dl.lim_ab
-            conv["m"] = conv["M"] = decl["m"] = decl["M"] = True
-        if dl.lim_a_over_bprev is not None:
-            vals["a_over_bprev"], conv["a_over_bprev"] = dl.lim_a_over_bprev, True
-            decl["a_over_bprev"] = True
-        if dl.lim_b_over_a is not None:
-            vals["b_over_a"], conv["b_over_a"] = dl.lim_b_over_a, True
-            decl["b_over_a"] = True
+    for name, keys in _LIMITS.items():
+        v = getattr(spec.declared_limits, name, None)    # None when undeclared
+        if v is not None:
+            for k in keys:
+                vals[k], conv[k], decl[k] = v, True, True
 
     return TailEstimates(
         A=vals["A"], m=vals["m"], M=vals["M"],

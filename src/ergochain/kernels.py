@@ -96,7 +96,7 @@ def _staircase_pi(fam: BivariateFamily) -> np.ndarray:
     """pi on the staircase order: a_y at (y, y), b_y at (y+1, y)."""
     logs = np.empty(2 * fam.N - 1)
     logs[0::2], logs[1::2] = fam.log_a, fam.log_b[:-1]
-    return np.exp(logs)
+    return np.exp(logs, out=logs)
 
 
 @dataclass(frozen=True)
@@ -158,16 +158,14 @@ def build_Pdgs(fam: BivariateFamily) -> TransitionMatrix:
     """
     n = 2 * fam.N - 1
     beta, delta, ob, od = fam.beta, fam.delta, fam.stay_y, fam.stay_x
-    to_yy = ob * od                       # (y, y) -> (y, y)
-    to_down = ob[1:] * delta[1:]          # (y, y-1) for y >= 2
-    to_up = beta[:-1] * delta[1:]         # (y+1, y) for y < N
-    to_upup = beta[:-1] * od[1:]          # (y+1, y+1) for y < N
     bands = {k: np.zeros(n - abs(k)) for k in range(-2, 3)}
-    bands[0][0::2], bands[0][1::2] = to_yy, to_up
-    bands[1][0::2], bands[1][1::2] = to_up, to_upup
-    bands[2][0::2] = to_upup
-    bands[-1][0::2], bands[-1][1::2] = to_yy[:-1], to_down
-    bands[-2][1::2] = to_down[:-1]
+    # each probability is computed once into a band, then copied
+    to_yy = np.multiply(ob, od, out=bands[0][0::2])                # (y, y)
+    to_down = np.multiply(ob[1:], delta[1:], out=bands[-1][1::2])  # (y, y-1)
+    to_up = np.multiply(beta[:-1], delta[1:], out=bands[0][1::2])  # (y+1, y)
+    to_upup = np.multiply(beta[:-1], od[1:], out=bands[1][1::2])   # (y+1, y+1)
+    bands[1][0::2], bands[2][0::2] = to_up, to_upup
+    bands[-1][0::2], bands[-2][1::2] = to_yy[:-1], to_down[:-1]
     return TransitionMatrix(DGS, bands, _staircase_pi(fam), fam.N)
 
 
@@ -183,10 +181,14 @@ def build_Prgs(fam: BivariateFamily, scan_p: float) -> TransitionMatrix:
     n = 2 * fam.N - 1
     beta, delta, ob, od = fam.beta, fam.delta, fam.stay_y, fam.stay_x
     bands = {k: np.empty(n - abs(k)) for k in (-1, 0, 1)}
-    bands[0][0::2] = s * ob + t * od
-    bands[0][1::2] = s * beta[:-1] + t * delta[1:]
-    bands[1][0::2], bands[1][1::2] = s * beta[:-1], t * od[1:]
-    bands[-1][0::2], bands[-1][1::2] = s * ob[:-1], t * delta[1:]
+    # no temporaries: t od passes through band 1 before band 1 is filled
+    stay = np.multiply(s, ob, out=bands[0][0::2])
+    stay += np.multiply(t, od, out=bands[1][:fam.N])
+    np.multiply(s, beta[:-1], out=bands[1][0::2])
+    np.multiply(t, od[1:], out=bands[1][1::2])
+    np.multiply(s, ob[:-1], out=bands[-1][0::2])
+    np.multiply(t, delta[1:], out=bands[-1][1::2])
+    np.add(bands[1][0::2], bands[-1][1::2], out=bands[0][1::2])
     return TransitionMatrix(RGS, bands, _staircase_pi(fam), fam.N, scan_p=s)
 
 

@@ -26,6 +26,11 @@ Statistics are evaluated on the untruncated spec out to a horizon (four
 truncation levels by default, and at least 16) in log space; a statistic
 is flagged diverging when its running maximum tops 10^3 and is still
 growing by ten percent in the last quarter of the horizon.
+
+mu_i, T_i and the norm bounds all come from one suffix and one prefix
+logaddexp sum of pi_X. The bounds keep log10 min_T, which carries min_T
+where it underflows to 0.0 (about 10^-868 for mixed-geometric at
+N = 2000).
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IndexOutOfRange
+from .errors import IndexOutOfRange, NonPositiveSequence
 from .family import BivariateFamily, SequenceSpec
 from .kernels import check_scan_p
 
@@ -45,53 +50,50 @@ _DIVERGE_GROWTH = math.log(1.1)
 STATISTICS = ("S1", "S2", "S3")
 
 
-def _log_mu(fam: BivariateFamily) -> np.ndarray:
-    """log mu_i = log sum_{x >= i} pi_X(x), i = 1..N."""
-    return np.logaddexp.accumulate(fam.log_pix[::-1])[::-1]
-
-
-def _log_one_minus_mu(fam: BivariateFamily) -> np.ndarray:
-    """log (1 - mu_i) = log sum_{x < i} pi_X(x), i = 1..N; -inf at i = 1."""
-    head = np.logaddexp.accumulate(fam.log_pix[:-1])
-    return np.concatenate(([-np.inf], head))
-
-
-def _log_T(fam: BivariateFamily) -> np.ndarray:
-    """log T_i for i = 2..N."""
-    log_mu = _log_mu(fam)[1:]
-    log_omm = _log_one_minus_mu(fam)[1:]
-    return fam.log_t[:-1] - log_mu - log_omm    # t_{i-1}, i = 2..N
+def _log_mu_T(fam: BivariateFamily) -> tuple[np.ndarray, np.ndarray]:
+    """log mu_i and log T_i for i = 2..N, from one suffix sum of pi_X
+    (mu_i = sum_{x >= i}) and one prefix sum (1 - mu_i = sum_{x < i})."""
+    log_mu = np.logaddexp.accumulate(fam.log_pix[:0:-1])[::-1]
+    log_omm = np.logaddexp.accumulate(fam.log_pix[:-1])
+    return log_mu, fam.log_t[:-1] - log_mu - log_omm    # t_{i-1}, i = 2..N
 
 
 def conditional_variance_stat(fam: BivariateFamily, i: int) -> float:
     """T_i = E[Var(h_i(X) | Y)] by the closed form, for 2 <= i <= N."""
     if not 2 <= i <= fam.N:
         raise IndexOutOfRange(f"statistic defined for 2 <= i <= N, got {i}")
-    return float(np.exp(_log_T(fam)[i - 2]))
+    return float(np.exp(_log_mu_T(fam)[1][i - 2]))
 
 
 @dataclass(frozen=True)
 class NormBounds:
-    """Operator-norm lower bounds from the best separating indicator."""
+    """Operator-norm lower bounds from the best separating indicator.
+
+    log10_min_T carries min_T where it underflows to 0.0."""
 
     px_norm_lb: float
     rgs_norm_lb: float | None
     argmin_index: int
     min_T: float
+    log10_min_T: float
+
+
+def _norm_bounds(log_T: np.ndarray, scan_p: float | None) -> NormBounds:
+    if scan_p is not None:
+        scan_p = check_scan_p(scan_p)
+    k = int(np.argmin(log_T))
+    min_T = float(np.exp(log_T[k]))
+    rgs = None if scan_p is None else 1.0 - scan_p * min_T
+    return NormBounds(px_norm_lb=1.0 - min_T, rgs_norm_lb=rgs,
+                      argmin_index=k + 2, min_T=min_T,
+                      log10_min_T=float(log_T[k]) / math.log(10.0))
 
 
 def operator_norm_bounds(fam: BivariateFamily, scan_p: float | None = None) -> NormBounds:
     """1 - min_i T_i for the marginal kernel, and the random-scan analogue
     1 - scan_p min_i T_i when a scan probability is given; a scan
     probability outside (0, 1) raises BadScanProbability."""
-    if scan_p is not None:
-        scan_p = check_scan_p(scan_p)
-    log_T = _log_T(fam)
-    k = int(np.argmin(log_T))
-    min_T = float(np.exp(log_T[k]))
-    rgs = None if scan_p is None else 1.0 - scan_p * min_T
-    return NormBounds(px_norm_lb=1.0 - min_T, rgs_norm_lb=rgs,
-                      argmin_index=k + 2, min_T=min_T)
+    return _norm_bounds(_log_mu_T(fam)[1], scan_p)
 
 
 @dataclass(frozen=True)
@@ -147,6 +149,8 @@ def divergence_statistics(spec: SequenceSpec, horizon: int) -> DivergenceStats:
         raise IndexOutOfRange("horizon must be at least 16")
     i = np.arange(1, horizon + 1)
     la, lb = spec.log_a(i), spec.log_b(i)
+    if not (np.isfinite(la).all() and np.isfinite(lb).all()):
+        raise NonPositiveSequence("spec generated a nonpositive or nonfinite value")
     log_piy = np.logaddexp(la, lb)
     beyond = spec.log_mass_beyond(horizon)
     log_tail = np.logaddexp(
@@ -164,15 +168,16 @@ def divergence_statistics(spec: SequenceSpec, horizon: int) -> DivergenceStats:
 
 @dataclass(frozen=True)
 class SubgeoReport:
-    """Family-level summary of the conditional-variance diagnostics."""
+    """Family-level summary of the conditional-variance diagnostics.
+
+    mu and T hold mu_i and T_i for i = 2..N; bounds are the norm bounds
+    taken from the same log T.
+    """
 
     N: int
-    indices: np.ndarray = field(repr=False)    # 2..N
     mu: np.ndarray = field(repr=False)
     T: np.ndarray = field(repr=False)
-    beta: np.ndarray = field(repr=False)       # b_y / (a_y + b_y), y = 1..N
-    norm_lower_bound: float
-    rgs_norm_lower_bound: float | None
+    bounds: NormBounds
     scan_p: float | None
     stats: DivergenceStats
 
@@ -181,18 +186,19 @@ class SubgeoReport:
         s2 = self.stats.values("S2")[: self.N - 1]
         s3 = self.stats.values("S3")[: self.N - 1]
         lines = ["i,mu_i,T_i,S1_i,S2_i,S3_i"]
-        for k, i in enumerate(self.indices):
+        for k in range(self.N - 1):
             cells = (self.mu[k], self.T[k], s1[k], s2[k], s3[k])
-            lines.append(f"{i}," + ",".join(repr(float(v)) for v in cells))
+            lines.append(f"{k + 2}," + ",".join(repr(float(v)) for v in cells))
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
         return {
             "N": self.N,
             "horizon": self.stats.horizon,
-            "min_T": float(self.T.min()),
-            "norm_lower_bound": self.norm_lower_bound,
-            "rgs_norm_lower_bound": self.rgs_norm_lower_bound,
+            "min_T": self.bounds.min_T,
+            "log10_min_T": self.bounds.log10_min_T,
+            "norm_lower_bound": self.bounds.px_norm_lb,
+            "rgs_norm_lower_bound": self.bounds.rgs_norm_lb,
             "scan_p": self.scan_p,
             "diverging": dict(self.stats.flags),
         }
@@ -200,20 +206,17 @@ class SubgeoReport:
 
 def build_subgeo_report(fam: BivariateFamily, horizon: int | None = None,
                         scan_p: float | None = None) -> SubgeoReport:
-    """Assemble mu, T, beta, norm bounds, and divergence flags for a family."""
+    """Assemble mu, T, norm bounds and divergence flags for a family; mu,
+    T and the bounds share one suffix and one prefix sum of pi_X."""
     if horizon is None:
         horizon = max(4 * fam.N, 16)
     if horizon < fam.N:
         raise IndexOutOfRange("horizon must reach the truncation level")
     stats = divergence_statistics(fam.spec, horizon)
-    bounds = operator_norm_bounds(fam, scan_p=scan_p)
-    mu = np.exp(_log_mu(fam))[1:]
-    T = np.exp(_log_T(fam))
-    return SubgeoReport(
-        N=fam.N, indices=np.arange(2, fam.N + 1), mu=mu, T=T, beta=fam.beta,
-        norm_lower_bound=bounds.px_norm_lb,
-        rgs_norm_lower_bound=bounds.rgs_norm_lb, scan_p=scan_p, stats=stats,
-    )
+    log_mu, log_T = _log_mu_T(fam)
+    return SubgeoReport(N=fam.N, mu=np.exp(log_mu), T=np.exp(log_T),
+                        bounds=_norm_bounds(log_T, scan_p), scan_p=scan_p,
+                        stats=stats)
 
 
 __all__ = [

@@ -327,6 +327,42 @@ def test_spectrum_rgs_on_underflowing_table(capsys):
     assert 0.0 <= d["gap"] <= 1.0 and d["rate"] == 1.0 - d["gap"]
 
 
+SPEC_COMMANDS = ("classify", "drift", "spectrum", "tvcurve", "subgeo", "sample")
+
+
+def _power_law(d: float) -> str:
+    return json.dumps({"kind": "power_law", "params": {"d": d, "c1": 1, "c2": 1}})
+
+
+# d = 1e308: d log i overflows from i = 7, so log a_i is -inf; d = 5e307 at
+# N = 10: the sequences stay finite but log a_i + log b_i overflows from i = 7
+@pytest.mark.parametrize("d, n", [(1e308, "200"), (5e307, "10")])
+@pytest.mark.parametrize("command", SPEC_COMMANDS)
+def test_huge_power_law_exponent_exits_4_without_a_warning(capsys, command, d, n):
+    code, out, err = run(capsys, command, "--spec", _power_law(d), "--n", n)
+    assert code == 4 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+def test_subgeo_refuses_a_horizon_past_the_finite_sequence(capsys):
+    # N = 3 is finite, but the statistics run to horizon 16, past i = 7
+    code, out, err = run(capsys, "subgeo", "--spec", _power_law(1e308),
+                         "--n", "3")
+    assert code == 4 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", SPEC_COMMANDS)
+def test_raw_mass_above_the_float_maximum_is_a_valid_spec(capsys, command):
+    # only ratios matter; the raw mass is about 3e308
+    spec = json.dumps({"kind": "table", "params": {"a": [1e308, 1e308],
+                                                   "b": [1e308]}})
+    code, out, err = run(capsys, command, "--spec", spec)
+    assert code == 0 and err == "" and out
+    fam = ergochain.build_family(ergochain.SequenceSpec.from_json(spec), 200)
+    assert fam.retained_mass == math.inf
+
+
 def test_spec_file_not_utf8_exits_4(tmp_path, capsys):
     path = tmp_path / "spec.json"
     path.write_bytes(b"\xff\xfe" + '{"kind": "geometric"}'.encode("utf-16-le"))
@@ -373,6 +409,38 @@ def test_table_rate_info_resolves_tiny_min_T(capsys):
     for row in out.splitlines()[1:]:
         info = row.split()[-1]
         assert info.startswith("min_T=") and 0.0 < float(info[6:]) < 1e-80
+
+
+def test_rate_info_prints_an_underflowed_min_T_from_its_log(capsys):
+    # min_T is 10^-867.88 and 10^-868.45 here: 0.0 as a float
+    code, out, _ = run(capsys, "report", "--n", "2000")
+    assert code == 0
+    rows = {row.split()[0]: row.split()[-1] for row in out.splitlines()[1:]}
+    assert rows["mixed-geometric"] == "min_T=1.31e-868"
+    assert rows["alternating"] == "min_T=3.53e-869"
+
+
+def test_rate_info_prints_a_subnormal_min_T_from_its_log(capsys):
+    # min_T = 10^-320.67 is subnormal: as a float it reads 2.134e-321
+    code, out, _ = run(capsys, "classify", "--example", "mixed-geometric",
+                       "--n", "740", "--format", "table")
+    assert code == 0 and out.splitlines()[1].endswith("min_T=2.14e-321")
+
+
+def test_subgeo_json_carries_log10_min_T(capsys):
+    code, out, _ = run(capsys, "subgeo", "--example", "mixed-geometric",
+                       "--n", "2000", "--format", "json")
+    d = json.loads(out)
+    assert code == 0 and d["min_T"] == 0.0
+    assert d["log10_min_T"] == pytest.approx(-867.8815, abs=1e-4)
+
+
+def test_rate_info_from_older_json_without_log10_min_T():
+    v = ergochain.ErgodicityVerdict(
+        verdict="Subgeometric", basis="divergence:S2",
+        evidence="numeric-estimates", N=2000, scan_p=None, quantities={},
+        subgeo_summary={"min_T": 0.0}, label="old")
+    assert ergochain.verdict_report([v]).splitlines()[1].endswith("min_T=0")
 
 
 def test_report_subset_json(capsys):

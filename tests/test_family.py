@@ -216,6 +216,14 @@ def test_invalid_specs_raise(bad):
         bad()
 
 
+def test_retained_mass_saturates_only_above_the_float_maximum():
+    # only ratios matter, so a raw mass above the float maximum is valid
+    f = build_family(table((1e308, 1e-300), (1e-300,)), 2)
+    assert f.retained_mass == pytest.approx(1e308, rel=1e-12)
+    f = build_family(table((1e308, 1e308), (1e308,)), 2)
+    assert f.retained_mass == math.inf
+
+
 def test_degenerate_truncation():
     with pytest.raises(DegenerateTruncation):
         build_family(example_spec("geometric"), 1)

@@ -268,6 +268,22 @@ def test_kernel_retains_only_bands_and_stationary(fam, build):
     assert retained <= 1.25 * data
 
 
+@pytest.mark.parametrize("build", [build_Pdgs, lambda f: build_Prgs(f, 0.5)],
+                         ids=[DGS, RGS])
+def test_kernel_builds_without_temporaries(fam, build):
+    # bands and pi are filled in place: no array beyond them is ever live
+    f = fam("power-law", 200_000)
+    build(f)
+    tracemalloc.start()
+    try:
+        tm = build(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    data = sum(b.nbytes for b in tm.bands.values()) + tm.stationary.nbytes
+    assert peak - data <= 64 * 1024
+
+
 # -- TV curves ---------------------------------------------------------------
 
 

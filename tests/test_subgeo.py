@@ -194,6 +194,26 @@ def test_report_shapes_and_serialization(fam):
     assert d["scan_p"] == 0.5
 
 
+@pytest.mark.parametrize("name", example_names())
+def test_report_shares_one_log_T_with_the_bounds_and_the_statistic(fam, name):
+    f = fam(name, 200)
+    rep = build_subgeo_report(f, scan_p=0.5)
+    assert rep.bounds == operator_norm_bounds(f, scan_p=0.5)
+    assert [float(t) for t in rep.T] == [conditional_variance_stat(f, i)
+                                         for i in range(2, 201)]
+    assert rep.bounds.min_T == rep.T.min()
+    assert 10.0 ** rep.bounds.log10_min_T == pytest.approx(rep.bounds.min_T,
+                                                           rel=1e-12)
+
+
+@pytest.mark.parametrize("name, log10_min_T", [("mixed-geometric", -867.8815),
+                                               ("alternating", -868.4519)])
+def test_log10_min_T_where_min_T_underflows(fam, name, log10_min_T):
+    nb = operator_norm_bounds(fam(name, 2000))
+    assert nb.min_T == 0.0
+    assert nb.log10_min_T == pytest.approx(log10_min_T, abs=1e-4)
+
+
 def test_report_horizon_validation(fam):
     with pytest.raises(IndexOutOfRange):
         build_subgeo_report(fam("geometric", 50), horizon=40)

@@ -92,9 +92,6 @@ class ErgodicityVerdict:
             "equivalence_note": self.equivalence_note,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
     @staticmethod
     def from_json_dict(d: dict) -> "ErgodicityVerdict":
         cert = d.get("certificate")
@@ -111,10 +108,6 @@ class ErgodicityVerdict:
             equivalence_note=d.get("equivalence_note"),
             label=d.get("label"),
         )
-
-    @staticmethod
-    def from_json(text: str) -> "ErgodicityVerdict":
-        return ErgodicityVerdict.from_json_dict(json.loads(text))
 
 
 def _ratio_bound(A: float, m: float, M: float) -> float:
@@ -148,11 +141,10 @@ def classify(spec: SequenceSpec, N: int = 200,
                   "r_hat": base.r_hat, "q_hat": base.q_hat}
     certified = None if isinstance(cert, NoCertificate) else cert
 
-    def geometric(basis, evidence):
+    def verdict(outcome, basis, evidence, **found):
         return ErgodicityVerdict(
-            verdict=GEOMETRIC, basis=basis, evidence=evidence, N=N,
-            scan_p=scan_p, quantities=quantities, certificate=certified,
-            equivalence_note=note)
+            verdict=outcome, basis=basis, evidence=evidence, N=N, scan_p=scan_p,
+            quantities=quantities, equivalence_note=note, **found)
 
     # 1. ratio test on trusted limits
     trusted = all(est.converged.values())
@@ -161,39 +153,30 @@ def classify(spec: SequenceSpec, N: int = 200,
         all_declared = all(est.declared.values())
         borderline = _BORDERLINE[0] <= bound <= _BORDERLINE[1] and not all_declared
         if bound < 1.0 and not borderline and certified is not None:
-            return geometric("ratio_test",
-                             EVIDENCE_DECLARED if all_declared else EVIDENCE_NUMERIC)
+            return verdict(GEOMETRIC, "ratio_test",
+                           EVIDENCE_DECLARED if all_declared else EVIDENCE_NUMERIC,
+                           certificate=certified)
 
     # 2. diverging statistics
     report = build_subgeo_report(fam, scan_p=scan_p)
     fired = report.stats.first_diverging()
     if fired is not None:
-        return ErgodicityVerdict(
-            verdict=SUBGEOMETRIC, basis=f"divergence:{fired}",
-            evidence=EVIDENCE_NUMERIC, N=N, scan_p=scan_p,
-            quantities=quantities, subgeo_summary=report.to_json_dict(),
-            equivalence_note=note)
+        return verdict(SUBGEOMETRIC, f"divergence:{fired}", EVIDENCE_NUMERIC,
+                       subgeo_summary=report.to_json_dict())
 
     # 3. declared limits that rule a geometric rate out
-    if dl is not None:
-        declared_violation = (
-            (dl.A is not None and dl.A >= 1.0)
+    if premise and (
+            dl.A >= 1.0
             or (dl.lim_a_over_bprev is not None and math.isinf(dl.lim_a_over_bprev))
-            or (dl.lim_b_over_a is not None and math.isinf(dl.lim_b_over_a)))
-        if premise and declared_violation:
-            return ErgodicityVerdict(
-                verdict=SUBGEOMETRIC, basis="declared",
-                evidence=EVIDENCE_DECLARED, N=N, scan_p=scan_p,
-                quantities=quantities, subgeo_summary=report.to_json_dict(),
-                equivalence_note=note)
+            or (dl.lim_b_over_a is not None and math.isinf(dl.lim_b_over_a))):
+        return verdict(SUBGEOMETRIC, "declared", EVIDENCE_DECLARED,
+                       subgeo_summary=report.to_json_dict())
 
     # 4. drift certificate straight from the truncated tail
     if certified is not None:
-        return geometric("drift", EVIDENCE_NUMERIC)
+        return verdict(GEOMETRIC, "drift", EVIDENCE_NUMERIC, certificate=certified)
 
-    return ErgodicityVerdict(verdict=INCONCLUSIVE, basis=None,
-                             evidence=EVIDENCE_NUMERIC, N=N, scan_p=scan_p,
-                             quantities=quantities, equivalence_note=note)
+    return verdict(INCONCLUSIVE, None, EVIDENCE_NUMERIC)
 
 
 # -- reporting -------------------------------------------------------------

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,9 +25,6 @@ class BatchMeansEstimate:
     def to_json_dict(self) -> dict:
         return {"g_bar": self.g_bar, "mcse": self.mcse,
                 "batch_size": self.batch_size, "n": self.n}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def check_num_batches(m: int, batch_size: int, n: int) -> None:

@@ -52,7 +52,14 @@ from .errors import (
     UnknownFormat,
 )
 
-KINDS = ("power_law", "geometric", "mixed_geometric", "alternating", "table")
+# each sequence kind's JSON params and the SequenceSpec field holding each:
+# the arrays a and b in a_table and b_table, every number under its own name
+_KIND_PARAMS = {
+    "power_law": {"d": "d", "c1": "c1", "c2": "c2"},
+    **dict.fromkeys(("geometric", "mixed_geometric", "alternating"), {"c": "c"}),
+    "table": {"a": "a_table", "b": "b_table", "tail_ratio": "tail_ratio"},
+}
+KINDS = tuple(_KIND_PARAMS)
 
 # each declared limit and the tail_limits estimates it replaces
 _LIMITS = {"A": ("A",), "lim_ab": ("m", "M"),
@@ -138,10 +145,11 @@ class SequenceSpec:
       table            explicit positive entries, extended geometrically
                        beyond the table with ratio tail_ratio
 
-    Construction does not normalize; build_family renormalizes the
-    truncated mass, so only ratios of parameters matter there. The
-    factory helpers (power_law(), geometric(), ...) solve the missing
-    constants so the untruncated mass is one, matching the usual
+    to_json_dict and from_json_dict read each kind's params from
+    _KIND_PARAMS. Construction does not normalize; build_family
+    renormalizes the truncated mass, so only ratios of parameters matter
+    there. The factory helpers (power_law(), geometric(), ...) solve the
+    missing constants so the untruncated mass is one, matching the usual
     presentation of these families.
     """
 
@@ -259,17 +267,10 @@ class SequenceSpec:
     # -- serialization ---------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        params: dict = {}
-        if self.kind == "power_law":
-            params = {"d": self.d, "c1": self.c1, "c2": self.c2}
-        elif self.kind in ("geometric", "mixed_geometric", "alternating"):
-            params = {"c": self.c}
-        else:
-            params = {
-                "a": list(self.a_table),
-                "b": list(self.b_table),
-                "tail_ratio": self.tail_ratio,
-            }
+        params = {}
+        for name, fld in _KIND_PARAMS[self.kind].items():
+            v = getattr(self, fld)
+            params[name] = list(v) if fld.endswith("_table") else v
         out = {"kind": self.kind, "params": params}
         if self.declared_limits is not None:
             out["declared_limits"] = self.declared_limits.to_json_dict()
@@ -300,16 +301,12 @@ class SequenceSpec:
                 raise UnknownFormat(f"{name} must be an array, got {v!r}")
             return tuple(_real(e, f"{name} entry") for e in v)
 
-        if kind == "power_law":
-            return SequenceSpec(kind=kind, d=scalar("d"), c1=scalar("c1"),
-                                c2=scalar("c2"), declared_limits=limits)
-        if kind in ("geometric", "mixed_geometric", "alternating"):
-            return SequenceSpec(kind=kind, c=scalar("c"), declared_limits=limits)
-        if kind == "table":
-            return SequenceSpec(kind=kind, a_table=array("a"), b_table=array("b"),
-                                tail_ratio=scalar("tail_ratio"),
-                                declared_limits=limits)
-        raise NonPositiveSequence(f"unknown sequence kind {kind!r}")
+        # a kind such as [] is unhashable; it fails this test, not the lookup
+        if kind not in KINDS:
+            raise NonPositiveSequence(f"unknown sequence kind {kind!r}")
+        return SequenceSpec(kind=kind, declared_limits=limits, **{
+            fld: (array if fld.endswith("_table") else scalar)(name)
+            for name, fld in _KIND_PARAMS[kind].items()})
 
     @staticmethod
     def from_json(text: str) -> "SequenceSpec":

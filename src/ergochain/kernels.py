@@ -23,7 +23,8 @@ from pi by one shifted add per band; the n-step matrix is never formed.
 After n steps the start's mass lies within n times the widest band offset
 of the start, so outside that window the difference is exactly -pi: it is
 transported only inside the window, and pi's mass outside comes from
-cumulative sums over the range the chain can reach.
+cumulative sums over the range the chain can reach; every working array
+is sized by that range, not by the number of states.
 One-step expectations log (P f) come from log f the same way, with one
 logaddexp per band (log_expect), so drift checks never form f itself.
 Spectral gaps come from the edge matrix E: D (I - P) = B^T diag(e) B with
@@ -258,9 +259,12 @@ def tv_curve(tm: TransitionMatrix, start, n_max: int) -> TVCurve:
     window widened by bw, where entries never updated still hold -pi; TV is
     half the sum of |v| on the window plus pi's mass outside it. That mass
     comes from cumulative sums of pi over the range reachable in n_max
-    steps plus one sum of each remainder beyond it, so every array but v
-    is sized by the window, not by the number of states. Once the window
-    covers every state, a step is the plain transport.
+    steps plus one sum of each remainder beyond it. v and the buffer it
+    swaps with hold that range widened by bw, 0 beyond the chain's ends,
+    and each band is copied once into column order over the range, so a
+    step is one unclipped product per band, band 0 first; every array is
+    sized by the reachable range, not by the number of states. Once the
+    window covers every state, a step is the plain transport.
     """
     if n_max < 0:
         raise IndexOutOfRange("n_max must be nonnegative")
@@ -276,24 +280,36 @@ def tv_curve(tm: TransitionMatrix, start, n_max: int) -> TVCurve:
     mass_left = np.concatenate(([pi[:r_lo].sum()], pi[r_lo:i0])).cumsum()
     mass_right = np.concatenate(([pi[r_hi:].sum()],
                                  pi[i0 + 1:r_hi][::-1])).cumsum()
-    v = -pi
-    v[i0] += 1.0
+    # v and w hold states r_lo - bw .. r_hi + bw - 1: -pi on the chain's
+    # states and 0 beyond them, so no band slice needs clipping
+    off = r_lo - bw
+    v = np.zeros(r_hi - r_lo + 2 * bw)
+    s_lo, s_hi = max(0, off), min(n_states, r_hi + bw)
+    np.negative(pi[s_lo:s_hi], out=v[s_lo - off:s_hi - off])
+    w = v.copy()
+    v[i0 - off] += 1.0
+    # cols[k][j - r_lo] = P[j-k, j] for j in r_lo .. r_hi - 1, 0 where
+    # state j - k is absent; band[m] lies in column m + max(k, 0)
+    cols = {}
+    for k, band in tm.bands.items():
+        col = cols[k] = np.zeros(r_hi - r_lo)
+        j0 = max(k, 0)
+        a = max(r_lo, j0)
+        b = max(a, min(r_hi, j0 + len(band)))    # b < a only when n_max = 0
+        col[a - r_lo:b - r_lo] = band[a - j0:b - j0]
     values = np.empty(n_max + 1)
     lo, hi = i0, i0 + 1
-    values[0] = 0.5 * (abs(float(v[i0])) + mass_left[-1] + mass_right[-1])
+    values[0] = 0.5 * (abs(float(v[i0 - off])) + mass_left[-1] + mass_right[-1])
     for n in range(1, n_max + 1):
-        lo, hi = max(0, lo - bw), min(n_states, hi + bw)
-        # (vP)[j] gains v[j-k] * P[j-k, j] along each band k
-        w = v[lo:hi] * tm.bands[0][lo:hi]
-        for k, band in tm.bands.items():
-            if k > 0:
-                a = max(lo, k)
-                w[a - lo:] += v[a - k:hi - k] * band[a - k:hi - k]
-            elif k < 0:
-                b = min(hi, n_states + k)
-                w[:b - lo] += v[lo - k:b - k] * band[lo:b]
-        v[lo:hi] = w
-        values[n] = 0.5 * (float(np.abs(w).sum()) + mass_left.item(lo - r_lo)
+        lo, hi = max(r_lo, lo - bw), min(r_hi, hi + bw)
+        # (vP)[j] gains v[j-k] * P[j-k, j] along each band k, band 0 first
+        step = np.multiply(v[lo - off:hi - off], cols[0][lo - r_lo:hi - r_lo],
+                           out=w[lo - off:hi - off])
+        for k, col in cols.items():
+            if k:
+                step += v[lo - k - off:hi - k - off] * col[lo - r_lo:hi - r_lo]
+        v, w = w, v
+        values[n] = 0.5 * (float(np.abs(step).sum()) + mass_left.item(lo - r_lo)
                            + mass_right.item(r_hi - hi))
     rate, const, window = _fit_rate(values)
     return TVCurve(kind=tm.kind, N=tm.N, start=start, n_max=n_max,

@@ -264,6 +264,10 @@ MALFORMED_SPECS = {
                        "declared_limits": {"A": -5, "lim_ab": -3}},
     "limit-nan": {"kind": "geometric", "params": {"c": 1},
                   "declared_limits": {"A": "nan", "lim_ab": "nan"}},
+    "kind-unknown": {"kind": "nope"},
+    "kind-array": {"kind": []},
+    "kind-object": {"kind": {}},
+    "table-null": {"kind": "table", "params": {"a": None, "b": [1]}},
 }
 
 

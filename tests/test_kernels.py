@@ -415,6 +415,22 @@ def test_tv_curve_allocates_only_the_window(fam):
     assert peak <= tm.stationary.nbytes + 64 * 1024
 
 
+@pytest.mark.parametrize("build", [build_Px, build_Pdgs], ids=[MARGINAL_X, DGS])
+def test_tv_curve_memory_is_sized_by_the_reachable_states(fam, build):
+    # 10 steps from the middle reach at most 41 of the 200 000 or more
+    # states, so not even the difference vector may scale with N
+    tm = build(fam("geometric", 200_000))
+    start = tm.states[tm.n_states // 2]
+    tv_curve(tm, start, 10)         # warm numpy's caches outside the trace
+    tracemalloc.start()
+    try:
+        tv_curve(tm, start, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
 @pytest.mark.parametrize("kind", [MARGINAL_X, DGS, RGS])
 def test_log_expect_matches_dense_product(fam, kind):
     # the dgs bands hold structural zeros, which must contribute nothing

@@ -15,7 +15,6 @@ from .drift import (
     DriftCertificate,
     DriftReport,
     NoCertificate,
-    RgsDriftCertificate,
     admissible_c_interval,
     certify,
     drift_coefficient,
@@ -107,7 +106,7 @@ __all__ = [
     "TVCurve", "tv_curve", "SpectralGap", "spectral_gap",
     # drift
     "drift_coefficient", "px_drift_coefficient",
-    "DriftCertificate", "NoCertificate", "RgsDriftCertificate",
+    "DriftCertificate", "NoCertificate",
     "find_drift_certificate", "admissible_c_interval", "lift_to_rgs",
     "DriftReport", "verify_drift", "certify",
     # subgeo

@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from .drift import (
     DriftCertificate,
     NoCertificate,
-    RgsDriftCertificate,
     certificate_from_json_dict,
     certify,
 )
@@ -71,7 +70,7 @@ class ErgodicityVerdict:
     N: int
     scan_p: float | None
     quantities: dict
-    certificate: DriftCertificate | RgsDriftCertificate | None = None
+    certificate: DriftCertificate | None = None
     subgeo_summary: dict | None = None
     equivalence_note: str | None = None
     label: str | None = None
@@ -135,10 +134,9 @@ def classify(spec: SequenceSpec, N: int = 200,
 
     # one verified certificate; steps 1 and 4 both read it
     cert = certify(fam, scan_p)
-    base = getattr(cert, "base", cert)
     quantities = {"A": est.A, "m": est.m, "M": est.M,
                   "a_over_bprev": est.a_over_bprev, "b_over_a": est.b_over_a,
-                  "r_hat": base.r_hat, "q_hat": base.q_hat}
+                  "r_hat": cert.r_hat, "q_hat": cert.q_hat}
     certified = None if isinstance(cert, NoCertificate) else cert
 
     def verdict(outcome, basis, evidence, **found):
@@ -206,7 +204,7 @@ def verdict_report(verdicts: list[ErgodicityVerdict], fmt: str = "table") -> str
     rows = [headers]
     for v in verdicts:
         if v.certificate is not None:
-            info = f"rho={getattr(v.certificate, 'base', v.certificate).rho:.6g}"
+            info = f"rho={v.certificate.rho:.6g}"
         elif v.subgeo_summary is not None:
             info = f"min_T={_min_T_text(v.subgeo_summary)}"
         else:

@@ -27,23 +27,28 @@ class BatchMeansEstimate:
                 "batch_size": self.batch_size, "n": self.n}
 
 
-def check_num_batches(m: int, batch_size: int, n: int) -> None:
-    """Raise TooFewSamples unless there are the 4 batches batch means needs."""
+def batch_layout(n: int, batch_size: int | None) -> tuple[int, int]:
+    """(batch_size, number of full batches) for n samples, the batch size
+    defaulting to floor(sqrt(n)); TooFewSamples unless there are the 4
+    batches batch means needs."""
+    if batch_size is None:
+        batch_size = max(1, int(np.sqrt(n)))
+    if batch_size < 1:
+        raise TooFewSamples(f"batch_size must be >= 1, got {batch_size}")
+    m = n // batch_size
     if m < 4:
         raise TooFewSamples(
             f"batch means needs at least 4 batches, got {m} "
             f"(n={n}, batch_size={batch_size})")
+    return batch_size, m
 
 
 def _from_means(g_bar: float, means: np.ndarray, batch_size: int,
                 n: int) -> BatchMeansEstimate:
-    means = np.asarray(means, dtype=np.float64)
-    m = means.size
-    check_num_batches(m, batch_size, n)
     sigma2 = batch_size * float(np.var(means, ddof=1))
     return BatchMeansEstimate(g_bar=g_bar, sigma2_hat=sigma2,
                               mcse=float(np.sqrt(sigma2 / n)),
-                              batch_size=batch_size, num_batches=m, n=n)
+                              batch_size=batch_size, num_batches=means.size, n=n)
 
 
 def batch_means(values, batch_size: int | None = None) -> BatchMeansEstimate:
@@ -56,13 +61,8 @@ def batch_means(values, batch_size: int | None = None) -> BatchMeansEstimate:
     n = values.size
     if n == 0:
         raise TooFewSamples("no samples")
-    if batch_size is None:
-        batch_size = max(1, int(np.sqrt(n)))
-    if batch_size < 1:
-        raise TooFewSamples(f"batch_size must be >= 1, got {batch_size}")
-    m = n // batch_size
-    means = values[:m * batch_size].reshape(m, batch_size).mean(axis=1) \
-        if m > 0 else np.empty(0)
+    batch_size, m = batch_layout(n, batch_size)
+    means = values[:m * batch_size].reshape(m, batch_size).mean(axis=1)
     return _from_means(float(values.mean()), means, batch_size, n)
 
 

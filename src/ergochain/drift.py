@@ -30,19 +30,22 @@ by lifting: for any c strictly between s/(1-s) and s/(rho (1-s)),
     W(x, y) = V(x) + c G(y),   G(y) = ((a_y + z b_y) / (a_y + b_y)) z^y,
     gamma   = max{(1-s)(c rho + 1), s (1 + c) / c}  <  1,
 
-and one random-scan step satisfies E W <= gamma W + (1-s) c L.
-Verification is exhaustive over the truncated support: the one-step
-expectation of V (or W) is taken through the banded kernel itself,
-build_Px or build_Prgs, with kernels.log_expect, and both sides are
-compared in log space, so certificates remain checkable when z^x
-overflows. certify runs search, verification, lift and the lifted
-verification in that order; it is the one path that issues a certificate.
+and one random-scan step satisfies E W <= gamma W + (1-s) c L. One
+record, DriftCertificate, serves all three chains (the deterministic
+scan's x-marginal is the marginal chain); its lift fields scan_p, c and
+gamma are None until lift_to_rgs sets them. Verification is exhaustive
+over the truncated support: the one-step expectation of V (or W) is
+taken through the banded kernel itself, build_Px or build_Prgs, with
+kernels.log_expect, and both sides are compared in log space, so
+certificates remain checkable when z^x overflows. certify runs search,
+verification, lift and the lifted verification in that order; it is the
+one path that issues a certificate.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -90,9 +93,12 @@ def log_PxV(fam: BivariateFamily, log_z: float) -> np.ndarray:
     return log_expect(build_Px(fam), x * log_z)
 
 
+_LIFT = ("scan_p", "c", "gamma")
+
+
 @dataclass(frozen=True)
 class DriftCertificate:
-    """Verified geometric drift data for the marginal chain."""
+    """Verified drift data for the marginal chain; lifted when scan_p is set."""
 
     z: float
     rho: float
@@ -101,15 +107,34 @@ class DriftCertificate:
     r_hat: float
     q_hat: float
     N: int
+    scan_p: float | None = None
+    c: float | None = None
+    gamma: float | None = None
 
     @property
     def L(self) -> float:
         return math.exp(self.log_L)
 
+    @property
+    def log_bound_constant(self) -> float:
+        """log of the lifted additive constant (1 - scan_p) c L."""
+        return math.log((1.0 - self.scan_p) * self.c) + self.log_L
+
     def to_json_dict(self) -> dict:
         out = asdict(self)
+        lift = {k: out.pop(k) for k in _LIFT}
         out["L"] = _encode_extended(self.L)
+        if self.scan_p is not None:
+            out["rgs"] = {**lift, "bound_constant": _encode_extended(
+                math.exp(self.log_bound_constant))}
         return out
+
+
+def certificate_from_json_dict(d: dict) -> DriftCertificate:
+    """The DriftCertificate that to_json_dict wrote."""
+    lift = d.get("rgs") or dict.fromkeys(_LIFT)
+    return DriftCertificate(**{f.name: (lift if f.name in _LIFT else d)[f.name]
+                               for f in fields(DriftCertificate)})
 
 
 @dataclass(frozen=True)
@@ -124,39 +149,6 @@ class NoCertificate:
         return {"certificate": None, "reason": self.reason,
                 "r_hat": _encode_extended(self.r_hat),
                 "q_hat": _encode_extended(self.q_hat)}
-
-
-@dataclass(frozen=True)
-class RgsDriftCertificate:
-    """Certificate lifted to the random-scan chain at scan probability scan_p."""
-
-    base: DriftCertificate
-    scan_p: float
-    c: float
-    gamma: float
-
-    @property
-    def log_bound_constant(self) -> float:
-        """log of the additive constant (1 - scan_p) c L."""
-        return math.log((1.0 - self.scan_p) * self.c) + self.base.log_L
-
-    def to_json_dict(self) -> dict:
-        out = self.base.to_json_dict()
-        out["rgs"] = {
-            "scan_p": self.scan_p,
-            "c": self.c,
-            "gamma": self.gamma,
-            "bound_constant": _encode_extended(math.exp(self.log_bound_constant)),
-        }
-        return out
-
-
-def certificate_from_json_dict(d: dict):
-    """The DriftCertificate or RgsDriftCertificate that to_json_dict wrote."""
-    base = DriftCertificate(**{f.name: d[f.name] for f in fields(DriftCertificate)})
-    r = d.get("rgs")
-    return base if r is None else RgsDriftCertificate(
-        base=base, scan_p=r["scan_p"], c=r["c"], gamma=r["gamma"])
 
 
 def rho_bound(r_hat: float, q_hat: float, z: float) -> float:
@@ -202,11 +194,11 @@ def admissible_c_interval(cert: DriftCertificate, scan_p: float) -> tuple[float,
 
 
 def lift_to_rgs(cert: DriftCertificate, scan_p: float,
-                c: float | None = None) -> RgsDriftCertificate:
-    """Lift a marginal-chain certificate to the random-scan chain.
-
-    When c is omitted the geometric mean of the admissible interval is
-    used; a supplied c outside the open interval raises COutOfRange.
+                c: float | None = None) -> DriftCertificate:
+    """cert lifted to the random-scan chain at scan_p from its marginal
+    constants alone. When c is omitted the geometric mean of the
+    admissible interval is used; a supplied c outside the open interval
+    raises COutOfRange.
     """
     lo, hi = admissible_c_interval(cert, scan_p)
     if c is None:
@@ -218,7 +210,7 @@ def lift_to_rgs(cert: DriftCertificate, scan_p: float,
                 scan_p * (1.0 + c) / c)
     if not (cert.rho < gamma < 1.0):
         raise COutOfRange(f"lift produced gamma = {gamma!r} outside (rho, 1)")
-    return RgsDriftCertificate(base=cert, scan_p=scan_p, c=c, gamma=gamma)
+    return replace(cert, scan_p=scan_p, c=c, gamma=gamma)
 
 
 @dataclass(frozen=True)
@@ -243,27 +235,26 @@ def _log_G(fam: BivariateFamily, log_z: float) -> np.ndarray:
             - fam.log_piy + y * log_z)
 
 
-def verify_drift(cert, fam: BivariateFamily) -> DriftReport:
+def verify_drift(cert: DriftCertificate, fam: BivariateFamily) -> DriftReport:
     """Check a certificate's drift inequality at every support state.
 
-    Accepts a DriftCertificate (marginal chain, states x = 1..N) or an
-    RgsDriftCertificate (all 2N-1 staircase pairs, positioned by
-    kernels.staircase_xy). The one-step expectation of the test function
-    is taken through the chain's banded kernel with log_expect and
-    compared with the certified bound in log space.
+    A certificate whose lift fields are None is checked on the marginal
+    chain (x = 1..N), a lifted one on the random scan's 2N-1 staircase
+    pairs, positioned by kernels.staircase_xy. The one-step expectation of
+    the test function is taken through the chain's banded kernel with
+    log_expect and compared with the certified bound in log space.
     """
-    if isinstance(cert, RgsDriftCertificate):
-        log_z = math.log(cert.base.z)
-        tm = build_Prgs(fam, cert.scan_p)
-        x, y = staircase_xy(fam.N)
-        log_W = np.logaddexp(x * log_z, math.log(cert.c) + _log_G(fam, log_z)[y - 1])
-        log_rate, log_const = math.log(cert.gamma), cert.log_bound_constant
-    else:
-        log_z = math.log(cert.z)
+    log_z = math.log(cert.z)
+    if cert.scan_p is None:
         tm = build_Px(fam)
         x, y = np.arange(1, fam.N + 1), None
         log_W = x * log_z
         log_rate, log_const = math.log(cert.rho), cert.log_L
+    else:
+        tm = build_Prgs(fam, cert.scan_p)
+        x, y = staircase_xy(fam.N)
+        log_W = np.logaddexp(x * log_z, math.log(cert.c) + _log_G(fam, log_z)[y - 1])
+        log_rate, log_const = math.log(cert.gamma), cert.log_bound_constant
     viol = log_expect(tm, log_W) - np.logaddexp(log_rate + log_W, log_const)
     k = int(np.argmax(viol))
     mv = float(viol[k])
@@ -302,7 +293,7 @@ def certify(fam: BivariateFamily, scan_p: float | None = None):
 
 __all__ = [
     "R_BORDERLINE",
-    "DriftCertificate", "NoCertificate", "RgsDriftCertificate", "DriftReport",
+    "DriftCertificate", "NoCertificate", "DriftReport",
     "drift_coefficient", "px_drift_coefficient", "tail_surrogates",
     "rho_bound", "find_drift_certificate", "admissible_c_interval",
     "lift_to_rgs", "verify_drift", "log_PxV", "certify",

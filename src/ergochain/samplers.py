@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import BatchMeansEstimate, _from_means, check_num_batches
-from .errors import BadSeed, IndexOutOfRange, StartNotInSupport, TooFewSamples
+from .diagnostics import BatchMeansEstimate, _from_means, batch_layout
+from .errors import BadSeed, IndexOutOfRange, StartNotInSupport
 from .family import BivariateFamily
 from .kernels import DGS, MARGINAL_X, RGS, check_scan_p, check_state
 
@@ -226,12 +226,7 @@ def run_marginal_ensemble(fam: BivariateFamily, n_chains: int, n_steps: int,
 
     track = g is not None
     if track:
-        if batch_size is None:
-            batch_size = max(1, int(np.sqrt(n_steps)))
-        if batch_size < 1:
-            raise TooFewSamples(f"batch_size must be >= 1, got {batch_size}")
-        n_batches = n_steps // batch_size
-        check_num_batches(n_batches, batch_size, n_steps)
+        batch_size, n_batches = batch_layout(n_steps, batch_size)
         batch_means = np.zeros((n_chains, n_batches), dtype=np.float64)
         batch_acc = np.zeros(n_chains, dtype=np.float64)
         total = np.zeros(n_chains, dtype=np.float64)

@@ -10,7 +10,6 @@ from ergochain import (
     EmptyReport,
     ErgodicityVerdict,
     IndexOutOfRange,
-    RgsDriftCertificate,
     UnknownFormat,
     classify,
     example_spec,
@@ -46,9 +45,9 @@ def test_geometric_carries_verified_certificate():
 def test_geometric_with_scan_lifts_certificate():
     v = classify(example_spec("geometric"), N=200, scan_p=0.5)
     cert = v.certificate
-    assert isinstance(cert, RgsDriftCertificate)
+    assert isinstance(cert, DriftCertificate) and cert.scan_p == 0.5
     assert cert.scan_p == 0.5
-    assert cert.base.rho < cert.gamma < 1.0
+    assert cert.rho < cert.gamma < 1.0
 
 
 def test_subgeometric_carries_summary_with_fired_flag():

@@ -13,6 +13,7 @@ import pytest
 from ergochain import (
     IndexOutOfRange,
     build_family,
+    build_Px,
     build_subgeo_report,
     conditional_variance_stat,
     divergence_statistics,
@@ -20,6 +21,7 @@ from ergochain import (
     example_spec,
     operator_norm_bounds,
     power_law,
+    table,
 )
 
 T_LIMIT_GEO = 0.20901164656533677    # (e-2) / (2(e-1)), frozen
@@ -217,3 +219,34 @@ def test_log10_min_T_where_min_T_underflows(fam, name, log10_min_T):
 def test_report_horizon_validation(fam):
     with pytest.raises(IndexOutOfRange):
         build_subgeo_report(fam("geometric", 50), horizon=40)
+
+
+def _green_diagonal_and_T(f):
+    """diag(E^-1) for the marginal's edge matrix E, built densely from the
+    build_Px bands as in kernels.spectral_gap, and T_2..T_N."""
+    bands = build_Px(f).bands
+    up, down = bands[1], bands[-1]
+    off = -np.sqrt(down[:-1] * up[1:])
+    E = np.diag(up + down) + np.diag(off, 1) + np.diag(off, -1)
+    T = [conditional_variance_stat(f, i) for i in range(2, f.N + 1)]
+    return np.diag(np.linalg.inv(E)), np.array(T)
+
+
+def _green_cases():
+    for name in example_names():
+        for N in (5, 12):
+            yield build_family(example_spec(name), N)
+    rng = np.random.default_rng(20261018)
+    for _ in range(200):
+        k = int(rng.integers(1, 9))
+        spec = table(tuple(10.0 ** rng.uniform(-5, 0, k)),
+                     tuple(10.0 ** rng.uniform(-5, 0, k)))
+        yield build_family(spec, int(rng.integers(3, 13)))
+
+
+def test_green_function_diagonal_is_one_over_T():
+    # E^-1 is similar to G(j, k) = F_min(j,k) Fbar_max(j,k) / e_j, whose
+    # diagonal F_j Fbar_j / e_j is 1 / T_{j+1}
+    for f in _green_cases():
+        G_diag, T = _green_diagonal_and_T(f)
+        np.testing.assert_allclose(G_diag, 1.0 / T, rtol=1e-9)

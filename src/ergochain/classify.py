@@ -197,7 +197,7 @@ def verdict_report(verdicts: list[ErgodicityVerdict], fmt: str = "table") -> str
         raise EmptyReport("no verdicts to report")
     if fmt == "json":
         return json.dumps([v.to_json_dict() for v in verdicts],
-                          indent=2, sort_keys=True) + "\n"
+                          indent=2, sort_keys=True, allow_nan=False) + "\n"
     if fmt != "table":
         raise UnknownFormat(f"unknown report format {fmt!r}")
     headers = ("label", "N", "verdict", "basis", "evidence", "rate_info")

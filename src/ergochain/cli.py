@@ -44,17 +44,12 @@ MAX_STEPS = 10 ** 7
 MAX_TV_WORK = 10 ** 9
 # largest subgeo --horizon: the default horizon at MAX_N
 MAX_HORIZON = 4 * MAX_N
+# the size options dispatch refuses above their limit, before any work
+_LIMITS = {"n": MAX_N, "steps": MAX_STEPS, "horizon": MAX_HORIZON}
 
 
 def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _add_spec_args(p: argparse.ArgumentParser) -> None:
@@ -82,29 +77,30 @@ def _family(args):
     return build_family(_load_spec(args), args.n)
 
 
-def _parse_start(s: str, kind: str):
+def _start(args):
+    """The parsed --start, or the chain's first state when it is omitted."""
+    if args.start is None:
+        return 1 if args.chain == MARGINAL_X else (1, 1)
     try:
-        if kind == MARGINAL_X:
-            return int(s)
-        parts = s.split(",")
+        if args.chain == MARGINAL_X:
+            return int(args.start)
+        parts = args.start.split(",")
         if len(parts) == 2:
             return int(parts[0]), int(parts[1])
     except ValueError:
         pass
     raise StartNotInSupport(f"need an integer start, or x,y for a bivariate "
-                            f"chain, got {s!r}")
+                            f"chain, got {args.start!r}")
 
 
-def _default_start(kind: str):
-    return 1 if kind == MARGINAL_X else (1, 1)
-
-
-def _build_matrix(fam, kind: str, scan_p: float):
-    if kind == MARGINAL_X:
+def _kernel(args):
+    """The family's --chain kernel, for spectrum and tvcurve."""
+    fam = _family(args)
+    if args.chain == MARGINAL_X:
         return build_Px(fam)
-    if kind == DGS:
+    if args.chain == DGS:
         return build_Pdgs(fam)
-    return build_Prgs(fam, scan_p)
+    return build_Prgs(fam, args.scan_p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -118,18 +114,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scan-p", type=float, default=None,
                    help="also lift the certificate to the random scan")
     p.add_argument("--format", choices=("json", "table"), default="json")
-    p.add_argument("--out")
 
     p = sub.add_parser("drift", help="search for a drift certificate")
     _add_spec_args(p)
     p.add_argument("--scan-p", type=float, default=None)
-    p.add_argument("--out")
 
     p = sub.add_parser("spectrum", help="operator norm and spectral gap")
     _add_spec_args(p)
     p.add_argument("--chain", choices=_CHAINS, default=MARGINAL_X)
     p.add_argument("--scan-p", type=float, default=0.5)
-    p.add_argument("--out")
 
     p = sub.add_parser("tvcurve", help="total variation distance by step")
     _add_spec_args(p)
@@ -139,7 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=400,
                    help=f"at most {MAX_STEPS}")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out")
 
     p = sub.add_parser("subgeo", help="conditional-variance and tail statistics")
     _add_spec_args(p)
@@ -147,7 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=int, default=None,
                    help=f"at most {MAX_HORIZON}")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out")
 
     p = sub.add_parser("sample", help="simulate a chain")
     _add_spec_args(p)
@@ -161,11 +152,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g-indicator", type=int, default=None, metavar="T",
                    help="track g = 1(x >= T) and report a batch-means error")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out")
 
     p = sub.add_parser("examples", help="list the built-in families")
     p.add_argument("--format", choices=("table", "json"), default="table")
-    p.add_argument("--out")
 
     p = sub.add_parser("report", help="classify several families at once")
     p.add_argument("--examples", default="all",
@@ -174,63 +163,52 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"truncation level, at most {MAX_N}")
     p.add_argument("--scan-p", type=float, default=None)
     p.add_argument("--format", choices=("table", "json"), default="table")
-    p.add_argument("--out")
 
+    for p in sub.choices.values():
+        p.add_argument("--out")
     return ap
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> tuple[str, int]:
     v = classify(_load_spec(args), N=args.n, scan_p=args.scan_p)
     v = dataclasses.replace(v, label=args.example or "spec")
+    code = 3 if v.verdict == INCONCLUSIVE else 0
     if args.format == "table":
-        _emit(verdict_report([v], "table"), args.out)
-    else:
-        _emit(_dump_json(v.to_json_dict()), args.out)
-    return 3 if v.verdict == INCONCLUSIVE else 0
+        return verdict_report([v], "table"), code
+    return _dump_json(v.to_json_dict()), code
 
 
-def _cmd_drift(args) -> int:
+def _cmd_drift(args) -> tuple[str, int]:
     cert = certify(_family(args), args.scan_p)
-    _emit(_dump_json(cert.to_json_dict()), args.out)
-    return 3 if isinstance(cert, NoCertificate) else 0
+    code = 3 if isinstance(cert, NoCertificate) else 0
+    return _dump_json(cert.to_json_dict()), code
 
 
-def _cmd_spectrum(args) -> int:
-    fam = _family(args)
-    tm = _build_matrix(fam, args.chain, args.scan_p)
-    _emit(_dump_json(spectral_gap(tm).to_json_dict()), args.out)
-    return 0
+def _cmd_spectrum(args) -> tuple[str, int]:
+    return _dump_json(spectral_gap(_kernel(args)).to_json_dict()), 0
 
 
-def _cmd_tvcurve(args) -> int:
-    fam = _family(args)
-    tm = _build_matrix(fam, args.chain, args.scan_p)
-    start = (_parse_start(args.start, args.chain) if args.start is not None
-             else _default_start(args.chain))
-    curve = tv_curve(tm, start, args.steps)
+def _cmd_tvcurve(args) -> tuple[str, int]:
+    curve = tv_curve(_kernel(args), _start(args), args.steps)
     if args.format == "json":
-        _emit(_dump_json(curve.to_json_dict()), args.out)
-    else:
-        _emit(curve.to_csv(), args.out)
-    return 0
+        return _dump_json(curve.to_json_dict()), 0
+    return curve.to_csv(), 0
 
 
-def _cmd_subgeo(args) -> int:
+def _cmd_subgeo(args) -> tuple[str, int]:
     fam = _family(args)
     report = build_subgeo_report(fam, horizon=args.horizon, scan_p=args.scan_p)
     if args.format == "json":
-        _emit(_dump_json(report.to_json_dict()), args.out)
-    else:
-        _emit(report.to_csv(), args.out)
-    return 0
+        return _dump_json(report.to_json_dict()), 0
+    return report.to_csv(), 0
 
 
-def _cmd_sample(args) -> int:
+def _cmd_sample(args) -> tuple[str, int]:
     fam = _family(args)
-    start = (_parse_start(args.start, args.chain) if args.start is not None
-             else _default_start(args.chain))
+    start = _start(args)
     g = None
-    if args.g_indicator is not None:
+    # only the JSON prints g, so the CSV does not compute it
+    if args.g_indicator is not None and args.format == "json":
         t = args.g_indicator
         g = ((lambda x: float(x >= t)) if args.chain == MARGINAL_X
              else (lambda x, y: float(x >= t)))
@@ -243,8 +221,7 @@ def _cmd_sample(args) -> int:
                     scan_p=args.scan_p if args.chain == RGS else None, g=g)
     trace = run_chain(fam, cfg)
     if args.format == "csv":
-        _emit(trace.to_csv(), args.out)
-        return 0
+        return trace.to_csv(), 0
     final = None
     if trace.xs.size:
         final = (int(trace.xs[-1]) if trace.ys is None
@@ -256,23 +233,20 @@ def _cmd_sample(args) -> int:
         gd = est.to_json_dict()
         gd["note"] = CLT_NOTE
         out["g"] = gd
-    _emit(_dump_json(out), args.out)
-    return 0
+    return _dump_json(out), 0
 
 
-def _cmd_examples(args) -> int:
+def _cmd_examples(args) -> tuple[str, int]:
     names = example_names()
     if args.format == "json":
-        _emit(_dump_json([{"name": n, "description": example_description(n)}
-                          for n in names]), args.out)
-        return 0
+        return _dump_json([{"name": n, "description": example_description(n)}
+                           for n in names]), 0
     width = max(len(n) for n in names)
     lines = [f"{n.ljust(width)}  {example_description(n)}" for n in names]
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return "\n".join(lines) + "\n", 0
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args) -> tuple[str, int]:
     if args.examples == "all":
         names = example_names()
     else:
@@ -281,8 +255,7 @@ def _cmd_report(args) -> int:
     for name in names:
         v = classify(example_spec(name), N=args.n, scan_p=args.scan_p)
         verdicts.append(dataclasses.replace(v, label=name))
-    _emit(verdict_report(verdicts, args.format), args.out)
-    return 0
+    return verdict_report(verdicts, args.format), 0
 
 
 _COMMANDS = {
@@ -300,14 +273,11 @@ _COMMANDS = {
 def dispatch(argv: list[str]) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "n", 0) > MAX_N:
-            raise IndexOutOfRange(f"--n {args.n} exceeds the limit {MAX_N}")
-        if getattr(args, "steps", 0) > MAX_STEPS:
-            raise IndexOutOfRange(f"--steps {args.steps} exceeds the limit "
-                                  f"{MAX_STEPS}")
-        if (getattr(args, "horizon", None) or 0) > MAX_HORIZON:
-            raise IndexOutOfRange(f"--horizon {args.horizon} exceeds the limit "
-                                  f"{MAX_HORIZON}")
+        for name, limit in _LIMITS.items():
+            value = getattr(args, name, None)
+            if value is not None and value > limit:
+                raise IndexOutOfRange(f"--{name} {value} exceeds the limit "
+                                      f"{limit}")
         if args.command == "tvcurve":
             states = args.n if args.chain == MARGINAL_X else 2 * args.n - 1
             bw = 2 if args.chain == DGS else 1
@@ -316,7 +286,12 @@ def dispatch(argv: list[str]) -> int:
                 raise IndexOutOfRange(
                     f"--steps {args.steps} x {states} states exceeds the "
                     f"tvcurve budget of {MAX_TV_WORK} state-steps")
-        return _COMMANDS[args.command](args)
+        text, code = _COMMANDS[args.command](args)
+        if args.out:
+            Path(args.out).write_text(text)
+        else:
+            sys.stdout.write(text)
+        return code
     except ErgochainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

@@ -40,6 +40,13 @@ kernels.log_expect, and both sides are compared in log space, so
 certificates remain checkable when z^x overflows. certify runs search,
 verification, lift and the lifted verification in that order; it is the
 one path that issues a certificate.
+
+A certificate proves a geometric rate for the chain truncated at N, not
+for the infinite family: the power-law family, which has no geometric
+rate, is certified at N = 50 and N = 200 (r_hat = 0.98992, just under
+0.99, rho = 0.9999992) and refused from N = 300 on. Whether the family
+converges geometrically is classify's answer, which also reads the
+declared limits and the divergence statistics.
 """
 
 from __future__ import annotations

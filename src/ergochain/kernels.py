@@ -109,7 +109,6 @@ class TransitionMatrix:
     bands: dict = field(repr=False)
     stationary: np.ndarray = field(repr=False)
     N: int
-    scan_p: float | None = None
 
     @property
     def n_states(self) -> int:
@@ -190,7 +189,7 @@ def build_Prgs(fam: BivariateFamily, scan_p: float) -> TransitionMatrix:
     np.multiply(s, ob[:-1], out=bands[-1][0::2])
     np.multiply(t, delta[1:], out=bands[-1][1::2])
     np.add(bands[1][0::2], bands[-1][1::2], out=bands[0][1::2])
-    return TransitionMatrix(RGS, bands, _staircase_pi(fam), fam.N, scan_p=s)
+    return TransitionMatrix(RGS, bands, _staircase_pi(fam), fam.N)
 
 
 def log_expect(tm: TransitionMatrix, log_f: np.ndarray) -> np.ndarray:

@@ -73,7 +73,6 @@ class NormBounds:
 
     px_norm_lb: float
     rgs_norm_lb: float | None
-    argmin_index: int
     min_T: float
     log10_min_T: float
 
@@ -84,8 +83,7 @@ def _norm_bounds(log_T: np.ndarray, scan_p: float | None) -> NormBounds:
     k = int(np.argmin(log_T))
     min_T = float(np.exp(log_T[k]))
     rgs = None if scan_p is None else 1.0 - scan_p * min_T
-    return NormBounds(px_norm_lb=1.0 - min_T, rgs_norm_lb=rgs,
-                      argmin_index=k + 2, min_T=min_T,
+    return NormBounds(px_norm_lb=1.0 - min_T, rgs_norm_lb=rgs, min_T=min_T,
                       log10_min_T=float(log_T[k]) / math.log(10.0))
 
 

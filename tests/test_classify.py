@@ -11,6 +11,8 @@ from ergochain import (
     ErgodicityVerdict,
     IndexOutOfRange,
     UnknownFormat,
+    build_family,
+    build_subgeo_report,
     classify,
     example_spec,
     table,
@@ -89,6 +91,23 @@ def test_certificate_and_divergence_are_exclusive():
             assert not (fired and v.certificate is not None)
 
 
+@pytest.mark.parametrize("name", sorted(EXPECTED))
+@pytest.mark.parametrize("N", [50, 200, 2000])
+@pytest.mark.parametrize("scan_p", [None, 0.5])
+def test_verdict_never_mixes_certificate_and_fired_flag(name, N, scan_p):
+    # drift alone certifies the truncated power-law chain at N = 50 and 200
+    # (r_hat just under 0.99); classify must still not pair a certificate
+    # with a subgeometric verdict, nor a fired flag with a geometric one
+    spec = example_spec(name)
+    v = classify(spec, N=N, scan_p=scan_p)
+    if v.verdict == "Subgeometric":
+        assert v.certificate is None
+    if v.verdict == "Geometric":
+        assert v.subgeo_summary is None
+        report = build_subgeo_report(build_family(spec, N), scan_p=scan_p)
+        assert not report.stats.any_diverging
+
+
 def test_equivalence_note_present():
     v = classify(example_spec("geometric"), N=50)
     assert "exhaustive" in v.equivalence_note
@@ -129,3 +148,13 @@ def test_report_formats():
         verdict_report([], "table")
     with pytest.raises(UnknownFormat):
         verdict_report(vs, "yaml")
+
+
+def test_report_json_refuses_nan():
+    # the JSON is strict, as every other JSON the command line writes
+    v = ErgodicityVerdict(
+        verdict="Subgeometric", basis="divergence:S1",
+        evidence="numeric-estimates", N=50, scan_p=None, quantities={},
+        subgeo_summary={"min_T": float("nan")}, label="nan")
+    with pytest.raises(ValueError):
+        verdict_report([v], "json")

@@ -463,6 +463,37 @@ def test_out_writes_file(tmp_path, capsys):
     assert json.loads(target.read_text())["verdict"] == "Geometric"
 
 
+@pytest.mark.parametrize("argv", [
+    ["classify", "--example", "geometric", "--n", "50"],
+    ["drift", "--example", "power-law", "--n", "2000"],
+    ["spectrum", "--example", "geometric", "--chain", "rgs", "--n", "50"],
+    ["tvcurve", "--example", "power-law", "--n", "50", "--steps", "40"],
+    ["subgeo", "--example", "mixed-geometric", "--n", "50", "--format", "json"],
+    ["sample", "--example", "geometric", "--n", "50", "--steps", "200",
+     "--g-indicator", "2"],
+    ["examples"],
+    ["report", "--examples", "geometric,power-law", "--n", "50"],
+], ids=lambda argv: argv[0])
+def test_out_holds_exactly_what_stdout_prints(tmp_path, capsys, argv):
+    code, out, err = run(capsys, *argv)
+    target = tmp_path / "out"
+    code_out, out_out, err_out = run(capsys, *argv, "--out", str(target))
+    assert code == (3 if argv[0] == "drift" else 0)
+    assert (code_out, out_out, err_out) == (code, "", err)
+    assert target.read_bytes() == out.encode() and out
+
+
+def test_out_is_not_created_by_a_failing_command(tmp_path, capsys):
+    target = tmp_path / "out.csv"
+    code, out, err = run(capsys, "sample", "--example", "geometric",
+                         "--thin", "0", "--out", str(target))
+    assert code == 4 and out == "" and err.startswith("error:")
+    assert not target.exists()
+    code, out, err = run(capsys, "examples", "--out",
+                         str(tmp_path / "missing" / "out.txt"))
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+
+
 def test_usage_errors_exit_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         dispatch(["classify"])                      # no spec source

@@ -39,8 +39,8 @@ MAX_STEPS = 10 ** 7
 # largest tvcurve steps x states transported per step: the states within
 # bw * steps of the start (bw = 2 for dgs, 1 otherwise), at most all N, or
 # 2N - 1 for dgs and rgs. A window inside the chain grows by 2 bw a step,
-# so such runs end in seconds (dgs, N = 10^6, 15 800 steps: 2.5 s); the
-# slowest are 10^7 steps on about 100 states, 10 to 17 us a step
+# so such runs end in seconds (dgs, N = 10^6, 15 800 steps: 2 to 4 s); the
+# slowest are 10^7 steps on about 100 states, 4 to 8 us a step (2-core VM)
 MAX_TV_WORK = 10 ** 9
 # largest subgeo --horizon: the default horizon at MAX_N
 MAX_HORIZON = 4 * MAX_N

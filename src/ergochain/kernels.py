@@ -22,14 +22,21 @@ stay_y, beta and delta. Total variation curves transport the difference
 from pi by one shifted add per band; the n-step matrix is never formed.
 After n steps the start's mass lies within n times the widest band offset
 of the start, so outside that window the difference is exactly -pi: it is
-transported only inside the window, and pi's mass outside comes from
-cumulative sums over the range the chain can reach; every working array
-is sized by that range, not by the number of states.
+transported, a block of steps at a time, only inside the window the
+block's last step reaches, and pi's mass outside comes from cumulative
+sums over the range the chain can reach. Each step of a block writes |v|
+into a row of a ring that one row sum reduces to the block's L1 norms,
+and every working array is sized by the reachable range, not by the
+number of states.
 One-step expectations log (P f) come from log f the same way, with one
 logaddexp per band (log_expect), so drift checks never form f itself.
 Spectral gaps come from the edge matrix E: D (I - P) = B^T diag(e) B with
 D = diag(pi), B the first-difference matrix and e_k = pi_k P[k, k+1] the
 edge conductances, so I - P on mean-zero functions has the spectrum of E.
+An eigenvalue of E is bracketed by tests of whether a shift of E is
+positive definite, decided by odd-even reduction; the shifts tried are
+midpoints of the bracket and then regula falsi on the reduction's last
+pivot.
 
 The only scipy import is scipy.sparse, inside TransitionMatrix.P, so
 importing this module, building kernels, transporting TV curves and
@@ -38,6 +45,8 @@ solving spectral gaps load numpy alone.
 
 from __future__ import annotations
 
+import itertools
+import math
 import operator
 from dataclasses import dataclass, field
 
@@ -57,6 +66,8 @@ RGS = "rgs"
 
 # TV values below this are fitting noise and are excluded from rate fits.
 _TV_FLOOR = 1e-13
+# tv_curve sums |v| over this many steps at once
+_RING = 16
 
 
 def check_state(kind: str, N: int, state):
@@ -253,16 +264,23 @@ def tv_curve(tm: TransitionMatrix, start, n_max: int) -> TVCurve:
     and the tail of the curve is resolved down to the fit floor.
 
     delta_start P^n is zero outside the window of states within n * bw of
-    the start, bw the widest band offset, so there v is exactly -pi. Each
-    step updates v on that window only, reading the previous v on the
-    window widened by bw, where entries never updated still hold -pi; TV is
-    half the sum of |v| on the window plus pi's mass outside it. That mass
-    comes from cumulative sums of pi over the range reachable in n_max
-    steps plus one sum of each remainder beyond it. v and the buffer it
-    swaps with hold that range widened by bw, 0 beyond the chain's ends,
-    and each band is copied once into column order over the range, so a
-    step is one unclipped product per band, band 0 first; every array is
-    sized by the reachable range, not by the number of states. Once the
+    the start, bw the widest band offset, so there v is exactly -pi, and
+    since pi P = pi a step keeps it -pi there to rounding. The steps run in
+    blocks of _RING. Every step of a block updates v only on the window
+    the block's last step reaches, reading the previous v on that window
+    widened by bw, where entries never updated still hold -pi; TV is half
+    the sum of |v| on the window plus pi's mass outside it. That mass comes
+    from cumulative sums of pi over the range reachable in n_max steps
+    plus one sum of each remainder beyond it. v and the buffer it swaps
+    with hold that range widened by bw, 0 beyond the chain's ends, and each
+    band is copied once into column order over the range, so a step is one
+    unclipped product per band, band 0 first, on views made once per
+    block, and one abs of the window into row (n - 1) mod _RING of a ring
+    of _RING rows over the range. Each row is zero outside the windows it
+    has held; windows only grow, so a reused row is overwritten wherever it
+    held a value. After each block, one row sum over the ring gives the
+    window sums of its steps. Every array but values is sized by
+    the reachable range, not by the number of states or of steps. Once the
     window covers every state, a step is the plain transport.
     """
     if n_max < 0:
@@ -296,20 +314,33 @@ def tv_curve(tm: TransitionMatrix, start, n_max: int) -> TVCurve:
         a = max(r_lo, j0)
         b = max(a, min(r_hi, j0 + len(band)))    # b < a only when n_max = 0
         col[a - r_lo:b - r_lo] = band[a - j0:b - j0]
+    band0 = cols.pop(0)
+    width = r_hi - r_lo
     values = np.empty(n_max + 1)
-    lo, hi = i0, i0 + 1
     values[0] = 0.5 * (abs(float(v[i0 - off])) + mass_left[-1] + mass_right[-1])
-    for n in range(1, n_max + 1):
-        lo, hi = max(r_lo, lo - bw), min(r_hi, hi + bw)
-        # (vP)[j] gains v[j-k] * P[j-k, j] along each band k, band 0 first
-        step = np.multiply(v[lo - off:hi - off], cols[0][lo - r_lo:hi - r_lo],
-                           out=w[lo - off:hi - off])
-        for k, col in cols.items():
-            if k:
-                step += v[lo - k - off:hi - k - off] * col[lo - r_lo:hi - r_lo]
-        v, w = w, v
-        values[n] = 0.5 * (float(np.abs(step).sum()) + mass_left.item(lo - r_lo)
-                           + mass_right.item(r_hi - hi))
+    ring = np.zeros((min(_RING, n_max), width))
+    scratch = np.empty(width)
+    for first in range(1, n_max + 1, _RING):
+        last = min(first + _RING, n_max + 1)
+        # every step of the block moves v on the window its last step reaches
+        lo = max(0, i0 - r_lo - bw * (last - 1))
+        hi = min(width, i0 - r_lo + 1 + bw * (last - 1))
+        # (vP)[j] gains v[j-k] * P[j-k, j] along each band k, band 0 first;
+        # the steps alternate between reading v and reading w
+        views = [(old[lo + bw:hi + bw], band0[lo:hi], new[lo + bw:hi + bw],
+                  [(old[lo + bw - k:hi + bw - k], col[lo:hi]) for k, col in cols.items()])
+                 for old, new in ((v, w), (w, v))]
+        term = scratch[lo:hi]
+        block = ring[:last - first, lo:hi]
+        for row, (src, diag, dst, terms) in zip(block, itertools.cycle(views)):
+            step = np.multiply(src, diag, out=dst)
+            for x, col in terms:
+                step += np.multiply(x, col, out=term)
+            np.abs(step, out=row)
+        if (last - first) % 2:
+            v, w = w, v
+        values[first:last] = 0.5 * (block.sum(axis=1)
+                                     + (mass_left[lo] + mass_right[width - hi]))
     rate, const, window = _fit_rate(values)
     return TVCurve(kind=tm.kind, N=tm.N, start=start, n_max=n_max,
                    values=values, fitted_rate=rate, fitted_constant=const,
@@ -317,7 +348,10 @@ def tv_curve(tm: TransitionMatrix, start, n_max: int) -> TVCurve:
 
 
 def _fit_rate(values: np.ndarray):
-    usable = np.where(values > _TV_FLOOR)[0]
+    # the steps above the floor, found a block at a time so that no mask as
+    # long as the curve is made
+    usable = np.concatenate([np.flatnonzero(values[i:i + 4096] > _TV_FLOOR) + i
+                             for i in range(0, len(values), 4096)])
     usable = usable[usable >= 1]
     half = usable[len(usable) // 2:]
     if len(half) < 5:
@@ -345,44 +379,70 @@ class SpectralGap:
                 "gap": self.gap, "N": self.N}
 
 
-def _positive_definite(d: np.ndarray, c: np.ndarray, sigma: float,
-                       sign: float) -> bool:
-    """Whether sign (E - sigma I) is positive definite, for the symmetric
-    tridiagonal E with diagonal d and squared off-diagonals c.
+def _final_pivot(d: np.ndarray, c: np.ndarray, sigma: float) -> float:
+    """The last pivot of E - sigma I for the symmetric tridiagonal E with
+    diagonal d and squared off-diagonals c, or NaN when an earlier pivot
+    is <= 0 or the last overflows. E - sigma I is positive definite
+    exactly when the result is > 0.
 
     Odd-even reduction: the even positions are the pivots, and eliminating
     them leaves their Schur complement, tridiagonal on the odd positions,
-    so about log2(n) whole-array steps decide. A positive definite matrix
-    keeps every value bounded, since c_k < a_k a_{k+1} at every level.
+    so about log2(n) whole-array steps reach the one position k left. When
+    every earlier pivot is positive, the last is 1 / ((E - sigma I)^-1)[k, k].
+    A positive definite matrix keeps every value bounded, since
+    c_k < a_k a_{k+1} at every level.
     """
-    a = sign * (d - sigma)
+    a = d - sigma
     # overflow, and the inf * 0 after it, happen only when the matrix is not
     # positive definite; they leave a later pivot at -inf or NaN
     with np.errstate(over="ignore", invalid="ignore"):
         while a.size > 1:
             p = a[0::2]
             if not p.min() > 0.0:        # also refuses a NaN pivot
-                return False
+                return math.nan
             m = a.size // 2
             left, right = c[0::2] / p[:m], c[1::2] / p[1:]
             a = a[1::2] - left
             a[:right.size] -= right
             c = right[:m - 1] * left[1:]
-    return bool(a.size == 0 or a[0] > 0.0)
+    last = float(a[0])
+    return last if math.isfinite(last) else math.nan
 
 
-def _bisect(d, c, lo: float, hi: float, tol: float, sign: float) -> float:
-    """E's lowest eigenvalue (sign 1) or highest (sign -1) to within tol,
-    given that it lies in [lo, hi]."""
+def _lowest_eigenvalue(d: np.ndarray, c: np.ndarray, lo: float, f_lo: float,
+                       hi: float, f_hi: float, tol: float) -> tuple[float, float]:
+    """A bracket [lo, hi] no wider than tol around the lowest eigenvalue of
+    the tridiagonal E (d, c as in _final_pivot), given E - lo I positive
+    definite and E - hi I not; f_lo and f_hi are their last pivots from
+    _final_pivot, NaN where unknown.
+
+    Let k be the position odd-even reduction leaves last, and mu the lowest
+    eigenvalue of E without row and column k. Below mu the last pivot
+    1 / ((E - sigma I)^-1)[k, k] is continuous in sigma, with a simple root
+    at the lowest eigenvalue. So trial shifts are midpoints until a trial
+    has only its last pivot <= 0, which puts it in [lowest, mu); from then
+    on they are regula falsi on the last pivot with the Illinois halving,
+    kept at least tol / 2 inside the bracket. Every trial is tested as the
+    bisection tested it, so the bracket is certified alike.
+    """
+    moved = 0        # 1 or -1 when the last regula falsi trial moved lo or hi
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        # a positive definite shift puts the lowest eigenvalue above mid
-        # and the highest below it
-        if _positive_definite(d, c, mid, sign) == (sign > 0):
-            lo = mid
+        falsi = f_lo > 0.0 and f_hi <= 0.0
+        if falsi:
+            x = hi - f_hi * ((hi - lo) / (f_hi - f_lo))
+            x = min(max(x, lo + 0.5 * tol), hi - 0.5 * tol)
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            x = 0.5 * (lo + hi)
+        f = _final_pivot(d, c, x)
+        if f > 0.0:
+            if moved > 0:
+                f_hi *= 0.5
+            lo, f_lo, moved = x, f, int(falsi)
+        else:
+            if moved < 0:
+                f_lo *= 0.5
+            hi, f_hi, moved = x, f, -int(falsi)
+    return lo, hi
 
 
 def spectral_gap(tm: TransitionMatrix) -> SpectralGap:
@@ -391,31 +451,42 @@ def spectral_gap(tm: TransitionMatrix) -> SpectralGap:
     E is tridiagonal with diagonal up[k] + down[k] and off-diagonal
     -sqrt(down[k] up[k+1]), up = bands[1], down = bands[-1]; its eigenvalues
     are 1 - lambda over the spectrum of P less one 1. Every eigenvalue is
-    found by bisection on one test, whether a shift of E is positive
-    definite, to within tol = eps times E's Gershgorin bound. The gap is
-    lambda_min(E) unless an eigenvalue of P below 0 is larger in modulus,
-    i.e. (2 - gap) I - E is not positive definite; that test passes on the
+    bracketed by one test, whether a shift of E is positive definite, to
+    within tol = eps times E's Gershgorin bound, and taken as the bracket's
+    midpoint; the trial shifts are midpoints and then regula falsi on the
+    last pivot of the test (_lowest_eigenvalue). The gap is lambda_min(E)
+    unless an eigenvalue of P below 0 is larger in modulus, i.e.
+    (2 - gap) I - E is not positive definite; that test passes on the
     positive semidefinite marginal and random-scan kernels, and only when
-    it fails is lambda_max(E) bisected as well. A gap of 0.0 means that
-    E - tol I is not positive definite: lambda_min(E) is at or below the
-    bisection's resolution, not that the chain fails to mix. dgs kernels
-    are rejected.
+    it fails is lambda_max(E) found as well, as the lowest eigenvalue of
+    -E. A gap of 0.0 means that E - tol I is not positive definite:
+    lambda_min(E) is at or below the solver's resolution, not that the
+    chain fails to mix. dgs kernels are rejected.
     """
     if tm.kind not in (MARGINAL_X, RGS):
         raise NotSymmetricKernel(f"spectral gap undefined for kind {tm.kind!r}")
     up, down = tm.bands[1], tm.bands[-1]
     off = np.sqrt(down[:-1]) * np.sqrt(up[1:])
     bound = np.max(up + down + np.r_[0.0, off] + np.r_[off, 0.0])
-    # bisect on E / 2^k with 2^k >= bound: exact, and c cannot underflow
+    # solve on E / 2^k with 2^k >= bound: exact, and c cannot underflow
     # where every entry of E is tiny; lo, hi and the results are in E / 2^k
     scale = np.ldexp(1.0, np.frexp(bound)[1])
     d, c = (up + down) / scale, (down[:-1] / scale) * (up[1:] / scale)
-    top, tol = bound / scale, np.finfo(float).eps * bound / scale
+    top, tol = float(bound / scale), float(np.finfo(float).eps * bound / scale)
     lowest = 0.0
-    if _positive_definite(d, c, tol, 1.0):
-        lowest = _bisect(d, c, tol, top, tol, 1.0)
-    if not _positive_definite(d, c, 2.0 / scale - lowest, -1.0):
-        highest = _bisect(d, c, 2.0 / scale - lowest, top, tol, -1.0)
+    f = _final_pivot(d, c, tol)
+    if f > 0.0:
+        lo, hi = _lowest_eigenvalue(d, c, tol, f, top, math.nan, tol)
+        lowest = 0.5 * (lo + hi)
+    # the rest works on -E, whose lowest eigenvalue is -lambda_max(E); d has
+    # no other use, so it is negated in place. -E - (lowest - 2) I is
+    # positive definite when no eigenvalue of E exceeds 2 - lowest
+    d = np.negative(d, out=d)
+    f = _final_pivot(d, c, lowest - 2.0 / scale)
+    if not f > 0.0:
+        lo, hi = _lowest_eigenvalue(d, c, -top, math.nan, lowest - 2.0 / scale,
+                                    f, tol)
+        highest = -0.5 * (lo + hi)
         lowest = min(lowest, 2.0 / scale - highest)
     gap = float(np.clip(lowest * scale, 0.0, 1.0))
     return SpectralGap(kind=tm.kind, N=tm.N, norm_estimate=1.0 - gap,

@@ -29,7 +29,8 @@ from ergochain import (
     table,
     tv_curve,
 )
-from ergochain.kernels import _positive_definite, log_expect
+from ergochain import kernels
+from ergochain.kernels import _RING, _final_pivot, _lowest_eigenvalue, log_expect
 
 P1 = 0.5819767068693265     # p_1 of the geometric family, frozen
 
@@ -331,9 +332,11 @@ def test_tv_short_run_has_no_fit(fam):
 
 @pytest.mark.parametrize("kind", [MARGINAL_X, DGS, RGS])
 def test_tv_curve_matches_dense_transport(fam, kind):
-    # starts at either end and inside, and runs that stop before and after
-    # the reachable window covers every state (after 15 to 58 steps at
-    # N = 30, and 1 or 2 at N = 2)
+    # starts at either end and inside, runs that stop before and after the
+    # reachable window covers every state (after 15 to 58 steps at N = 30,
+    # and 1 or 2 at N = 2), and runs that end just before, at and after a
+    # block of _RING steps
+    n_maxes = (0, 1, 10, _RING - 1, _RING, _RING + 1, 2 * _RING + 1, 60)
     for N in (2, 30):
         tm = _build(fam("mixed-geometric", N), kind)
         P = _dense(tm)
@@ -342,10 +345,10 @@ def test_tv_curve_matches_dense_transport(fam, kind):
             v = np.zeros(n)
             v[i0] = 1.0
             ref = []
-            for _ in range(61):
+            for _ in range(max(n_maxes) + 1):
                 ref.append(0.5 * np.abs(v - tm.stationary).sum())
                 v = v @ P
-            for n_max in (0, 1, 10, 60):
+            for n_max in n_maxes:
                 c = tv_curve(tm, tm.states[i0], n_max)
                 assert c.values == pytest.approx(ref[:n_max + 1], abs=1e-14)
 
@@ -415,6 +418,19 @@ def test_tv_curve_allocates_only_the_window(fam):
     assert peak <= tm.stationary.nbytes + 64 * 1024
 
 
+def test_long_tv_curve_allocates_only_its_values(fam):
+    # 10^5 steps on 5 states: the curve is the one array as long as the run
+    tm = build_Px(fam("geometric", 5))
+    tv_curve(tm, 1, 100)            # warm numpy's caches outside the trace
+    tracemalloc.start()
+    try:
+        c = tv_curve(tm, 1, 100_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= c.values.nbytes + 64 * 1024
+
+
 @pytest.mark.parametrize("build", [build_Px, build_Pdgs], ids=[MARGINAL_X, DGS])
 def test_tv_curve_memory_is_sized_by_the_reachable_states(fam, build):
     # 10 steps from the middle reach at most 41 of the 200 000 or more
@@ -478,7 +494,7 @@ def test_positive_definite_matches_dense_eigensolve():
     # ends of the spectrum
     rng = np.random.default_rng(20261018)
     eps = np.finfo(float).eps
-    checked = 0
+    checked = last_only = 0
     for n in range(1, 65):
         for draw in range(6):
             d = (10.0 ** rng.uniform(-300, 0, n) if draw % 2
@@ -496,11 +512,17 @@ def test_positive_definite_matches_dense_eigensolve():
                 # compare where rounding cannot decide the answer
                 resolved = np.abs(ev - sigma).min() > 8 * eps * norm
                 for sign in (1.0, -1.0):
-                    answer = _positive_definite(d, c, sigma, sign)
+                    last = _final_pivot(sign * d, c, sign * sigma)
+                    answer = last > 0.0
                     if resolved:
                         assert answer == bool((sign * (ev - sigma) > 0).all())
                         checked += 1
+                        # only the last pivot <= 0: one eigenvalue below
+                        if last <= 0.0:
+                            assert (sign * (ev - sigma) < 0).sum() == 1
+                            last_only += 1
     assert checked > 4000
+    assert last_only > 100
 
 
 def test_gap_of_a_tiny_kernel_scales_with_it(fam):
@@ -611,6 +633,102 @@ def test_random_table_gaps_match_dense_eigensolve():
                 assert g == pytest.approx(1.0 - ev[-2], abs=1e-12)
                 compared += 1
     assert compared > 200
+
+
+def _gap_kernels(fam):
+    # both chains of the four built-ins and of eight tables drawn like
+    # acceptance criterion 2, at three truncation levels
+    rng = np.random.default_rng(20261018)
+    families = [lambda N, name=name: fam(name, N) for name in example_names()]
+    for _ in range(8):
+        m = int(rng.integers(1, 6))
+        spec = table(tuple(np.exp(rng.normal(size=m))), tuple(np.exp(rng.normal(size=m))),
+                     tail_ratio=float(0.3 + 0.5 * rng.random()))
+        families.append(lambda N, spec=spec: build_family(spec, N))
+    for family in families:
+        for N in (25, 200, 2000):
+            f = family(N)
+            yield build_Px(f)
+            yield build_Prgs(f, 0.5)
+
+
+def _positive_definite(d, c, sigma):
+    return _final_pivot(d, c, sigma) > 0.0
+
+
+def _bisection(tm):
+    # the gap by plain bisection on the tests spectral_gap makes, on the
+    # same scaled edge matrix: its gap, the number of tests it made, and
+    # the tolerance both solvers resolve to
+    up, down = tm.bands[1], tm.bands[-1]
+    off = np.sqrt(down[:-1]) * np.sqrt(up[1:])
+    bound = np.max(up + down + np.r_[0.0, off] + np.r_[off, 0.0])
+    scale = np.ldexp(1.0, np.frexp(bound)[1])
+    d, c = (up + down) / scale, (down[:-1] / scale) * (up[1:] / scale)
+    top, tol = bound / scale, np.finfo(float).eps * bound / scale
+    tests = 0
+
+    def positive(d, sigma):
+        nonlocal tests
+        tests += 1
+        return _positive_definite(d, c, sigma)
+
+    def lowest(d, lo, hi):
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if positive(d, mid) else (lo, mid)
+        return 0.5 * (lo + hi)
+
+    low = lowest(d, tol, top) if positive(d, tol) else 0.0
+    if not positive(-d, low - 2.0 / scale):
+        low = min(low, 2.0 / scale + lowest(-d, -top, low - 2.0 / scale))
+    return float(np.clip(low * scale, 0.0, 1.0)), tests, tol * scale
+
+
+def test_gap_solver_makes_fewer_tests_than_bisection(fam, monkeypatch):
+    # regula falsi on the last pivot must save tests overall and cost at
+    # most two more than bisection on any kernel, for a gap within the
+    # tolerance of bisection's
+    made = 0
+
+    def counted(*args):
+        nonlocal made
+        made += 1
+        return _final_pivot(*args)
+
+    monkeypatch.setattr(kernels, "_final_pivot", counted)
+    total = total_bisection = 0
+    for tm in _gap_kernels(fam):
+        made = 0
+        gap = spectral_gap(tm).gap
+        ref, ref_tests, tol = _bisection(tm)
+        assert made <= ref_tests + 2
+        assert gap == pytest.approx(ref, abs=tol)
+        total += made
+        total_bisection += ref_tests
+    assert total <= 0.8 * total_bisection
+
+
+def test_gap_brackets_are_certified(fam, monkeypatch):
+    # every eigenvalue spectral_gap resolves ends in a bracket no wider than
+    # tol whose lower end is tested positive definite and upper end is not
+    brackets = []
+
+    def recorded(d, c, lo, f_lo, hi, f_hi, tol):
+        bracket = _lowest_eigenvalue(d, c, lo, f_lo, hi, f_hi, tol)
+        brackets.append((d.copy(), c, tol) + bracket)    # d changes later
+        return bracket
+
+    monkeypatch.setattr(kernels, "_lowest_eigenvalue", recorded)
+    for tm in _gap_kernels(fam):
+        before = len(brackets)
+        gap = spectral_gap(tm).gap
+        assert (len(brackets) > before) == (gap > 0.0)
+    assert len(brackets) > 50
+    for d, c, tol, lo, hi in brackets:
+        assert _positive_definite(d, c, lo)
+        assert not _positive_definite(d, c, hi)
+        assert hi - lo <= tol
 
 
 @pytest.mark.parametrize("name", ["geometric", "power-law"])

@@ -68,6 +68,8 @@ RGS = "rgs"
 _TV_FLOOR = 1e-13
 # tv_curve sums |v| over this many steps at once
 _RING = 16
+# _fit_rate reads the curve this many steps at a time
+_FIT_BLOCK = 4096
 
 
 def check_state(kind: str, N: int, state):
@@ -347,18 +349,48 @@ def tv_curve(tm: TransitionMatrix, start, n_max: int) -> TVCurve:
                    fit_window=window)
 
 
+def _above_floor(values: np.ndarray, first: int):
+    """(steps, TV) of the steps from first on with TV above the floor,
+    _FIT_BLOCK steps at a time, so that no array as long as the curve
+    is made."""
+    for i in range(first, len(values), _FIT_BLOCK):
+        v = values[i:i + _FIT_BLOCK]
+        idx = np.flatnonzero(v > _TV_FLOOR)
+        yield idx + i, v[idx]
+
+
 def _fit_rate(values: np.ndarray):
-    # the steps above the floor, found a block at a time so that no mask as
-    # long as the curve is made
-    usable = np.concatenate([np.flatnonzero(values[i:i + 4096] > _TV_FLOOR) + i
-                             for i in range(0, len(values), 4096)])
-    usable = usable[usable >= 1]
-    half = usable[len(usable) // 2:]
-    if len(half) < 5:
+    """The least-squares line through log TV over the trailing half of
+    the steps n >= 1 with TV above the floor, as np.polyfit(n, log TV, 1)
+    gives it, from sums over the window a block at a time: a first pass
+    for the means, a second for the centred sums."""
+    counts = [idx.size for idx, _ in _above_floor(values, 1)]
+    skip = sum(counts) // 2
+    n = sum(counts) - skip
+    if n < 5:
         return None, None, None
-    slope, intercept = np.polyfit(half, np.log(values[half]), 1)
+    # the first step of the window is the skip-th above the floor
+    b = 0
+    while skip >= counts[b]:
+        skip -= counts[b]
+        b += 1
+    first = int(next(_above_floor(values, 1 + b * _FIT_BLOCK))[0][skip])
+
+    sum_n = sum_y = 0.0
+    for idx, v in _above_floor(values, first):
+        sum_n += float(idx.sum())
+        sum_y += float(np.log(v).sum())
+        if idx.size:
+            last = int(idx[-1])
+    mean_n, mean_y = sum_n / n, sum_y / n
+    snn = sny = 0.0
+    for idx, v in _above_floor(values, first):
+        d = idx - mean_n
+        snn += float(d @ d)
+        sny += float(d @ (np.log(v) - mean_y))
+    slope = sny / snn
     rate = min(float(np.exp(slope)), 1.0)
-    return rate, float(np.exp(intercept)), (int(half[0]), int(half[-1]))
+    return rate, float(np.exp(mean_y - slope * mean_n)), (first, last)
 
 
 # -- spectral summaries ------------------------------------------------------

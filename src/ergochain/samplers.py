@@ -19,11 +19,19 @@ doubles, in the same order, as k calls of rng.random(), so a trace does
 not depend on the block size.  run_chain steps over those blocks with
 the rules above inlined; marginal_step, dgs_step and rgs_step state the
 same rules one step at a time.
+
+A function g of the state, when given, is evaluated after each block,
+not inside the step loop: run_chain calls it once per distinct state
+the block visits and run_marginal_ensemble once per block of rows.  So
+g must depend on the state alone; how often and in what order it is
+called is not part of the contract.
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,8 +96,11 @@ def rgs_step(fam: BivariateFamily, x: int, y: int, scan_p: float,
 
 @dataclass(frozen=True)
 class RunConfig:
-    """What to simulate.  g, when given, is evaluated at every step:
-    g(x) for the marginal chain, g(x, y) for the bivariate ones."""
+    """What to simulate.  g, when given, is a function of the state
+    alone, g(x) for the marginal chain and g(x, y) for the bivariate
+    ones; Trace.g_values holds its value at every step, but run_chain
+    calls it only once per distinct state of each block of steps, so a
+    g with side effects or memory sees fewer, reordered calls."""
 
     kind: str
     n_steps: int
@@ -136,65 +147,101 @@ class Trace:
         return "\n".join(lines) + "\n"
 
 
+def _g_by_state(g, states: np.ndarray, marginal: bool) -> np.ndarray:
+    """g at each state of a block, calling g once per distinct state.
+    The states are x for the marginal chain and s = x + y for the pairs,
+    which give back x = (s + 1) // 2 and y = s // 2 since x - y is 0
+    or 1."""
+    lo = int(states.min())
+    off = states - lo
+    seen = np.flatnonzero(np.bincount(off))
+    v = seen + lo
+    table = np.empty(seen[-1] + 1, dtype=np.float64)
+    table[seen] = list(map(g, v.tolist()) if marginal
+                       else map(g, ((v + 1) // 2).tolist(), (v // 2).tolist()))
+    return table.take(off)
+
+
 def run_chain(fam: BivariateFamily, cfg: RunConfig) -> Trace:
+    """Simulate cfg.n_steps steps of one chain and keep the state of
+    steps thin, 2 thin, ...; with cfg.g, also g at every step.
+
+    Each block of steps records one int64 per step, x for the marginal
+    chain and x + y for the pairs, and keeps only its thinned part, so
+    memory is O(block + n_steps / thin) beside g_values.  g is called
+    once per distinct state of the block and its values are looked up
+    from that table.
+    """
     rng = make_rng(cfg.seed, cfg.kind)
     n, thin, g = cfg.n_steps, cfg.thin, cfg.g
     g_vals = np.empty(n, dtype=np.float64) if g is not None else None
     marginal = cfg.kind == MARGINAL_X
+    # the step rules' thresholds as lists indexed by the 1-based state
     if marginal:
         x = check_state(MARGINAL_X, fam.N, cfg.init)
         # marginal_step's rule; p + q here is the same double it forms
-        p, pq = fam.p.tolist(), (fam.p + fam.q).tolist()
+        p, pq = [0.0, *fam.p.tolist()], [0.0, *(fam.p + fam.q).tolist()]
     else:
         x, y = check_state(cfg.kind, fam.N, cfg.init)
-        beta, delta, scan_p = fam.beta.tolist(), fam.delta.tolist(), cfg.scan_p
+        beta, delta = [0.0, *fam.beta.tolist()], [0.0, *fam.delta.tolist()]
+        scan_p = cfg.scan_p
 
-    rec_x, rec_y = [], []
-    done = 0
+    rec = np.empty(n // thin, dtype=np.int64)
+    done = kept = 0
     while done < n:
         m = min(_BLOCK, n - done)
-        xs, ys = [], []
+        block = array("q")
+        put = block.append
         if marginal:
             for u in rng.random(m).tolist():
-                if u < p[x - 1]:
+                if u < p[x]:
                     x += 1
-                elif u < pq[x - 1]:
+                elif u < pq[x]:
                     x -= 1
-                xs.append(x)
+                put(x)
         else:
             # (u1, u2) pairs in draw order, as in dgs_step and rgs_step
             u = iter(rng.random(2 * m).tolist())
             if cfg.kind == DGS:
                 for u1, u2 in zip(u, u):
-                    x = y + 1 if u1 < beta[y - 1] else y
-                    y = x - 1 if u2 < delta[x - 1] else x
-                    xs.append(x)
-                    ys.append(y)
+                    x = y + 1 if u1 < beta[y] else y
+                    y = x - 1 if u2 < delta[x] else x
+                    put(x + y)
             else:
                 for u1, u2 in zip(u, u):
                     if u1 < scan_p:
-                        x = y + 1 if u2 < beta[y - 1] else y
+                        x = y + 1 if u2 < beta[y] else y
                     else:
-                        y = x - 1 if u2 < delta[x - 1] else x
-                    xs.append(x)
-                    ys.append(y)
+                        y = x - 1 if u2 < delta[x] else x
+                    put(x + y)
+        states = np.frombuffer(block, dtype=np.int64)
         if g_vals is not None:
-            g_vals[done:done + m] = list(map(g, xs) if marginal else map(g, xs, ys))
+            g_vals[done:done + m] = _g_by_state(g, states, marginal)
         # keep the states of steps thin, 2 thin, ...; step done + j + 1
-        first = (thin - 1 - done) % thin
-        rec_x += xs[first::thin]
-        rec_y += ys[first::thin]
+        keep = states[(thin - 1 - done) % thin::thin]
+        rec[kept:kept + keep.size] = keep
+        kept += keep.size
         done += m
 
     g_mean = float(g_vals.mean()) if g_vals is not None and n > 0 else None
     return Trace(kind=cfg.kind, seed=cfg.seed, n_steps=n, thin=thin,
                  steps=np.arange(thin, n + 1, thin, dtype=np.int64),
-                 xs=np.asarray(rec_x, dtype=np.int64),
-                 ys=None if marginal else np.asarray(rec_y, dtype=np.int64),
+                 xs=rec if marginal else (rec + 1) // 2,
+                 ys=None if marginal else rec // 2,
                  g_mean=g_mean, g_values=g_vals)
 
 
 # -- vectorized ensemble of marginal chains --------------------------------
+
+
+def _add_rows(start: np.ndarray, rows) -> np.ndarray:
+    """start + rows[0] + rows[1] + ..., added one row at a time in step
+    order, so every sum rounds as it would step by step.  Accumulating
+    along axis 0 keeps that order at any width; a reduction would not,
+    since with one column it sums pairwise."""
+    acc = np.concatenate([start[None], rows])
+    # a copy, so that the sum does not hold the whole buffer alive
+    return np.add.accumulate(acc, axis=0, out=acc)[-1].copy()
 
 
 @dataclass(frozen=True)
@@ -216,9 +263,11 @@ def run_marginal_ensemble(fam: BivariateFamily, n_chains: int, n_steps: int,
     _ROWS steps at a time, and returns floats of the same shape.  Per
     chain the running mean and a batch-means error estimate are
     returned; at least 4 batches are needed, and a shorter run raises
-    TooFewSamples before any step is taken.  Uniforms are drawn
-    step-major, (rows, n_chains) at a time, so chain k sees the same
-    stream as one draw per step would give it.
+    TooFewSamples before any step is taken.  The running sums add g's
+    rows one at a time in step order, so they round as step-by-step
+    sums would.  Uniforms are drawn step-major, (rows, n_chains) at a
+    time, so chain k sees the same stream as one draw per step would
+    give it.
     """
     if n_chains < 1 or n_steps < 0:
         raise IndexOutOfRange("need n_chains >= 1 and n_steps >= 0")
@@ -228,36 +277,42 @@ def run_marginal_ensemble(fam: BivariateFamily, n_chains: int, n_steps: int,
     if track:
         batch_size, n_batches = batch_layout(n_steps, batch_size)
         batch_means = np.zeros((n_chains, n_batches), dtype=np.float64)
-        batch_acc = np.zeros(n_chains, dtype=np.float64)
-        total = np.zeros(n_chains, dtype=np.float64)
-        rows = np.empty((_ROWS, n_chains), dtype=np.int64)
+        zeros = np.zeros(n_chains, dtype=np.float64)
+        batch_acc = total = zeros
 
     rng = make_rng(seed, MARGINAL_X)
     # 0-based levels: the up-move when u < p, the down-move when
     # p <= u < p + q, so the level moves by 2 up - (u < p + q)
     s = np.full(n_chains, x0 - 1, dtype=np.int64)
     p, pq = fam.p, fam.p + fam.q
+    # with g each step writes its states into the next row for g to read;
+    # without g the states are updated in place
+    rows = (np.empty((_ROWS, n_chains), dtype=np.int64) if track
+            else itertools.repeat(s))
+    up = np.empty(n_chains, dtype=bool)
+    lt = np.empty(n_chains, dtype=bool)
+    up8, lt8 = up.view(np.int8), lt.view(np.int8)
+    move = np.empty(n_chains, dtype=np.int8)
     for c0 in range(0, n_steps, _ROWS):
         c = min(_ROWS, n_steps - c0)
         # step-major draws: step j hands row j to the chains, so the
         # stream seen by chain k does not depend on the chunk size
-        for j, u in enumerate(rng.random((c, n_chains))):
-            up = u < p.take(s)
-            lt = u < pq.take(s)
-            s += up
-            s += up
-            s -= lt
-            if track:
-                rows[j] = s
+        for u, row in zip(rng.random((c, n_chains)), rows):
+            np.less(u, p[s], out=up)
+            np.less(u, pq[s], out=lt)
+            np.add(up8, up8, out=move)
+            np.subtract(move, lt8, out=move)
+            s = np.add(s, move, out=row)
         if track:
-            # rows are added one at a time in step order, so every
-            # sum rounds as it would step by step
-            for step, gv in enumerate(g(rows[:c] + 1), c0 + 1):
-                total += gv
-                batch_acc += gv
-                if step % batch_size == 0:
-                    batch_means[:, step // batch_size - 1] = batch_acc / batch_size
-                    batch_acc[:] = 0.0
+            gv = g(rows[:c] + 1)
+            total = _add_rows(total, gv)
+            # rows lo:hi end the batch of step c0 + hi
+            lo = 0
+            for hi in range(batch_size - c0 % batch_size, c + 1, batch_size):
+                batch_acc = _add_rows(batch_acc, gv[lo:hi])
+                batch_means[:, (c0 + hi) // batch_size - 1] = batch_acc / batch_size
+                batch_acc, lo = zeros, hi
+            batch_acc = _add_rows(batch_acc, gv[lo:c])
 
     states = s + 1
     if not track:

@@ -431,6 +431,62 @@ def test_long_tv_curve_allocates_only_its_values(fam):
     assert peak <= c.values.nbytes + 64 * 1024
 
 
+def _polyfit_rate(values):
+    # the fit as a whole-window np.polyfit: the trailing half of the steps
+    # n >= 1 with TV above the floor
+    usable = np.flatnonzero(values > kernels._TV_FLOOR)
+    usable = usable[usable >= 1]
+    half = usable[len(usable) // 2:]
+    if len(half) < 5:
+        return None, None, None
+    slope, intercept = np.polyfit(half, np.log(values[half]), 1)
+    return (min(float(np.exp(slope)), 1.0), float(np.exp(intercept)),
+            (int(half[0]), int(half[-1])))
+
+
+def _synthetic_curves():
+    rng = np.random.default_rng(12)
+    for n in (4, 10, kernels._FIT_BLOCK + 1, 100_000, 1_000_000):
+        for r in (0.5, 0.99, 1 - 1e-7):
+            v = 0.7 * r ** np.arange(n + 1.0) * np.exp(1e-3 * rng.standard_normal(n + 1))
+            yield v
+            # steps below the floor scattered through the curve
+            v = v.copy()
+            v[rng.random(n + 1) < 0.3] = 0.0
+            yield v
+
+
+def test_fit_rate_matches_polyfit(fam):
+    curves = [tv_curve(_build(fam(name, N), kind), 1 if kind == MARGINAL_X else (1, 1),
+                       n).values
+              for name in example_names() for N in (10, 200)
+              for kind in (MARGINAL_X, DGS, RGS) for n in (10, 400)]
+    for values in [*curves, *_synthetic_curves()]:
+        rate, const, window = kernels._fit_rate(values)
+        ref_rate, ref_const, ref_window = _polyfit_rate(values)
+        assert window == ref_window
+        if ref_rate is None:
+            assert rate is None and const is None
+        else:
+            assert rate == pytest.approx(ref_rate, rel=1e-10, abs=0.0)
+            assert const == pytest.approx(ref_const, rel=1e-10, abs=0.0)
+
+
+def test_fit_rate_allocates_a_block_not_the_window():
+    # a million steps that stay above the floor: the fit window is half
+    # a million steps, and a whole-window fit peaks above 30 MiB
+    values = 0.7 * (1 - 1e-7) ** np.arange(1_000_001.0)
+    kernels._fit_rate(values[:100])     # warm numpy's caches outside the trace
+    tracemalloc.start()
+    try:
+        _, _, window = kernels._fit_rate(values)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert window == (500_001, 1_000_000)
+    assert peak <= 2**20
+
+
 @pytest.mark.parametrize("build", [build_Px, build_Pdgs], ids=[MARGINAL_X, DGS])
 def test_tv_curve_memory_is_sized_by_the_reachable_states(fam, build):
     # 10 steps from the middle reach at most 41 of the 200 000 or more

@@ -7,6 +7,8 @@ replays, not flaky Monte Carlo.
 """
 
 import hashlib
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from ergochain import (
     run_chain,
     run_marginal_ensemble,
 )
+from ergochain.samplers import _BLOCK
 
 
 @pytest.fixture(scope="module")
@@ -182,6 +185,68 @@ def test_g_sees_every_step_despite_thinning(fam50):
     assert len(a.g_values) == 500 and len(a.xs) == 10
 
 
+@pytest.mark.parametrize("kind,init", [("marginal_x", 5), ("dgs", (5, 5)),
+                                       ("rgs", (5, 5))])
+def test_g_called_once_per_distinct_state_of_a_block(fam50, kind, init):
+    calls = Counter()
+
+    def g(*state):
+        calls[state] += 1
+        return float(sum(state))
+
+    n = 2 * _BLOCK + 500
+    tr = run_chain(fam50, RunConfig(kind=kind, n_steps=n, seed=6, init=init,
+                                    scan_p=0.4 if kind == "rgs" else None,
+                                    g=g))
+    visited = list(zip(tr.xs.tolist()) if tr.ys is None
+                   else zip(tr.xs.tolist(), tr.ys.tolist()))
+    per_block = Counter()
+    for b in range(0, n, _BLOCK):
+        per_block.update(set(visited[b:b + _BLOCK]))
+    assert set(calls) == set(visited)
+    assert all(calls[st] <= per_block[st] for st in calls)
+    assert tr.g_values.tolist() == [float(sum(st)) for st in visited]
+
+
+@pytest.mark.parametrize("kind,init", [("marginal_x", 5), ("dgs", (5, 5)),
+                                       ("rgs", (5, 5))])
+def test_g_exception_propagates(fam50, kind, init):
+    boom = ValueError("g is undefined at x = 7")
+
+    def g(x, *y):
+        if x == 7:
+            raise boom
+        return 0.0
+
+    cfg = RunConfig(kind=kind, n_steps=5000, seed=2, init=init,
+                    scan_p=0.4 if kind == "rgs" else None, g=g)
+    with pytest.raises(ValueError) as err:
+        run_chain(fam50, cfg)
+    assert err.value is boom
+
+
+@pytest.mark.parametrize("kind,init", [("marginal_x", 1), ("dgs", (1, 1))])
+@pytest.mark.parametrize("with_g", [False, True])
+def test_run_chain_memory_is_block_plus_thinned_trace(kind, init, with_g):
+    # a million steps kept every thousandth: beside g_values, only one
+    # block of steps and the thinned trace may be live
+    fam = build_family(example_spec("power-law"), 200)
+    g = None
+    if with_g:
+        g = (lambda x: x / 3) if kind == "marginal_x" else (lambda x, y: x - y)
+    cfg = RunConfig(kind=kind, n_steps=1_000_000, seed=1, init=init,
+                    thin=1000, g=g)
+    tracemalloc.start()
+    try:
+        tr = run_chain(fam, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = tr.g_values.nbytes if with_g else 0
+    assert len(tr.xs) == 1000
+    assert peak - held <= 1.5 * 2**20
+
+
 def test_empty_run(fam50):
     tr = run_chain(fam50, RunConfig(kind="marginal_x", n_steps=0, seed=0,
                                     init=3, g=lambda x: 1.0))
@@ -236,12 +301,17 @@ TRACE_DIGESTS = {
     ("power-law", "dgs", 1): "4cc524425dc8c43d2f13c654b58063a18115ae651985e516c6711a9ea3eec75e",
     ("power-law", "rgs", 0): "736782d535a17788a82c614ef75e3690508e0b72fa9b7f27003dd203105f3503",
     ("power-law", "rgs", 1): "224cf8266f8598c6e365013ff5d2356c286c6da7613f9954d80df401318d27cb",
+    # (name, kind, seed, N, thin): the benchmark's size, every step kept
+    ("power-law", "dgs", 0, 200, 1): "9de21d2a6684b22a2079f15afae4b4482a00f7db5b4e89b56149b58c302c2aba",
+    ("power-law", "rgs", 0, 200, 1): "30611efe983a3a0b09be4759aa33235939cf27b574514bbf53b2158c041fbee5",
 }
 # keyed (n_chains, n_steps, block size the digest was frozen at); the
 # stream must not depend on how the ensemble chunks its draws
 ENSEMBLE_DIGESTS = {
     (1, 5000, 8192): "bf7550e7fec8e9ed62141db213689b6a4f38f6d2ade3ea902708e77f13c44aa6",
     (3, 4000, 997): "a4ace9b3752171706601fbac6781cdef29c7f6a7707e801a66b2aebeacb4ad9a",
+    # the benchmark's chain count; 8 row chunks of 256 and 45 batches of 44
+    (100, 2000, 256): "4e5dd2d5e6b67328b563ea1d8dccc2877ece1da3320e54cc0d73b2b537d01210",
 }
 
 
@@ -256,11 +326,12 @@ def _digest(*arrays):
                          ids=lambda c: "-".join(map(str, c)))
 def test_trace_digests_are_frozen(case):
     if case in TRACE_DIGESTS:
-        name, kind, seed = case
-        fam = build_family(example_spec(name), 50)
+        name, kind, seed, *shape = case
+        N, thin = shape or (50, 7)
+        fam = build_family(example_spec(name), N)
         # 20 000 steps cross the sampler's internal block of uniforms
         cfg = RunConfig(kind=kind, n_steps=20_000, seed=seed,
-                        init=1 if kind == "marginal_x" else (1, 1), thin=7,
+                        init=1 if kind == "marginal_x" else (1, 1), thin=thin,
                         scan_p=0.3 if kind == "rgs" else None,
                         g=((lambda x: 0.1 * x) if kind == "marginal_x"
                            else (lambda x, y: 0.1 * x + y / 3)))

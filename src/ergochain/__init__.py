@@ -1,130 +1,70 @@
 """Convergence-rate analysis of two-component Gibbs chains on staircase
 distributions: exact kernels, drift certificates, conditional-variance
-norm bounds, spectral gaps, and reproducible simulation."""
+norm bounds, spectral gaps, and reproducible simulation.
 
-from .classify import (
-    GEOMETRIC,
-    INCONCLUSIVE,
-    SUBGEOMETRIC,
-    ErgodicityVerdict,
-    classify,
-    verdict_report,
-)
-from .diagnostics import CLT_NOTE, BatchMeansEstimate, batch_means
-from .drift import (
-    DriftCertificate,
-    DriftReport,
-    NoCertificate,
-    admissible_c_interval,
-    certify,
-    drift_coefficient,
-    find_drift_certificate,
-    lift_to_rgs,
-    px_drift_coefficient,
-    verify_drift,
-)
-from .errors import (
-    BadScanProbability,
-    BadSeed,
-    BadZ,
-    COutOfRange,
-    DegenerateTruncation,
-    EmptyReport,
-    ErgochainError,
-    IndexOutOfRange,
-    NonPositiveSequence,
-    NotSymmetricKernel,
-    OutOfSupport,
-    StartNotInSupport,
-    TooFewSamples,
-    UnknownFormat,
-)
-from .family import (
-    BivariateFamily,
-    SequenceSpec,
-    TailEstimates,
-    TailLimits,
-    alternating,
-    birth_death_probs,
-    build_family,
-    geometric,
-    mixed_geometric,
-    power_law,
-    solve_constant,
-    table,
-    tail_limits,
-)
-from .kernels import (
-    DGS,
-    MARGINAL_X,
-    RGS,
-    SpectralGap,
-    TransitionMatrix,
-    TVCurve,
-    build_Pdgs,
-    build_Prgs,
-    build_Px,
-    spectral_gap,
-    tv_curve,
-)
-from .presets import example_description, example_names, example_spec
-from .samplers import (
-    CHAIN_IDS,
-    EnsembleResult,
-    RunConfig,
-    Trace,
-    dgs_step,
-    make_rng,
-    marginal_step,
-    rgs_step,
-    run_chain,
-    run_marginal_ensemble,
-)
-from .subgeo import (
-    DivergenceStats,
-    NormBounds,
-    SubgeoReport,
-    build_subgeo_report,
-    conditional_variance_stat,
-    divergence_statistics,
-    operator_norm_bounds,
-)
+Importing the package loads none of its submodules: each public name is
+imported from the submodule that defines it on first access (PEP 562),
+so `import ergochain` and the spec layer (spec, presets, errors) run
+without numpy, and only a name from a numeric submodule loads it.
+"""
+
+import importlib
+import sys
+import types
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # family
-    "SequenceSpec", "TailLimits", "TailEstimates", "BivariateFamily",
-    "power_law", "geometric", "mixed_geometric", "alternating", "table",
-    "solve_constant", "build_family", "birth_death_probs", "tail_limits",
-    # presets
-    "example_names", "example_spec", "example_description",
-    # kernels
-    "MARGINAL_X", "DGS", "RGS", "TransitionMatrix",
-    "build_Px", "build_Pdgs", "build_Prgs",
-    "TVCurve", "tv_curve", "SpectralGap", "spectral_gap",
-    # drift
-    "drift_coefficient", "px_drift_coefficient",
-    "DriftCertificate", "NoCertificate",
-    "find_drift_certificate", "admissible_c_interval", "lift_to_rgs",
-    "DriftReport", "verify_drift", "certify",
-    # subgeo
-    "conditional_variance_stat", "operator_norm_bounds", "NormBounds",
-    "divergence_statistics", "DivergenceStats",
-    "SubgeoReport", "build_subgeo_report",
-    # classify
-    "GEOMETRIC", "SUBGEOMETRIC", "INCONCLUSIVE",
-    "ErgodicityVerdict", "classify", "verdict_report",
-    # samplers
-    "CHAIN_IDS", "make_rng", "marginal_step", "dgs_step", "rgs_step",
-    "RunConfig", "Trace", "run_chain",
-    "EnsembleResult", "run_marginal_ensemble",
-    # diagnostics
-    "CLT_NOTE", "BatchMeansEstimate", "batch_means",
-    # errors
-    "ErgochainError", "NonPositiveSequence", "DegenerateTruncation",
-    "OutOfSupport", "IndexOutOfRange", "BadScanProbability",
-    "StartNotInSupport", "BadSeed", "NotSymmetricKernel", "BadZ", "COutOfRange",
-    "TooFewSamples", "UnknownFormat", "EmptyReport",
-]
+# each submodule and the public names it defines, in __all__ order
+_EXPORTS = {
+    "spec": ("SequenceSpec", "TailLimits", "power_law", "geometric",
+             "mixed_geometric", "alternating", "table", "solve_constant",
+             "MARGINAL_X", "DGS", "RGS"),
+    "family": ("TailEstimates", "BivariateFamily", "build_family",
+               "birth_death_probs", "tail_limits"),
+    "presets": ("example_names", "example_spec", "example_description"),
+    "kernels": ("TransitionMatrix", "build_Px", "build_Pdgs", "build_Prgs",
+                "TVCurve", "tv_curve", "SpectralGap", "spectral_gap"),
+    "drift": ("drift_coefficient", "px_drift_coefficient", "DriftCertificate",
+              "NoCertificate", "find_drift_certificate", "admissible_c_interval",
+              "lift_to_rgs", "DriftReport", "verify_drift", "certify"),
+    "subgeo": ("conditional_variance_stat", "operator_norm_bounds", "NormBounds",
+               "divergence_statistics", "DivergenceStats", "SubgeoReport",
+               "build_subgeo_report"),
+    "classify": ("GEOMETRIC", "SUBGEOMETRIC", "INCONCLUSIVE", "ErgodicityVerdict",
+                 "classify", "verdict_report"),
+    "samplers": ("CHAIN_IDS", "make_rng", "marginal_step", "dgs_step", "rgs_step",
+                 "RunConfig", "Trace", "run_chain", "EnsembleResult",
+                 "run_marginal_ensemble"),
+    "diagnostics": ("CLT_NOTE", "BatchMeansEstimate", "batch_means"),
+    "errors": ("ErgochainError", "NonPositiveSequence", "DegenerateTruncation",
+               "OutOfSupport", "IndexOutOfRange", "BadScanProbability",
+               "StartNotInSupport", "BadSeed", "NotSymmetricKernel", "BadZ",
+               "COutOfRange", "TooFewSamples", "UnknownFormat", "EmptyReport"),
+}
+_SUBMODULE = {name: mod for mod, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *_SUBMODULE]
+
+
+def __getattr__(name):
+    if name not in _SUBMODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_SUBMODULE[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})
+
+
+class _Package(types.ModuleType):
+    """Loading a submodule binds it as an attribute of the package; the
+    submodule classify must not hide the function of that name."""
+
+    def __setattr__(self, name, value):
+        if not (name in _SUBMODULE and isinstance(value, types.ModuleType)):
+            super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

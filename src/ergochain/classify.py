@@ -39,13 +39,8 @@ from .drift import (
     certify,
 )
 from .errors import EmptyReport, IndexOutOfRange, UnknownFormat
-from .family import (
-    SequenceSpec,
-    _decode_extended,
-    _encode_extended,
-    build_family,
-    tail_limits,
-)
+from .family import build_family, tail_limits
+from .spec import SequenceSpec, _decode_extended, _encode_extended
 from .subgeo import build_subgeo_report
 
 GEOMETRIC = "Geometric"

@@ -2,6 +2,12 @@
 
 Exit codes: 0 success, 2 usage error, 3 undecided (an Inconclusive
 verdict, or no drift certificate found), 4 domain error.
+
+A command reads its spec and checks the arguments their text decides
+(--start, --thin, --scan-p) before it looks up the numeric functions it
+calls, and those come from the package on first lookup, so `examples`,
+--help and the refusals decided so far run without numpy, and each
+command imports only the modules it uses.
 """
 
 from __future__ import annotations
@@ -12,24 +18,26 @@ import json
 import sys
 from pathlib import Path
 
-from .classify import INCONCLUSIVE, classify, verdict_report
-from .diagnostics import CLT_NOTE, batch_means
-from .drift import NoCertificate, certify
 from .errors import ErgochainError, IndexOutOfRange, StartNotInSupport, UnknownFormat
-from .family import SequenceSpec, build_family
-from .kernels import (
-    DGS,
-    MARGINAL_X,
-    RGS,
-    build_Pdgs,
-    build_Prgs,
-    build_Px,
-    spectral_gap,
-    tv_curve,
-)
 from .presets import example_description, example_names, example_spec
-from .samplers import RunConfig, run_chain
-from .subgeo import build_subgeo_report
+from .spec import DGS, MARGINAL_X, RGS, SequenceSpec, check_scan_p
+
+# the numeric names the commands call as attributes of this module, so a
+# wrapper set on it (as the benchmark's spans do) is the one called. The
+# first lookup imports the name's module: a command loads its spec in a
+# statement before it looks one up
+_NUMERIC = ("build_family", "build_Px", "build_Pdgs", "build_Prgs", "tv_curve",
+            "spectral_gap", "certify", "NoCertificate", "build_subgeo_report",
+            "classify", "verdict_report", "INCONCLUSIVE", "RunConfig",
+            "run_chain", "batch_means", "CLT_NOTE")
+_cli = sys.modules[__name__]
+
+
+def __getattr__(name):
+    if name not in _NUMERIC:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(sys.modules[__package__], name)
+
 
 _CHAINS = (MARGINAL_X, DGS, RGS)
 # largest truncation level --n accepts; the family arrays are sized by it
@@ -62,19 +70,25 @@ def _add_spec_args(p: argparse.ArgumentParser) -> None:
 
 
 def _load_spec(args) -> SequenceSpec:
+    """The command's spec, read before its --scan-p is checked."""
     if args.example is not None:
-        return example_spec(args.example)
-    text = args.spec
-    if not text.lstrip().startswith(("{", "[", '"')):
-        try:
-            text = Path(text).read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise UnknownFormat(f"spec file is not UTF-8 text: {exc}") from None
-    return SequenceSpec.from_json(text)
+        spec = example_spec(args.example)
+    else:
+        text = args.spec
+        if not text.lstrip().startswith(("{", "[", '"')):
+            try:
+                text = Path(text).read_text(encoding="utf-8")
+            except UnicodeDecodeError as exc:
+                raise UnknownFormat(f"spec file is not UTF-8 text: {exc}") from None
+        spec = SequenceSpec.from_json(text)
+    _check_scan_p(args)
+    return spec
 
 
-def _family(args):
-    return build_family(_load_spec(args), args.n)
+def _check_scan_p(args) -> None:
+    """Refuse a --scan-p that the command would use and refuse later."""
+    if args.scan_p is not None and getattr(args, "chain", RGS) == RGS:
+        check_scan_p(args.scan_p)
 
 
 def _start(args):
@@ -93,14 +107,14 @@ def _start(args):
                             f"chain, got {args.start!r}")
 
 
-def _kernel(args):
+def _kernel(args, spec):
     """The family's --chain kernel, for spectrum and tvcurve."""
-    fam = _family(args)
+    fam = _cli.build_family(spec, args.n)
     if args.chain == MARGINAL_X:
-        return build_Px(fam)
+        return _cli.build_Px(fam)
     if args.chain == DGS:
-        return build_Pdgs(fam)
-    return build_Prgs(fam, args.scan_p)
+        return _cli.build_Pdgs(fam)
+    return _cli.build_Prgs(fam, args.scan_p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -170,56 +184,64 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_classify(args) -> tuple[str, int]:
-    v = classify(_load_spec(args), N=args.n, scan_p=args.scan_p)
+    spec = _load_spec(args)
+    v = _cli.classify(spec, N=args.n, scan_p=args.scan_p)
     v = dataclasses.replace(v, label=args.example or "spec")
-    code = 3 if v.verdict == INCONCLUSIVE else 0
+    code = 3 if v.verdict == _cli.INCONCLUSIVE else 0
     if args.format == "table":
-        return verdict_report([v], "table"), code
+        return _cli.verdict_report([v], "table"), code
     return _dump_json(v.to_json_dict()), code
 
 
 def _cmd_drift(args) -> tuple[str, int]:
-    cert = certify(_family(args), args.scan_p)
-    code = 3 if isinstance(cert, NoCertificate) else 0
+    spec = _load_spec(args)
+    cert = _cli.certify(_cli.build_family(spec, args.n), args.scan_p)
+    code = 3 if isinstance(cert, _cli.NoCertificate) else 0
     return _dump_json(cert.to_json_dict()), code
 
 
 def _cmd_spectrum(args) -> tuple[str, int]:
-    return _dump_json(spectral_gap(_kernel(args)).to_json_dict()), 0
+    tm = _kernel(args, _load_spec(args))
+    return _dump_json(_cli.spectral_gap(tm).to_json_dict()), 0
 
 
 def _cmd_tvcurve(args) -> tuple[str, int]:
-    curve = tv_curve(_kernel(args), _start(args), args.steps)
+    spec = _load_spec(args)
+    start = _start(args)
+    curve = _cli.tv_curve(_kernel(args, spec), start, args.steps)
     if args.format == "json":
         return _dump_json(curve.to_json_dict()), 0
     return curve.to_csv(), 0
 
 
 def _cmd_subgeo(args) -> tuple[str, int]:
-    fam = _family(args)
-    report = build_subgeo_report(fam, horizon=args.horizon, scan_p=args.scan_p)
+    spec = _load_spec(args)
+    fam = _cli.build_family(spec, args.n)
+    report = _cli.build_subgeo_report(fam, horizon=args.horizon,
+                                      scan_p=args.scan_p)
     if args.format == "json":
         return _dump_json(report.to_json_dict()), 0
     return report.to_csv(), 0
 
 
 def _cmd_sample(args) -> tuple[str, int]:
-    fam = _family(args)
+    spec = _load_spec(args)
     start = _start(args)
+    if args.thin < 1:
+        raise IndexOutOfRange("thin must be >= 1")
+    fam = _cli.build_family(spec, args.n)
     g = None
     # only the JSON prints g, so the CSV does not compute it
     if args.g_indicator is not None and args.format == "json":
         t = args.g_indicator
         g = ((lambda x: float(x >= t)) if args.chain == MARGINAL_X
              else (lambda x, y: float(x >= t)))
-    if args.thin < 1:
-        raise IndexOutOfRange("thin must be >= 1")
     # the JSON prints only the state after the last step: record just that one
     thin = args.thin if args.format == "csv" else max(args.steps, 1)
-    cfg = RunConfig(kind=args.chain, n_steps=args.steps, seed=args.seed,
-                    init=start, thin=thin,
-                    scan_p=args.scan_p if args.chain == RGS else None, g=g)
-    trace = run_chain(fam, cfg)
+    cfg = _cli.RunConfig(kind=args.chain, n_steps=args.steps, seed=args.seed,
+                         init=start, thin=thin,
+                         scan_p=args.scan_p if args.chain == RGS else None, g=g)
+    trace = _cli.run_chain(fam, cfg)
     if args.format == "csv":
         return trace.to_csv(), 0
     final = None
@@ -229,9 +251,9 @@ def _cmd_sample(args) -> tuple[str, int]:
     out = {"kind": trace.kind, "n_steps": trace.n_steps, "seed": trace.seed,
            "thin": args.thin, "final_state": final, "g": None}
     if g is not None and trace.n_steps > 0:
-        est = batch_means(trace.g_values)
+        est = _cli.batch_means(trace.g_values)
         gd = est.to_json_dict()
-        gd["note"] = CLT_NOTE
+        gd["note"] = _cli.CLT_NOTE
         out["g"] = gd
     return _dump_json(out), 0
 
@@ -251,11 +273,11 @@ def _cmd_report(args) -> tuple[str, int]:
         names = example_names()
     else:
         names = [s.strip() for s in args.examples.split(",") if s.strip()]
-    verdicts = []
-    for name in names:
-        v = classify(example_spec(name), N=args.n, scan_p=args.scan_p)
-        verdicts.append(dataclasses.replace(v, label=name))
-    return verdict_report(verdicts, args.format), 0
+    specs = [example_spec(name) for name in names]
+    _check_scan_p(args)
+    verdicts = [_cli.classify(spec, N=args.n, scan_p=args.scan_p) for spec in specs]
+    verdicts = [dataclasses.replace(v, label=n) for v, n in zip(verdicts, names)]
+    return _cli.verdict_report(verdicts, args.format), 0
 
 
 _COMMANDS = {

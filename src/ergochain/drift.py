@@ -57,8 +57,9 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from .errors import BadZ, COutOfRange, IndexOutOfRange
-from .family import BivariateFamily, _encode_extended, _exp_sat
+from .family import BivariateFamily, _exp_sat
 from .kernels import build_Prgs, build_Px, check_scan_p, log_expect, staircase_xy
+from .spec import _encode_extended
 
 # Tail ratio estimates at or above this are treated as critical.
 R_BORDERLINE = 0.99

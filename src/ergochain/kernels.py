@@ -52,17 +52,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    BadScanProbability,
-    IndexOutOfRange,
-    NotSymmetricKernel,
-    StartNotInSupport,
-)
+from .errors import IndexOutOfRange, NotSymmetricKernel, StartNotInSupport
 from .family import BivariateFamily
-
-MARGINAL_X = "marginal_x"
-DGS = "dgs"
-RGS = "rgs"
+from .spec import DGS, MARGINAL_X, RGS, check_scan_p
 
 # TV values below this are fitting noise and are excluded from rate fits.
 _TV_FLOOR = 1e-13
@@ -90,14 +82,6 @@ def check_state(kind: str, N: int, state):
     except (TypeError, ValueError):
         pass
     raise StartNotInSupport(f"state {state!r} not in chain support")
-
-
-def check_scan_p(scan_p) -> float:
-    """scan_p as a float when it lies strictly inside (0, 1); anything
-    else raises BadScanProbability."""
-    if not (isinstance(scan_p, (int, float)) and 0.0 < scan_p < 1.0):
-        raise BadScanProbability(f"scan probability {scan_p!r} not in (0, 1)")
-    return float(scan_p)
 
 
 def staircase_xy(N: int) -> tuple[np.ndarray, np.ndarray]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import OutOfSupport
-from .family import SequenceSpec, alternating, geometric, mixed_geometric, power_law
+from .spec import SequenceSpec, alternating, geometric, mixed_geometric, power_law
 
 # name -> (factory, short description)
 _BUILTINS = {

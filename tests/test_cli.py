@@ -532,10 +532,10 @@ print(json.dumps({"codes": codes, "before": before, "after": scipy_modules()}))
 """
 
 
-def _fresh_run(*argvs):
+def _fresh_run(*argvs, script=_FRESH):
     src = str(Path(ergochain.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, "-c", _FRESH, json.dumps(argvs)],
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
                           env=env, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
 
@@ -562,3 +562,43 @@ def test_commands_leave_scipy_unloaded():
     )
     assert res["codes"] == [0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0]
     assert res["before"] == [] and res["after"] == []
+
+
+# -- refusals the text of the spec or of one argument decides ----------------
+
+# Run in a fresh interpreter: for each command in turn, its exit code, its
+# stderr lines and whether numpy has been imported by then.
+_FRESH_NO_NUMPY = """
+import contextlib, io, json, sys
+from ergochain.cli import dispatch
+
+res = []
+for argv in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = dispatch(argv)
+        except SystemExit as exc:
+            code = exc.code
+    res.append([code, err.getvalue().splitlines(), "numpy" in sys.modules])
+print(json.dumps(res))
+"""
+
+
+def test_text_decided_refusals_leave_numpy_unloaded(tmp_path):
+    geo = ["--example", "geometric"]
+    bad_param = json.dumps({"kind": "geometric", "params": {"c": "x"}})
+    res = _fresh_run(
+        ["examples"],
+        ["--help"],
+        ["sample", *geo, "--start", "2.5"],
+        ["sample", *geo, "--thin", "0"],
+        ["classify", *geo, "--scan-p", "1.5"],
+        ["classify", "--spec", str(tmp_path / "missing.json")],
+        ["classify", "--spec", bad_param],
+        script=_FRESH_NO_NUMPY)
+    assert [code for code, _, _ in res] == [0, 0, 4, 4, 4, 2, 4]
+    assert [err for _, err, _ in res[:2]] == [[], []]
+    for _, err, _ in res[2:]:
+        assert len(err) == 1 and err[0].startswith("error:")
+    assert not any(numpy for _, _, numpy in res)

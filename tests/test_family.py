@@ -31,7 +31,7 @@ from ergochain import (
     table,
     tail_limits,
 )
-from ergochain.family import _zeta
+from ergochain.spec import _zeta
 
 # frozen normalization constants (independent series summation)
 GEO_C = 0.7182818284590451          # equals e - 2

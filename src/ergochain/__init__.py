@@ -19,17 +19,15 @@ _EXPORTS = {
     "spec": ("SequenceSpec", "TailLimits", "power_law", "geometric",
              "mixed_geometric", "alternating", "table", "solve_constant",
              "MARGINAL_X", "DGS", "RGS"),
-    "family": ("TailEstimates", "BivariateFamily", "build_family",
-               "birth_death_probs", "tail_limits"),
+    "family": ("TailEstimates", "BivariateFamily", "build_family", "tail_limits"),
     "presets": ("example_names", "example_spec", "example_description"),
     "kernels": ("TransitionMatrix", "build_Px", "build_Pdgs", "build_Prgs",
                 "TVCurve", "tv_curve", "SpectralGap", "spectral_gap"),
-    "drift": ("drift_coefficient", "px_drift_coefficient", "DriftCertificate",
-              "NoCertificate", "find_drift_certificate", "admissible_c_interval",
-              "lift_to_rgs", "DriftReport", "verify_drift", "certify"),
-    "subgeo": ("conditional_variance_stat", "operator_norm_bounds", "NormBounds",
-               "divergence_statistics", "DivergenceStats", "SubgeoReport",
-               "build_subgeo_report"),
+    "drift": ("drift_coefficient", "DriftCertificate", "NoCertificate",
+              "find_drift_certificate", "admissible_c_interval", "lift_to_rgs",
+              "DriftReport", "verify_drift", "certify"),
+    "subgeo": ("conditional_variance_stat", "NormBounds", "divergence_statistics",
+               "DivergenceStats", "SubgeoReport", "build_subgeo_report"),
     "classify": ("GEOMETRIC", "SUBGEOMETRIC", "INCONCLUSIVE", "ErgodicityVerdict",
                  "classify", "verdict_report"),
     "samplers": ("CHAIN_IDS", "make_rng", "marginal_step", "dgs_step", "rgs_step",

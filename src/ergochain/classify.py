@@ -27,7 +27,6 @@ divergence flag; the pipeline order makes the two mutually exclusive.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import dataclass
@@ -40,7 +39,7 @@ from .drift import (
 )
 from .errors import EmptyReport, IndexOutOfRange, UnknownFormat
 from .family import build_family, tail_limits
-from .spec import SequenceSpec, _decode_extended, _encode_extended
+from .spec import SequenceSpec, _decode_extended, _dump_json, _encode_extended
 from .subgeo import build_subgeo_report
 
 GEOMETRIC = "Geometric"
@@ -121,7 +120,7 @@ def classify(spec: SequenceSpec, N: int = 200,
     if N < 10:
         raise IndexOutOfRange("classification needs N >= 10")
     fam = build_family(spec, N)
-    est = tail_limits(spec, window=min(50, N), horizon=4 * N)
+    est = tail_limits(spec, N)
 
     dl = spec.declared_limits
     premise = dl is not None and dl.A is not None and dl.lim_ab is not None
@@ -191,8 +190,7 @@ def verdict_report(verdicts: list[ErgodicityVerdict], fmt: str = "table") -> str
     if not verdicts:
         raise EmptyReport("no verdicts to report")
     if fmt == "json":
-        return json.dumps([v.to_json_dict() for v in verdicts],
-                          indent=2, sort_keys=True, allow_nan=False) + "\n"
+        return _dump_json([v.to_json_dict() for v in verdicts])
     if fmt != "table":
         raise UnknownFormat(f"unknown report format {fmt!r}")
     headers = ("label", "N", "verdict", "basis", "evidence", "rate_info")

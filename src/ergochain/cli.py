@@ -4,23 +4,25 @@ Exit codes: 0 success, 2 usage error, 3 undecided (an Inconclusive
 verdict, or no drift certificate found), 4 domain error.
 
 A command reads its spec and checks the arguments their text decides
-(--start, --thin, --scan-p) before it looks up the numeric functions it
-calls, and those come from the package on first lookup, so `examples`,
---help and the refusals decided so far run without numpy, and each
-command imports only the modules it uses.
+(--start, --thin, --scan-p, --seed, a negative --steps and spectrum's
+--chain) before it looks up the numeric functions it calls, and those
+come from the package on first lookup, so `examples`, --help and the
+refusals decided so far run without numpy, and each command imports
+only the modules it uses.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
-from .errors import ErgochainError, IndexOutOfRange, StartNotInSupport, UnknownFormat
+from .errors import (BadSeed, ErgochainError, IndexOutOfRange, StartNotInSupport,
+                     UnknownFormat)
 from .presets import example_description, example_names, example_spec
-from .spec import DGS, MARGINAL_X, RGS, SequenceSpec, check_scan_p
+from .spec import (DGS, MARGINAL_X, RGS, SequenceSpec, _dump_json, check_gap_kind,
+                   check_scan_p)
 
 # the numeric names the commands call as attributes of this module, so a
 # wrapper set on it (as the benchmark's spans do) is the one called. The
@@ -54,10 +56,6 @@ MAX_TV_WORK = 10 ** 9
 MAX_HORIZON = 4 * MAX_N
 # the size options dispatch refuses above their limit, before any work
 _LIMITS = {"n": MAX_N, "steps": MAX_STEPS, "horizon": MAX_HORIZON}
-
-
-def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _add_spec_args(p: argparse.ArgumentParser) -> None:
@@ -201,13 +199,17 @@ def _cmd_drift(args) -> tuple[str, int]:
 
 
 def _cmd_spectrum(args) -> tuple[str, int]:
-    tm = _kernel(args, _load_spec(args))
+    spec = _load_spec(args)
+    check_gap_kind(args.chain)
+    tm = _kernel(args, spec)
     return _dump_json(_cli.spectral_gap(tm).to_json_dict()), 0
 
 
 def _cmd_tvcurve(args) -> tuple[str, int]:
     spec = _load_spec(args)
     start = _start(args)
+    if args.steps < 0:
+        raise IndexOutOfRange("n_max must be nonnegative")
     curve = _cli.tv_curve(_kernel(args, spec), start, args.steps)
     if args.format == "json":
         return _dump_json(curve.to_json_dict()), 0
@@ -229,6 +231,10 @@ def _cmd_sample(args) -> tuple[str, int]:
     start = _start(args)
     if args.thin < 1:
         raise IndexOutOfRange("thin must be >= 1")
+    if args.steps < 0:
+        raise IndexOutOfRange("n_steps must be >= 0")
+    if args.seed < 0:
+        raise BadSeed(f"seed must be a nonnegative integer, got {args.seed!r}")
     fam = _cli.build_family(spec, args.n)
     g = None
     # only the JSON prints g, so the CSV does not compute it

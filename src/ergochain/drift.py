@@ -58,8 +58,8 @@ import numpy as np
 
 from .errors import BadZ, COutOfRange, IndexOutOfRange
 from .family import BivariateFamily, _exp_sat
-from .kernels import build_Prgs, build_Px, check_scan_p, log_expect, staircase_xy
-from .spec import _encode_extended
+from .kernels import build_Prgs, build_Px, log_expect, staircase_xy
+from .spec import _encode_extended, check_scan_p
 
 # Tail ratio estimates at or above this are treated as critical.
 R_BORDERLINE = 0.99
@@ -70,13 +70,6 @@ def drift_coefficient(p: float, q: float, z: float) -> float:
     if not (z > 1.0 and math.isfinite(z)):
         raise BadZ(f"z = {z!r} must be finite and exceed 1")
     return p * (z - 1.0) + q * (1.0 / z - 1.0) + 1.0
-
-
-def px_drift_coefficient(fam: BivariateFamily, z: float, x: int) -> float:
-    """coefficient(x, z) for the family's marginal chain, x >= 2."""
-    if not 2 <= x <= fam.N:
-        raise IndexOutOfRange(f"coefficient defined for 2 <= x <= N, got {x}")
-    return drift_coefficient(fam.p[x - 1], fam.q[x - 1], z)
 
 
 def tail_surrogates(fam: BivariateFamily) -> tuple[float, float]:
@@ -93,12 +86,6 @@ def tail_surrogates(fam: BivariateFamily) -> tuple[float, float]:
     r_hat = _exp_sat(float(np.max(np.diff(fam.log_t)[lo - 2:hi - 1])))
     q_hat = float(np.min(fam.q[lo - 1:hi]))
     return r_hat, q_hat
-
-
-def log_PxV(fam: BivariateFamily, log_z: float) -> np.ndarray:
-    """log E[z^{X_1} | X_0 = x] for x = 1..N, computed in log space."""
-    x = np.arange(1, fam.N + 1)
-    return log_expect(build_Px(fam), x * log_z)
 
 
 _LIFT = ("scan_p", "c", "gamma")
@@ -188,7 +175,8 @@ def find_drift_certificate(fam: BivariateFamily):
     coeff = drift_coefficient(fam.p, fam.q, z)
     violators = np.where(coeff[1:] > rho)[0]        # indices for x = 2..N
     x0 = int(violators[-1] + 2) if violators.size else 1
-    log_L = float(np.max(log_PxV(fam, math.log(z))[:x0]))
+    log_V = np.arange(1, fam.N + 1) * math.log(z)
+    log_L = float(np.max(log_expect(build_Px(fam), log_V)[:x0]))
     return DriftCertificate(z=z, rho=rho, log_L=log_L, x0=x0,
                             r_hat=r_hat, q_hat=q_hat, N=fam.N)
 
@@ -302,8 +290,8 @@ def certify(fam: BivariateFamily, scan_p: float | None = None):
 __all__ = [
     "R_BORDERLINE",
     "DriftCertificate", "NoCertificate", "DriftReport",
-    "drift_coefficient", "px_drift_coefficient", "tail_surrogates",
+    "drift_coefficient", "tail_surrogates",
     "rho_bound", "find_drift_certificate", "admissible_c_interval",
-    "lift_to_rgs", "verify_drift", "log_PxV", "certify",
+    "lift_to_rgs", "verify_drift", "certify",
     "certificate_from_json_dict",
 ]

@@ -29,9 +29,9 @@ t_y = a_y b_y / (a_y + b_y) = pi_X(y) p_y, the conductance between
 levels y and y + 1; kernels, drift and subgeo read them from there.
 
 Finite families are produced by truncating a sequence specification
-(spec.SequenceSpec, re-exported here with its constructors) at a level
-N: indices above N are dropped, b_N is forced to zero so the support is
-exactly {1..N}^2, and the retained mass is renormalized.
+(spec.SequenceSpec) at a level N: indices above N are dropped, b_N is
+forced to zero so the support is exactly {1..N}^2, and the retained mass
+is renormalized.
 All sequence evaluation is carried out in log space so that thin tails
 (for instance e^{-2i} at i in the hundreds) neither underflow nor lose
 the ratios that every derived quantity is built from.
@@ -45,19 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateTruncation, IndexOutOfRange, NonPositiveSequence, OutOfSupport
-# the spec layer; its public names stay importable from here too
-from .spec import (
-    _LIMITS,
-    KINDS,
-    SequenceSpec,
-    TailLimits,
-    alternating,
-    geometric,
-    mixed_geometric,
-    power_law,
-    solve_constant,
-    table,
-)
+from .spec import _LIMITS, SequenceSpec
 
 
 # -- truncated family ----------------------------------------------------
@@ -168,13 +156,6 @@ def _renormalize(la: np.ndarray, lb: np.ndarray):
     return la - log_mass, lb - log_mass, log_mass
 
 
-def birth_death_probs(fam: BivariateFamily, x: int) -> tuple[float, float]:
-    """(p_x, q_x) of the x-marginal birth-death chain; 1 <= x <= N."""
-    if not 1 <= x <= fam.N:
-        raise IndexOutOfRange(f"x = {x} outside 1..{fam.N}")
-    return float(fam.p[x - 1]), float(fam.q[x - 1])
-
-
 # -- tail ratio estimation ------------------------------------------------
 
 
@@ -210,17 +191,16 @@ def _exp_sat(log_v: float) -> float:
         return math.inf
 
 
-def tail_limits(spec: SequenceSpec, window: int = 50, horizon: int = 800) -> TailEstimates:
-    """Estimate limiting ratios from the last `window` of `horizon` indices.
+def tail_limits(spec: SequenceSpec, N: int) -> TailEstimates:
+    """Estimate limiting ratios from the last min(50, N) of 4 N indices, N >= 10.
 
     Declared limits on the spec take precedence field by field. The
     limsup (liminf) surrogates are the window max (min); the convergence
     flag compares the two window halves in log space at 1e-6.
     """
-    if window < 10:
-        raise IndexOutOfRange("window must be at least 10")
-    if horizon < 2 * window:
-        raise IndexOutOfRange("horizon must be at least twice the window")
+    if N < 10:
+        raise IndexOutOfRange("tail limits need N >= 10")
+    window, horizon = min(50, N), 4 * N
     i = np.arange(horizon - window + 1, horizon + 1)
     la, lb = spec.log_a(i), spec.log_b(i)
     lap, lbp = spec.log_a(i - 1), spec.log_b(i - 1)
@@ -248,9 +228,4 @@ def tail_limits(spec: SequenceSpec, window: int = 50, horizon: int = 800) -> Tai
     )
 
 
-__all__ = [
-    "SequenceSpec", "TailLimits", "TailEstimates", "BivariateFamily",
-    "build_family", "birth_death_probs", "tail_limits", "solve_constant",
-    "power_law", "geometric", "mixed_geometric", "alternating", "table",
-    "KINDS",
-]
+__all__ = ["TailEstimates", "BivariateFamily", "build_family", "tail_limits"]

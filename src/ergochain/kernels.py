@@ -52,9 +52,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IndexOutOfRange, NotSymmetricKernel, StartNotInSupport
+from .errors import IndexOutOfRange, StartNotInSupport
 from .family import BivariateFamily
-from .spec import DGS, MARGINAL_X, RGS, check_scan_p
+from .spec import DGS, MARGINAL_X, RGS, check_gap_kind, check_scan_p
 
 # TV values below this are fitting noise and are excluded from rate fits.
 _TV_FLOOR = 1e-13
@@ -479,8 +479,7 @@ def spectral_gap(tm: TransitionMatrix) -> SpectralGap:
     lambda_min(E) is at or below the solver's resolution, not that the
     chain fails to mix. dgs kernels are rejected.
     """
-    if tm.kind not in (MARGINAL_X, RGS):
-        raise NotSymmetricKernel(f"spectral gap undefined for kind {tm.kind!r}")
+    check_gap_kind(tm.kind)
     up, down = tm.bands[1], tm.bands[-1]
     off = np.sqrt(down[:-1]) * np.sqrt(up[1:])
     bound = np.max(up + down + np.r_[0.0, off] + np.r_[off, 0.0])
@@ -510,8 +509,7 @@ def spectral_gap(tm: TransitionMatrix) -> SpectralGap:
 
 
 __all__ = [
-    "MARGINAL_X", "DGS", "RGS",
     "TransitionMatrix", "TVCurve", "SpectralGap",
-    "build_Px", "build_Pdgs", "build_Prgs", "check_scan_p", "log_expect",
+    "build_Px", "build_Pdgs", "build_Prgs", "log_expect",
     "staircase_xy", "tv_curve", "spectral_gap",
 ]

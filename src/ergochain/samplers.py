@@ -39,7 +39,8 @@ import numpy as np
 from .diagnostics import BatchMeansEstimate, _from_means, batch_layout
 from .errors import BadSeed, IndexOutOfRange, StartNotInSupport
 from .family import BivariateFamily
-from .kernels import DGS, MARGINAL_X, RGS, check_scan_p, check_state
+from .kernels import check_state
+from .spec import DGS, MARGINAL_X, RGS, check_scan_p
 
 CHAIN_IDS = {MARGINAL_X: 0, DGS: 1, RGS: 2}
 

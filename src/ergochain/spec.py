@@ -1,14 +1,14 @@
-"""Sequence specifications, chain names and the scan check, without numpy.
+"""Sequence specifications, chain names and the chain checks, without numpy.
 
 A SequenceSpec names a kind of sequence pair {a_i}, {b_i} and its
 parameters (see its docstring). This module holds it, its declared
-TailLimits, the JSON codec of both, the constructors power_law,
-geometric, mixed_geometric, alternating and table, the closed-form
-normalizing constants (solve_constant, with a pure-Python zeta), the
-chain names and check_scan_p. None of that imports numpy, so a command
-can refuse a bad spec or argument before any numeric module loads;
-numpy is imported only where a sequence is evaluated (log_a, log_b and
-log_mass_beyond), as build_family and the analyses do.
+TailLimits, their JSON codec, the strict JSON writer, the constructors
+power_law, geometric, mixed_geometric, alternating and table, the
+closed-form constants (solve_constant, with a pure-Python zeta), the
+chain names, check_scan_p and check_gap_kind. None of that imports
+numpy, so a command can refuse a bad spec or argument before any numeric
+module loads; numpy is imported only where a sequence is evaluated
+(log_a, log_b and log_mass_beyond), as build_family and the analyses do.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ import json
 import math
 from dataclasses import dataclass
 
-from .errors import BadScanProbability, IndexOutOfRange, NonPositiveSequence, UnknownFormat
+from .errors import (BadScanProbability, IndexOutOfRange, NonPositiveSequence,
+                     NotSymmetricKernel, UnknownFormat)
 
 # each sequence kind's JSON params and the SequenceSpec field holding each:
 # the arrays a and b in a_table and b_table, every number under its own name
@@ -43,6 +44,11 @@ def _encode_extended(v):
     if math.isnan(v):
         return "nan"
     return v
+
+
+def _dump_json(obj) -> str:
+    """obj as strict JSON (NaN and inf refused), indented with sorted keys."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 _EXTENDED = {"inf": math.inf, "-inf": -math.inf, "nan": math.nan}
@@ -418,8 +424,14 @@ def check_scan_p(scan_p) -> float:
     return float(scan_p)
 
 
+def check_gap_kind(kind: str) -> None:
+    """NotSymmetricKernel unless kind is marginal_x or rgs: dgs is not reversible."""
+    if kind not in (MARGINAL_X, RGS):
+        raise NotSymmetricKernel(f"spectral gap undefined for kind {kind!r}")
+
+
 __all__ = [
     "SequenceSpec", "TailLimits", "KINDS", "solve_constant",
     "power_law", "geometric", "mixed_geometric", "alternating", "table",
-    "MARGINAL_X", "DGS", "RGS", "check_scan_p",
+    "MARGINAL_X", "DGS", "RGS", "check_scan_p", "check_gap_kind",
 ]

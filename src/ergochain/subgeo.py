@@ -41,8 +41,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IndexOutOfRange, NonPositiveSequence
-from .family import BivariateFamily, SequenceSpec
-from .kernels import check_scan_p
+from .family import BivariateFamily
+from .spec import SequenceSpec, check_scan_p
 
 _DIVERGE_LEVEL = math.log(1e3)
 _DIVERGE_GROWTH = math.log(1.1)
@@ -87,13 +87,6 @@ def _norm_bounds(log_T: np.ndarray, scan_p: float | None) -> NormBounds:
                       log10_min_T=float(log_T[k]) / math.log(10.0))
 
 
-def operator_norm_bounds(fam: BivariateFamily, scan_p: float | None = None) -> NormBounds:
-    """1 - min_i T_i for the marginal kernel, and the random-scan analogue
-    1 - scan_p min_i T_i when a scan probability is given; a scan
-    probability outside (0, 1) raises BadScanProbability."""
-    return _norm_bounds(_log_mu_T(fam)[1], scan_p)
-
-
 @dataclass(frozen=True)
 class DivergenceStats:
     """The three ratio statistics on 2..horizon and their divergence flags.
@@ -114,10 +107,6 @@ class DivergenceStats:
         logs = {"S1": self.log_S1, "S2": self.log_S2, "S3": self.log_S3}[name]
         with np.errstate(over="ignore"):
             return np.exp(logs)
-
-    @property
-    def any_diverging(self) -> bool:
-        return any(self.flags.values())
 
     def first_diverging(self) -> str | None:
         for name in STATISTICS:
@@ -219,6 +208,6 @@ def build_subgeo_report(fam: BivariateFamily, horizon: int | None = None,
 
 __all__ = [
     "STATISTICS", "NormBounds", "DivergenceStats", "SubgeoReport",
-    "conditional_variance_stat", "operator_norm_bounds",
+    "conditional_variance_stat",
     "divergence_statistics", "build_subgeo_report",
 ]

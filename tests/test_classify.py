@@ -105,7 +105,7 @@ def test_verdict_never_mixes_certificate_and_fired_flag(name, N, scan_p):
     if v.verdict == "Geometric":
         assert v.subgeo_summary is None
         report = build_subgeo_report(build_family(spec, N), scan_p=scan_p)
-        assert not report.stats.any_diverging
+        assert report.stats.first_diverging() is None
 
 
 def test_equivalence_note_present():

@@ -593,11 +593,15 @@ def test_text_decided_refusals_leave_numpy_unloaded(tmp_path):
         ["--help"],
         ["sample", *geo, "--start", "2.5"],
         ["sample", *geo, "--thin", "0"],
+        ["sample", *geo, "--seed", "-1"],
+        ["sample", *geo, "--steps", "-1"],
+        ["tvcurve", *geo, "--steps", "-1"],
+        ["spectrum", *geo, "--chain", "dgs"],
         ["classify", *geo, "--scan-p", "1.5"],
         ["classify", "--spec", str(tmp_path / "missing.json")],
         ["classify", "--spec", bad_param],
         script=_FRESH_NO_NUMPY)
-    assert [code for code, _, _ in res] == [0, 0, 4, 4, 4, 2, 4]
+    assert [code for code, _, _ in res] == [0, 0, 4, 4, 4, 4, 4, 4, 4, 2, 4]
     assert [err for _, err, _ in res[:2]] == [[], []]
     for _, err, _ in res[2:]:
         assert len(err) == 1 and err[0].startswith("error:")

@@ -18,7 +18,6 @@ from ergochain import (
     BadZ,
     COutOfRange,
     DriftCertificate,
-    IndexOutOfRange,
     NoCertificate,
     admissible_c_interval,
     build_family,
@@ -28,18 +27,16 @@ from ergochain import (
     find_drift_certificate,
     lift_to_rgs,
     power_law,
-    px_drift_coefficient,
     table,
     verify_drift,
 )
 from ergochain.drift import (
     certificate_from_json_dict,
     certify,
-    log_PxV,
     rho_bound,
     tail_surrogates,
 )
-from ergochain.kernels import build_Prgs, log_expect
+from ergochain.kernels import build_Prgs, build_Px, log_expect
 
 COEF_GEO_Z13_X10 = 0.960187767622529   # frozen direct evaluation
 Z_UPPER_GEO = 1.4621171572600098       # 2 / (e^{-1} + 1)
@@ -58,15 +55,11 @@ def test_coefficient_rejects_bad_z(z):
 
 def test_px_coefficient_geometric(fam):
     f = fam("geometric", 50)
-    got = px_drift_coefficient(f, 1.3, 10)
+    got = drift_coefficient(f.p[9], f.q[9], 1.3)     # x = 10
     assert got == pytest.approx(COEF_GEO_Z13_X10, rel=1e-13)
     # same thing assembled by hand from the conditionals
     direct = f.p[9] * 0.3 + f.q[9] * (1.0 / 1.3 - 1.0) + 1.0
     assert got == pytest.approx(direct, rel=1e-14)
-    with pytest.raises(IndexOutOfRange):
-        px_drift_coefficient(f, 1.3, 1)
-    with pytest.raises(IndexOutOfRange):
-        px_drift_coefficient(f, 1.3, 51)
 
 
 def test_balanced_walk_never_contracts():
@@ -84,8 +77,8 @@ def test_tail_surrogates_geometric(fam):
 def test_log_PxV_matches_direct_expectation(fam):
     f = fam("geometric", 30)
     z = 1.1
-    got = np.exp(log_PxV(f, math.log(z)))
     x = np.arange(1, 31)
+    got = np.exp(log_expect(build_Px(f), x * math.log(z)))
     direct = (f.p * z ** (x + 1) + f.q * z ** (x - 1)
               + (1.0 - f.p - f.q) * z ** x)
     assert np.allclose(got, direct, rtol=1e-12)

@@ -20,7 +20,6 @@ from ergochain import (
     TailLimits,
     UnknownFormat,
     alternating,
-    birth_death_probs,
     build_family,
     example_names,
     example_spec,
@@ -236,12 +235,10 @@ def test_sequence_indices_start_at_one():
 
 
 def test_birth_death_probs_bounds(fam):
+    # the marginal chain cannot leave 1..N: no down-move from 1, no up-move from N
     f = fam("geometric", 30)
-    assert birth_death_probs(f, 1) == (float(f.p[0]), 0.0)
-    with pytest.raises(IndexOutOfRange):
-        birth_death_probs(f, 0)
-    with pytest.raises(IndexOutOfRange):
-        birth_death_probs(f, 31)
+    assert f.q[0] == 0.0 and 0.0 < f.p[0] < 1.0
+    assert f.p[-1] == 0.0 and 0.0 < f.q[-1] < 1.0
 
 
 def test_spec_json_round_trip():
@@ -268,7 +265,7 @@ def test_spec_json_rejects_garbage():
 def test_tail_limits_geometric_numeric():
     # plain spec, no declared limits: estimates must converge on their own
     spec = SequenceSpec(kind="geometric", c=GEO_C)
-    est = tail_limits(spec, window=50, horizon=800)
+    est = tail_limits(spec, 200)
     assert est.A == pytest.approx(math.exp(-1.0), rel=1e-12)
     assert est.m == pytest.approx(GEO_C, rel=1e-12)
     assert est.M == pytest.approx(GEO_C, rel=1e-12)
@@ -279,7 +276,7 @@ def test_tail_limits_geometric_numeric():
 
 def test_tail_limits_power_law_numeric():
     spec = SequenceSpec(kind="power_law", d=2.0, c1=PL_C, c2=PL_C)
-    est = tail_limits(spec, window=50, horizon=10_000)
+    est = tail_limits(spec, 2500)
     assert abs(est.A - 1.0) < 1e-3    # (1 - 1/i)^2 at i = 10^4
     assert est.m == pytest.approx(1.0, rel=1e-12)
     assert est.M == pytest.approx(1.0, rel=1e-12)
@@ -287,18 +284,18 @@ def test_tail_limits_power_law_numeric():
 
 def test_tail_limits_alternating_diverges():
     spec = SequenceSpec(kind="alternating", c=MIXED_C)
-    est = tail_limits(spec, window=50, horizon=800)
+    est = tail_limits(spec, 200)
     # b_i/a_i explodes along odd i; the window max keeps growing
     assert not est.converged["b_over_a"]
     assert est.b_over_a > 1e100 or math.isinf(est.b_over_a)
 
 
 def test_tail_limits_declared_override():
-    est = tail_limits(example_spec("geometric"), window=50, horizon=800)
+    est = tail_limits(example_spec("geometric"), 200)
     assert est.A == math.exp(-1.0)
     assert est.declared["A"] and est.converged["A"]
     assert est.m == est.M
-    est2 = tail_limits(example_spec("mixed-geometric"), window=50, horizon=800)
+    est2 = tail_limits(example_spec("mixed-geometric"), 200)
     assert math.isinf(est2.a_over_bprev)
     assert est2.b_over_a == 0.0
 
@@ -306,9 +303,8 @@ def test_tail_limits_declared_override():
 def test_tail_limits_argument_validation():
     spec = example_spec("geometric")
     with pytest.raises(IndexOutOfRange):
-        tail_limits(spec, window=5, horizon=800)
-    with pytest.raises(IndexOutOfRange):
-        tail_limits(spec, window=50, horizon=60)
+        tail_limits(spec, 9)
+    assert tail_limits(spec, 10).A == math.exp(-1.0)
 
 
 def test_declared_limits_must_be_nonnegative():

@@ -32,6 +32,15 @@ def test_every_export_is_the_object_its_submodule_defines():
             assert obj.__module__ == module.__name__, name
 
 
+def test_no_name_is_listed_by_two_modules():
+    # each public name has one import path besides the package's
+    owner = {}
+    for mod in dict.fromkeys(ergochain._SUBMODULE.values()):
+        module = importlib.import_module(f"ergochain.{mod}")
+        for name in getattr(module, "__all__", ()):
+            assert owner.setdefault(name, mod) == mod, name
+
+
 def test_dir_and_star_import_cover_all():
     assert set(ergochain.__all__) <= set(dir(ergochain))
     namespace = {}

@@ -3,18 +3,22 @@
 Exit codes: 0 success, 2 usage error, 3 undecided (an Inconclusive
 verdict, or no drift certificate found), 4 domain error.
 
-A command reads its spec and checks the arguments their text decides
-(--start, --thin, --scan-p, --seed, a negative --steps and spectrum's
---chain) before it looks up the numeric functions it calls, and those
-come from the package on first lookup, so `examples`, --help and the
-refusals decided so far run without numpy, and each command imports
-only the modules it uses.
+dispatch refuses a size option above its limit and a negative --steps
+before any command runs. A command then reads its spec and checks the
+arguments their text decides (--start, --thin, --scan-p, --seed and
+spectrum's --chain) before it looks up the numeric functions it calls,
+and those come from the package on first lookup, so `examples`, --help
+and the refusals decided so far run without numpy, and each command
+imports only the modules it uses. Only classify and report, whose
+numeric modules load dataclasses anyway, import it here, and json is
+loaded only to read a JSON spec or to write JSON, so neither `examples`
+(as a table), --help nor those refusals load dataclasses, inspect or,
+unless a --spec is JSON, json.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -184,6 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_classify(args) -> tuple[str, int]:
     spec = _load_spec(args)
     v = _cli.classify(spec, N=args.n, scan_p=args.scan_p)
+    import dataclasses      # after the refusals; classify has loaded it
+
     v = dataclasses.replace(v, label=args.example or "spec")
     code = 3 if v.verdict == _cli.INCONCLUSIVE else 0
     if args.format == "table":
@@ -208,8 +214,6 @@ def _cmd_spectrum(args) -> tuple[str, int]:
 def _cmd_tvcurve(args) -> tuple[str, int]:
     spec = _load_spec(args)
     start = _start(args)
-    if args.steps < 0:
-        raise IndexOutOfRange("n_max must be nonnegative")
     curve = _cli.tv_curve(_kernel(args, spec), start, args.steps)
     if args.format == "json":
         return _dump_json(curve.to_json_dict()), 0
@@ -231,8 +235,6 @@ def _cmd_sample(args) -> tuple[str, int]:
     start = _start(args)
     if args.thin < 1:
         raise IndexOutOfRange("thin must be >= 1")
-    if args.steps < 0:
-        raise IndexOutOfRange("n_steps must be >= 0")
     if args.seed < 0:
         raise BadSeed(f"seed must be a nonnegative integer, got {args.seed!r}")
     fam = _cli.build_family(spec, args.n)
@@ -282,6 +284,8 @@ def _cmd_report(args) -> tuple[str, int]:
     specs = [example_spec(name) for name in names]
     _check_scan_p(args)
     verdicts = [_cli.classify(spec, N=args.n, scan_p=args.scan_p) for spec in specs]
+    import dataclasses      # after the refusals; classify has loaded it
+
     verdicts = [dataclasses.replace(v, label=n) for v, n in zip(verdicts, names)]
     return _cli.verdict_report(verdicts, args.format), 0
 
@@ -306,6 +310,8 @@ def dispatch(argv: list[str]) -> int:
             if value is not None and value > limit:
                 raise IndexOutOfRange(f"--{name} {value} exceeds the limit "
                                       f"{limit}")
+        if getattr(args, "steps", 0) < 0:
+            raise IndexOutOfRange(f"--steps {args.steps} must be at least 0")
         if args.command == "tvcurve":
             states = args.n if args.chain == MARGINAL_X else 2 * args.n - 1
             bw = 2 if args.chain == DGS else 1

@@ -466,25 +466,24 @@ def spectral_gap(tm: TransitionMatrix) -> SpectralGap:
 
     E is tridiagonal with diagonal up[k] + down[k] and off-diagonal
     -sqrt(down[k] up[k+1]), up = bands[1], down = bands[-1]; its eigenvalues
-    are 1 - lambda over the spectrum of P less one 1. Every eigenvalue is
-    bracketed by one test, whether a shift of E is positive definite, to
-    within tol = eps times E's Gershgorin bound, and taken as the bracket's
-    midpoint; the trial shifts are midpoints and then regula falsi on the
-    last pivot of the test (_lowest_eigenvalue). The gap is lambda_min(E)
-    unless an eigenvalue of P below 0 is larger in modulus, i.e.
-    (2 - gap) I - E is not positive definite; that test passes on the
-    positive semidefinite marginal and random-scan kernels, and only when
-    it fails is lambda_max(E) found as well, as the lowest eigenvalue of
-    -E. A gap of 0.0 means that E - tol I is not positive definite:
-    lambda_min(E) is at or below the solver's resolution, not that the
-    chain fails to mix. dgs kernels are rejected.
+    are 1 - lambda over the spectrum of P less one 1. The marginal and
+    random-scan kernels are positive semidefinite (Px = Pxy Pyx and
+    Prgs = s Pi_x + (1 - s) Pi_y average conditional-expectation
+    projections), so those eigenvalues lie in [0, 1] and the gap is
+    lambda_min(E), clipped to [0, 1] against rounding. It is bracketed by
+    one test, whether a shift of E is positive definite, to within tol =
+    eps times E's Gershgorin bound, and taken as the bracket's midpoint;
+    the trial shifts are midpoints and then regula falsi on the last pivot
+    of the test (_lowest_eigenvalue). A gap of 0.0 means that E - tol I is
+    not positive definite: lambda_min(E) is at or below the solver's
+    resolution, not that the chain fails to mix. dgs kernels are rejected.
     """
     check_gap_kind(tm.kind)
     up, down = tm.bands[1], tm.bands[-1]
     off = np.sqrt(down[:-1]) * np.sqrt(up[1:])
     bound = np.max(up + down + np.r_[0.0, off] + np.r_[off, 0.0])
     # solve on E / 2^k with 2^k >= bound: exact, and c cannot underflow
-    # where every entry of E is tiny; lo, hi and the results are in E / 2^k
+    # where every entry of E is tiny; lo, hi and the result are in E / 2^k
     scale = np.ldexp(1.0, np.frexp(bound)[1])
     d, c = (up + down) / scale, (down[:-1] / scale) * (up[1:] / scale)
     top, tol = float(bound / scale), float(np.finfo(float).eps * bound / scale)
@@ -493,16 +492,6 @@ def spectral_gap(tm: TransitionMatrix) -> SpectralGap:
     if f > 0.0:
         lo, hi = _lowest_eigenvalue(d, c, tol, f, top, math.nan, tol)
         lowest = 0.5 * (lo + hi)
-    # the rest works on -E, whose lowest eigenvalue is -lambda_max(E); d has
-    # no other use, so it is negated in place. -E - (lowest - 2) I is
-    # positive definite when no eigenvalue of E exceeds 2 - lowest
-    d = np.negative(d, out=d)
-    f = _final_pivot(d, c, lowest - 2.0 / scale)
-    if not f > 0.0:
-        lo, hi = _lowest_eigenvalue(d, c, -top, math.nan, lowest - 2.0 / scale,
-                                    f, tol)
-        highest = -0.5 * (lo + hi)
-        lowest = min(lowest, 2.0 / scale - highest)
     gap = float(np.clip(lowest * scale, 0.0, 1.0))
     return SpectralGap(kind=tm.kind, N=tm.N, norm_estimate=1.0 - gap,
                        gap=gap, method="tridiagonal")

@@ -9,13 +9,16 @@ chain names, check_scan_p and check_gap_kind. None of that imports
 numpy, so a command can refuse a bad spec or argument before any numeric
 module loads; numpy is imported only where a sequence is evaluated
 (log_a, log_b and log_mass_beyond), as build_family and the analyses do.
+
+Nor does importing it load dataclasses (and with it inspect) or json:
+the two records are immutable named tuples whose constructor validates,
+and json is imported by the codec functions that use it.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (BadScanProbability, IndexOutOfRange, NonPositiveSequence,
                      NotSymmetricKernel, UnknownFormat)
@@ -48,6 +51,8 @@ def _encode_extended(v):
 
 def _dump_json(obj) -> str:
     """obj as strict JSON (NaN and inf refused), indented with sorted keys."""
+    import json
+
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
@@ -73,8 +78,7 @@ def _decode_extended(v, name: str = "value"):
     return _real(v, name)
 
 
-@dataclass(frozen=True)
-class TailLimits:
+class TailLimits(namedtuple("TailLimits", tuple(_LIMITS))):
     """Declared limiting ratios of a sequence specification.
 
     Each field is a nonnegative extended real or None when the limit is
@@ -83,17 +87,20 @@ class TailLimits:
     liminf a_i/b_i and limsup a_i/b_i when that limit exists.
     """
 
-    A: float | None = None
-    lim_ab: float | None = None
-    lim_a_over_bprev: float | None = None
-    lim_b_over_a: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        for k in _LIMITS:
-            v = getattr(self, k)
+    def __new__(cls, A=None, lim_ab=None, lim_a_over_bprev=None, lim_b_over_a=None):
+        self = tuple.__new__(cls, (A, lim_ab, lim_a_over_bprev, lim_b_over_a))
+        for k, v in zip(_LIMITS, self):
             if not (v is None or (isinstance(v, (int, float)) and 0 <= v <= math.inf)):
                 raise UnknownFormat(f"declared limit {k} = {v!r} must be null "
                                     "or lie in [0, inf]")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        """As the constructor, so _replace validates too."""
+        return cls(*iterable)
 
     def to_json_dict(self) -> dict:
         return {k: _encode_extended(getattr(self, k)) for k in _LIMITS}
@@ -105,8 +112,8 @@ class TailLimits:
         return TailLimits(**{k: _decode_extended(d.get(k), k) for k in _LIMITS})
 
 
-@dataclass(frozen=True)
-class SequenceSpec:
+class SequenceSpec(namedtuple("SequenceSpec", "kind d c1 c2 c a_table b_table "
+                                              "tail_ratio declared_limits")):
     """Generator for the sequences {a_i}, {b_i} of a staircase family.
 
     kind selects the functional form:
@@ -118,7 +125,10 @@ class SequenceSpec:
       table            explicit positive entries, extended geometrically
                        beyond the table with ratio tail_ratio
 
-    to_json_dict and from_json_dict read each kind's params from
+    The fields are kind, then d, c1, c2, c, a_table, b_table, tail_ratio
+    and declared_limits (a TailLimits), each None unless the kind uses it;
+    a table's entries and tail_ratio (0.5 when omitted) are stored as
+    floats. to_json_dict and from_json_dict read each kind's params from
     _KIND_PARAMS. Construction does not normalize; build_family
     renormalizes the truncated mass, so only ratios of parameters matter
     there. The factory helpers (power_law(), geometric(), ...) solve the
@@ -126,43 +136,44 @@ class SequenceSpec:
     presentation of these families.
     """
 
-    kind: str
-    d: float | None = None
-    c1: float | None = None
-    c2: float | None = None
-    c: float | None = None
-    a_table: tuple[float, ...] | None = None
-    b_table: tuple[float, ...] | None = None
-    tail_ratio: float | None = None
-    declared_limits: TailLimits | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise NonPositiveSequence(f"unknown sequence kind {self.kind!r}")
-        if self.kind == "power_law":
-            if self.d is None or not (math.isfinite(self.d) and self.d > 1):
+    def __new__(cls, kind, d=None, c1=None, c2=None, c=None, a_table=None,
+                b_table=None, tail_ratio=None, declared_limits=None):
+        if kind not in KINDS:
+            raise NonPositiveSequence(f"unknown sequence kind {kind!r}")
+        if kind == "power_law":
+            if d is None or not (math.isfinite(d) and d > 1):
                 raise NonPositiveSequence("power_law requires a finite d > 1")
-            for v in (self.c1, self.c2):
+            for v in (c1, c2):
                 if v is None or not (math.isfinite(v) and v > 0):
                     raise NonPositiveSequence("power_law requires c1 > 0 and c2 > 0")
-        elif self.kind in ("geometric", "mixed_geometric", "alternating"):
-            if self.c is None or not (math.isfinite(self.c) and self.c > 0):
-                raise NonPositiveSequence(f"{self.kind} requires c > 0")
-        elif self.kind == "table":
-            for name, tab in (("a", self.a_table), ("b", self.b_table)):
+        elif kind in ("geometric", "mixed_geometric", "alternating"):
+            if c is None or not (math.isfinite(c) and c > 0):
+                raise NonPositiveSequence(f"{kind} requires c > 0")
+        elif kind == "table":
+            tables = []
+            for name, tab in (("a", a_table), ("b", b_table)):
                 if not tab:
                     raise NonPositiveSequence(f"table requires a nonempty {name} table")
                 # every entry converted before any is tested; None reads as
                 # NaN, as in a float array
-                vals = [math.nan if v is None else float(v) for v in tab]
+                vals = tuple(math.nan if v is None else float(v) for v in tab)
                 if not all(0 < v < math.inf for v in vals):
                     raise NonPositiveSequence(f"table {name} entries must be positive and finite")
-            r = self.tail_ratio if self.tail_ratio is not None else 0.5
+                tables.append(vals)
+            r = tail_ratio if tail_ratio is not None else 0.5
             if not (0 < r < 1):
                 raise NonPositiveSequence("tail_ratio must lie in (0, 1)")
-            object.__setattr__(self, "tail_ratio", float(r))
-            object.__setattr__(self, "a_table", tuple(float(v) for v in self.a_table))
-            object.__setattr__(self, "b_table", tuple(float(v) for v in self.b_table))
+            a_table, b_table = tables
+            tail_ratio = float(r)
+        return tuple.__new__(cls, (kind, d, c1, c2, c, a_table, b_table, tail_ratio,
+                                   declared_limits))
+
+    @classmethod
+    def _make(cls, iterable):
+        """As the constructor, so _replace validates and normalizes too."""
+        return cls(*iterable)
 
     # -- evaluation ------------------------------------------------------
 
@@ -256,6 +267,8 @@ class SequenceSpec:
         return out
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
     @staticmethod
@@ -289,6 +302,8 @@ class SequenceSpec:
 
     @staticmethod
     def from_json(text: str) -> "SequenceSpec":
+        import json
+
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:

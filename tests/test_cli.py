@@ -320,6 +320,16 @@ def test_size_above_limit_exits_4_before_allocating(capsys, argv):
     assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", ["sample", "tvcurve"])
+@pytest.mark.parametrize("steps", ["-1", "-1000000000"])
+def test_negative_steps_get_one_refusal(capsys, command, steps):
+    # refused before the tvcurve work budget, whose product of two negative
+    # numbers would pass as a huge positive count of state-steps
+    code, out, err = run(capsys, command, "--example", "geometric", "--steps", steps)
+    assert code == 4 and out == ""
+    assert err == f"error: --steps {steps} must be at least 0\n"
+
+
 def test_spectrum_rgs_on_underflowing_table(capsys):
     # LAPACK's bisection failed to converge on this kernel's symmetrization
     spec = json.dumps({"kind": "table", "params": {
@@ -583,6 +593,46 @@ for argv in json.loads(sys.argv[1]):
     res.append([code, err.getvalue().splitlines(), "numpy" in sys.modules])
 print(json.dumps(res))
 """
+
+
+# Run as `python -m ergochain.cli`: the modules loaded from just before
+# the CLI module runs until it exits, written as the last stderr line
+_FRESH_CLI = """
+import runpy, sys
+sys.argv[0] = "ergochain"
+before = set(sys.modules)
+try:
+    runpy.run_module("ergochain.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+sys.stderr.write(f"\\n{code} " + " ".join(sorted(set(sys.modules) - before)) + "\\n")
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["examples"], 0),
+    (["--help"], 0),
+    (["classify", "--spec", "missing.json"], 2),
+    (["sample", "--example", "geometric", "--start", "2.5"], 4),
+    (["classify", "--spec", '{"kind": "geometric", "params": {"c": "x"}}'], 4),
+    (["classify", "--example", "geometric", "--scan-p", "1.5"], 4),
+    (["spectrum", "--example", "geometric", "--chain", "dgs"], 4),
+    (["sample", "--example", "geometric", "--steps", "-1"], 4),
+    (["tvcurve", "--example", "geometric", "--steps", "-1000000000"], 4),
+], ids=["examples", "help", "missing-spec-file", "sample-start", "spec-param",
+        "scan-p", "spectrum-dgs", "sample-steps", "tvcurve-steps"])
+def test_cli_refusals_load_no_numpy_dataclasses_or_inspect(tmp_path, argv, code):
+    # the listing, the help and the argument-decided refusals the benchmark's
+    # cli-mix sends, each in a fresh interpreter
+    src = str(Path(ergochain.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _FRESH_CLI, *argv], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True)
+    got, *added = proc.stderr.splitlines()[-1].split()
+    assert int(got) == code == proc.returncode
+    assert {"argparse", "ergochain.spec"} <= set(added)
+    assert not {"numpy", "dataclasses", "inspect"} & set(added)
 
 
 def test_text_decided_refusals_leave_numpy_unloaded(tmp_path):

@@ -1,20 +1,26 @@
 """Property tests: random table specs, their verdicts and their drift
 certificates survive a JSON round trip, and verdict and certificate JSON
-is strict (no NaN or Infinity)."""
+is strict (no NaN or Infinity). The spec records keep the behaviour of
+frozen records: field order, repr, equality, hash, pickling, read-only
+fields and every validation message."""
 
 import dataclasses
 import json
 import math
+import pickle
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ergochain import (
     COutOfRange,
     ErgodicityVerdict,
+    NonPositiveSequence,
     NoCertificate,
     SequenceSpec,
     TailLimits,
+    UnknownFormat,
     build_family,
     classify,
     lift_to_rgs,
@@ -37,6 +43,108 @@ TABLES = st.builds(
 def test_spec_json_round_trip_is_a_fixed_point(spec):
     text = spec.to_json()
     assert SequenceSpec.from_json(text).to_json() == text
+
+
+SPEC_FIELDS = ("kind", "d", "c1", "c2", "c", "a_table", "b_table", "tail_ratio",
+               "declared_limits")
+LIMIT_FIELDS = ("A", "lim_ab", "lim_a_over_bprev", "lim_b_over_a")
+
+
+def _check_record(rec, cls, fields):
+    values = tuple(getattr(rec, f) for f in fields)
+    assert type(rec) is cls and tuple(rec) == values
+    assert repr(rec) == f"{cls.__name__}(" + ", ".join(
+        f"{f}={v!r}" for f, v in zip(fields, values)) + ")"
+    # equal when built again, positionally or by name, and hashed as the
+    # tuple of its fields
+    assert cls(*values) == rec == cls(**dict(zip(fields, values)))
+    assert hash(rec) == hash(values) == hash(cls(*values))
+    for proto in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(rec, proto))
+        assert type(back) is cls and back == rec and repr(back) == repr(rec)
+    for f in (*fields, "other"):
+        with pytest.raises(AttributeError):
+            setattr(rec, f, None)
+    with pytest.raises(AttributeError):
+        delattr(rec, fields[0])
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(TABLES)
+def test_spec_records_keep_their_behaviour(spec):
+    _check_record(spec, SequenceSpec, SPEC_FIELDS)
+    if spec.declared_limits is not None:
+        _check_record(spec.declared_limits, TailLimits, LIMIT_FIELDS)
+    back = SequenceSpec.from_json(spec.to_json())
+    assert back == spec and repr(back) == repr(spec)
+    # the tables and tail ratio are normalized to floats on every path
+    alt = spec._replace(a_table=[int(v) + 1 for v in spec.a_table], tail_ratio=None)
+    assert alt.tail_ratio == 0.5 and all(type(v) is float for v in alt.a_table)
+    assert alt == table(alt.a_table, spec.b_table,
+                        declared_limits=spec.declared_limits)
+
+
+_BAD_ENTRIES = st.sampled_from([0.0, -1.0, math.inf, -math.inf, math.nan, None])
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(TABLES, st.sampled_from(["a", "b"]), st.data())
+def test_spec_records_keep_their_validation_messages(spec, which, data):
+    tab = list(spec.a_table if which == "a" else spec.b_table)
+    tab[data.draw(st.integers(0, len(tab) - 1))] = data.draw(_BAD_ENTRIES)
+    field = f"{which}_table"
+    with pytest.raises(NonPositiveSequence,
+                       match=rf"^table {which} entries must be positive and finite$"):
+        spec._replace(**{field: tab})
+    with pytest.raises(NonPositiveSequence,
+                       match=rf"^table requires a nonempty {which} table$"):
+        spec._replace(**{field: ()})
+    bad_r = data.draw(st.sampled_from([0.0, 1.0, -0.5, 2.0, math.inf, math.nan]))
+    with pytest.raises(NonPositiveSequence, match=r"^tail_ratio must lie in \(0, 1\)$"):
+        table(spec.a_table, spec.b_table, tail_ratio=bad_r)
+    limit = data.draw(st.sampled_from(LIMIT_FIELDS))
+    bad = data.draw(st.sampled_from([-1.0, -math.inf, math.nan, "1", [1.0]]))
+    with pytest.raises(UnknownFormat) as err:
+        TailLimits(**{limit: bad})
+    assert str(err.value) == f"declared limit {limit} = {bad!r} must be null or lie in [0, inf]"
+    if spec.declared_limits is not None:
+        with pytest.raises(UnknownFormat):
+            spec.declared_limits._replace(**{limit: bad})
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"kind": "nope"}, "unknown sequence kind 'nope'"),
+    ({"kind": []}, "unknown sequence kind []"),
+    ({"kind": "power_law", "c1": 1.0, "c2": 1.0}, "power_law requires a finite d > 1"),
+    ({"kind": "power_law", "d": 1.0, "c1": 1.0, "c2": 1.0},
+     "power_law requires a finite d > 1"),
+    ({"kind": "power_law", "d": math.inf, "c1": 1.0, "c2": 1.0},
+     "power_law requires a finite d > 1"),
+    ({"kind": "power_law", "d": 2.0, "c1": 1.0}, "power_law requires c1 > 0 and c2 > 0"),
+    ({"kind": "power_law", "d": 2.0, "c1": 0.0, "c2": 1.0},
+     "power_law requires c1 > 0 and c2 > 0"),
+    ({"kind": "geometric"}, "geometric requires c > 0"),
+    ({"kind": "mixed_geometric", "c": math.nan}, "mixed_geometric requires c > 0"),
+    ({"kind": "alternating", "c": -1.0}, "alternating requires c > 0"),
+    ({"kind": "table", "b_table": (1.0,)}, "table requires a nonempty a table"),
+    ({"kind": "table", "a_table": (1.0,), "b_table": (1.0, 0.0)},
+     "table b entries must be positive and finite"),
+    ({"kind": "table", "a_table": (1.0,), "b_table": (1.0,), "tail_ratio": 1.0},
+     "tail_ratio must lie in (0, 1)"),
+])
+def test_every_kind_keeps_its_validation_message(kwargs, message):
+    with pytest.raises(NonPositiveSequence) as err:
+        SequenceSpec(**kwargs)
+    assert str(err.value) == message
+
+
+def test_records_are_tuples():
+    # a deliberate API: the records are named tuples, so they have a length,
+    # iterate over their fields and equal the plain tuple of those fields
+    spec = table((1.0,), (2.0,), tail_ratio=0.25)
+    assert len(spec) == 9 and spec == ("table", *[None] * 4, (1.0,), (2.0,), 0.25, None)
+    assert list(TailLimits(A=1.0)) == [1.0, None, None, None]
+    assert SequenceSpec._fields == SPEC_FIELDS and TailLimits._fields == LIMIT_FIELDS
 
 
 @settings(max_examples=25, deadline=None, database=None)

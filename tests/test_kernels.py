@@ -533,13 +533,27 @@ def test_two_state_flat_chain_has_zero_norm():
     assert g.gap == pytest.approx(1.0, abs=1e-14)
 
 
-def test_negative_eigenvalue_sets_the_norm():
-    # a two-state chain that mostly flips has eigenvalues 1 and -0.8
-    flip = np.array([0.9])
-    tm = TransitionMatrix(kind=MARGINAL_X,
-                          bands={-1: flip, 0: np.array([0.1, 0.1]), 1: flip},
-                          stationary=np.array([0.5, 0.5]), N=2)
-    assert spectral_gap(tm).norm_estimate == pytest.approx(0.8, abs=1e-14)
+def test_two_state_gaps_match_dense_eigensolve(fam):
+    # Fact 6: Px and Prgs are positive semidefinite, so the gap is
+    # lambda_min(E) alone. At N = 2, where E has one (marginal) or two (rgs)
+    # eigenvalues near 1, rounding decides whether the gap passes 1; the
+    # dense spectrum has no eigenvalue below 0 and the gap matches it
+    rng = np.random.default_rng(20261018)
+    families = [fam(name, 2) for name in example_names()]
+    for _ in range(8):
+        m = int(rng.integers(1, 6))
+        spec = table(tuple(np.exp(rng.normal(size=m))), tuple(np.exp(rng.normal(size=m))),
+                     tail_ratio=float(0.3 + 0.5 * rng.random()))
+        families.append(build_family(spec, 2))
+    for f in families:
+        for tm in (build_Px(f), *(build_Prgs(f, s) for s in (0.1, 0.5, 0.9))):
+            d = np.sqrt(tm.stationary)
+            S = (d[:, None] / d[None, :]) * _dense(tm)
+            ev = np.linalg.eigvalsh((S + S.T) / 2.0)
+            assert ev[0] >= -1e-15 and ev[-1] == pytest.approx(1.0, abs=1e-15)
+            g = spectral_gap(tm)
+            assert 0.0 <= g.gap <= 1.0
+            assert g.gap == pytest.approx(1.0 - ev[-2], abs=1e-15)
 
 
 def test_positive_definite_matches_dense_eigensolve():

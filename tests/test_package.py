@@ -68,6 +68,28 @@ print(json.dumps(loaded))
 """) == [False, False]
 
 
+def test_spec_layer_loads_no_dataclasses_inspect_or_json():
+    # sys.modules is compared with its state before the import, so modules
+    # a .pth file loads at start-up do not count; only the JSON codec may
+    # load json
+    assert _fresh("""
+import sys
+before = set(sys.modules)
+import ergochain
+for name in ergochain.example_names():
+    ergochain.example_spec(name), ergochain.example_description(name)
+spec = ergochain.table((1.0, 0.5), (0.5,), tail_ratio=0.3,
+                       declared_limits=ergochain.TailLimits(A=0.5))
+resolved = set(sys.modules) - before
+assert ergochain.SequenceSpec.from_json(spec.to_json()) == spec
+coded = set(sys.modules) - before - resolved
+import json
+heavy = {"numpy", "dataclasses", "inspect", "json"}
+print(json.dumps([sorted(heavy & resolved), sorted((heavy - {"json"}) & coded),
+                  "ergochain.spec" in resolved]))
+""") == [[], [], True]
+
+
 def test_the_classify_submodule_never_hides_the_function():
     # loading a submodule binds it on the package; classify shares its name
     assert _fresh("""

@@ -228,14 +228,15 @@ def test_g_exception_propagates(fam50, kind, init):
 @pytest.mark.parametrize("kind,init", [("marginal_x", 1), ("dgs", (1, 1))])
 @pytest.mark.parametrize("with_g", [False, True])
 def test_run_chain_memory_is_block_plus_thinned_trace(kind, init, with_g):
-    # a million steps kept every thousandth: beside g_values, only one
-    # block of steps and the thinned trace may be live
+    # 250 000 steps kept every 250th: beside g_values, only one block of
+    # steps and the thinned trace may be live. One int64 a step would
+    # hold 2 000 000 B, above the bound
     fam = build_family(example_spec("power-law"), 200)
     g = None
     if with_g:
         g = (lambda x: x / 3) if kind == "marginal_x" else (lambda x, y: x - y)
-    cfg = RunConfig(kind=kind, n_steps=1_000_000, seed=1, init=init,
-                    thin=1000, g=g)
+    cfg = RunConfig(kind=kind, n_steps=250_000, seed=1, init=init,
+                    thin=250, g=g)
     tracemalloc.start()
     try:
         tr = run_chain(fam, cfg)

@@ -13,8 +13,8 @@ The decision procedure, in order of evidential strength:
                     and definitively violate the ratio test (A >= 1, or
                     an infinite limsup), the family is subgeometric even
                     when the finite horizon left no flag fired.
-  4. drift          A verified drift certificate found directly from the
-                    truncated tail is still proof of a geometric rate.
+  4. drift          A verified drift certificate, from the tail ratio
+                    surrogates alone, is still proof of a geometric rate.
 
 Anything else is Inconclusive. When both premise limits exist, geometric
 and subgeometric outcomes are exhaustive and the verdict carries a note
@@ -37,7 +37,7 @@ from .drift import (
     certificate_from_json_dict,
     certify,
 )
-from .errors import EmptyReport, IndexOutOfRange, UnknownFormat
+from .errors import EmptyReport, UnknownFormat
 from .family import build_family, tail_limits
 from .spec import SequenceSpec, _decode_extended, _dump_json, _encode_extended
 from .subgeo import build_subgeo_report
@@ -116,9 +116,7 @@ def _ratio_bound(A: float, m: float, M: float) -> float:
 
 def classify(spec: SequenceSpec, N: int = 200,
              scan_p: float | None = None) -> ErgodicityVerdict:
-    """Classify the family truncated at N; see the module docstring."""
-    if N < 10:
-        raise IndexOutOfRange("classification needs N >= 10")
+    """Classify the family truncated at N >= 10; see the module docstring."""
     fam = build_family(spec, N)
     est = tail_limits(spec, N)
 
@@ -128,9 +126,7 @@ def classify(spec: SequenceSpec, N: int = 200,
 
     # one verified certificate; steps 1 and 4 both read it
     cert = certify(fam, scan_p)
-    quantities = {"A": est.A, "m": est.m, "M": est.M,
-                  "a_over_bprev": est.a_over_bprev, "b_over_a": est.b_over_a,
-                  "r_hat": cert.r_hat, "q_hat": cert.q_hat}
+    quantities = {k: v for k, v in vars(est).items() if not isinstance(v, dict)}
     certified = None if isinstance(cert, NoCertificate) else cert
 
     def verdict(outcome, basis, evidence, **found):

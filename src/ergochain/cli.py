@@ -3,7 +3,8 @@
 Exit codes: 0 success, 2 usage error, 3 undecided (an Inconclusive
 verdict, or no drift certificate found), 4 domain error.
 
-dispatch refuses a size option above its limit and a negative --steps
+dispatch refuses a size option above its limit, a negative --steps and
+an --n below the tail estimates' minimum (classify, drift, report)
 before any command runs. A command then reads its spec and checks the
 arguments their text decides (--start, --thin, --scan-p, --seed and
 spectrum's --chain) before it looks up the numeric functions it calls,
@@ -26,7 +27,7 @@ from .errors import (BadSeed, ErgochainError, IndexOutOfRange, StartNotInSupport
                      UnknownFormat)
 from .presets import example_description, example_names, example_spec
 from .spec import (DGS, MARGINAL_X, RGS, SequenceSpec, _dump_json, check_gap_kind,
-                   check_scan_p)
+                   check_scan_p, check_tail_n)
 
 # the numeric names the commands call as attributes of this module, so a
 # wrapper set on it (as the benchmark's spans do) is the one called. The
@@ -312,6 +313,8 @@ def dispatch(argv: list[str]) -> int:
                                       f"{limit}")
         if getattr(args, "steps", 0) < 0:
             raise IndexOutOfRange(f"--steps {args.steps} must be at least 0")
+        if args.command in ("classify", "drift", "report"):
+            check_tail_n(args.n)
         if args.command == "tvcurve":
             states = args.n if args.chain == MARGINAL_X else 2 * args.n - 1
             bw = 2 if args.chain == DGS else 1

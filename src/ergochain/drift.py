@@ -11,11 +11,10 @@ L = max_{x <= x0} E[V(X_1) | X_0 = x], giving
 
     E[V(X_1) | X_0 = x] <= rho V(x) + L        for every x.
 
-Tail surrogates r_hat (a bound on p_x / q_x) and q_hat (a lower bound on
-q_x) are max and min over the upper half of {2..N}, excluding the last
-two indices where truncation distorts p; r_hat is formed from the
-family's log_t so it stays finite where p and q underflow. For
-z < 2 / (r + 1) the certified rate is
+The tail surrogates r_hat (a bound on p_x / q_x) and q_hat (a lower
+bound on q_x) are family.tail_limits' window max and min over the
+untruncated spec, on the last min(50, N) of 4 N indices, the window of
+every other tail estimate. For z < 2 / (r + 1) the certified rate is
 
     rho(z) = 1 + (q/2)(z - 1)((r + 1)/2 - 1/z),
 
@@ -42,11 +41,11 @@ verification, lift and the lifted verification in that order; it is the
 one path that issues a certificate.
 
 A certificate proves a geometric rate for the chain truncated at N, not
-for the infinite family: the power-law family, which has no geometric
-rate, is certified at N = 50 and N = 200 (r_hat = 0.98992, just under
-0.99, rho = 0.9999992) and refused from N = 300 on. Whether the family
-converges geometrically is classify's answer, which also reads the
-declared limits and the divergence statistics.
+for the infinite family, but its surrogates read the spec's tail beyond
+N: power-law, which has no geometric rate, is refused at N = 50 (r_hat =
+0.990025) and N = 200 (0.9975016). Whether the family converges
+geometrically is classify's answer, which also reads the declared limits
+and the divergence statistics.
 """
 
 from __future__ import annotations
@@ -56,8 +55,8 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .errors import BadZ, COutOfRange, IndexOutOfRange
-from .family import BivariateFamily, _exp_sat
+from .errors import BadZ, COutOfRange
+from .family import BivariateFamily, tail_limits
 from .kernels import build_Prgs, build_Px, log_expect, staircase_xy
 from .spec import _encode_extended, check_scan_p
 
@@ -70,22 +69,6 @@ def drift_coefficient(p: float, q: float, z: float) -> float:
     if not (z > 1.0 and math.isfinite(z)):
         raise BadZ(f"z = {z!r} must be finite and exceed 1")
     return p * (z - 1.0) + q * (1.0 / z - 1.0) + 1.0
-
-
-def tail_surrogates(fam: BivariateFamily) -> tuple[float, float]:
-    """(r_hat, q_hat): max p_x/q_x and min q_x over the upper half of
-    {2..N} with the truncation-distorted indices N-1 and N excluded.
-
-    p_x / q_x = t_x / t_{x-1} with t the family's edge conductance, so
-    r_hat is taken from fam.log_t and stays finite where p and q underflow.
-    """
-    lo = max(2, fam.N // 2)
-    hi = fam.N - 2
-    if hi < lo:
-        raise IndexOutOfRange(f"N = {fam.N} leaves no tail window")
-    r_hat = _exp_sat(float(np.max(np.diff(fam.log_t)[lo - 2:hi - 1])))
-    q_hat = float(np.min(fam.q[lo - 1:hi]))
-    return r_hat, q_hat
 
 
 _LIFT = ("scan_p", "c", "gamma")
@@ -152,13 +135,15 @@ def rho_bound(r_hat: float, q_hat: float, z: float) -> float:
 
 
 def find_drift_certificate(fam: BivariateFamily):
-    """The certificate at the optimal base z* = sqrt(2 / (r_hat + 1)).
+    """The certificate at the optimal base z* = sqrt(2 / (r_hat + 1)),
+    with r_hat and q_hat from tail_limits(fam.spec, fam.N).
 
     Returns a DriftCertificate or a NoCertificate value. The threshold x0
     is the largest index whose coefficient exceeds rho (at least 1), so
     the drift bound holds pointwise beyond it by construction.
     """
-    r_hat, q_hat = tail_surrogates(fam)
+    est = tail_limits(fam.spec, fam.N)
+    r_hat, q_hat = est.r_hat, est.q_hat
     if r_hat >= R_BORDERLINE:
         return NoCertificate(
             reason=f"tail ratio estimate {r_hat:.6g} is not below {R_BORDERLINE}",
@@ -289,8 +274,7 @@ def certify(fam: BivariateFamily, scan_p: float | None = None):
 
 __all__ = [
     "R_BORDERLINE",
-    "DriftCertificate", "NoCertificate", "DriftReport",
-    "drift_coefficient", "tail_surrogates",
+    "DriftCertificate", "NoCertificate", "DriftReport", "drift_coefficient",
     "rho_bound", "find_drift_certificate", "admissible_c_interval",
     "lift_to_rgs", "verify_drift", "certify",
     "certificate_from_json_dict",

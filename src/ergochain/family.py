@@ -44,8 +44,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateTruncation, IndexOutOfRange, NonPositiveSequence, OutOfSupport
-from .spec import _LIMITS, SequenceSpec
+from .errors import DegenerateTruncation, NonPositiveSequence, OutOfSupport
+from .spec import _LIMITS, SequenceSpec, check_tail_n
 
 
 # -- truncated family ----------------------------------------------------
@@ -167,10 +167,13 @@ class TailEstimates:
     m, M         liminf and limsup of a_i / b_i
     a_over_bprev limsup a_i / b_{i-1}
     b_over_a     limsup b_i / a_i
+    r_hat        max t_i / t_{i-1} = p_i / q_i, t_i = a_i b_i / (a_i + b_i)
+    q_hat        min q_i, the marginal's down-probability
 
     converged[k] is True when the window estimate of k moved by at most
     1e-6 relatively between the two halves of the window, or when the
-    value was declared on the spec (declared[k] True in that case).
+    value was declared on the spec (declared[k] True in that case); r_hat
+    and q_hat, the drift search's surrogates, are in neither dict.
     Values may be infinite when a ratio diverges.
     """
 
@@ -179,6 +182,8 @@ class TailEstimates:
     M: float
     a_over_bprev: float
     b_over_a: float
+    r_hat: float
+    q_hat: float
     converged: dict
     declared: dict
 
@@ -194,16 +199,18 @@ def _exp_sat(log_v: float) -> float:
 def tail_limits(spec: SequenceSpec, N: int) -> TailEstimates:
     """Estimate limiting ratios from the last min(50, N) of 4 N indices, N >= 10.
 
-    Declared limits on the spec take precedence field by field. The
-    limsup (liminf) surrogates are the window max (min); the convergence
-    flag compares the two window halves in log space at 1e-6.
+    Declared limits on the spec take precedence field by field (r_hat and
+    q_hat are never declared). The limsup (liminf) surrogates are the
+    window max (min); the convergence flag compares the two window halves
+    in log space at 1e-6. log t = log a - log(1 + a/b) has no overflowing
+    sum and stays finite where p and q underflow.
     """
-    if N < 10:
-        raise IndexOutOfRange("tail limits need N >= 10")
+    check_tail_n(N)
     window, horizon = min(50, N), 4 * N
-    i = np.arange(horizon - window + 1, horizon + 1)
-    la, lb = spec.log_a(i), spec.log_b(i)
-    lap, lbp = spec.log_a(i - 1), spec.log_b(i - 1)
+    j = np.arange(horizon - window, horizon + 1)
+    la_j, lb_j = spec.log_a(j), spec.log_b(j)
+    la, lb, lap, lbp = la_j[1:], lb_j[1:], la_j[:-1], lb_j[:-1]
+    log_t = la_j - np.logaddexp(0.0, la_j - lb_j)
 
     ratios = {"A": (la - lap, np.max), "m": (la - lb, np.min),
               "M": (la - lb, np.max), "a_over_bprev": (la - lbp, np.max),
@@ -222,9 +229,9 @@ def tail_limits(spec: SequenceSpec, N: int) -> TailEstimates:
                 vals[k], conv[k], decl[k] = v, True, True
 
     return TailEstimates(
-        A=vals["A"], m=vals["m"], M=vals["M"],
-        a_over_bprev=vals["a_over_bprev"], b_over_a=vals["b_over_a"],
-        converged=conv, declared=decl,
+        **vals, converged=conv, declared=decl,
+        r_hat=_exp_sat(float(np.max(np.diff(log_t)))),
+        q_hat=math.exp(float(np.min(log_t[:-1] - np.logaddexp(la, lbp)))),
     )
 
 

@@ -5,10 +5,10 @@ parameters (see its docstring). This module holds it, its declared
 TailLimits, their JSON codec, the strict JSON writer, the constructors
 power_law, geometric, mixed_geometric, alternating and table, the
 closed-form constants (solve_constant, with a pure-Python zeta), the
-chain names, check_scan_p and check_gap_kind. None of that imports
-numpy, so a command can refuse a bad spec or argument before any numeric
-module loads; numpy is imported only where a sequence is evaluated
-(log_a, log_b and log_mass_beyond), as build_family and the analyses do.
+chain names, check_scan_p, check_gap_kind and check_tail_n. None of that
+imports numpy, so a command can refuse a bad spec or argument before any
+numeric module loads; numpy is imported only where a sequence is
+evaluated (log_a, log_b and log_mass_beyond).
 
 Nor does importing it load dataclasses (and with it inspect) or json:
 the two records are immutable named tuples whose constructor validates,
@@ -35,6 +35,14 @@ KINDS = tuple(_KIND_PARAMS)
 # each declared limit and the tail_limits estimates it replaces
 _LIMITS = {"A": ("A",), "lim_ab": ("m", "M"),
            "lim_a_over_bprev": ("a_over_bprev",), "lim_b_over_a": ("b_over_a",)}
+
+MIN_TAIL_N = 10     # the smallest N whose tail window tail_limits reads
+
+
+def check_tail_n(N: int) -> None:
+    """IndexOutOfRange unless N >= MIN_TAIL_N, which tail_limits needs."""
+    if N < MIN_TAIL_N:
+        raise IndexOutOfRange(f"tail limits need N >= {MIN_TAIL_N}")
 
 
 def _encode_extended(v):
@@ -446,7 +454,7 @@ def check_gap_kind(kind: str) -> None:
 
 
 __all__ = [
-    "SequenceSpec", "TailLimits", "KINDS", "solve_constant",
+    "SequenceSpec", "TailLimits", "KINDS", "solve_constant", "MIN_TAIL_N",
     "power_law", "geometric", "mixed_geometric", "alternating", "table",
-    "MARGINAL_X", "DGS", "RGS", "check_scan_p", "check_gap_kind",
+    "MARGINAL_X", "DGS", "RGS", "check_scan_p", "check_gap_kind", "check_tail_n",
 ]

@@ -95,9 +95,8 @@ def test_certificate_and_divergence_are_exclusive():
 @pytest.mark.parametrize("N", [50, 200, 2000])
 @pytest.mark.parametrize("scan_p", [None, 0.5])
 def test_verdict_never_mixes_certificate_and_fired_flag(name, N, scan_p):
-    # drift alone certifies the truncated power-law chain at N = 50 and 200
-    # (r_hat just under 0.99); classify must still not pair a certificate
-    # with a subgeometric verdict, nor a fired flag with a geometric one
+    # classify must never pair a certificate with a subgeometric verdict,
+    # nor a fired flag with a geometric one, at any N
     spec = example_spec(name)
     v = classify(spec, N=N, scan_p=scan_p)
     if v.verdict == "Subgeometric":

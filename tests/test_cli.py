@@ -14,6 +14,7 @@ import ergochain
 from ergochain import table
 from ergochain.cli import dispatch
 from ergochain.diagnostics import CLT_NOTE
+from ergochain.spec import MIN_TAIL_N
 
 INCONCLUSIVE_SPEC = table((1.0,), (1.0,), tail_ratio=0.999).to_json()
 # certifies with rho within ulps of 1, so no lift to the random scan fits
@@ -116,8 +117,9 @@ def _reject_constant(name):
 
 
 def test_drift_refusal_with_infinite_tail_ratio_is_strict_json(capsys):
-    # tail weights alternate with 1e-320, so the tail ratio overflows
-    spec = table(tuple([1, 1e-320] * 10), tuple([1, 1e-320] * 10),
+    # tail weights alternate with 1e-320 through the tail window (indices
+    # 60-80 at N = 20), so the tail ratio overflows
+    spec = table(tuple([1, 1e-320] * 50), tuple([1, 1e-320] * 50),
                  tail_ratio=0.5).to_json()
     code, out, _ = run(capsys, "drift", "--n", "20", "--spec", spec)
     assert code == 3
@@ -656,3 +658,28 @@ def test_text_decided_refusals_leave_numpy_unloaded(tmp_path):
     for _, err, _ in res[2:]:
         assert len(err) == 1 and err[0].startswith("error:")
     assert not any(numpy for _, _, numpy in res)
+
+
+def test_n_below_the_tail_minimum_is_refused_before_numpy(capsys):
+    # classify, drift and report read the tail estimates, so --n alone
+    # decides the refusal; the other commands accept a small N
+    res = _fresh_run(
+        *[[cmd, *args, "--n", n]
+          for cmd, args in (("classify", ["--example", "geometric"]),
+                            ("drift", ["--example", "geometric"]),
+                            ("report", []))
+          for n in ("2", "5", "9")],
+        script=_FRESH_NO_NUMPY)
+    assert res == [[4, [f"error: tail limits need N >= {MIN_TAIL_N}"], False]] * 9
+    code, _, _ = run(capsys, "drift", "--example", "geometric", "--n", str(MIN_TAIL_N))
+    assert code == 0
+
+
+@pytest.mark.parametrize("n", ["50", "200"])
+def test_drift_refuses_the_truncated_power_law(capsys, n):
+    # the spec's tail ratio at 4 N is at or above 0.99; truncated at N the
+    # chain's own ratios stay below it (0.95877 at N = 50, 0.98992 at 200)
+    code, out, _ = run(capsys, "drift", "--example", "power-law", "--n", n)
+    assert code == 3
+    d = json.loads(out, parse_constant=_reject_constant)
+    assert d["certificate"] is None and d["r_hat"] >= 0.99

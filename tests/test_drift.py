@@ -12,6 +12,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergochain import (
     BadScanProbability,
@@ -28,13 +30,14 @@ from ergochain import (
     lift_to_rgs,
     power_law,
     table,
+    tail_limits,
     verify_drift,
 )
 from ergochain.drift import (
+    R_BORDERLINE,
     certificate_from_json_dict,
     certify,
     rho_bound,
-    tail_surrogates,
 )
 from ergochain.kernels import build_Prgs, build_Px, log_expect
 
@@ -68,10 +71,10 @@ def test_balanced_walk_never_contracts():
         assert drift_coefficient(0.3, 0.3, z) > 1.0
 
 
-def test_tail_surrogates_geometric(fam):
-    r_hat, q_hat = tail_surrogates(fam("geometric", 200))
-    assert r_hat == pytest.approx(math.exp(-1.0), rel=1e-12)
-    assert q_hat == pytest.approx(0.33065155633076704, rel=1e-12)
+def test_tail_surrogates_geometric():
+    est = tail_limits(example_spec("geometric"), 200)
+    assert est.r_hat == pytest.approx(math.exp(-1.0), rel=1e-12)
+    assert est.q_hat == pytest.approx(0.33065155633076704, rel=1e-12)
 
 
 def test_log_PxV_matches_direct_expectation(fam):
@@ -114,6 +117,28 @@ def test_no_certificate_for_heavy_tail():
     assert out.r_hat >= 0.999
 
 
+@pytest.mark.parametrize("N", [50, 200])
+def test_no_certificate_for_truncated_power_law(fam, N):
+    # truncated at N the chain's own ratios p_x / q_x stay below 0.99, but
+    # the spec's at 4 N do not, and the family has no geometric rate
+    out = certify(fam("power-law", N))
+    assert isinstance(out, NoCertificate)
+    assert out.r_hat >= R_BORDERLINE
+
+
+@pytest.mark.parametrize("name", ["power-law", "geometric", "mixed-geometric",
+                                  "alternating"])
+@pytest.mark.parametrize("N", [10, 50, 200])
+@pytest.mark.parametrize("scan_p", [None, 0.5])
+def test_surrogates_are_the_tail_estimates(fam, name, N, scan_p):
+    spec = example_spec(name)
+    est = tail_limits(spec, N)
+    cert = certify(fam(name, N), scan_p)
+    quantities = classify(spec, N, scan_p).quantities
+    assert (cert.r_hat, cert.q_hat) == (est.r_hat, est.q_hat)
+    assert (quantities["r_hat"], quantities["q_hat"]) == (est.r_hat, est.q_hat)
+
+
 def test_certificate_uses_optimal_z(fam):
     f = fam("geometric", 200)
     cert = find_drift_certificate(f)
@@ -124,13 +149,13 @@ def test_certificate_uses_optimal_z(fam):
 
 
 @pytest.mark.parametrize("name", ["alternating", "mixed-geometric"])
-def test_tail_ratio_finite_where_p_and_q_underflow(fam, name):
+def test_tail_ratio_finite_where_p_and_q_underflow(name):
     # p and q both underflow in this tail, so a plain p/q would be 0/0
-    f = fam(name, 1000)
+    spec = example_spec(name)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        r_hat, _ = tail_surrogates(f)
-    assert r_hat == pytest.approx(math.exp(-2.0), rel=1e-9)
+        est = tail_limits(spec, 1000)
+    assert est.r_hat == pytest.approx(math.exp(-2.0), rel=1e-9)
 
 
 # -- random-scan lift --------------------------------------------------------
@@ -294,3 +319,44 @@ def test_certify_sweep_agrees_with_classify_and_round_trips():
         base = dataclasses.replace(cert, scan_p=None, c=None, gamma=None)
         assert _round_trip(base) == base == certify(f)
     assert unliftable >= 1 and lifted >= 10
+
+
+# -- every issued certificate holds, checked without log_expect --------------
+
+_ENTRY = st.floats(1e-300, 1e300)
+_TABLES = st.builds(table, st.lists(_ENTRY, min_size=1, max_size=8).map(tuple),
+                    st.lists(_ENTRY, min_size=1, max_size=8).map(tuple),
+                    tail_ratio=st.floats(0.01, 0.999))
+
+
+def _dense_violation(cert, f):
+    """Largest log excess of E W(X_1) over the certified bound, state by
+    state from the conditional laws: E V(X_1) = V(x) (p z + stay + q / z)
+    on the marginal chain, and on the random scan with x-update
+    probability s, E W = s (1 + c) G(y) + (1 - s)(V(x) + c E V(X_1))."""
+    lz = math.log(cert.z)
+    xs = np.arange(1, f.N + 1)
+    log_PV = xs * lz + np.log(f.p * cert.z + (1.0 - f.p - f.q) + f.q / cert.z)
+    if cert.scan_p is None:
+        lhs = log_PV
+        rhs = np.logaddexp(math.log(cert.rho) + xs * lz, cert.log_L)
+        return float(np.max(lhs - rhs))
+    s, lc = cert.scan_p, math.log(cert.c)
+    log_G = (np.logaddexp(f.log_a, lz + f.log_b) - np.logaddexp(f.log_a, f.log_b)
+             + xs * lz)
+    x = np.concatenate((xs, xs[1:]))       # (x, x) and (x + 1, x)
+    y = np.concatenate((xs, xs[:-1]))
+    lhs = np.logaddexp(math.log(s) + math.log1p(cert.c) + log_G[y - 1],
+                       math.log1p(-s) + np.logaddexp(x * lz, lc + log_PV[x - 1]))
+    log_W = np.logaddexp(x * lz, lc + log_G[y - 1])
+    rhs = np.logaddexp(math.log(cert.gamma) + log_W, cert.log_bound_constant)
+    return float(np.max(lhs - rhs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=_TABLES, N=st.integers(10, 300), scan_p=st.floats(0.05, 0.95))
+def test_issued_certificates_hold_at_every_state(spec, N, scan_p):
+    f = build_family(spec, N)
+    for cert in (certify(f), certify(f, scan_p)):
+        if isinstance(cert, DriftCertificate):
+            assert _dense_violation(cert, f) <= 1e-9

@@ -13,8 +13,8 @@ L = max_{x <= x0} E[V(X_1) | X_0 = x], giving
 
 The tail surrogates r_hat (a bound on p_x / q_x) and q_hat (a lower
 bound on q_x) are family.tail_limits' window max and min over the
-untruncated spec, on the last min(50, N) of 4 N indices, the window of
-every other tail estimate. For z < 2 / (r + 1) the certified rate is
+untruncated spec, on the last 50 of 4 max(N, 50) indices, the window
+of every other tail estimate. For z < 2 / (r + 1) the certified rate is
 
     rho(z) = 1 + (q/2)(z - 1)((r + 1)/2 - 1/z),
 

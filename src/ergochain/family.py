@@ -197,7 +197,11 @@ def _exp_sat(log_v: float) -> float:
 
 
 def tail_limits(spec: SequenceSpec, N: int) -> TailEstimates:
-    """Estimate limiting ratios from the last min(50, N) of 4 N indices, N >= 10.
+    """Estimate limiting ratios from the last 50 of 4 max(N, 50) indices, N >= 10.
+
+    The horizon is at least 200, so a tail that settles slowly (power-law
+    r_hat is 0.9506 on the last 10 of 40 indices) is read beyond the
+    transient at every N.
 
     Declared limits on the spec take precedence field by field (r_hat and
     q_hat are never declared). The limsup (liminf) surrogates are the
@@ -206,7 +210,7 @@ def tail_limits(spec: SequenceSpec, N: int) -> TailEstimates:
     sum and stays finite where p and q underflow.
     """
     check_tail_n(N)
-    window, horizon = min(50, N), 4 * N
+    window, horizon = 50, 4 * max(N, 50)
     j = np.arange(horizon - window, horizon + 1)
     la_j, lb_j = spec.log_a(j), spec.log_b(j)
     la, lb, lap, lbp = la_j[1:], lb_j[1:], la_j[:-1], lb_j[:-1]

@@ -4,7 +4,8 @@ For a truncated family on {1..N} the package builds three Markov kernels:
 
   marginal_x  the x-marginal birth-death chain, tridiagonal on {1..N}
   dgs         the deterministic-scan Gibbs chain (x then y), supported on
-              the 2N-1 staircase states, pentadiagonal, not pi-symmetric
+              the 2N-1 staircase states, pentadiagonal, not pi-symmetric;
+              it keeps a reference to its family
   rgs         the random-scan Gibbs chain that updates x with probability
               scan_p and y otherwise; pi-symmetric with positive self-loops
 
@@ -18,10 +19,13 @@ most two states away. Every kernel is therefore stored as its diagonals:
 bands[k][m] = P[i, i+k] with m = min(i, i+k), the layout of
 scipy.sparse.diags, and rows (y, y) and (y+1, y) fill the even and odd
 entries of each band, products of the family's conditional laws stay_x,
-stay_y, beta and delta. Total variation curves transport the difference
-from pi by one shifted add per band; the n-step matrix is never formed.
-After n steps the start's mass lies within n times the widest band offset
-of the start, so outside that window the difference is exactly -pi: it is
+stay_y, beta and delta. Total variation curves transport only
+tridiagonal chains: after one sweep of the deterministic scan y is drawn
+from pi(.|x), so a dgs curve is the x-marginal chain's from the law of
+the first x, read from the dgs kernel's family. They transport the
+difference from pi by one shifted add per band; the n-step matrix is
+never formed. After n steps the start's mass lies within n states of the
+start, so outside that window the difference is exactly -pi: it is
 transported, a block of steps at a time, only inside the window the
 block's last step reaches, and pi's mass outside comes from cumulative
 sums over the range the chain can reach. Each step of a block writes |v|
@@ -100,12 +104,15 @@ def _staircase_pi(fam: BivariateFamily) -> np.ndarray:
 @dataclass(frozen=True)
 class TransitionMatrix:
     """A kernel stored as its diagonals and its stationary distribution;
-    bands[k][min(i, i+k)] = P[i, i+k]."""
+    bands[k][min(i, i+k)] = P[i, i+k]. family is the family a dgs kernel
+    was built from (None otherwise), kept by reference: tv_curve reads the
+    x-marginal chain from it."""
 
     kind: str
     bands: dict = field(repr=False)
     stationary: np.ndarray = field(repr=False)
     N: int
+    family: BivariateFamily | None = field(default=None, repr=False, compare=False)
 
     @property
     def n_states(self) -> int:
@@ -141,9 +148,12 @@ class TransitionMatrix:
 
 def build_Px(fam: BivariateFamily) -> TransitionMatrix:
     """Tridiagonal kernel of the x-marginal birth-death chain."""
-    p, q = fam.p, fam.q
-    bands = {-1: q[1:], 0: np.maximum(0.0, 1.0 - p - q), 1: p[:-1]}
-    return TransitionMatrix(MARGINAL_X, bands, fam.pi_x, fam.N)
+    return TransitionMatrix(MARGINAL_X, _px_bands(fam.p, fam.q), fam.pi_x, fam.N)
+
+
+def _px_bands(p: np.ndarray, q: np.ndarray) -> dict:
+    """Bands of the birth-death chain with up and down probabilities p, q."""
+    return {-1: q[1:], 0: np.maximum(0.0, 1.0 - p - q), 1: p[:-1]}
 
 
 def build_Pdgs(fam: BivariateFamily) -> TransitionMatrix:
@@ -163,7 +173,7 @@ def build_Pdgs(fam: BivariateFamily) -> TransitionMatrix:
     to_upup = np.multiply(beta[:-1], od[1:], out=bands[1][1::2])   # (y+1, y+1)
     bands[1][0::2], bands[2][0::2] = to_up, to_upup
     bands[-1][0::2], bands[-2][1::2] = to_yy[:-1], to_down[:-1]
-    return TransitionMatrix(DGS, bands, _staircase_pi(fam), fam.N)
+    return TransitionMatrix(DGS, bands, _staircase_pi(fam), fam.N, fam)
 
 
 def build_Prgs(fam: BivariateFamily, scan_p: float) -> TransitionMatrix:
@@ -245,76 +255,123 @@ class TVCurve:
 def tv_curve(tm: TransitionMatrix, start, n_max: int) -> TVCurve:
     """TV to stationarity for n = 0..n_max by iterated vector transport.
 
-    Since pi P = pi, the difference v = delta_start - pi is transported
-    itself, so rounding stays relative to the distance rather than to pi
-    and the tail of the curve is resolved down to the fit floor.
+    Every chain transported is tridiagonal. A dgs curve is values[0] =
+    1 - pi(start) and then the x-marginal chain's curve from the law mu_1
+    after one sweep: the sweep draws x' = y0 with probability
+    1 - beta_{y0} and y0 + 1 with beta_{y0} (beta_N = 0), then y' given
+    x', so after n >= 1 sweeps the joint law is mu_n(x) pi(y|x) with
+    mu_n = mu_1 Px^(n-1), and its TV to pi is TV(mu_n, pi_x). The
+    marginal chain's p, q and log pi_x come from the kernel's family on
+    the reachable range; pi_x's mass beyond it is a sum of the staircase
+    pi over the states whose x lies beyond.
 
-    delta_start P^n is zero outside the window of states within n * bw of
-    the start, bw the widest band offset, so there v is exactly -pi, and
-    since pi P = pi a step keeps it -pi there to rounding. The steps run in
-    blocks of _RING. Every step of a block updates v only on the window
-    the block's last step reaches, reading the previous v on that window
-    widened by bw, where entries never updated still hold -pi; TV is half
-    the sum of |v| on the window plus pi's mass outside it. That mass comes
-    from cumulative sums of pi over the range reachable in n_max steps
-    plus one sum of each remainder beyond it. v and the buffer it swaps
-    with hold that range widened by bw, 0 beyond the chain's ends, and each
-    band is copied once into column order over the range, so a step is one
-    unclipped product per band, band 0 first, on views made once per
-    block, and one abs of the window into row (n - 1) mod _RING of a ring
-    of _RING rows over the range. Each row is zero outside the windows it
-    has held; windows only grow, so a reused row is overwritten wherever it
-    held a value. After each block, one row sum over the ring gives the
-    window sums of its steps. Every array but values is sized by
-    the reachable range, not by the number of states or of steps. Once the
-    window covers every state, a step is the plain transport.
+    Since pi P = pi, the difference v = mu - pi is transported itself, so
+    rounding stays relative to the distance rather than to pi and the
+    tail of the curve is resolved down to the fit floor.
+
+    After k steps v is exactly -pi outside the window of states within k
+    of the start's support, and since pi P = pi a step keeps it -pi there
+    to rounding. The steps run in blocks of _RING. Every step of a block
+    updates v only on the window the block's last step reaches, reading
+    the previous v on that window widened by one state, where entries
+    never updated still hold -pi; TV is half the sum of |v| on the window
+    plus pi's mass outside it. That mass comes from cumulative sums of pi
+    over the range reachable in the run plus one sum of each remainder
+    beyond it. v and the buffer it swaps with hold that range widened by
+    one state, 0 beyond the chain's ends, and each band is copied once
+    into column order over the range, so a step is one unclipped product
+    per band, band 0 first, on views made once per block, and one abs of
+    the window into row (k - 1) mod _RING of a ring of _RING rows over the
+    range. Each row is zero outside the windows it has held; windows only
+    grow, so a reused row is overwritten wherever it held a value. After
+    each block, one row sum over the ring gives the window sums of its
+    steps. Every array but values is sized by the reachable range, not by
+    the number of states or of steps. Once the window covers every state,
+    a step is the plain transport.
     """
     if n_max < 0:
         raise IndexOutOfRange("n_max must be nonnegative")
     i0 = tm.index_of(start)
-    n_states = tm.n_states
+    values = np.empty(n_max + 1)
+    if tm.kind == DGS:
+        pi = tm.stationary
+        values[0] = 0.5 * (abs(1.0 - pi[i0]) + pi[:i0].sum() + pi[i0 + 1:].sum())
+        fam = tm.family
+        i0 //= 2                                   # x' is y0 or y0 + 1
+        beta = float(fam.beta[i0])
+        if n_max:
+            _transport(tm, fam.N, i0, [1.0 - beta, beta][:fam.N - i0], values[1:])
+    else:
+        _transport(tm, tm.n_states, i0, [1.0], values)
+    rate, const, window = _fit_rate(values)
+    return TVCurve(kind=tm.kind, N=tm.N, start=start, n_max=n_max,
+                   values=values, fitted_rate=rate, fitted_constant=const,
+                   fit_window=window)
+
+
+def _chain_on(tm: TransitionMatrix, r_lo: int, r_hi: int, s_lo: int, s_hi: int):
+    """The chain tv_curve transports for tm, on the states it reaches:
+    its bands, the state entry 0 of the bands belongs to, pi on states
+    s_lo..s_hi - 1, and pi's mass below r_lo and from r_hi on.
+
+    For dgs it is the x-marginal chain, built from the family on s_lo..
+    s_hi - 1 alone. Its state j is x = j + 1, which holds the staircase
+    positions 2j - 1 and 2j, so the states below r_lo hold the positions
+    below 2 r_lo - 1 and those from r_hi on the positions from 2 r_hi - 1.
+    """
     pi = tm.stationary
-    bw = max(abs(k) for k in tm.bands)
-    r_lo = max(0, i0 - n_max * bw)
-    r_hi = min(n_states, i0 + n_max * bw + 1)
+    if tm.kind != DGS:
+        return tm.bands, 0, pi[s_lo:s_hi], pi[:r_lo].sum(), pi[r_hi:].sum()
+    fam = tm.family
+    bands = _px_bands(fam.p[s_lo:s_hi], fam.q[s_lo:s_hi])
+    return (bands, s_lo, np.exp(fam.log_pix[s_lo:s_hi]),
+            pi[:max(0, 2 * r_lo - 1)].sum(), pi[2 * r_hi - 1:].sum())
+
+
+def _transport(tm: TransitionMatrix, n: int, i0: int, mass: list,
+               out: np.ndarray) -> None:
+    """out[k] = TV after k steps, k = 0..len(out) - 1, of the tridiagonal
+    chain _chain_on gives on n states, from mass[j] at state i0 + j."""
+    steps = len(out) - 1
+    i1 = i0 + len(mass)
+    r_lo, r_hi = max(0, i0 - steps), min(n, i1 + steps)
+    s_lo, s_hi = max(0, r_lo - 1), min(n, r_hi + 1)
+    bands, base, pi, below, above = _chain_on(tm, r_lo, r_hi, s_lo, s_hi)
     # mass_left[lo - r_lo] is pi's mass below state lo, and
     # mass_right[r_hi - hi] its mass at hi and above; no subtraction, so a
     # tiny tail mass keeps its relative accuracy
-    mass_left = np.concatenate(([pi[:r_lo].sum()], pi[r_lo:i0])).cumsum()
-    mass_right = np.concatenate(([pi[r_hi:].sum()],
-                                 pi[i0 + 1:r_hi][::-1])).cumsum()
-    # v and w hold states r_lo - bw .. r_hi + bw - 1: -pi on the chain's
-    # states and 0 beyond them, so no band slice needs clipping
-    off = r_lo - bw
-    v = np.zeros(r_hi - r_lo + 2 * bw)
-    s_lo, s_hi = max(0, off), min(n_states, r_hi + bw)
-    np.negative(pi[s_lo:s_hi], out=v[s_lo - off:s_hi - off])
+    mass_left = np.concatenate(([below], pi[r_lo - s_lo:i0 - s_lo])).cumsum()
+    mass_right = np.concatenate(([above], pi[i1 - s_lo:r_hi - s_lo][::-1])).cumsum()
+    # v and w hold states r_lo - 1 .. r_hi: -pi on the chain's states and
+    # 0 beyond them, so no band slice needs clipping
+    off = r_lo - 1
+    v = np.zeros(r_hi - r_lo + 2)
+    np.negative(pi, out=v[s_lo - off:s_hi - off])
     w = v.copy()
-    v[i0 - off] += 1.0
+    v[i0 - off:i1 - off] += mass
     # cols[k][j - r_lo] = P[j-k, j] for j in r_lo .. r_hi - 1, 0 where
-    # state j - k is absent; band[m] lies in column m + max(k, 0)
+    # state j - k is absent; band[m] lies in column base + m + max(k, 0)
     cols = {}
-    for k, band in tm.bands.items():
+    for k, band in bands.items():
         col = cols[k] = np.zeros(r_hi - r_lo)
-        j0 = max(k, 0)
+        j0 = base + max(k, 0)
         a = max(r_lo, j0)
-        b = max(a, min(r_hi, j0 + len(band)))    # b < a only when n_max = 0
+        b = max(a, min(r_hi, j0 + len(band)))    # b < a only when steps = 0
         col[a - r_lo:b - r_lo] = band[a - j0:b - j0]
     band0 = cols.pop(0)
     width = r_hi - r_lo
-    values = np.empty(n_max + 1)
-    values[0] = 0.5 * (abs(float(v[i0 - off])) + mass_left[-1] + mass_right[-1])
-    ring = np.zeros((min(_RING, n_max), width))
+    out[0] = 0.5 * (np.abs(v[i0 - off:i1 - off]).sum() + mass_left[-1] + mass_right[-1])
+    ring = np.zeros((min(_RING, steps), width))
     scratch = np.empty(width)
-    for first in range(1, n_max + 1, _RING):
-        last = min(first + _RING, n_max + 1)
+    for first in range(1, steps + 1, _RING):
+        last = min(first + _RING, steps + 1)
         # every step of the block moves v on the window its last step reaches
-        lo = max(0, i0 - r_lo - bw * (last - 1))
-        hi = min(width, i0 - r_lo + 1 + bw * (last - 1))
+        lo = max(0, i0 - r_lo - (last - 1))
+        hi = min(width, i1 - r_lo + (last - 1))
         # (vP)[j] gains v[j-k] * P[j-k, j] along each band k, band 0 first;
         # the steps alternate between reading v and reading w
-        views = [(old[lo + bw:hi + bw], band0[lo:hi], new[lo + bw:hi + bw],
-                  [(old[lo + bw - k:hi + bw - k], col[lo:hi]) for k, col in cols.items()])
+        views = [(old[lo + 1:hi + 1], band0[lo:hi], new[lo + 1:hi + 1],
+                  [(old[lo + 1 - k:hi + 1 - k], col[lo:hi]) for k, col in cols.items()])
                  for old, new in ((v, w), (w, v))]
         term = scratch[lo:hi]
         block = ring[:last - first, lo:hi]
@@ -325,12 +382,8 @@ def tv_curve(tm: TransitionMatrix, start, n_max: int) -> TVCurve:
             np.abs(step, out=row)
         if (last - first) % 2:
             v, w = w, v
-        values[first:last] = 0.5 * (block.sum(axis=1)
-                                     + (mass_left[lo] + mass_right[width - hi]))
-    rate, const, window = _fit_rate(values)
-    return TVCurve(kind=tm.kind, N=tm.N, start=start, n_max=n_max,
-                   values=values, fitted_rate=rate, fitted_constant=const,
-                   fit_window=window)
+        out[first:last] = 0.5 * (block.sum(axis=1)
+                                  + (mass_left[lo] + mass_right[width - hi]))
 
 
 def _above_floor(values: np.ndarray, first: int):

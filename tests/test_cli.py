@@ -118,8 +118,8 @@ def _reject_constant(name):
 
 def test_drift_refusal_with_infinite_tail_ratio_is_strict_json(capsys):
     # tail weights alternate with 1e-320 through the tail window (indices
-    # 60-80 at N = 20), so the tail ratio overflows
-    spec = table(tuple([1, 1e-320] * 50), tuple([1, 1e-320] * 50),
+    # 150-200 at N = 20), so the tail ratio overflows
+    spec = table(tuple([1, 1e-320] * 101), tuple([1, 1e-320] * 101),
                  tail_ratio=0.5).to_json()
     code, out, _ = run(capsys, "drift", "--n", "20", "--spec", spec)
     assert code == 3
@@ -675,10 +675,11 @@ def test_n_below_the_tail_minimum_is_refused_before_numpy(capsys):
     assert code == 0
 
 
-@pytest.mark.parametrize("n", ["50", "200"])
+@pytest.mark.parametrize("n", ["10", "30", "50", "200"])
 def test_drift_refuses_the_truncated_power_law(capsys, n):
-    # the spec's tail ratio at 4 N is at or above 0.99; truncated at N the
-    # chain's own ratios stay below it (0.95877 at N = 50, 0.98992 at 200)
+    # the spec's tail ratio up to 4 max(N, 50) is at or above 0.99;
+    # truncated at N the chain's own ratios stay below it (0.95877 at
+    # N = 50, 0.98992 at 200)
     code, out, _ = run(capsys, "drift", "--example", "power-law", "--n", n)
     assert code == 3
     d = json.loads(out, parse_constant=_reject_constant)

@@ -117,10 +117,11 @@ def test_no_certificate_for_heavy_tail():
     assert out.r_hat >= 0.999
 
 
-@pytest.mark.parametrize("N", [50, 200])
+@pytest.mark.parametrize("N", [10, 30, 49, 50, 200])
 def test_no_certificate_for_truncated_power_law(fam, N):
     # truncated at N the chain's own ratios p_x / q_x stay below 0.99, but
-    # the spec's at 4 N do not, and the family has no geometric rate
+    # the spec's up to 4 max(N, 50) do not, and the family has no geometric
+    # rate; the horizon 4 N alone read 0.9506 at N = 10 and 0.9898 at 49
     out = certify(fam("power-law", N))
     assert isinstance(out, NoCertificate)
     assert out.r_hat >= R_BORDERLINE

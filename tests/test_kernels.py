@@ -10,6 +10,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergochain import (
     DGS,
@@ -25,6 +27,7 @@ from ergochain import (
     build_Px,
     build_family,
     example_names,
+    example_spec,
     spectral_gap,
     table,
     tv_curve,
@@ -335,22 +338,51 @@ def test_tv_curve_matches_dense_transport(fam, kind):
     # starts at either end and inside, runs that stop before and after the
     # reachable window covers every state (after 15 to 58 steps at N = 30,
     # and 1 or 2 at N = 2), and runs that end just before, at and after a
-    # block of _RING steps
+    # block of _RING steps. The dgs reference is the exact curve: float64
+    # powers of the float64 dgs bands are up to 3e-14 off it at N = 30
     n_maxes = (0, 1, 10, _RING - 1, _RING, _RING + 1, 2 * _RING + 1, 60)
     for N in (2, 30):
-        tm = _build(fam("mixed-geometric", N), kind)
-        P = _dense(tm)
-        n = tm.n_states
+        f = fam("mixed-geometric", N)
+        tm = _build(f, kind)
+        P, n = _dense(tm), tm.n_states
         for i0 in sorted({0, min(3, n - 1), n // 2, n - 1}):
-            v = np.zeros(n)
-            v[i0] = 1.0
-            ref = []
-            for _ in range(max(n_maxes) + 1):
-                ref.append(0.5 * np.abs(v - tm.stationary).sum())
-                v = v @ P
+            if kind == DGS:
+                ref = _exact_dgs_tv(f, i0, max(n_maxes))
+            else:
+                v = np.zeros(n)
+                v[i0] = 1.0
+                ref = []
+                for _ in range(max(n_maxes) + 1):
+                    ref.append(0.5 * np.abs(v - tm.stationary).sum())
+                    v = v @ P
             for n_max in n_maxes:
                 c = tv_curve(tm, tm.states[i0], n_max)
                 assert c.values == pytest.approx(ref[:n_max + 1], abs=1e-14)
+
+
+def _exact_dgs_tv(f, i0, n_max):
+    # TV after n = 0..n_max dgs sweeps from staircase state i0, at 40
+    # digits from the family's log weights: a sweep draws x' given y, then
+    # y' given x'
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        joint, x_law, y_law = _exact_laws(f, mpmath)
+        states = build_Pdgs(f).states
+        idx = {st: i for i, st in enumerate(states)}
+        pi = [joint(*st) for st in states]
+        total = sum(pi)
+        pi = [w / total for w in pi]
+        mu = [mpmath.mpf(i == i0) for i in range(len(states))]
+        ref = []
+        for _ in range(n_max + 1):
+            ref.append(float(sum(abs(m - w) for m, w in zip(mu, pi)) / 2))
+            nxt = [mpmath.mpf(0)] * len(states)
+            for (x, y), m in zip(states, mu):
+                for xp, px in x_law(y).items():
+                    for yp, py in y_law(xp).items():
+                        nxt[idx[(xp, yp)]] += m * px * py
+            mu = nxt
+        return ref
 
 
 def _longdouble_tv(tm, n_max):
@@ -402,6 +434,54 @@ def test_tv_curve_tail_matches_extended_precision(fam):
         ref_rate = np.exp(np.polyfit(np.arange(201, 401), np.log(ref[201:]), 1)[0])
         assert c.fit_window == (201, 400)
         assert c.fitted_rate == pytest.approx(ref_rate, abs=1e-6)
+
+
+def test_dgs_tv_curve_from_the_top_state_stays_within_one():
+    # from (N, N) at N = 2000 pi(start) underflows and TV is 1 to rounding;
+    # the pentadiagonal transport printed 1 + 2.1e-11 here
+    tm = build_Pdgs(build_family(example_spec("geometric"), 2000))
+    c = tv_curve(tm, (2000, 2000), 400)
+    assert c.values.max() <= 1.0 + 8 * tm.n_states * np.finfo(float).eps
+
+
+def test_dgs_and_marginal_fitted_rates_agree():
+    f = build_family(example_spec("geometric"), 200)
+    dgs = tv_curve(build_Pdgs(f), (1, 1), 400).fitted_rate
+    assert dgs == pytest.approx(tv_curve(build_Px(f), 1, 400).fitted_rate, abs=1e-9)
+
+
+_ENTRY = st.floats(1e-300, 1e300)
+_TABLES = st.builds(table, st.lists(_ENTRY, min_size=1, max_size=8).map(tuple),
+                    st.lists(_ENTRY, min_size=1, max_size=8).map(tuple),
+                    tail_ratio=st.floats(0.01, 0.999))
+
+
+@settings(max_examples=30, deadline=None)
+@given(spec=_TABLES, N=st.integers(2, 60))
+def test_dgs_curve_is_the_marginal_curve_after_one_sweep(spec, N):
+    # one sweep from (x, y) leaves x' = y w.p. 1 - beta_y and y + 1 w.p.
+    # beta_y, and y' ~ pi(.|x'); so values[n] is TV(mu_1 Px^(n-1), pi_x),
+    # here from a dense transport of mu_1 - pi_x. values[0] is
+    # 1 - pi(start) up to half of pi's rounding off a total of one
+    f = build_family(spec, N)
+    tm, P = build_Pdgs(f), _dense(build_Px(f))
+    n_max = 2 * _RING + 40
+    for i0, start in enumerate(tm.states):
+        delta = np.zeros(tm.n_states)
+        delta[i0] = 1.0
+        c = tv_curve(tm, start, n_max)
+        assert c.values[0] == pytest.approx(0.5 * np.abs(delta - tm.stationary).sum(),
+                                            abs=1e-14)
+        assert c.values[0] == pytest.approx(1.0 - f.joint(*start),
+                                            abs=1e-14 + abs(tm.stationary.sum() - 1))
+        y = start[1]
+        d = -f.pi_x
+        d[y - 1:y + 1] += [1.0 - f.beta[y - 1], f.beta[y - 1]][:N - y + 1]
+        ref = []
+        for _ in range(n_max):
+            ref.append(0.5 * np.abs(d).sum())
+            d = d @ P
+        assert c.values[1:] == pytest.approx(ref, abs=1e-14)
 
 
 def test_tv_curve_allocates_only_the_window(fam):
@@ -812,28 +892,34 @@ def test_three_chain_identity(fam, name, N, s):
     assert spectral_gap(build_Prgs(f, s)).gap == pytest.approx(expected, abs=1e-14)
 
 
+def _exact_laws(f, mpmath):
+    # pi(x, y) = a_x 1(x = y) + b_y 1(x = y + 1) from the family's log
+    # weights and its two conditional laws, at mpmath's working precision
+    a = [mpmath.exp(mpmath.mpf(float(v))) for v in f.log_a]
+    b = [mpmath.exp(mpmath.mpf(float(v))) for v in f.log_b[:-1]] + [0]
+
+    def joint(x, y):
+        if y < 1:
+            return 0
+        return a[y - 1] if x == y else b[y - 1] if x == y + 1 else 0
+
+    def x_law(y):
+        return {x: joint(x, y) / (a[y - 1] + b[y - 1]) for x in (y, y + 1)
+                if joint(x, y)}
+
+    def y_law(x):
+        return {y: joint(x, y) / (joint(x, x - 1) + a[x - 1])
+                for y in (x - 1, x) if joint(x, y)}
+
+    return joint, x_law, y_law
+
+
 def _exact_gap(f, kind, s=0.5):
     # 1 - second eigenvalue modulus at 60 digits, with every transition
-    # built from the two conditional laws of pi(x, y) = a_x 1(x = y) +
-    # b_y 1(x = y + 1) and pi-symmetrized with sqrt(pi)
+    # built from the two conditional laws and pi-symmetrized with sqrt(pi)
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(60):
-        a = [mpmath.exp(mpmath.mpf(float(v))) for v in f.log_a]
-        b = [mpmath.exp(mpmath.mpf(float(v))) for v in f.log_b[:-1]] + [0]
-
-        def joint(x, y):
-            if y < 1:
-                return 0
-            return a[y - 1] if x == y else b[y - 1] if x == y + 1 else 0
-
-        def x_law(y):
-            return {x: joint(x, y) / (a[y - 1] + b[y - 1]) for x in (y, y + 1)
-                    if joint(x, y)}
-
-        def y_law(x):
-            return {y: joint(x, y) / (joint(x, x - 1) + a[x - 1])
-                    for y in (x - 1, x) if joint(x, y)}
-
+        joint, x_law, y_law = _exact_laws(f, mpmath)
         if kind == MARGINAL_X:
             states = list(range(1, f.N + 1))
             pi = [joint(x, x) + joint(x, x - 1) for x in states]

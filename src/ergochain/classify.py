@@ -18,7 +18,7 @@ The decision procedure, in order of evidential strength:
 
 Anything else is Inconclusive. When both premise limits exist, geometric
 and subgeometric outcomes are exhaustive and the verdict carries a note
-saying so. A window-estimate bound landing in [0.99, 1.01] is treated as
+saying so. A window-estimate bound landing in [0.99, 1) is treated as
 borderline and never used to claim a geometric rate.
 
 The verdict never carries both a verified certificate and a fired
@@ -31,15 +31,10 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .drift import (
-    DriftCertificate,
-    NoCertificate,
-    certificate_from_json_dict,
-    certify,
-)
+from .drift import R_BORDERLINE, DriftCertificate, NoCertificate, certify
 from .errors import EmptyReport, UnknownFormat
 from .family import build_family, tail_limits
-from .spec import SequenceSpec, _decode_extended, _dump_json, _encode_extended
+from .spec import SequenceSpec, _dump_json, _encode_extended
 from .subgeo import build_subgeo_report
 
 GEOMETRIC = "Geometric"
@@ -49,7 +44,6 @@ INCONCLUSIVE = "Inconclusive"
 EVIDENCE_DECLARED = "declared-limits"
 EVIDENCE_NUMERIC = "numeric-estimates"
 
-_BORDERLINE = (0.99, 1.01)
 _EQUIVALENCE_NOTE = ("limits of a_i/a_{i-1} and a_i/b_i exist, so the geometric "
                      "and subgeometric outcomes are exhaustive")
 
@@ -84,23 +78,6 @@ class ErgodicityVerdict:
             "subgeo": self.subgeo_summary,
             "equivalence_note": self.equivalence_note,
         }
-
-    @staticmethod
-    def from_json_dict(d: dict) -> "ErgodicityVerdict":
-        cert = d.get("certificate")
-        return ErgodicityVerdict(
-            verdict=d["verdict"],
-            basis=d.get("basis"),
-            evidence=d.get("evidence", EVIDENCE_NUMERIC),
-            N=int(d["N"]),
-            scan_p=d.get("scan_p"),
-            quantities={k: _decode_extended(v)
-                        for k, v in d.get("quantities", {}).items()},
-            certificate=None if cert is None else certificate_from_json_dict(cert),
-            subgeo_summary=d.get("subgeo"),
-            equivalence_note=d.get("equivalence_note"),
-            label=d.get("label"),
-        )
 
 
 def _ratio_bound(A: float, m: float, M: float) -> float:
@@ -139,8 +116,8 @@ def classify(spec: SequenceSpec, N: int = 200,
     if trusted and math.isfinite(est.a_over_bprev) and math.isfinite(est.b_over_a):
         bound = _ratio_bound(est.A, est.m, est.M)
         all_declared = all(est.declared.values())
-        borderline = _BORDERLINE[0] <= bound <= _BORDERLINE[1] and not all_declared
-        if bound < 1.0 and not borderline and certified is not None:
+        # a window-estimate bound within 1 % of critical is borderline
+        if certified is not None and bound < (1.0 if all_declared else R_BORDERLINE):
             return verdict(GEOMETRIC, "ratio_test",
                            EVIDENCE_DECLARED if all_declared else EVIDENCE_NUMERIC,
                            certificate=certified)
@@ -172,13 +149,12 @@ def classify(spec: SequenceSpec, N: int = 200,
 
 def _min_T_text(summary: dict) -> str:
     """min_T to three significant digits, from log10_min_T where min_T is
-    below the normal floats and has lost digits or underflowed to 0
-    (summaries read from older JSON lack the key)."""
-    log10 = summary.get("log10_min_T")
-    if summary["min_T"] >= sys.float_info.min or log10 is None:
+    below the normal floats and has lost digits or underflowed to 0."""
+    if summary["min_T"] >= sys.float_info.min:
         return f"{summary['min_T']:.3g}"
     from decimal import Context, Decimal    # imported only for such rows
-    return f"{Context(prec=3).power(10, Decimal(log10)).normalize():g}"
+    log10 = Decimal(summary["log10_min_T"])
+    return f"{Context(prec=3).power(10, log10).normalize():g}"
 
 
 def verdict_report(verdicts: list[ErgodicityVerdict], fmt: str = "table") -> str:

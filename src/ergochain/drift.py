@@ -51,7 +51,7 @@ and the divergence statistics.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -106,13 +106,6 @@ class DriftCertificate:
             out["rgs"] = {**lift, "bound_constant": _encode_extended(
                 math.exp(self.log_bound_constant))}
         return out
-
-
-def certificate_from_json_dict(d: dict) -> DriftCertificate:
-    """The DriftCertificate that to_json_dict wrote."""
-    lift = d.get("rgs") or dict.fromkeys(_LIFT)
-    return DriftCertificate(**{f.name: (lift if f.name in _LIFT else d)[f.name]
-                               for f in fields(DriftCertificate)})
 
 
 @dataclass(frozen=True)
@@ -277,5 +270,4 @@ __all__ = [
     "DriftCertificate", "NoCertificate", "DriftReport", "drift_coefficient",
     "rho_bound", "find_drift_certificate", "admissible_c_interval",
     "lift_to_rgs", "verify_drift", "certify",
-    "certificate_from_json_dict",
 ]

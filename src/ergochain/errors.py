@@ -42,7 +42,8 @@ class BadSeed(ErgochainError):
 
 
 class NotSymmetricKernel(ErgochainError):
-    """An operation requiring a pi-symmetric kernel got a non-symmetric one."""
+    """An operation requiring a pi-symmetric kernel got a non-symmetric one,
+    or a spectral gap was asked of a kernel that is not positive semidefinite."""
 
 
 class BadZ(ErgochainError):
@@ -58,7 +59,7 @@ class TooFewSamples(ErgochainError):
 
 
 class UnknownFormat(ErgochainError):
-    """An output format name is not recognized."""
+    """An output format name is not recognized, or a spec's JSON is malformed."""
 
 
 class EmptyReport(ErgochainError):

@@ -120,7 +120,7 @@ def build_family(spec: SequenceSpec, N: int) -> BivariateFamily:
     if not (np.isfinite(la).all() and np.isfinite(lb).all()):
         raise NonPositiveSequence("spec generated a nonpositive or nonfinite value")
     lb[N - 1] = -np.inf
-    la, lb, log_mass = _renormalize(la, lb)
+    log_mass = _renormalize(la, lb)
 
     log_pix = np.logaddexp(la, _shift_down(lb))
     log_piy = np.logaddexp(la, lb)
@@ -150,10 +150,18 @@ def _shift_down(logs: np.ndarray) -> np.ndarray:
 
 
 def _renormalize(la: np.ndarray, lb: np.ndarray):
-    log_mass = np.logaddexp.reduce(np.concatenate([la, lb]))
+    """Shift la and lb in place to log probabilities; return the log mass.
+    The top weight goes first, so tiny weights lose no |log mass| x eps."""
+    top = max(la.max(), lb.max())
+    la -= top
+    lb -= top
+    log_rest = np.logaddexp.reduce(np.concatenate([la, lb]))
+    log_mass = top + log_rest
     if not np.isfinite(log_mass):
         raise DegenerateTruncation("retained mass is zero or not finite")
-    return la - log_mass, lb - log_mass, log_mass
+    la -= log_rest
+    lb -= log_rest
+    return log_mass
 
 
 # -- tail ratio estimation ------------------------------------------------

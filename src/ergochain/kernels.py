@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IndexOutOfRange, StartNotInSupport
+from .errors import IndexOutOfRange, NotSymmetricKernel, StartNotInSupport
 from .family import BivariateFamily
 from .spec import DGS, MARGINAL_X, RGS, check_gap_kind, check_scan_p
 
@@ -529,7 +529,8 @@ def spectral_gap(tm: TransitionMatrix) -> SpectralGap:
     the trial shifts are midpoints and then regula falsi on the last pivot
     of the test (_lowest_eigenvalue). A gap of 0.0 means that E - tol I is
     not positive definite: lambda_min(E) is at or below the solver's
-    resolution, not that the chain fails to mix. dgs kernels are rejected.
+    resolution, not that the chain fails to mix. dgs kernels, and hand-made
+    kernels with an eigenvalue below -(1 - gap), raise NotSymmetricKernel.
     """
     check_gap_kind(tm.kind)
     up, down = tm.bands[1], tm.bands[-1]
@@ -545,6 +546,10 @@ def spectral_gap(tm: TransitionMatrix) -> SpectralGap:
     if f > 0.0:
         lo, hi = _lowest_eigenvalue(d, c, tol, f, top, math.nan, tol)
         lowest = 0.5 * (lo + hi)
+    # lambda_min(E) is the gap only while lambda_max(E) <= 2 - lambda_min(E)
+    ceiling = 2.0 / scale - lowest + 4.0 * tol
+    if top > ceiling and not _final_pivot(-d, c, -ceiling) > 0.0:
+        raise NotSymmetricKernel(f"{tm.kind} kernel has an eigenvalue below -(1 - gap)")
     gap = float(np.clip(lowest * scale, 0.0, 1.0))
     return SpectralGap(kind=tm.kind, N=tm.N, norm_estimate=1.0 - gap,
                        gap=gap, method="tridiagonal")

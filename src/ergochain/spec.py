@@ -77,7 +77,7 @@ def _real(v, name: str) -> float:
         raise UnknownFormat(f"{name} = {v!r} is out of range") from None
 
 
-def _decode_extended(v, name: str = "value"):
+def _decode_extended(v, name: str):
     """Inverse of _encode_extended: None, a number, or "inf"/"-inf"/"nan"."""
     if v is None:
         return None

@@ -117,10 +117,7 @@ class DivergenceStats:
 
 def _diverging(logs: np.ndarray) -> bool:
     """Running max above 10^3 and still growing 10 percent in the last quarter."""
-    n = len(logs)
-    if n < 8:
-        return False
-    cut = (3 * n) // 4
+    cut = (3 * len(logs)) // 4
     r_end = float(np.max(logs))
     r_3q = float(np.max(logs[:cut]))
     return r_end > _DIVERGE_LEVEL and r_end > r_3q + _DIVERGE_GROWTH

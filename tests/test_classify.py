@@ -10,6 +10,7 @@ from ergochain import (
     EmptyReport,
     ErgodicityVerdict,
     IndexOutOfRange,
+    TailLimits,
     UnknownFormat,
     build_family,
     build_subgeo_report,
@@ -83,6 +84,19 @@ def test_inconclusive_witness():
     assert v.quantities["A"] == pytest.approx(0.999, rel=1e-12)
 
 
+def test_drift_certificate_alone_decides():
+    # the declared A puts the ratio bound, 0.995, in the borderline band of
+    # window estimates and no statistic diverges, so step 4's certificate,
+    # from the tail ratio 0.5, decides
+    spec = table((1.0,), (1.0,), tail_ratio=0.5,
+                 declared_limits=TailLimits(A=0.995))
+    v = classify(spec, N=50)
+    assert (v.verdict, v.basis) == ("Geometric", "drift")
+    assert v.evidence == "numeric-estimates"
+    assert isinstance(v.certificate, DriftCertificate)
+    assert v.subgeo_summary is None
+
+
 def test_certificate_and_divergence_are_exclusive():
     for name in EXPECTED:
         for scan_p in (None, 0.5):
@@ -123,12 +137,10 @@ def test_json_round_trip(name, scan_p):
     v = classify(example_spec(name), N=100, scan_p=scan_p)
     v = dataclasses.replace(v, label=name)
     d = v.to_json_dict()
-    json.dumps(d)  # must be serializable as-is
-    v2 = ErgodicityVerdict.from_json_dict(d)
-    assert v2.to_json_dict() == d
-    assert v2.verdict == v.verdict and v2.basis == v.basis
-    if v.certificate is not None:
-        assert type(v2.certificate) is type(v.certificate)
+    # strict JSON that reads back as the dict written
+    assert json.loads(json.dumps(d, allow_nan=False)) == d
+    assert d["verdict"] == v.verdict and d["basis"] == v.basis
+    assert (d["certificate"] is None) == (v.certificate is None)
 
 
 def test_report_formats():

@@ -58,6 +58,15 @@ def test_classify_inconclusive_exits_3(capsys):
     assert json.loads(out)["verdict"] == "Inconclusive"
 
 
+def test_classify_inconclusive_table_row(capsys):
+    # an Inconclusive verdict has neither certificate nor summary: no rate_info
+    code, out, _ = run(capsys, "classify", "--spec", INCONCLUSIVE_SPEC,
+                       "--format", "table")
+    assert code == 3
+    row = out.splitlines()[1].split()
+    assert row[2] == "Inconclusive" and row[-1] == "-"
+
+
 def test_classify_spec_from_file(tmp_path, capsys):
     path = tmp_path / "family.json"
     path.write_text(INCONCLUSIVE_SPEC)
@@ -449,14 +458,6 @@ def test_subgeo_json_carries_log10_min_T(capsys):
     d = json.loads(out)
     assert code == 0 and d["min_T"] == 0.0
     assert d["log10_min_T"] == pytest.approx(-867.8815, abs=1e-4)
-
-
-def test_rate_info_from_older_json_without_log10_min_T():
-    v = ergochain.ErgodicityVerdict(
-        verdict="Subgeometric", basis="divergence:S2",
-        evidence="numeric-estimates", N=2000, scan_p=None, quantities={},
-        subgeo_summary={"min_T": 0.0}, label="old")
-    assert ergochain.verdict_report([v]).splitlines()[1].endswith("min_T=0")
 
 
 def test_report_subset_json(capsys):

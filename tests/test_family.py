@@ -20,6 +20,7 @@ from ergochain import (
     TailLimits,
     UnknownFormat,
     alternating,
+    build_Pdgs,
     build_family,
     example_names,
     example_spec,
@@ -29,6 +30,7 @@ from ergochain import (
     solve_constant,
     table,
     tail_limits,
+    tv_curve,
 )
 from ergochain.spec import _zeta
 
@@ -129,6 +131,18 @@ def test_log_mass_beyond_matches_termwise_sum():
         assert abs(rel) < tol, name
 
 
+def test_table_mass_beyond_inside_the_table():
+    # the horizon falls inside both tables: their remaining entries plus
+    # the geometric extension tab[-1] r / (1 - r) of each
+    a, b, r = (1.0, 0.5, 0.3, 0.2, 0.1), (0.7, 0.4, 0.2, 0.1), 0.25
+    spec = table(a, b, tail_ratio=r)
+    for horizon in (1, 2, 3):
+        rest = math.fsum(a[horizon:] + b[horizon:]
+                         + (a[-1] * r / (1 - r), b[-1] * r / (1 - r)))
+        assert spec.log_mass_beyond(horizon) == pytest.approx(
+            math.log(rest), abs=1e-15)
+
+
 def test_power_law_mass_beyond_matches_hurwitz_zeta():
     # sum_{i > h} (c1 + c2) i^-d = (c1 + c2) zeta(d, h + 1); d = 400 at
     # h = 4e6 puts the mass near e^-6072, far below float range, where the
@@ -221,6 +235,17 @@ def test_retained_mass_saturates_only_above_the_float_maximum():
     assert f.retained_mass == pytest.approx(1e308, rel=1e-12)
     f = build_family(table((1e308, 1e308), (1e308,)), 2)
     assert f.retained_mass == math.inf
+
+
+def test_tiny_weights_renormalize_to_one():
+    # log mass near -690: subtracting it whole would leave each weight
+    # 690 eps off; the largest weight goes first, so pi sums to 1
+    f = build_family(table((1e-300,), (1e-300,)), 2)
+    eps = np.finfo(float).eps
+    assert abs(math.fsum(f.pi_x) - 1.0) <= 2 * eps
+    tm = build_Pdgs(f)
+    tv0 = tv_curve(tm, (1, 1), 0).values[0]
+    assert abs(tv0 - (1.0 - tm.stationary[tm.index_of((1, 1))])) <= 2 * eps
 
 
 def test_degenerate_truncation():

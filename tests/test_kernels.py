@@ -728,6 +728,31 @@ def test_dgs_gap_refused(fam):
         spectral_gap(build_Pdgs(fam("geometric", 20)))
 
 
+def _hand_made(up, down, stationary):
+    up, down = np.array(up), np.array(down)
+    stay = 1.0 - np.r_[up, 0.0] - np.r_[0.0, down]
+    return TransitionMatrix(kind=MARGINAL_X, bands={-1: down, 0: stay, 1: up},
+                            stationary=np.array(stationary), N=len(stay))
+
+
+def test_flip_chain_gap_refused():
+    # eigenvalues 1 and -0.8: the second-largest modulus is 0.8, not the
+    # 1 - lambda_min(E) = -0.8 a positive semidefinite kernel would give
+    with pytest.raises(NotSymmetricKernel):
+        spectral_gap(_hand_made([0.9], [0.9], [0.5, 0.5]))
+
+
+def test_small_negative_eigenvalue_keeps_the_gap():
+    # eigenvalues 1, 0.02 + sqrt(0.02) and 0.02 - sqrt(0.02): the Gershgorin
+    # bound of E, 1.18, exceeds 2 - gap = 1.16, so the ceiling test runs and
+    # passes
+    pi = np.array([1.0, 9.8, 9.8 * 0.1 / 0.78])
+    tm = _hand_made([0.98, 0.1], [0.1, 0.78], pi / pi.sum())
+    g = spectral_gap(tm)
+    assert g.gap == pytest.approx(0.98 - math.sqrt(0.02), abs=1e-15)
+    assert g.norm_estimate == pytest.approx(_dense_second_modulus(tm), abs=1e-14)
+
+
 def test_geometric_gap_converges_with_N(fam):
     # second eigenvalue approaches the essential edge like 1/N^2, so the
     # gap decreases toward a positive limit and successive differences

@@ -32,7 +32,7 @@ from ergochain import (
     run_chain,
     run_marginal_ensemble,
 )
-from ergochain.samplers import _BLOCK
+from ergochain.samplers import _BLOCK, _ROWS
 
 
 @pytest.fixture(scope="module")
@@ -511,6 +511,17 @@ def test_ensemble_matches_run_chain(fam50):
                                     init=4, g=lambda x: float(x == 1)))
     assert res.final_states[0] == tr.xs[-1]
     assert res.g_bar[0] == tr.g_mean
+
+
+def test_ensemble_without_g_steps_the_same_chains(fam50):
+    # without g the states are updated in place rather than row by row;
+    # the stream, and so every final state, is the same
+    g_vec = lambda s: (s == 1).astype(float)
+    n_steps = 2 * _ROWS + 13
+    bare = run_marginal_ensemble(fam50, 7, n_steps, seed=5, init=3)
+    full = run_marginal_ensemble(fam50, 7, n_steps, seed=5, init=3, g=g_vec)
+    assert bare.g_bar is None and bare.estimates is None
+    assert np.array_equal(bare.final_states, full.final_states)
 
 
 def test_ensemble_argument_validation(fam50):

@@ -54,8 +54,9 @@ MAX_STEPS = 10 ** 7
 # largest tvcurve steps x states transported per step: the states within
 # bw * steps of the start (bw = 2 for dgs, 1 otherwise), at most all N, or
 # 2N - 1 for dgs and rgs. A window inside the chain grows by 2 bw a step,
-# so such runs end in seconds (dgs, N = 10^6, 15 800 steps: 2 to 4 s); the
-# slowest are 10^7 steps on about 100 states, 4 to 8 us a step (2-core VM).
+# so such runs end in seconds (dgs, N = 10^6, 15 800 steps: about 1 s); the
+# slowest are 10^7 steps on about 100 states, 3 to 5 us a step (2-core
+# Xeon VM, numpy 2.4).
 # The count is conservative for dgs, whose curve is transported on the
 # x-marginal chain (at most N states, a window growing by 2 a step); it is
 # kept so that the same requests are refused

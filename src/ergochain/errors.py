@@ -26,7 +26,8 @@ class OutOfSupport(ErgochainError):
 
 
 class IndexOutOfRange(ErgochainError):
-    """A sequence or statistic index is outside its valid range."""
+    """A sequence or statistic index, or a kernel's band offset, is outside
+    its valid range."""
 
 
 class BadScanProbability(ErgochainError):

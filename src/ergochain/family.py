@@ -151,11 +151,13 @@ def _shift_down(logs: np.ndarray) -> np.ndarray:
 
 def _renormalize(la: np.ndarray, lb: np.ndarray):
     """Shift la and lb in place to log probabilities; return the log mass.
-    The top weight goes first, so tiny weights lose no |log mass| x eps."""
+    The top weight goes first, so tiny weights lose no |log mass| x eps;
+    the rest is one sum of exps, each at most 1 and the top exactly 1, so
+    a term that underflows is below 1e-308 of the sum."""
     top = max(la.max(), lb.max())
     la -= top
     lb -= top
-    log_rest = np.logaddexp.reduce(np.concatenate([la, lb]))
+    log_rest = math.log(float(np.exp(la).sum() + np.exp(lb).sum()))
     log_mass = top + log_rest
     if not np.isfinite(log_mass):
         raise DegenerateTruncation("retained mass is zero or not finite")

@@ -23,9 +23,11 @@ stay_y, beta and delta. Total variation curves transport only
 tridiagonal chains: after one sweep of the deterministic scan y is drawn
 from pi(.|x), so a dgs curve is the x-marginal chain's from the law of
 the first x, read from the dgs kernel's family. They transport the
-difference from pi by one shifted add per band; the n-step matrix is
-never formed. After n steps the start's mass lies within n states of the
-start, so outside that window the difference is exactly -pi: it is
+difference from pi by a fixed three-band step, three products and two
+sums in place on shifted views; the n-step matrix is never formed, and a
+hand-made kernel with other bands is refused, not transported without
+them. After n steps the start's mass lies within n states of the start,
+so outside that window the difference is exactly -pi: it is
 transported, a block of steps at a time, only inside the window the
 block's last step reaches, and pi's mass outside comes from cumulative
 sums over the range the chain can reach. Each step of a block writes |v|
@@ -39,8 +41,9 @@ D = diag(pi), B the first-difference matrix and e_k = pi_k P[k, k+1] the
 edge conductances, so I - P on mean-zero functions has the spectrum of E.
 An eigenvalue of E is bracketed by tests of whether a shift of E is
 positive definite, decided by odd-even reduction; the shifts tried are
-midpoints of the bracket and then regula falsi on the reduction's last
-pivot.
+geometric means of the bracket's ends while they differ by more than a
+factor of 4, midpoints after that, and then regula falsi on the
+reduction's last pivot.
 
 The only scipy import is scipy.sparse, inside TransitionMatrix.P, so
 importing this module, building kernels, transporting TV curves and
@@ -49,7 +52,6 @@ solving spectral gaps load numpy alone.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -278,16 +280,17 @@ def tv_curve(tm: TransitionMatrix, start, n_max: int) -> TVCurve:
     plus pi's mass outside it. That mass comes from cumulative sums of pi
     over the range reachable in the run plus one sum of each remainder
     beyond it. v and the buffer it swaps with hold that range widened by
-    one state, 0 beyond the chain's ends, and each band is copied once
-    into column order over the range, so a step is one unclipped product
-    per band, band 0 first, on views made once per block, and one abs of
-    the window into row (k - 1) mod _RING of a ring of _RING rows over the
-    range. Each row is zero outside the windows it has held; windows only
-    grow, so a reused row is overwritten wherever it held a value. After
-    each block, one row sum over the ring gives the window sums of its
-    steps. Every array but values is sized by the reachable range, not by
-    the number of states or of steps. Once the window covers every state,
-    a step is the plain transport.
+    one state, 0 beyond the chain's ends, and each of the three bands is
+    copied once into column order over the range, so a step is three
+    unclipped products summed in place, band 0, then -1, then +1, on views
+    made once per block, and one abs of the window into row (k - 1) mod
+    _RING of a ring of _RING rows over the range. Each row is zero outside
+    the windows it has held; windows only grow, so a reused row is
+    overwritten wherever it held a value. After each block, one row sum
+    over the ring gives the window sums of its steps. Every array but
+    values is sized by the reachable range, not by the number of states
+    or of steps. Once the window covers every state, a step is the plain
+    transport.
     """
     if n_max < 0:
         raise IndexOutOfRange("n_max must be nonnegative")
@@ -302,11 +305,20 @@ def tv_curve(tm: TransitionMatrix, start, n_max: int) -> TVCurve:
         if n_max:
             _transport(tm, fam.N, i0, [1.0 - beta, beta][:fam.N - i0], values[1:])
     else:
+        _check_tridiagonal(tm)
         _transport(tm, tm.n_states, i0, [1.0], values)
     rate, const, window = _fit_rate(values)
     return TVCurve(kind=tm.kind, N=tm.N, start=start, n_max=n_max,
                    values=values, fitted_rate=rate, fitted_constant=const,
                    fit_window=window)
+
+
+def _check_tridiagonal(tm: TransitionMatrix) -> None:
+    """IndexOutOfRange unless tm's bands are exactly those on offsets -1,
+    0 and 1, the only ones a marginal or random-scan kernel has."""
+    if sorted(tm.bands) != [-1, 0, 1]:
+        raise IndexOutOfRange(f"{tm.kind} kernel has bands {sorted(tm.bands)}, "
+                              "not exactly -1, 0 and 1")
 
 
 def _chain_on(tm: TransitionMatrix, r_lo: int, r_hi: int, s_lo: int, s_hi: int):
@@ -349,41 +361,56 @@ def _transport(tm: TransitionMatrix, n: int, i0: int, mass: list,
     np.negative(pi, out=v[s_lo - off:s_hi - off])
     w = v.copy()
     v[i0 - off:i1 - off] += mass
-    # cols[k][j - r_lo] = P[j-k, j] for j in r_lo .. r_hi - 1, 0 where
-    # state j - k is absent; band[m] lies in column base + m + max(k, 0)
-    cols = {}
-    for k, band in bands.items():
-        col = cols[k] = np.zeros(r_hi - r_lo)
-        j0 = base + max(k, 0)
-        a = max(r_lo, j0)
-        b = max(a, min(r_hi, j0 + len(band)))    # b < a only when steps = 0
-        col[a - r_lo:b - r_lo] = band[a - j0:b - j0]
-    band0 = cols.pop(0)
+    # column k holds P[j-k, j] for j in r_lo .. r_hi - 1, 0 where state
+    # j - k is absent: the chance of staying at j, arriving from above and
+    # arriving from below
+    stay, from_above, from_below = (_column(bands[k], base + max(k, 0), r_lo, r_hi)
+                                    for k in (0, -1, 1))
     width = r_hi - r_lo
     out[0] = 0.5 * (np.abs(v[i0 - off:i1 - off]).sum() + mass_left[-1] + mass_right[-1])
     ring = np.zeros((min(_RING, steps), width))
     scratch = np.empty(width)
+    mul, add, absolute = np.multiply, np.add, np.absolute
     for first in range(1, steps + 1, _RING):
         last = min(first + _RING, steps + 1)
         # every step of the block moves v on the window its last step reaches
         lo = max(0, i0 - r_lo - (last - 1))
         hi = min(width, i1 - r_lo + (last - 1))
-        # (vP)[j] gains v[j-k] * P[j-k, j] along each band k, band 0 first;
-        # the steps alternate between reading v and reading w
-        views = [(old[lo + 1:hi + 1], band0[lo:hi], new[lo + 1:hi + 1],
-                  [(old[lo + 1 - k:hi + 1 - k], col[lo:hi]) for k, col in cols.items()])
-                 for old, new in ((v, w), (w, v))]
-        term = scratch[lo:hi]
+        d, a, b, t = stay[lo:hi], from_above[lo:hi], from_below[lo:hi], scratch[lo:hi]
+        v0, va, vb = v[lo + 1:hi + 1], v[lo + 2:hi + 2], v[lo:hi]
+        w0, wa, wb = w[lo + 1:hi + 1], w[lo + 2:hi + 2], w[lo:hi]
         block = ring[:last - first, lo:hi]
-        for row, (src, diag, dst, terms) in zip(block, itertools.cycle(views)):
-            step = np.multiply(src, diag, out=dst)
-            for x, col in terms:
-                step += np.multiply(x, col, out=term)
-            np.abs(step, out=row)
+        # (vP)[j] = v[j] P[j, j] + v[j+1] P[j+1, j] + v[j-1] P[j-1, j], added
+        # in that order; the steps alternate between reading v and reading w
+        for k in range(0, last - first, 2):
+            mul(v0, d, w0)
+            mul(va, a, t)
+            add(w0, t, w0)
+            mul(vb, b, t)
+            add(w0, t, w0)
+            absolute(w0, block[k])
+            if k + 1 == last - first:
+                break
+            mul(w0, d, v0)
+            mul(wa, a, t)
+            add(v0, t, v0)
+            mul(wb, b, t)
+            add(v0, t, v0)
+            absolute(v0, block[k + 1])
         if (last - first) % 2:
             v, w = w, v
         out[first:last] = 0.5 * (block.sum(axis=1)
                                   + (mass_left[lo] + mass_right[width - hi]))
+
+
+def _column(band: np.ndarray, j0: int, r_lo: int, r_hi: int) -> np.ndarray:
+    """band, whose entry m lies in column j0 + m, as its columns r_lo ..
+    r_hi - 1 with 0 where it has none."""
+    col = np.zeros(r_hi - r_lo)
+    a = max(r_lo, j0)
+    b = max(a, min(r_hi, j0 + len(band)))        # b < a only when steps = 0
+    col[a - r_lo:b - r_lo] = band[a - j0:b - j0]
+    return col
 
 
 def _above_floor(values: np.ndarray, first: int):
@@ -488,11 +515,15 @@ def _lowest_eigenvalue(d: np.ndarray, c: np.ndarray, lo: float, f_lo: float,
     Let k be the position odd-even reduction leaves last, and mu the lowest
     eigenvalue of E without row and column k. Below mu the last pivot
     1 / ((E - sigma I)^-1)[k, k] is continuous in sigma, with a simple root
-    at the lowest eigenvalue. So trial shifts are midpoints until a trial
-    has only its last pivot <= 0, which puts it in [lowest, mu); from then
-    on they are regula falsi on the last pivot with the Illinois halving,
-    kept at least tol / 2 inside the bracket. Every trial is tested as the
-    bisection tested it, so the bracket is certified alike.
+    at the lowest eigenvalue. So until a trial has only its last pivot
+    <= 0, which puts it in [lowest, mu), trial shifts are the geometric
+    mean of lo and hi, at least hi / 64, while hi > 4 lo, and midpoints
+    after that: an eigenvalue far below E's Gershgorin bound, such as a
+    gap of 1e-8, is reached in a few tests instead of one halving per
+    factor of 2. From then on they are regula falsi on the last pivot with
+    the Illinois halving, kept at least tol / 2 inside the bracket. Every
+    trial is tested as the bisection tested it, so the bracket is
+    certified alike.
     """
     moved = 0        # 1 or -1 when the last regula falsi trial moved lo or hi
     while hi - lo > tol:
@@ -500,6 +531,8 @@ def _lowest_eigenvalue(d: np.ndarray, c: np.ndarray, lo: float, f_lo: float,
         if falsi:
             x = hi - f_hi * ((hi - lo) / (f_hi - f_lo))
             x = min(max(x, lo + 0.5 * tol), hi - 0.5 * tol)
+        elif hi > 4.0 * lo:
+            x = max(math.sqrt(lo * hi), hi / 64.0)
         else:
             x = 0.5 * (lo + hi)
         f = _final_pivot(d, c, x)
@@ -526,13 +559,16 @@ def spectral_gap(tm: TransitionMatrix) -> SpectralGap:
     lambda_min(E), clipped to [0, 1] against rounding. It is bracketed by
     one test, whether a shift of E is positive definite, to within tol =
     eps times E's Gershgorin bound, and taken as the bracket's midpoint;
-    the trial shifts are midpoints and then regula falsi on the last pivot
-    of the test (_lowest_eigenvalue). A gap of 0.0 means that E - tol I is
-    not positive definite: lambda_min(E) is at or below the solver's
-    resolution, not that the chain fails to mix. dgs kernels, and hand-made
-    kernels with an eigenvalue below -(1 - gap), raise NotSymmetricKernel.
+    the trial shifts are log-scale, then midpoints, then regula falsi on
+    the last pivot of the test (_lowest_eigenvalue). A gap of 0.0 means
+    that E - tol I is not positive definite: lambda_min(E) is at or below
+    the solver's resolution, not that the chain fails to mix. dgs kernels, and hand-made
+    kernels with an eigenvalue below -(1 - gap), raise NotSymmetricKernel;
+    hand-made kernels with bands other than -1, 0 and 1 raise
+    IndexOutOfRange.
     """
     check_gap_kind(tm.kind)
+    _check_tridiagonal(tm)
     up, down = tm.bands[1], tm.bands[-1]
     off = np.sqrt(down[:-1]) * np.sqrt(up[1:])
     bound = np.max(up + down + np.r_[0.0, off] + np.r_[off, 0.0])

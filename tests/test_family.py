@@ -248,6 +248,29 @@ def test_tiny_weights_renormalize_to_one():
     assert abs(tv0 - (1.0 - tm.stationary[tm.index_of((1, 1))])) <= 2 * eps
 
 
+def test_renormalization_matches_extended_precision():
+    # the log of the retained mass against a 40-digit sum of the same float
+    # log weights, and pi_x's total, on the built-ins and random tables
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(20261019)
+    specs = [example_spec(name) for name in example_names()]
+    for _ in range(20):
+        m = int(rng.integers(1, 6))
+        a, b = (tuple(np.exp(rng.normal(size=m))) for _ in range(2))
+        specs.append(table(a, b, tail_ratio=float(0.3 + 0.5 * rng.random())))
+    eps = np.finfo(float).eps
+    with mpmath.workdps(40):
+        for spec in specs:
+            for N in (25, 200, 2000):
+                idx = np.arange(1, N + 1)
+                logs = np.concatenate([spec.log_a(idx), spec.log_b(idx)[:-1]])
+                ref = float(mpmath.log(mpmath.fsum(mpmath.exp(mpmath.mpf(float(x)))
+                                                   for x in logs)))
+                f = build_family(spec, N)
+                assert abs(math.log(f.retained_mass) - ref) <= 2 * eps * max(1.0, abs(ref))
+                assert abs(math.fsum(f.pi_x) - 1.0) <= 4 * eps
+
+
 def test_degenerate_truncation():
     with pytest.raises(DegenerateTruncation):
         build_family(example_spec("geometric"), 1)

@@ -998,3 +998,80 @@ def test_slow_gap_matches_exact_reference(fam, name, kind):
     off = np.sqrt(down[:-1]) * np.sqrt(up[1:])
     tol = np.finfo(float).eps * np.max(up + down + np.r_[0.0, off] + np.r_[off, 0.0])
     assert spectral_gap(tm).gap == pytest.approx(_exact_gap(f, kind), abs=tol)
+
+
+def _random_tables(seed, count):
+    # table specs drawn like acceptance criterion 2's
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        m = int(rng.integers(1, 6))
+        yield table(tuple(np.exp(rng.normal(size=m))), tuple(np.exp(rng.normal(size=m))),
+                    tail_ratio=float(0.3 + 0.5 * rng.random()))
+
+
+@pytest.mark.parametrize("ring", [_RING, 5])
+@pytest.mark.parametrize("kind", [MARGINAL_X, RGS])
+def test_tv_curve_matches_dense_transport_on_tables(kind, ring, monkeypatch):
+    # runs whose last block of steps ends after an odd and after an even
+    # number of steps, so that either half of the alternating step ends a
+    # block, from either end and the middle of small and large tables; an
+    # odd ring also ends blocks before the last after an odd number. The
+    # reference is a dense transport of the difference from pi, as in the
+    # dgs test above: a float64 kernel's rows sum to one only to rounding,
+    # so dense powers of the point mass itself drift by about n eps
+    # (1.5e-14 after 401 steps at N = 3)
+    monkeypatch.setattr(kernels, "_RING", ring)
+    n_maxes = (0, 1, 15, 16, 17, 31, 33, 47, 400, 401)
+    for spec in _random_tables(20261019, 3):
+        for N in (2, 3, 30, 200):
+            tm = _build(build_family(spec, N), kind)
+            P, n = _dense(tm), tm.n_states
+            for i0 in sorted({0, n // 2, n - 1}):
+                d = -tm.stationary
+                d[i0] += 1.0
+                ref = []
+                for _ in range(max(n_maxes) + 1):
+                    ref.append(0.5 * np.abs(d).sum())
+                    d = d @ P
+                for n_max in n_maxes:
+                    c = tv_curve(tm, tm.states[i0], n_max)
+                    assert c.values == pytest.approx(ref[:n_max + 1], abs=1e-14)
+
+
+def test_non_tridiagonal_kernel_refused():
+    # no builder makes a pentadiagonal marginal kernel; by hand, its bands
+    # at offsets -2 and 2 must be refused, not silently dropped
+    edge = np.full(4, 0.25)
+    tm = TransitionMatrix(kind=MARGINAL_X, stationary=np.full(5, 0.2), N=5,
+                          bands={-2: np.full(3, 0.25), -1: edge, 0: np.full(5, 0.0),
+                                 1: edge, 2: np.full(3, 0.25)})
+    for solve in (lambda: tv_curve(tm, 1, 10), lambda: spectral_gap(tm)):
+        with pytest.raises(IndexOutOfRange) as err:
+            solve()
+        assert "\n" not in str(err.value)
+
+
+@pytest.mark.parametrize("name, sizes, budget", [
+    ("power-law", (25, 200, 2000, 20000), 18),
+    ("mixed-geometric", (25,), 30),
+    ("alternating", (25,), 30),
+])
+def test_gap_trial_budget(fam, monkeypatch, name, sizes, budget):
+    # log-scale trials while the bracket spans more than a factor of 4
+    # reach gaps far below the Gershgorin bound in a few tests: power-law's
+    # 6e-9 at N = 20 000 took 37 midpoint tests, mixed-geometric's 5.7e-11
+    # at N = 25 took 48 to 52
+    made = 0
+
+    def counted(*args):
+        nonlocal made
+        made += 1
+        return _final_pivot(*args)
+
+    monkeypatch.setattr(kernels, "_final_pivot", counted)
+    for N in sizes:
+        f = fam(name, N)
+        for tm in (build_Px(f), build_Prgs(f, 0.5)):
+            made = 0
+            assert spectral_gap(tm).gap > 0.0
+            assert made <= budget

@@ -16,10 +16,10 @@ __version__ = "0.1.0"
 
 # each submodule and the public names it defines, in __all__ order
 _EXPORTS = {
-    "spec": ("SequenceSpec", "TailLimits", "power_law", "geometric",
+    "spec": ("SequenceSpec", "TailLimits", "tail_limits", "power_law", "geometric",
              "mixed_geometric", "alternating", "table", "solve_constant",
              "MARGINAL_X", "DGS", "RGS"),
-    "family": ("TailEstimates", "BivariateFamily", "build_family", "tail_limits"),
+    "family": ("BivariateFamily", "build_family"),
     "presets": ("example_names", "example_spec", "example_description"),
     "kernels": ("TransitionMatrix", "build_Px", "build_Pdgs", "build_Prgs",
                 "TVCurve", "tv_curve", "SpectralGap", "spectral_gap"),

@@ -1,25 +1,24 @@
 """End-to-end ergodicity classification for staircase families.
 
-The decision procedure, in order of evidential strength:
+The decision procedure reads the exact tail limits of the spec's kind
+(spec.tail_limits), in order of evidential strength:
 
-  1. ratio test     If the limiting ratios (declared on the spec, or
-                    window estimates that converged) keep a_i/b_{i-1}
-                    and b_i/a_i bounded and A (1 + M) / (1 + m) < 1,
-                    the chain admits a geometric rate; a drift
-                    certificate is then constructed and verified.
+  1. ratio_test     If a_i/b_{i-1} and b_i/a_i stay bounded and
+                    A (1 + M) / (1 + m) < 1, the chain admits a geometric
+                    rate; a drift certificate is then constructed and
+                    verified, and the verdict carries it.
   2. divergence     If any of the statistics S1, S2, S3 is flagged
                     diverging, no geometric rate exists.
-  3. declared       If the limits A and lim a_i/b_i exist by declaration
-                    and definitively violate the ratio test (A >= 1, or
-                    an infinite limsup), the family is subgeometric even
-                    when the finite horizon left no flag fired.
-  4. drift          A verified drift certificate, from the tail ratio
-                    surrogates alone, is still proof of a geometric rate.
+  3. limits         If the limits A and lim a_i/b_i exist and violate
+                    the ratio test (A >= 1, or an infinite limsup), the
+                    family is subgeometric even when the finite horizon
+                    left no flag fired.
 
-Anything else is Inconclusive. When both premise limits exist, geometric
-and subgeometric outcomes are exhaustive and the verdict carries a note
-saying so. A window-estimate bound landing in [0.99, 1) is treated as
-borderline and never used to claim a geometric rate.
+Anything else is Inconclusive: the limits satisfy the ratio test but no
+certificate clears the verifier's resolution (drift.VERIFY_TOL), or the
+limits do not exist and no statistic fired. When both premise limits
+exist, geometric and subgeometric outcomes are exhaustive and the
+verdict carries a note saying so.
 
 The verdict never carries both a verified certificate and a fired
 divergence flag; the pipeline order makes the two mutually exclusive.
@@ -31,17 +30,17 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .drift import R_BORDERLINE, DriftCertificate, NoCertificate, certify
+from .drift import DriftCertificate, NoCertificate, certify
 from .errors import EmptyReport, UnknownFormat
-from .family import build_family, tail_limits
-from .spec import SequenceSpec, _dump_json, _encode_extended
+from .family import build_family
+from .spec import SequenceSpec, _dump_json, _encode_extended, tail_limits
 from .subgeo import build_subgeo_report
 
 GEOMETRIC = "Geometric"
 SUBGEOMETRIC = "Subgeometric"
 INCONCLUSIVE = "Inconclusive"
 
-EVIDENCE_DECLARED = "declared-limits"
+EVIDENCE_LIMITS = "exact-limits"
 EVIDENCE_NUMERIC = "numeric-estimates"
 
 _EQUIVALENCE_NOTE = ("limits of a_i/a_{i-1} and a_i/b_i exist, so the geometric "
@@ -80,47 +79,26 @@ class ErgodicityVerdict:
         }
 
 
-def _ratio_bound(A: float, m: float, M: float) -> float:
-    """A (1 + M) / (1 + m) with the exhaustive-limit conventions at infinity."""
-    if math.isinf(M) and math.isinf(m):
-        factor = 1.0
-    elif math.isinf(M):
-        factor = math.inf
-    else:
-        factor = (1.0 + M) / (1.0 + m)
-    return A * factor
-
-
 def classify(spec: SequenceSpec, N: int = 200,
              scan_p: float | None = None) -> ErgodicityVerdict:
-    """Classify the family truncated at N >= 10; see the module docstring."""
+    """Classify the family truncated at N >= 2; see the module docstring."""
     fam = build_family(spec, N)
-    est = tail_limits(spec, N)
-
-    dl = spec.declared_limits
-    premise = dl is not None and dl.A is not None and dl.lim_ab is not None
-    note = _EQUIVALENCE_NOTE if premise else None
-
-    # one verified certificate; steps 1 and 4 both read it
+    lim = tail_limits(spec)
+    quantities = {k: v for k, v in lim._asdict().items() if k != "exist"}
+    note = _EQUIVALENCE_NOTE if lim.exist else None
     cert = certify(fam, scan_p)
-    quantities = {k: v for k, v in vars(est).items() if not isinstance(v, dict)}
-    certified = None if isinstance(cert, NoCertificate) else cert
 
     def verdict(outcome, basis, evidence, **found):
         return ErgodicityVerdict(
             verdict=outcome, basis=basis, evidence=evidence, N=N, scan_p=scan_p,
             quantities=quantities, equivalence_note=note, **found)
 
-    # 1. ratio test on trusted limits
-    trusted = all(est.converged.values())
-    if trusted and math.isfinite(est.a_over_bprev) and math.isfinite(est.b_over_a):
-        bound = _ratio_bound(est.A, est.m, est.M)
-        all_declared = all(est.declared.values())
-        # a window-estimate bound within 1 % of critical is borderline
-        if certified is not None and bound < (1.0 if all_declared else R_BORDERLINE):
-            return verdict(GEOMETRIC, "ratio_test",
-                           EVIDENCE_DECLARED if all_declared else EVIDENCE_NUMERIC,
-                           certificate=certified)
+    # 1. ratio test on the exact limits, with a verified certificate; an
+    # infinite M fails it (inf / inf is NaN, which is not below one)
+    bounded = math.isfinite(lim.a_over_bprev) and math.isfinite(lim.b_over_a)
+    if (bounded and lim.A * (1.0 + lim.M) / (1.0 + lim.m) < 1.0
+            and not isinstance(cert, NoCertificate)):
+        return verdict(GEOMETRIC, "ratio_test", EVIDENCE_LIMITS, certificate=cert)
 
     # 2. diverging statistics
     report = build_subgeo_report(fam, scan_p=scan_p)
@@ -129,17 +107,10 @@ def classify(spec: SequenceSpec, N: int = 200,
         return verdict(SUBGEOMETRIC, f"divergence:{fired}", EVIDENCE_NUMERIC,
                        subgeo_summary=report.to_json_dict())
 
-    # 3. declared limits that rule a geometric rate out
-    if premise and (
-            dl.A >= 1.0
-            or (dl.lim_a_over_bprev is not None and math.isinf(dl.lim_a_over_bprev))
-            or (dl.lim_b_over_a is not None and math.isinf(dl.lim_b_over_a))):
-        return verdict(SUBGEOMETRIC, "declared", EVIDENCE_DECLARED,
+    # 3. existing limits that rule a geometric rate out
+    if lim.exist and (lim.A >= 1.0 or not bounded):
+        return verdict(SUBGEOMETRIC, "limits", EVIDENCE_LIMITS,
                        subgeo_summary=report.to_json_dict())
-
-    # 4. drift certificate straight from the truncated tail
-    if certified is not None:
-        return verdict(GEOMETRIC, "drift", EVIDENCE_NUMERIC, certificate=certified)
 
     return verdict(INCONCLUSIVE, None, EVIDENCE_NUMERIC)
 
@@ -184,6 +155,6 @@ def verdict_report(verdicts: list[ErgodicityVerdict], fmt: str = "table") -> str
 
 __all__ = [
     "GEOMETRIC", "SUBGEOMETRIC", "INCONCLUSIVE",
-    "EVIDENCE_DECLARED", "EVIDENCE_NUMERIC",
+    "EVIDENCE_LIMITS", "EVIDENCE_NUMERIC",
     "ErgodicityVerdict", "classify", "verdict_report",
 ]

@@ -4,17 +4,16 @@ Exit codes: 0 success, 2 usage error, 3 undecided (an Inconclusive
 verdict, or no drift certificate found), 4 domain error.
 
 dispatch refuses a size option above its limit, a negative --steps and
-an --n below the tail estimates' minimum (classify, drift, report)
-before any command runs. A command then reads its spec and checks the
-arguments their text decides (--start, --thin, --scan-p, --seed and
-spectrum's --chain) before it looks up the numeric functions it calls,
-and those come from the package on first lookup, so `examples`, --help
-and the refusals decided so far run without numpy, and each command
-imports only the modules it uses. Only classify and report, whose
-numeric modules load dataclasses anyway, import it here, and json is
-loaded only to read a JSON spec or to write JSON, so neither `examples`
-(as a table), --help nor those refusals load dataclasses, inspect or,
-unless a --spec is JSON, json.
+an --n below MIN_N (classify, drift, report) before any command runs. A
+command then reads its spec and checks the arguments their text decides
+(--start, --thin, --scan-p, --seed and spectrum's --chain) before it
+looks up the numeric functions it calls, and those come from the package
+on first lookup, so `examples`, --help and the refusals decided so far
+run without numpy, and each command imports only the modules it uses.
+Only classify and report, whose numeric modules load dataclasses anyway,
+import it here, and json is loaded only to read a JSON spec or to write
+JSON, so neither `examples` (as a table), --help nor those refusals load
+dataclasses, inspect or, unless a --spec is JSON, json.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from .errors import (BadSeed, ErgochainError, IndexOutOfRange, StartNotInSupport
                      UnknownFormat)
 from .presets import example_description, example_names, example_spec
 from .spec import (DGS, MARGINAL_X, RGS, SequenceSpec, _dump_json, check_gap_kind,
-                   check_scan_p, check_tail_n)
+                   check_scan_p)
 
 # the numeric names the commands call as attributes of this module, so a
 # wrapper set on it (as the benchmark's spans do) is the one called. The
@@ -65,6 +64,9 @@ MAX_TV_WORK = 10 ** 9
 MAX_HORIZON = 4 * MAX_N
 # the size options dispatch refuses above their limit, before any work
 _LIMITS = {"n": MAX_N, "steps": MAX_STEPS, "horizon": MAX_HORIZON}
+# smallest --n of classify, drift and report. The library takes any N >= 2
+# (the tail limits are exact); the command line keeps this floor unchanged
+MIN_N = 10
 
 
 def _add_spec_args(p: argparse.ArgumentParser) -> None:
@@ -317,8 +319,9 @@ def dispatch(argv: list[str]) -> int:
                                       f"{limit}")
         if getattr(args, "steps", 0) < 0:
             raise IndexOutOfRange(f"--steps {args.steps} must be at least 0")
-        if args.command in ("classify", "drift", "report"):
-            check_tail_n(args.n)
+        if args.command in ("classify", "drift", "report") and args.n < MIN_N:
+            raise IndexOutOfRange(f"--n {args.n} is below {MIN_N}, the smallest "
+                                  f"truncation level {args.command} accepts")
         if args.command == "tvcurve":
             states = args.n if args.chain == MARGINAL_X else 2 * args.n - 1
             bw = 2 if args.chain == DGS else 1

@@ -11,17 +11,20 @@ L = max_{x <= x0} E[V(X_1) | X_0 = x], giving
 
     E[V(X_1) | X_0 = x] <= rho V(x) + L        for every x.
 
-The tail surrogates r_hat (a bound on p_x / q_x) and q_hat (a lower
-bound on q_x) are family.tail_limits' window max and min over the
-untruncated spec, on the last 50 of 4 max(N, 50) indices, the window
-of every other tail estimate. For z < 2 / (r + 1) the certified rate is
+The tail constants r_hat = limsup p_x / q_x and q_hat = liminf q_x are
+the spec's exact tail limits, spec.tail_limits. For z < 2 / (r + 1) the
+certified rate is
 
     rho(z) = 1 + (q/2)(z - 1)((r + 1)/2 - 1/z),
 
 which is smallest at z* = sqrt(2 / (r + 1)), inside (1, 2 / (r + 1)),
 with rho* = 1 - (q/2)(1 - sqrt((r + 1)/2))^2. The certificate uses z*.
-When r_hat is 0.99 or larger the tail evidence cannot separate the
-family from the critical case and no certificate is issued.
+verify_drift accepts a log excess up to VERIFY_TOL, so a certificate is
+issued only when its margin -log rho* exceeds VERIFY_TOL; a smaller
+margin proves nothing. That one rule refuses r_hat = 1 (power-law),
+q_hat = 0 (mixed-geometric, alternating) and every table whose tail
+ratio r is within 1.1e-4 of one (its margin is at most about
+(1 - r)^2 / 128). certify holds the lifted rate gamma to the same rule.
 
 A certificate for the random-scan chain with scan probability s follows
 by lifting: for any c strictly between s/(1-s) and s/(rho (1-s)),
@@ -41,11 +44,10 @@ verification, lift and the lifted verification in that order; it is the
 one path that issues a certificate.
 
 A certificate proves a geometric rate for the chain truncated at N, not
-for the infinite family, but its surrogates read the spec's tail beyond
-N: power-law, which has no geometric rate, is refused at N = 50 (r_hat =
-0.990025) and N = 200 (0.9975016). Whether the family converges
-geometrically is classify's answer, which also reads the declared limits
-and the divergence statistics.
+for the infinite family, but its constants are the untruncated tail's,
+so power-law, which has no geometric rate, is refused at every N.
+Whether the family converges geometrically is classify's answer, which
+also reads the tail limits' ratio test and the divergence statistics.
 """
 
 from __future__ import annotations
@@ -56,12 +58,13 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .errors import BadZ, COutOfRange
-from .family import BivariateFamily, tail_limits
+from .family import BivariateFamily
 from .kernels import build_Prgs, build_Px, log_expect, staircase_xy
-from .spec import _encode_extended, check_scan_p
+from .spec import _encode_extended, check_scan_p, tail_limits
 
-# Tail ratio estimates at or above this are treated as critical.
-R_BORDERLINE = 0.99
+# the largest log excess verify_drift accepts; a certified rate must be
+# below one by more than it
+VERIFY_TOL = 1e-10
 
 
 def drift_coefficient(p: float, q: float, z: float) -> float:
@@ -123,32 +126,35 @@ class NoCertificate:
 
 
 def rho_bound(r_hat: float, q_hat: float, z: float) -> float:
-    """The certified rate at base z for tail surrogates (r_hat, q_hat)."""
+    """The certified rate at base z for tail constants (r_hat, q_hat)."""
     return 1.0 + 0.5 * q_hat * (z - 1.0) * (0.5 * (r_hat + 1.0) - 1.0 / z)
+
+
+def _unresolved(name: str, rate: float) -> str | None:
+    """Why a certified rate is refused, or None when its margin -log rate
+    is above VERIFY_TOL."""
+    margin = -math.log(rate) + 0.0     # 0, not -0, at rate 1
+    return None if margin > VERIFY_TOL else (
+        f"margin -log {name} = {margin:.3g} is not above the verifier's "
+        f"tolerance VERIFY_TOL = {VERIFY_TOL:g}")
 
 
 def find_drift_certificate(fam: BivariateFamily):
     """The certificate at the optimal base z* = sqrt(2 / (r_hat + 1)),
-    with r_hat and q_hat from tail_limits(fam.spec, fam.N).
+    with r_hat and q_hat from tail_limits(fam.spec), for any N >= 2.
 
-    Returns a DriftCertificate or a NoCertificate value. The threshold x0
-    is the largest index whose coefficient exceeds rho (at least 1), so
-    the drift bound holds pointwise beyond it by construction.
+    Returns a DriftCertificate, or a NoCertificate value when the margin
+    -log rho* is not above VERIFY_TOL. The threshold x0 is the largest
+    index whose coefficient exceeds rho (at least 1), so the drift bound
+    holds pointwise beyond it by construction.
     """
-    est = tail_limits(fam.spec, fam.N)
-    r_hat, q_hat = est.r_hat, est.q_hat
-    if r_hat >= R_BORDERLINE:
-        return NoCertificate(
-            reason=f"tail ratio estimate {r_hat:.6g} is not below {R_BORDERLINE}",
-            r_hat=r_hat, q_hat=q_hat)
-    if not q_hat > 0.0:
-        return NoCertificate(reason="tail down-probability estimate is zero",
-                             r_hat=r_hat, q_hat=q_hat)
+    lim = tail_limits(fam.spec)
+    r_hat, q_hat = lim.r_hat, lim.q_hat
     z = math.sqrt(2.0 / (r_hat + 1.0))
     rho = rho_bound(r_hat, q_hat, z)
-    if not rho < 1.0:
-        return NoCertificate(reason="no z with certified rate below one",
-                             r_hat=r_hat, q_hat=q_hat)
+    reason = _unresolved("rho", rho)
+    if reason is not None:
+        return NoCertificate(reason=reason, r_hat=r_hat, q_hat=q_hat)
 
     coeff = drift_coefficient(fam.p, fam.q, z)
     violators = np.where(coeff[1:] > rho)[0]        # indices for x = 2..N
@@ -193,7 +199,7 @@ class DriftReport:
 
     max_violation is the largest log excess of the one-step expectation
     over the certified bound; the certificate holds when it is at most
-    zero up to 1e-10.
+    VERIFY_TOL.
     """
 
     max_violation: float
@@ -233,16 +239,17 @@ def verify_drift(cert: DriftCertificate, fam: BivariateFamily) -> DriftReport:
     k = int(np.argmax(viol))
     mv = float(viol[k])
     worst = int(x[k]) if y is None else (int(x[k]), int(y[k]))
-    return DriftReport(max_violation=mv, holds=mv <= 1e-10,
+    return DriftReport(max_violation=mv, holds=mv <= VERIFY_TOL,
                        worst_state=worst, checked=tm.n_states)
 
 
 def certify(fam: BivariateFamily, scan_p: float | None = None):
     """The marginal certificate, lifted to the random scan when scan_p is
     given, that verify_drift accepts; or a NoCertificate whose reason
-    names the step that stopped: the search, a verification, or a lift
-    float64 cannot represent (COutOfRange). A scan_p outside (0, 1)
-    raises BadScanProbability before the search."""
+    names the step that stopped: the search, a verification, a lift
+    float64 cannot represent (COutOfRange), or a lifted rate gamma whose
+    margin is not above VERIFY_TOL. A scan_p outside (0, 1) raises
+    BadScanProbability before the search."""
     if scan_p is not None:
         check_scan_p(scan_p)
     cert = find_drift_certificate(fam)
@@ -260,13 +267,16 @@ def certify(fam: BivariateFamily, scan_p: float | None = None):
         lifted = lift_to_rgs(cert, scan_p)
     except COutOfRange as exc:
         return refuse(f"lift to the random scan failed: {exc}")
+    reason = _unresolved("gamma", lifted.gamma)
+    if reason is not None:
+        return refuse(reason)
     if not verify_drift(lifted, fam).holds:
         return refuse("lifted certificate fails verification")
     return lifted
 
 
 __all__ = [
-    "R_BORDERLINE",
+    "VERIFY_TOL",
     "DriftCertificate", "NoCertificate", "DriftReport", "drift_coefficient",
     "rho_bound", "find_drift_certificate", "admissible_c_interval",
     "lift_to_rgs", "verify_drift", "certify",

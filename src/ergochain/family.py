@@ -31,7 +31,8 @@ levels y and y + 1; kernels, drift and subgeo read them from there.
 Finite families are produced by truncating a sequence specification
 (spec.SequenceSpec) at a level N: indices above N are dropped, b_N is
 forced to zero so the support is exactly {1..N}^2, and the retained mass
-is renormalized.
+is renormalized. The untruncated tail's limiting ratios do not depend
+on N; spec.tail_limits gives them in closed form.
 All sequence evaluation is carried out in log space so that thin tails
 (for instance e^{-2i} at i in the hundreds) neither underflow nor lose
 the ratios that every derived quantity is built from.
@@ -45,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateTruncation, NonPositiveSequence, OutOfSupport
-from .spec import _LIMITS, SequenceSpec, check_tail_n
+from .spec import SequenceSpec
 
 
 # -- truncated family ----------------------------------------------------
@@ -166,38 +167,6 @@ def _renormalize(la: np.ndarray, lb: np.ndarray):
     return log_mass
 
 
-# -- tail ratio estimation ------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TailEstimates:
-    """Window estimates of the limiting ratios that decide ergodicity.
-
-    A            limsup a_i / a_{i-1}
-    m, M         liminf and limsup of a_i / b_i
-    a_over_bprev limsup a_i / b_{i-1}
-    b_over_a     limsup b_i / a_i
-    r_hat        max t_i / t_{i-1} = p_i / q_i, t_i = a_i b_i / (a_i + b_i)
-    q_hat        min q_i, the marginal's down-probability
-
-    converged[k] is True when the window estimate of k moved by at most
-    1e-6 relatively between the two halves of the window, or when the
-    value was declared on the spec (declared[k] True in that case); r_hat
-    and q_hat, the drift search's surrogates, are in neither dict.
-    Values may be infinite when a ratio diverges.
-    """
-
-    A: float
-    m: float
-    M: float
-    a_over_bprev: float
-    b_over_a: float
-    r_hat: float
-    q_hat: float
-    converged: dict
-    declared: dict
-
-
 def _exp_sat(log_v: float) -> float:
     """exp that saturates to inf instead of raising on overflow."""
     try:
@@ -206,47 +175,4 @@ def _exp_sat(log_v: float) -> float:
         return math.inf
 
 
-def tail_limits(spec: SequenceSpec, N: int) -> TailEstimates:
-    """Estimate limiting ratios from the last 50 of 4 max(N, 50) indices, N >= 10.
-
-    The horizon is at least 200, so a tail that settles slowly (power-law
-    r_hat is 0.9506 on the last 10 of 40 indices) is read beyond the
-    transient at every N.
-
-    Declared limits on the spec take precedence field by field (r_hat and
-    q_hat are never declared). The limsup (liminf) surrogates are the
-    window max (min); the convergence flag compares the two window halves
-    in log space at 1e-6. log t = log a - log(1 + a/b) has no overflowing
-    sum and stays finite where p and q underflow.
-    """
-    check_tail_n(N)
-    window, horizon = 50, 4 * max(N, 50)
-    j = np.arange(horizon - window, horizon + 1)
-    la_j, lb_j = spec.log_a(j), spec.log_b(j)
-    la, lb, lap, lbp = la_j[1:], lb_j[1:], la_j[:-1], lb_j[:-1]
-    log_t = la_j - np.logaddexp(0.0, la_j - lb_j)
-
-    ratios = {"A": (la - lap, np.max), "m": (la - lb, np.min),
-              "M": (la - lb, np.max), "a_over_bprev": (la - lbp, np.max),
-              "b_over_a": (lb - la, np.max)}
-    vals, conv = {}, {}
-    for k, (logs, op) in ratios.items():
-        half = len(logs) // 2
-        vals[k] = _exp_sat(float(op(logs)))
-        conv[k] = bool(abs(op(logs[half:]) - op(logs[:half])) <= 1e-6)
-    decl = {k: False for k in vals}
-
-    for name, keys in _LIMITS.items():
-        v = getattr(spec.declared_limits, name, None)    # None when undeclared
-        if v is not None:
-            for k in keys:
-                vals[k], conv[k], decl[k] = v, True, True
-
-    return TailEstimates(
-        **vals, converged=conv, declared=decl,
-        r_hat=_exp_sat(float(np.max(np.diff(log_t)))),
-        q_hat=math.exp(float(np.min(log_t[:-1] - np.logaddexp(la, lbp)))),
-    )
-
-
-__all__ = ["TailEstimates", "BivariateFamily", "build_family", "tail_limits"]
+__all__ = ["BivariateFamily", "build_family"]

@@ -300,6 +300,8 @@ def tv_curve(tm: TransitionMatrix, start, n_max: int) -> TVCurve:
         pi = tm.stationary
         values[0] = 0.5 * (abs(1.0 - pi[i0]) + pi[:i0].sum() + pi[i0 + 1:].sum())
         fam = tm.family
+        if fam is None:
+            raise IndexOutOfRange("dgs kernel has no family; build it with build_Pdgs")
         i0 //= 2                                   # x' is y0 or y0 + 1
         beta = float(fam.beta[i0])
         if n_max:

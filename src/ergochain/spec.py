@@ -1,23 +1,26 @@
 """Sequence specifications, chain names and the chain checks, without numpy.
 
 A SequenceSpec names a kind of sequence pair {a_i}, {b_i} and its
-parameters (see its docstring). This module holds it, its declared
-TailLimits, their JSON codec, the strict JSON writer, the constructors
-power_law, geometric, mixed_geometric, alternating and table, the
-closed-form constants (solve_constant, with a pure-Python zeta), the
-chain names, check_scan_p, check_gap_kind and check_tail_n. None of that
-imports numpy, so a command can refuse a bad spec or argument before any
-numeric module loads; numpy is imported only where a sequence is
-evaluated (log_a, log_b and log_mass_beyond).
+parameters (see its docstring). This module holds it, its JSON codec,
+the strict JSON writer, the constructors power_law, geometric,
+mixed_geometric, alternating and table, the closed forms of each kind
+(solve_constant, with a pure-Python zeta, and tail_limits, which gives
+the exact TailLimits row of every kind in KINDS), the chain names,
+check_scan_p and check_gap_kind. None of that imports numpy, so a
+command can refuse a bad spec or argument before any numeric module
+loads; numpy is imported only where a sequence is evaluated (log_a,
+log_b and log_mass_beyond).
 
 Nor does importing it load dataclasses (and with it inspect) or json:
-the two records are immutable named tuples whose constructor validates,
-and json is imported by the codec functions that use it.
+the two records are immutable named tuples, SequenceSpec's constructor
+validates, and json is imported by the codec functions that use it.
+A kind added to KINDS brings its own tail_limits row.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 
 from .errors import (BadScanProbability, IndexOutOfRange, NonPositiveSequence,
@@ -31,18 +34,6 @@ _KIND_PARAMS = {
     "table": {"a": "a_table", "b": "b_table", "tail_ratio": "tail_ratio"},
 }
 KINDS = tuple(_KIND_PARAMS)
-
-# each declared limit and the tail_limits estimates it replaces
-_LIMITS = {"A": ("A",), "lim_ab": ("m", "M"),
-           "lim_a_over_bprev": ("a_over_bprev",), "lim_b_over_a": ("b_over_a",)}
-
-MIN_TAIL_N = 10     # the smallest N whose tail window tail_limits reads
-
-
-def check_tail_n(N: int) -> None:
-    """IndexOutOfRange unless N >= MIN_TAIL_N, which tail_limits needs."""
-    if N < MIN_TAIL_N:
-        raise IndexOutOfRange(f"tail limits need N >= {MIN_TAIL_N}")
 
 
 def _encode_extended(v):
@@ -64,9 +55,6 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-_EXTENDED = {"inf": math.inf, "-inf": -math.inf, "nan": math.nan}
-
-
 def _real(v, name: str) -> float:
     """A JSON number as a float; UnknownFormat for bools, strings and the rest."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
@@ -77,51 +65,8 @@ def _real(v, name: str) -> float:
         raise UnknownFormat(f"{name} = {v!r} is out of range") from None
 
 
-def _decode_extended(v, name: str):
-    """Inverse of _encode_extended: None, a number, or "inf"/"-inf"/"nan"."""
-    if v is None:
-        return None
-    if isinstance(v, str) and v in _EXTENDED:
-        return _EXTENDED[v]
-    return _real(v, name)
-
-
-class TailLimits(namedtuple("TailLimits", tuple(_LIMITS))):
-    """Declared limiting ratios of a sequence specification.
-
-    Each field is a nonnegative extended real or None when the limit is
-    unknown or does not exist; anything else, NaN and negative values
-    included, raises UnknownFormat. lim_ab is the common value of
-    liminf a_i/b_i and limsup a_i/b_i when that limit exists.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, A=None, lim_ab=None, lim_a_over_bprev=None, lim_b_over_a=None):
-        self = tuple.__new__(cls, (A, lim_ab, lim_a_over_bprev, lim_b_over_a))
-        for k, v in zip(_LIMITS, self):
-            if not (v is None or (isinstance(v, (int, float)) and 0 <= v <= math.inf)):
-                raise UnknownFormat(f"declared limit {k} = {v!r} must be null "
-                                    "or lie in [0, inf]")
-        return self
-
-    @classmethod
-    def _make(cls, iterable):
-        """As the constructor, so _replace validates too."""
-        return cls(*iterable)
-
-    def to_json_dict(self) -> dict:
-        return {k: _encode_extended(getattr(self, k)) for k in _LIMITS}
-
-    @staticmethod
-    def from_json_dict(d: dict) -> "TailLimits":
-        if not isinstance(d, dict):
-            raise UnknownFormat(f"declared_limits must be an object, got {d!r}")
-        return TailLimits(**{k: _decode_extended(d.get(k), k) for k in _LIMITS})
-
-
 class SequenceSpec(namedtuple("SequenceSpec", "kind d c1 c2 c a_table b_table "
-                                              "tail_ratio declared_limits")):
+                                              "tail_ratio")):
     """Generator for the sequences {a_i}, {b_i} of a staircase family.
 
     kind selects the functional form:
@@ -133,10 +78,9 @@ class SequenceSpec(namedtuple("SequenceSpec", "kind d c1 c2 c a_table b_table "
       table            explicit positive entries, extended geometrically
                        beyond the table with ratio tail_ratio
 
-    The fields are kind, then d, c1, c2, c, a_table, b_table, tail_ratio
-    and declared_limits (a TailLimits), each None unless the kind uses it;
-    a table's entries and tail_ratio (0.5 when omitted) are stored as
-    floats. to_json_dict and from_json_dict read each kind's params from
+    The fields are kind, then d, c1, c2, c, a_table, b_table and
+    tail_ratio, each None unless the kind uses it; a table's entries and
+    tail_ratio (0.5 when omitted) are stored as floats. to_json_dict and from_json_dict read each kind's params from
     _KIND_PARAMS. Construction does not normalize; build_family
     renormalizes the truncated mass, so only ratios of parameters matter
     there. The factory helpers (power_law(), geometric(), ...) solve the
@@ -147,7 +91,7 @@ class SequenceSpec(namedtuple("SequenceSpec", "kind d c1 c2 c a_table b_table "
     __slots__ = ()
 
     def __new__(cls, kind, d=None, c1=None, c2=None, c=None, a_table=None,
-                b_table=None, tail_ratio=None, declared_limits=None):
+                b_table=None, tail_ratio=None):
         if kind not in KINDS:
             raise NonPositiveSequence(f"unknown sequence kind {kind!r}")
         if kind == "power_law":
@@ -175,8 +119,7 @@ class SequenceSpec(namedtuple("SequenceSpec", "kind d c1 c2 c a_table b_table "
                 raise NonPositiveSequence("tail_ratio must lie in (0, 1)")
             a_table, b_table = tables
             tail_ratio = float(r)
-        return tuple.__new__(cls, (kind, d, c1, c2, c, a_table, b_table, tail_ratio,
-                                   declared_limits))
+        return tuple.__new__(cls, (kind, d, c1, c2, c, a_table, b_table, tail_ratio))
 
     @classmethod
     def _make(cls, iterable):
@@ -269,10 +212,7 @@ class SequenceSpec(namedtuple("SequenceSpec", "kind d c1 c2 c a_table b_table "
         for name, fld in _KIND_PARAMS[self.kind].items():
             v = getattr(self, fld)
             params[name] = list(v) if fld.endswith("_table") else v
-        out = {"kind": self.kind, "params": params}
-        if self.declared_limits is not None:
-            out["declared_limits"] = self.declared_limits.to_json_dict()
-        return out
+        return {"kind": self.kind, "params": params}
 
     def to_json(self) -> str:
         import json
@@ -287,9 +227,9 @@ class SequenceSpec(namedtuple("SequenceSpec", "kind d c1 c2 c a_table b_table "
         kind, params = d["kind"], d.get("params", {})
         if not isinstance(params, dict):
             raise UnknownFormat(f"params must be an object, got {params!r}")
-        limits = None
-        if d.get("declared_limits") is not None:
-            limits = TailLimits.from_json_dict(d["declared_limits"])
+        if "declared_limits" in d:
+            raise UnknownFormat("declared_limits is no longer read: every kind's "
+                                "tail limits are exact (spec.tail_limits)")
 
         def scalar(name):
             v = params.get(name)
@@ -304,7 +244,7 @@ class SequenceSpec(namedtuple("SequenceSpec", "kind d c1 c2 c a_table b_table "
         # a kind such as [] is unhashable; it fails this test, not the lookup
         if kind not in KINDS:
             raise NonPositiveSequence(f"unknown sequence kind {kind!r}")
-        return SequenceSpec(kind=kind, declared_limits=limits, **{
+        return SequenceSpec(kind=kind, **{
             fld: (array if fld.endswith("_table") else scalar)(name)
             for name, fld in _KIND_PARAMS[kind].items()})
 
@@ -380,6 +320,82 @@ def solve_constant(kind: str, d: float | None = None) -> float:
     return c
 
 
+# -- exact tail limits ----------------------------------------------------
+
+
+class TailLimits(namedtuple("TailLimits", "A m M a_over_bprev b_over_a r_hat "
+                                          "q_hat exist")):
+    """The limiting ratios of a spec's untruncated tail, exact per kind.
+
+    A            limsup a_i / a_{i-1}
+    m, M         liminf and limsup of a_i / b_i
+    a_over_bprev limsup a_i / b_{i-1}
+    b_over_a     limsup b_i / a_i
+    r_hat        limsup t_i / t_{i-1} = p_i / q_i, t_i = a_i b_i / (a_i + b_i)
+    q_hat        liminf q_i, the marginal's down-probability
+    exist        whether lim a_i / a_{i-1} and lim a_i / b_i exist
+
+    inf is a limit that is infinite. A finite limit above float range
+    reads as the largest float, so it stays finite, and one below it as 0.
+    """
+
+    __slots__ = ()
+
+
+_E1 = math.exp(-1.0)
+
+
+def _exp_finite(log_v: float) -> float:
+    """exp(log_v), the largest float where that overflows."""
+    try:
+        return math.exp(log_v)
+    except OverflowError:
+        return sys.float_info.max
+
+
+def _log1p_exp(v: float) -> float:
+    """log(1 + e^v) without overflow."""
+    return v + math.log1p(math.exp(-v)) if v > 0 else math.log1p(math.exp(v))
+
+
+def _ratio_row(log_k: float, r: float) -> TailLimits:
+    """The row of a tail with a_i / b_i = k and a_i / a_{i-1} = r, where
+    t_i / t_{i-1} = r and q_i = k / ((k r + 1)(k + 1)), formed in logs."""
+    log_r = math.log(r)
+    log_q = log_k - _log1p_exp(log_k + log_r) - _log1p_exp(log_k)
+    k = _exp_finite(log_k)
+    return TailLimits(A=r, m=k, M=k, a_over_bprev=_exp_finite(log_k + log_r),
+                      b_over_a=_exp_finite(-log_k), r_hat=r, q_hat=math.exp(log_q),
+                      exist=True)
+
+
+def tail_limits(spec: SequenceSpec) -> TailLimits:
+    """The exact TailLimits of spec's kind, in closed form.
+
+    In power_law, geometric and table, a_i / b_i tends to k and
+    a_i / a_{i-1} to r: k = c1/c2 with r = 1, k = c with r = e^-1, and
+    beyond the table k = (a_last / b_last) r^(len b - len a) with
+    r = tail_ratio. mixed_geometric has a_i / b_i = c e^i, and alternating
+    swaps its two rates by parity, so its ratios oscillate between 0 and
+    inf; in both t_i is e^-2i to first order and q_i tends to 0 (for
+    alternating, along even i).
+    """
+    if spec.kind == "power_law":
+        return _ratio_row(math.log(spec.c1) - math.log(spec.c2), 1.0)
+    if spec.kind == "geometric":
+        return _ratio_row(math.log(spec.c), _E1)
+    if spec.kind == "table":
+        r = spec.tail_ratio
+        return _ratio_row(math.log(spec.a_table[-1]) - math.log(spec.b_table[-1])
+                          + (len(spec.b_table) - len(spec.a_table)) * math.log(r), r)
+    inf, e2 = math.inf, math.exp(-2.0)
+    if spec.kind == "mixed_geometric":
+        return TailLimits(A=_E1, m=inf, M=inf, a_over_bprev=inf, b_over_a=0.0,
+                          r_hat=e2, q_hat=0.0, exist=True)
+    return TailLimits(A=inf, m=0.0, M=inf, a_over_bprev=_E1, b_over_a=inf,
+                      r_hat=e2, q_hat=0.0, exist=False)
+
+
 # -- factory helpers -----------------------------------------------------
 
 
@@ -391,10 +407,7 @@ def power_law(d: float, c1: float | None = None, c2: float | None = None) -> Seq
         raise NonPositiveSequence("give both c1 and c2 or neither")
     if not (math.isfinite(c1) and c1 > 0 and math.isfinite(c2) and c2 > 0):
         raise NonPositiveSequence("power_law requires c1 > 0 and c2 > 0")
-    limits = TailLimits(A=1.0, lim_ab=c1 / c2, lim_a_over_bprev=c1 / c2,
-                        lim_b_over_a=c2 / c1)
-    return SequenceSpec(kind="power_law", d=float(d), c1=float(c1), c2=float(c2),
-                        declared_limits=limits)
+    return SequenceSpec(kind="power_law", d=float(d), c1=float(c1), c2=float(c2))
 
 
 def geometric(c: float | None = None) -> SequenceSpec:
@@ -403,33 +416,27 @@ def geometric(c: float | None = None) -> SequenceSpec:
         c = solve_constant("geometric")
     if not (math.isfinite(c) and c > 0):
         raise NonPositiveSequence("geometric requires c > 0")
-    e1 = math.exp(-1.0)
-    limits = TailLimits(A=e1, lim_ab=float(c), lim_a_over_bprev=float(c) * e1,
-                        lim_b_over_a=1.0 / float(c))
-    return SequenceSpec(kind="geometric", c=float(c), declared_limits=limits)
+    return SequenceSpec(kind="geometric", c=float(c))
 
 
 def mixed_geometric(c: float | None = None) -> SequenceSpec:
     """Spec a_i = c e^{-i}, b_i = e^{-2i}; the b tail is strictly thinner."""
     if c is None:
         c = solve_constant("mixed_geometric")
-    limits = TailLimits(A=math.exp(-1.0), lim_ab=math.inf,
-                        lim_a_over_bprev=math.inf, lim_b_over_a=0.0)
-    return SequenceSpec(kind="mixed_geometric", c=float(c), declared_limits=limits)
+    return SequenceSpec(kind="mixed_geometric", c=float(c))
 
 
 def alternating(c: float | None = None) -> SequenceSpec:
-    """Parity-swapped spec; none of the tail ratios converge, so no limits
-    are declared and everything must be estimated or tested numerically."""
+    """Parity-swapped spec; lim a_i/a_{i-1} and lim a_i/b_i do not exist."""
     if c is None:
         c = solve_constant("alternating")
-    return SequenceSpec(kind="alternating", c=float(c), declared_limits=None)
+    return SequenceSpec(kind="alternating", c=float(c))
 
 
-def table(a: tuple[float, ...], b: tuple[float, ...], tail_ratio: float | None = None,
-          declared_limits: TailLimits | None = None) -> SequenceSpec:
+def table(a: tuple[float, ...], b: tuple[float, ...],
+          tail_ratio: float | None = None) -> SequenceSpec:
     return SequenceSpec(kind="table", a_table=tuple(a), b_table=tuple(b),
-                        tail_ratio=tail_ratio, declared_limits=declared_limits)
+                        tail_ratio=tail_ratio)
 
 
 # -- chains and scans ------------------------------------------------------
@@ -454,7 +461,7 @@ def check_gap_kind(kind: str) -> None:
 
 
 __all__ = [
-    "SequenceSpec", "TailLimits", "KINDS", "solve_constant", "MIN_TAIL_N",
+    "SequenceSpec", "TailLimits", "KINDS", "solve_constant", "tail_limits",
     "power_law", "geometric", "mixed_geometric", "alternating", "table",
-    "MARGINAL_X", "DGS", "RGS", "check_scan_p", "check_gap_kind", "check_tail_n",
+    "MARGINAL_X", "DGS", "RGS", "check_scan_p", "check_gap_kind",
 ]

@@ -2,23 +2,27 @@
 
 import dataclasses
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergochain import (
+    DegenerateTruncation,
     DriftCertificate,
     EmptyReport,
     ErgodicityVerdict,
-    IndexOutOfRange,
-    TailLimits,
     UnknownFormat,
     build_family,
     build_subgeo_report,
+    certify,
     classify,
     example_spec,
     table,
     verdict_report,
 )
+from ergochain.drift import VERIFY_TOL
 
 EXPECTED = {
     "power-law": ("Subgeometric", "divergence:S1"),
@@ -41,7 +45,7 @@ def test_geometric_carries_verified_certificate():
     cert = v.certificate
     assert isinstance(cert, DriftCertificate)
     assert cert.rho < 1.0 and cert.z > 1.0
-    assert v.evidence == "declared-limits"
+    assert v.evidence == "exact-limits"
     assert v.subgeo_summary is None
 
 
@@ -65,36 +69,53 @@ def test_subgeometric_carries_summary_with_fired_flag():
 
 def test_declared_limits_fallback():
     # at N = 10 the horizon is too short for any ratio statistic to clear
-    # the divergence level, but the declared tail limits settle it
+    # the divergence level, but the exact tail limits (A = 1) settle it
     v = classify(example_spec("power-law"), N=10)
     assert v.verdict == "Subgeometric"
-    assert v.basis == "declared"
-    assert v.evidence == "declared-limits"
+    assert v.basis == "limits"
+    assert v.evidence == "exact-limits"
+    assert "exhaustive" in v.equivalence_note
 
 
 def test_inconclusive_witness():
-    # constant ratios near one: every estimate sits in the borderline band
-    # and the drift search is blocked, so no route can fire
-    spec = table((1.0,), (1.0,), tail_ratio=0.999)
+    # tail ratio 0.9999: the exact limits pass the ratio test, but the
+    # best certificate's margin -log rho, 7.8e-11, is below the verifier's
+    # tolerance, and no statistic fires
+    spec = table((1.0,), (1.0,), tail_ratio=0.9999)
     v = classify(spec, N=60)
     assert v.verdict == "Inconclusive"
     assert v.basis is None
     assert v.certificate is None
     assert v.evidence == "numeric-estimates"
-    assert v.quantities["A"] == pytest.approx(0.999, rel=1e-12)
+    assert v.quantities["A"] == 0.9999
 
 
-def test_drift_certificate_alone_decides():
-    # the declared A puts the ratio bound, 0.995, in the borderline band of
-    # window estimates and no statistic diverges, so step 4's certificate,
-    # from the tail ratio 0.5, decides
-    spec = table((1.0,), (1.0,), tail_ratio=0.5,
-                 declared_limits=TailLimits(A=0.995))
-    v = classify(spec, N=50)
-    assert (v.verdict, v.basis) == ("Geometric", "drift")
-    assert v.evidence == "numeric-estimates"
-    assert isinstance(v.certificate, DriftCertificate)
-    assert v.subgeo_summary is None
+@pytest.mark.parametrize("r", [0.99, 0.995, 0.999])
+def test_near_critical_table_is_geometric(r):
+    # a constant tail ratio r < 1 is geometric at every N, with a
+    # certificate whose margin clears the verifier's tolerance
+    for N in (10, 2000):
+        v = classify(table((1.0,), (1.0,), tail_ratio=r), N=N, scan_p=0.5)
+        assert (v.verdict, v.basis, v.evidence) == ("Geometric", "ratio_test",
+                                                    "exact-limits")
+        assert -math.log(v.certificate.gamma) > VERIFY_TOL
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=4),
+       st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=4),
+       st.floats(0.01, 0.99999), st.integers(2, 60))
+def test_drift_certificate_alone_decides(a, b, r, N):
+    # a certificate is issued only for rows that pass the ratio test, so
+    # it always decides at step 1: no verdict rests on it alone
+    spec = table(a, b, tail_ratio=r)
+    v = classify(spec, N=N)
+    cert = certify(build_family(spec, N))
+    assert isinstance(cert, DriftCertificate) == (v.verdict == "Geometric")
+    if v.verdict == "Geometric":
+        assert (v.basis, v.certificate) == ("ratio_test", cert)
+    else:
+        assert v.verdict == "Inconclusive" and v.basis is None
 
 
 def test_certificate_and_divergence_are_exclusive():
@@ -127,8 +148,12 @@ def test_equivalence_note_present():
 
 
 def test_small_N_rejected():
-    with pytest.raises(IndexOutOfRange):
-        classify(example_spec("geometric"), N=9)
+    # only a truncation below 2 is refused; the limits need no window
+    with pytest.raises(DegenerateTruncation):
+        classify(example_spec("geometric"), N=1)
+    for N in (2, 9):
+        v = classify(example_spec("geometric"), N=N)
+        assert (v.verdict, v.basis) == ("Geometric", "ratio_test")
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED))

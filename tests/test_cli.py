@@ -1,5 +1,7 @@
 """Command line behavior: exit codes, formats, and file output."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -9,17 +11,22 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ergochain
 from ergochain import table
-from ergochain.cli import dispatch
+from ergochain.cli import MIN_N, dispatch
 from ergochain.diagnostics import CLT_NOTE
-from ergochain.spec import MIN_TAIL_N
 
-INCONCLUSIVE_SPEC = table((1.0,), (1.0,), tail_ratio=0.999).to_json()
-# certifies with rho within ulps of 1, so no lift to the random scan fits
-# in float64: gamma rounds to 1.0 at scan probability 0.871
-UNLIFTABLE_SPEC = json.dumps({"kind": "table", "params": {
+# the ratio test passes (A = 0.9999), but the best certificate's margin
+# -log rho = 7.8e-11 is below the verifier's tolerance 1e-10
+INCONCLUSIVE_SPEC = table((1.0,), (1.0,), tail_ratio=0.9999).to_json()
+# certifies with -log rho = 3.1e-10, but no lift to the random scan fits in
+# float64: gamma rounds to 1.0 at scan probability 1e-7
+UNLIFTABLE_SPEC = table((1.0,), (1.0,), tail_ratio=0.9998).to_json()
+# its best rate rho is within ulps of 1, so a certificate would prove nothing
+VACUOUS_SPEC = json.dumps({"kind": "table", "params": {
     "a": [1.2602965398145352e-38, 2.6507480257709705e-267,
           3.70335196283661e-135, 3.0989551395265743e-125],
     "b": [8.734113359284468e-165, 3.831735966407416e-299,
@@ -93,7 +100,7 @@ def test_drift_lifted_to_random_scan(capsys):
 
 
 def test_drift_refusal_exits_3(capsys):
-    # at this depth the tail ratio estimate crosses the refusal threshold
+    # power-law's tail ratio r_hat is 1, so rho is 1 at every N
     code, out, _ = run(capsys, "drift", "--example", "power-law",
                        "--n", "10000")
     assert code == 3
@@ -104,7 +111,7 @@ def test_drift_refusal_exits_3(capsys):
 @pytest.mark.parametrize("command", ["classify", "drift"])
 def test_unrepresentable_lift_is_undecided(capsys, command):
     code, out, err = run(capsys, command, "--spec", UNLIFTABLE_SPEC,
-                         "--n", "154", "--scan-p", "0.871")
+                         "--n", "154", "--scan-p", "1e-7")
     assert code == 3 and err == ""
     d = json.loads(out, parse_constant=_reject_constant)
     assert d["certificate"] is None
@@ -121,19 +128,35 @@ def test_unlifted_certificate_is_geometric(capsys):
     assert code == 0 and json.loads(out)["rho"] < 1.0
 
 
+@pytest.mark.parametrize("command", ["classify", "drift"])
+def test_vacuous_certificate_is_refused(capsys, command):
+    # verify_drift accepts a log excess up to VERIFY_TOL = 1e-10, so a rate
+    # 1 - 4.4e-16 proves nothing: the search refuses it, naming the tolerance
+    code, out, err = run(capsys, command, "--spec", VACUOUS_SPEC, "--n", "154")
+    assert code == 3 and err == ""
+    d = json.loads(out, parse_constant=_reject_constant)
+    assert d["certificate"] is None
+    if command == "classify":
+        assert (d["verdict"], d["basis"]) == ("Inconclusive", None)
+    else:
+        assert "VERIFY_TOL = 1e-10" in d["reason"]
+
+
 def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
 
 def test_drift_refusal_with_infinite_tail_ratio_is_strict_json(capsys):
-    # tail weights alternate with 1e-320 through the tail window (indices
-    # 150-200 at N = 20), so the tail ratio overflows
-    spec = table(tuple([1, 1e-320] * 101), tuple([1, 1e-320] * 101),
-                 tail_ratio=0.5).to_json()
-    code, out, _ = run(capsys, "drift", "--n", "20", "--spec", spec)
+    # mixed-geometric's a_i / b_i = c e^i diverges: its limits m, M and
+    # a_over_bprev are infinite, and q_hat = 0 leaves no certificate
+    code, out, _ = run(capsys, "drift", "--n", "20", "--example", "mixed-geometric")
     assert code == 3
     d = json.loads(out, parse_constant=_reject_constant)
-    assert d["certificate"] is None and d["r_hat"] == "inf"
+    assert d["certificate"] is None and d["q_hat"] == 0.0
+    code, out, _ = run(capsys, "classify", "--n", "20", "--example", "mixed-geometric")
+    assert code == 0
+    q = json.loads(out, parse_constant=_reject_constant)["quantities"]
+    assert q["m"] == q["M"] == q["a_over_bprev"] == "inf"
 
 
 def test_spectrum_marginal(capsys):
@@ -275,6 +298,10 @@ MALFORMED_SPECS = {
                        "declared_limits": {"A": -5, "lim_ab": -3}},
     "limit-nan": {"kind": "geometric", "params": {"c": 1},
                   "declared_limits": {"A": "nan", "lim_ab": "nan"}},
+    "limit-valid": {"kind": "geometric", "params": {"c": 1},
+                    "declared_limits": {"A": 0.5}},
+    "limits-null": {"kind": "table", "params": {"a": [1], "b": [1]},
+                    "declared_limits": None},
     "kind-unknown": {"kind": "nope"},
     "kind-array": {"kind": []},
     "kind-object": {"kind": {}},
@@ -662,26 +689,75 @@ def test_text_decided_refusals_leave_numpy_unloaded(tmp_path):
 
 
 def test_n_below_the_tail_minimum_is_refused_before_numpy(capsys):
-    # classify, drift and report read the tail estimates, so --n alone
-    # decides the refusal; the other commands accept a small N
-    res = _fresh_run(
-        *[[cmd, *args, "--n", n]
-          for cmd, args in (("classify", ["--example", "geometric"]),
-                            ("drift", ["--example", "geometric"]),
-                            ("report", []))
-          for n in ("2", "5", "9")],
-        script=_FRESH_NO_NUMPY)
-    assert res == [[4, [f"error: tail limits need N >= {MIN_TAIL_N}"], False]] * 9
-    code, _, _ = run(capsys, "drift", "--example", "geometric", "--n", str(MIN_TAIL_N))
+    # classify, drift and report refuse an --n below MIN_N, and --n alone
+    # decides it; the other commands, and the library, accept a small N
+    cmds = (("classify", ["--example", "geometric"]),
+            ("drift", ["--example", "geometric"]), ("report", []))
+    res = _fresh_run(*[[cmd, *args, "--n", n] for cmd, args in cmds
+                       for n in ("2", "5", "9")], script=_FRESH_NO_NUMPY)
+    assert res == [[4, [f"error: --n {n} is below {MIN_N}, the smallest "
+                        f"truncation level {cmd} accepts"], False]
+                   for cmd, _ in cmds for n in ("2", "5", "9")]
+    code, _, _ = run(capsys, "drift", "--example", "geometric", "--n", str(MIN_N))
     assert code == 0
 
 
 @pytest.mark.parametrize("n", ["10", "30", "50", "200"])
 def test_drift_refuses_the_truncated_power_law(capsys, n):
-    # the spec's tail ratio up to 4 max(N, 50) is at or above 0.99;
-    # truncated at N the chain's own ratios stay below it (0.95877 at
-    # N = 50, 0.98992 at 200)
+    # the spec's tail ratio is exactly 1; truncated at N the chain's own
+    # ratios stay below it (0.95877 at N = 50, 0.98992 at 200)
     code, out, _ = run(capsys, "drift", "--example", "power-law", "--n", n)
     assert code == 3
     d = json.loads(out, parse_constant=_reject_constant)
-    assert d["certificate"] is None and d["r_hat"] >= 0.99
+    assert d["certificate"] is None and d["r_hat"] == 1.0
+    assert "VERIFY_TOL" in d["reason"]
+
+
+# -- spec fuzz: every JSON object gets an answer or one refusal ---------------
+
+_ANY = st.one_of(
+    st.none(), st.booleans(), st.integers(-10 ** 400, 10 ** 400),
+    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=4),
+    st.lists(st.floats(), max_size=3), st.dictionaries(st.text(max_size=3),
+                                                       st.floats(), max_size=2))
+# each param's values: in range mostly, anything at all one time in eight
+_PARAMS = {"d": st.floats(1.01, 5.0), "c": st.floats(1e-3, 1e3),
+           "c1": st.floats(1e-3, 1e3), "c2": st.floats(1e-3, 1e3),
+           "a": st.lists(st.floats(1e-300, 1e300), min_size=1, max_size=4),
+           "b": st.lists(st.floats(1e-300, 1e300), min_size=1, max_size=4),
+           "tail_ratio": st.floats(0.01, 0.99999)}
+_KIND_NAMES = {"power_law": ("d", "c1", "c2"), "table": ("a", "b", "tail_ratio")}
+
+
+@st.composite
+def _spec_docs(draw):
+    """A spec JSON object, valid or wrong in any of its parts."""
+    def rarely(strategy, other):
+        return draw(other if draw(st.integers(0, 7)) == 0 else strategy)
+
+    kind = rarely(st.sampled_from(ergochain.spec.KINDS),
+                  st.sampled_from(["nope", ""]) | _ANY)
+    names = _KIND_NAMES.get(kind, ("c",)) if isinstance(kind, str) else ("c",)
+    params = {k: rarely(_PARAMS[k], _ANY) for k in names
+              if draw(st.integers(0, 7))}
+    doc = {"kind": kind, "params": rarely(st.just(params), _ANY)}
+    if not draw(st.integers(0, 7)):
+        doc["declared_limits"] = draw(_ANY | st.just({"A": 0.5}))
+    return doc
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(st.sampled_from(["classify", "drift"]), _spec_docs(), st.integers(10, 60),
+       st.sampled_from([[], ["--scan-p", "0.5"]]))
+def test_spec_fuzz_answers_or_refuses_once(command, doc, n, scan):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = dispatch([command, "--spec", json.dumps(doc), "--n", str(n), *scan])
+    assert code in (0, 3, 4)
+    if code == 4:
+        assert out.getvalue() == "" and "Traceback" not in err.getvalue()
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+    else:
+        assert err.getvalue() == ""
+        json.loads(out.getvalue(), parse_constant=_reject_constant)

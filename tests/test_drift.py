@@ -34,7 +34,7 @@ from ergochain import (
     verify_drift,
 )
 from ergochain.drift import (
-    R_BORDERLINE,
+    VERIFY_TOL,
     certify,
     rho_bound,
 )
@@ -71,9 +71,9 @@ def test_balanced_walk_never_contracts():
 
 
 def test_tail_surrogates_geometric():
-    est = tail_limits(example_spec("geometric"), 200)
-    assert est.r_hat == pytest.approx(math.exp(-1.0), rel=1e-12)
-    assert est.q_hat == pytest.approx(0.33065155633076704, rel=1e-12)
+    lim = tail_limits(example_spec("geometric"))
+    assert lim.r_hat == math.exp(-1.0)
+    assert lim.q_hat == pytest.approx(0.33065155633076704, rel=1e-12)
 
 
 def test_log_PxV_matches_direct_expectation(fam):
@@ -113,17 +113,19 @@ def test_no_certificate_for_heavy_tail():
     f = build_family(power_law(2.0), 10_000)
     out = find_drift_certificate(f)
     assert isinstance(out, NoCertificate)
-    assert out.r_hat >= 0.999
+    assert out.r_hat == 1.0
 
 
-@pytest.mark.parametrize("N", [10, 30, 49, 50, 200])
+@pytest.mark.parametrize("N", [2, 10, 30, 49, 50, 200])
 def test_no_certificate_for_truncated_power_law(fam, N):
-    # truncated at N the chain's own ratios p_x / q_x stay below 0.99, but
-    # the spec's up to 4 max(N, 50) do not, and the family has no geometric
-    # rate; the horizon 4 N alone read 0.9506 at N = 10 and 0.9898 at 49
+    # truncated at N the chain's own ratios p_x / q_x stay below one, but
+    # the tail's limit r_hat = 1 leaves rho = 1, and the family has no
+    # geometric rate
     out = certify(fam("power-law", N))
     assert isinstance(out, NoCertificate)
-    assert out.r_hat >= R_BORDERLINE
+    assert out.r_hat == 1.0
+    assert out.reason == ("margin -log rho = 0 is not above the verifier's "
+                          "tolerance VERIFY_TOL = 1e-10")
 
 
 @pytest.mark.parametrize("name", ["power-law", "geometric", "mixed-geometric",
@@ -132,7 +134,7 @@ def test_no_certificate_for_truncated_power_law(fam, N):
 @pytest.mark.parametrize("scan_p", [None, 0.5])
 def test_surrogates_are_the_tail_estimates(fam, name, N, scan_p):
     spec = example_spec(name)
-    est = tail_limits(spec, N)
+    est = tail_limits(spec)
     cert = certify(fam(name, N), scan_p)
     quantities = classify(spec, N, scan_p).quantities
     assert (cert.r_hat, cert.q_hat) == (est.r_hat, est.q_hat)
@@ -154,8 +156,8 @@ def test_tail_ratio_finite_where_p_and_q_underflow(name):
     spec = example_spec(name)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        est = tail_limits(spec, 1000)
-    assert est.r_hat == pytest.approx(math.exp(-2.0), rel=1e-9)
+        out = certify(build_family(spec, 1000))
+    assert out.r_hat == math.exp(-2.0) and out.q_hat == 0.0
 
 
 # -- random-scan lift --------------------------------------------------------
@@ -245,13 +247,16 @@ def test_certificate_json_fields(fam):
 
 # -- certify: search, verify, lift, verify --------------------------------
 
-# rho is within a few ulps of 1, so the lift's gamma rounds to 1.0
-UNLIFTABLE = table(
+# rho* is within a few ulps of 1: below the verifier's tolerance
+VACUOUS = table(
     (1.2602965398145352e-38, 2.6507480257709705e-267, 3.70335196283661e-135,
      3.0989551395265743e-125),
     (8.734113359284468e-165, 3.831735966407416e-299, 1.155024330605395e-179,
      1.141077950296553e-112),
     tail_ratio=0.7686484683596883)
+# -log rho* = 3.1e-10 clears the tolerance, but at scan_p 1e-7 the lift's
+# gamma = 1 - 1.6e-17 rounds to 1.0
+UNLIFTABLE = table((1.0,), (1.0,), tail_ratio=0.9998)
 
 
 def _json_round_trips(cert):
@@ -263,12 +268,27 @@ def _json_round_trips(cert):
 def test_certify_refuses_an_unrepresentable_lift():
     f = build_family(UNLIFTABLE, 154)
     cert = certify(f)
-    assert isinstance(cert, DriftCertificate) and 1.0 - cert.rho < 1e-15
+    assert isinstance(cert, DriftCertificate)
+    assert VERIFY_TOL < -math.log(cert.rho) < 1e-9
     with pytest.raises(COutOfRange):
-        lift_to_rgs(cert, 0.871)
-    out = certify(f, 0.871)
+        lift_to_rgs(cert, 1e-7)
+    out = certify(f, 1e-7)
     assert isinstance(out, NoCertificate) and "lift" in out.reason
     assert (out.r_hat, out.q_hat) == (cert.r_hat, cert.q_hat)
+
+
+def test_certify_refuses_a_margin_below_the_verifier_tolerance():
+    # verified with log excess up to VERIFY_TOL, a rate rho with
+    # -log rho <= VERIFY_TOL would prove nothing
+    out = certify(build_family(VACUOUS, 154))
+    assert isinstance(out, NoCertificate) and "VERIFY_TOL = 1e-10" in out.reason
+    assert -math.log(rho_bound(out.r_hat, out.q_hat,
+                               math.sqrt(2.0 / (out.r_hat + 1.0)))) < 1e-15
+    # the lift is held to the same rule: gamma's margin is about
+    # scan_p (1 - sqrt(rho)), 2.5e-12 here
+    out = certify(build_family(example_spec("geometric"), 200), 1e-9)
+    assert isinstance(out, NoCertificate)
+    assert out.reason.startswith("margin -log gamma = 2.48e-12 is not above")
 
 
 def test_certify_checks_scan_p_before_searching():
@@ -298,10 +318,10 @@ def test_certify_refuses_a_certificate_that_fails_verification(
 
 def test_certify_sweep_agrees_with_classify_and_round_trips():
     # random tables in the style of the tail-underflow sweeps; a few of
-    # them certify with rho within ulps of 1, where the lift cannot be
-    # represented and classify used to raise
+    # them reach rho or gamma within the verifier's tolerance of 1, down to
+    # rho within ulps of 1, and are refused by VERIFY_TOL
     rng = np.random.default_rng(20261018)
-    unliftable = lifted = 0
+    unresolved = lifted = 0
     for _ in range(800):
         k = int(rng.integers(3, 21))
         a = tuple(10.0 ** rng.uniform(-300, 0, k))
@@ -314,13 +334,13 @@ def test_certify_sweep_agrees_with_classify_and_round_trips():
         if v.certificate is not None:
             assert cert == v.certificate
         if isinstance(cert, NoCertificate):
-            unliftable += "lift" in cert.reason
+            unresolved += "VERIFY_TOL" in cert.reason and "= 0 " not in cert.reason
             continue
         lifted += 1
         assert _json_round_trips(cert)
         base = dataclasses.replace(cert, scan_p=None, c=None, gamma=None)
         assert _json_round_trips(base) and base == certify(f)
-    assert unliftable >= 1 and lifted >= 10
+    assert unresolved >= 1 and lifted >= 10
 
 
 # -- every issued certificate holds, checked without log_expect --------------
@@ -328,7 +348,7 @@ def test_certify_sweep_agrees_with_classify_and_round_trips():
 _ENTRY = st.floats(1e-300, 1e300)
 _TABLES = st.builds(table, st.lists(_ENTRY, min_size=1, max_size=8).map(tuple),
                     st.lists(_ENTRY, min_size=1, max_size=8).map(tuple),
-                    tail_ratio=st.floats(0.01, 0.999))
+                    tail_ratio=st.floats(0.01, 0.999) | st.floats(0.9998, 0.99999))
 
 
 def _dense_violation(cert, f):
@@ -362,3 +382,15 @@ def test_issued_certificates_hold_at_every_state(spec, N, scan_p):
     for cert in (certify(f), certify(f, scan_p)):
         if isinstance(cert, DriftCertificate):
             assert _dense_violation(cert, f) <= 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=_TABLES, N=st.integers(2, 300), scan_p=st.floats(1e-9, 1.0 - 1e-9))
+def test_no_issued_certificate_is_within_the_verifier_tolerance(spec, N, scan_p):
+    # verify_drift accepts a log excess up to VERIFY_TOL, so an issued
+    # rate must be below one by more than that
+    f = build_family(spec, N)
+    for cert in (certify(f), certify(f, scan_p)):
+        if isinstance(cert, DriftCertificate):
+            assert -math.log(cert.rho) > VERIFY_TOL
+            assert cert.gamma is None or -math.log(cert.gamma) > VERIFY_TOL

@@ -7,9 +7,13 @@ recomputed from the code under test.
 
 import json
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergochain import (
     DegenerateTruncation,
@@ -17,11 +21,11 @@ from ergochain import (
     NonPositiveSequence,
     OutOfSupport,
     SequenceSpec,
-    TailLimits,
     UnknownFormat,
     alternating,
     build_Pdgs,
     build_family,
+    classify,
     example_names,
     example_spec,
     geometric,
@@ -307,64 +311,142 @@ def test_spec_json_rejects_garbage():
         SequenceSpec.from_json(json.dumps({"no_kind": True}))
 
 
-# -- tail ratio estimation --------------------------------------------------
+# -- exact tail limits -------------------------------------------------------
 
 
 def test_tail_limits_geometric_numeric():
-    # plain spec, no declared limits: estimates must converge on their own
-    spec = SequenceSpec(kind="geometric", c=GEO_C)
-    est = tail_limits(spec, 200)
-    assert est.A == pytest.approx(math.exp(-1.0), rel=1e-12)
-    assert est.m == pytest.approx(GEO_C, rel=1e-12)
-    assert est.M == pytest.approx(GEO_C, rel=1e-12)
-    assert est.b_over_a == pytest.approx(1.0 / GEO_C, rel=1e-12)
-    assert all(est.converged.values())
-    assert not any(est.declared.values())
+    # a_i / b_i = c and every ratio is constant: the row is exact
+    lim = tail_limits(SequenceSpec(kind="geometric", c=GEO_C))
+    assert lim.A == math.exp(-1.0) and lim.r_hat == math.exp(-1.0)
+    assert lim.m == lim.M == pytest.approx(GEO_C, rel=1e-15)
+    assert lim.a_over_bprev == pytest.approx(GEO_C * math.exp(-1.0), rel=1e-15)
+    assert lim.b_over_a == pytest.approx(1.0 / GEO_C, rel=1e-15)
+    assert lim.q_hat == pytest.approx(
+        GEO_C / ((1.0 + GEO_C * math.exp(-1.0)) * (1.0 + GEO_C)), rel=1e-15)
+    assert lim.exist
 
 
 def test_tail_limits_power_law_numeric():
-    spec = SequenceSpec(kind="power_law", d=2.0, c1=PL_C, c2=PL_C)
-    est = tail_limits(spec, 2500)
-    assert abs(est.A - 1.0) < 1e-3    # (1 - 1/i)^2 at i = 10^4
-    assert est.m == pytest.approx(1.0, rel=1e-12)
-    assert est.M == pytest.approx(1.0, rel=1e-12)
+    lim = tail_limits(SequenceSpec(kind="power_law", d=2.0, c1=PL_C, c2=3 * PL_C))
+    assert lim.A == 1.0 and lim.r_hat == 1.0
+    assert lim.m == lim.M == lim.a_over_bprev == pytest.approx(1 / 3, rel=1e-15)
+    assert lim.b_over_a == pytest.approx(3.0, rel=1e-15)
+    assert lim.q_hat == pytest.approx(3 / 16, rel=1e-15)    # c1 c2 / (c1 + c2)^2
 
 
 def test_tail_limits_alternating_diverges():
-    spec = SequenceSpec(kind="alternating", c=MIXED_C)
-    est = tail_limits(spec, 200)
-    # b_i/a_i explodes along odd i; the window max keeps growing
-    assert not est.converged["b_over_a"]
-    assert est.b_over_a > 1e100 or math.isinf(est.b_over_a)
+    # the parities swap the two rates, so a_i / a_{i-1} and a_i / b_i
+    # oscillate between 0 and inf and neither limit exists
+    lim = tail_limits(SequenceSpec(kind="alternating", c=MIXED_C))
+    assert (lim.A, lim.m, lim.M, lim.b_over_a) == (math.inf, 0.0, math.inf, math.inf)
+    assert lim.a_over_bprev == math.exp(-1.0) and lim.r_hat == math.exp(-2.0)
+    assert lim.q_hat == 0.0 and not lim.exist
 
 
 def test_tail_limits_declared_override():
-    est = tail_limits(example_spec("geometric"), 200)
-    assert est.A == math.exp(-1.0)
-    assert est.declared["A"] and est.converged["A"]
-    assert est.m == est.M
-    est2 = tail_limits(example_spec("mixed-geometric"), 200)
-    assert math.isinf(est2.a_over_bprev)
-    assert est2.b_over_a == 0.0
+    # no limit can be declared over a spec's own: the JSON field is refused
+    doc = example_spec("geometric").to_json_dict()
+    doc["declared_limits"] = {"A": 1.0, "lim_ab": 1.0}
+    with pytest.raises(UnknownFormat, match="^declared_limits is no longer read"):
+        SequenceSpec.from_json_dict(doc)
+    lim = tail_limits(example_spec("mixed-geometric"))
+    assert lim.A == math.exp(-1.0) and lim.exist
+    assert math.isinf(lim.m) and math.isinf(lim.a_over_bprev)
+    assert lim.b_over_a == 0.0 and lim.q_hat == 0.0
 
 
 def test_tail_limits_argument_validation():
+    # the row depends on the spec alone, so classify takes any N >= 2
     spec = example_spec("geometric")
-    with pytest.raises(IndexOutOfRange):
-        tail_limits(spec, 9)
-    assert tail_limits(spec, 10).A == math.exp(-1.0)
+    assert tail_limits(spec) == tail_limits(SequenceSpec.from_json(spec.to_json()))
+    assert classify(spec, N=2).quantities == classify(spec, N=300).quantities
+    with pytest.raises(DegenerateTruncation):
+        classify(spec, N=1)
 
 
 def test_declared_limits_must_be_nonnegative():
-    ok = TailLimits(A=0, lim_ab=math.inf, lim_a_over_bprev=None, lim_b_over_a=2.5)
-    assert ok.A == 0 and ok.lim_ab == math.inf
-    for bad in (-5.0, -math.inf, math.nan, "1", [1.0]):
+    # a declared limit is refused whatever it holds, in range or not
+    for limits in ({"A": 0.5}, {"A": -5.0}, {"lim_b_over_a": "nan"}, None):
+        doc = {"kind": "table", "params": {"a": [1.0], "b": [1.0]},
+               "declared_limits": limits}
         with pytest.raises(UnknownFormat):
-            TailLimits(A=bad)
-        with pytest.raises(UnknownFormat):
-            table((1.0,), (1.0,), declared_limits=TailLimits(lim_b_over_a=bad))
+            SequenceSpec.from_json(json.dumps(doc))
+
+
+def test_table_limits_saturate_instead_of_overflowing():
+    # a / b = 1e616 is finite, so it reads as the largest float, not inf,
+    # and q = k / ((k r + 1)(k + 1)) is formed without overflow
+    lim = tail_limits(table((1e308,), (1e-308,), tail_ratio=0.5))
+    assert lim.m == lim.M == lim.a_over_bprev == sys.float_info.max
+    assert 0.0 <= lim.b_over_a < 1e-300 and 0.0 <= lim.q_hat < 1e-300
+    lim = tail_limits(table((1e-308,), (1e308,), tail_ratio=0.5))
+    assert lim.m == 0.0 and lim.b_over_a == sys.float_info.max
+    assert lim.exist and lim.A == 0.5
 
 
 def test_alternating_declares_nothing():
-    spec = alternating()
-    assert spec.declared_limits is None
+    assert tail_limits(alternating()).exist is False
+    assert "declared_limits" not in alternating().to_json_dict()
+
+
+# -- the rows against a 40-digit evaluation of the ratios ---------------------
+
+_C = st.floats(1e-3, 1e3)
+_TAB = st.lists(st.floats(1e-100, 1e100), min_size=1, max_size=5).map(tuple)
+_SPECS = st.one_of(
+    st.builds(lambda d, c1, c2: SequenceSpec("power_law", d=d, c1=c1, c2=c2),
+              st.floats(1.01, 10.0), _C, _C),
+    *(st.builds(lambda c, k=kind: SequenceSpec(k, c=c), _C)
+      for kind in ("geometric", "mixed_geometric", "alternating")),
+    st.builds(table, _TAB, _TAB, tail_ratio=st.floats(0.01, 0.99999)))
+# the row fields that are limsups; m and q_hat are liminfs
+_SUPS = ("A", "M", "a_over_bprev", "b_over_a", "r_hat")
+
+
+def _mp_seq(spec, i):
+    """(a_i, b_i) as 40-digit mpmath numbers, from the spec's own floats."""
+    e = mpmath.exp(-i)
+    if spec.kind == "power_law":
+        return spec.c1 * mpmath.mpf(i) ** -spec.d, spec.c2 * mpmath.mpf(i) ** -spec.d
+    if spec.kind == "geometric":
+        return spec.c * e, e
+    if spec.kind == "mixed_geometric":
+        return spec.c * e, e * e
+    if spec.kind == "alternating":
+        slow, fast = spec.c * e, e * e
+        return (slow, fast) if i % 2 == 0 else (fast, slow)
+    seqs = []
+    for tab in (spec.a_table, spec.b_table):
+        n = len(tab)
+        seqs.append(mpmath.mpf(tab[i - 1]) if i <= n
+                    else tab[-1] * mpmath.mpf(spec.tail_ratio) ** (i - n))
+    return tuple(seqs)
+
+
+def _mp_ratios(spec, i):
+    """Every row quantity's ratio at index i."""
+    (a0, b0), (a1, b1) = _mp_seq(spec, i - 1), _mp_seq(spec, i)
+    t0, t1 = a0 * b0 / (a0 + b0), a1 * b1 / (a1 + b1)
+    return {"A": a1 / a0, "m": a1 / b1, "M": a1 / b1, "a_over_bprev": a1 / b0,
+            "b_over_a": b1 / a1, "r_hat": t1 / t0,
+            "q_hat": a0 * b0 / ((a1 + b0) * (a0 + b0))}
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_SPECS, st.integers(10 ** 6, 10 ** 6 + 50))
+def test_tail_limits_match_a_40_digit_evaluation(spec, i):
+    # two consecutive indices near 10^6 cover both parities of alternating;
+    # a ratio whose limit is 0 or inf is beyond float range there
+    lim = tail_limits(spec)
+    tol = 10 * spec.d / i if spec.kind == "power_law" else 1e-12
+    with mpmath.workdps(40):
+        pair = [_mp_ratios(spec, i), _mp_ratios(spec, i + 1)]
+        for k in _SUPS + ("m", "q_hat"):
+            ref = (max if k in _SUPS else min)(r[k] for r in pair)
+            got = getattr(lim, k)
+            if got == math.inf:
+                assert ref > sys.float_info.max, k
+            elif got == sys.float_info.max:
+                assert ref >= got * (1 - tol), k
+            else:
+                assert abs(got - ref) <= tol * ref + sys.float_info.min, k

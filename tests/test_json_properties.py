@@ -24,17 +24,13 @@ from ergochain import (
     classify,
     lift_to_rgs,
     table,
+    tail_limits,
     verify_drift,
 )
 from ergochain.drift import certify
 
-_LIMIT = st.none() | st.just(math.inf) | st.floats(min_value=0.0, allow_infinity=False)
 _ENTRIES = st.lists(st.floats(1e-300, 1e300), min_size=1, max_size=8).map(tuple)
-TABLES = st.builds(
-    table, _ENTRIES, _ENTRIES, tail_ratio=st.floats(0.01, 0.999),
-    declared_limits=st.none() | st.builds(
-        TailLimits, A=_LIMIT, lim_ab=_LIMIT, lim_a_over_bprev=_LIMIT,
-        lim_b_over_a=_LIMIT))
+TABLES = st.builds(table, _ENTRIES, _ENTRIES, tail_ratio=st.floats(0.01, 0.999))
 
 
 @settings(max_examples=200, deadline=None, database=None)
@@ -44,9 +40,8 @@ def test_spec_json_round_trip_is_a_fixed_point(spec):
     assert SequenceSpec.from_json(text).to_json() == text
 
 
-SPEC_FIELDS = ("kind", "d", "c1", "c2", "c", "a_table", "b_table", "tail_ratio",
-               "declared_limits")
-LIMIT_FIELDS = ("A", "lim_ab", "lim_a_over_bprev", "lim_b_over_a")
+SPEC_FIELDS = ("kind", "d", "c1", "c2", "c", "a_table", "b_table", "tail_ratio")
+LIMIT_FIELDS = ("A", "m", "M", "a_over_bprev", "b_over_a", "r_hat", "q_hat", "exist")
 
 
 def _check_record(rec, cls, fields):
@@ -72,15 +67,13 @@ def _check_record(rec, cls, fields):
 @given(TABLES)
 def test_spec_records_keep_their_behaviour(spec):
     _check_record(spec, SequenceSpec, SPEC_FIELDS)
-    if spec.declared_limits is not None:
-        _check_record(spec.declared_limits, TailLimits, LIMIT_FIELDS)
+    _check_record(tail_limits(spec), TailLimits, LIMIT_FIELDS)
     back = SequenceSpec.from_json(spec.to_json())
     assert back == spec and repr(back) == repr(spec)
     # the tables and tail ratio are normalized to floats on every path
     alt = spec._replace(a_table=[int(v) + 1 for v in spec.a_table], tail_ratio=None)
     assert alt.tail_ratio == 0.5 and all(type(v) is float for v in alt.a_table)
-    assert alt == table(alt.a_table, spec.b_table,
-                        declared_limits=spec.declared_limits)
+    assert alt == table(alt.a_table, spec.b_table)
 
 
 _BAD_ENTRIES = st.sampled_from([0.0, -1.0, math.inf, -math.inf, math.nan, None])
@@ -101,14 +94,14 @@ def test_spec_records_keep_their_validation_messages(spec, which, data):
     bad_r = data.draw(st.sampled_from([0.0, 1.0, -0.5, 2.0, math.inf, math.nan]))
     with pytest.raises(NonPositiveSequence, match=r"^tail_ratio must lie in \(0, 1\)$"):
         table(spec.a_table, spec.b_table, tail_ratio=bad_r)
-    limit = data.draw(st.sampled_from(LIMIT_FIELDS))
-    bad = data.draw(st.sampled_from([-1.0, -math.inf, math.nan, "1", [1.0]]))
+    # declared limits are refused whatever they hold, valid or not
+    doc = spec.to_json_dict()
+    doc["declared_limits"] = data.draw(st.sampled_from(
+        [None, {}, {"A": 0.5}, {"A": -1.0, "lim_ab": "nan"}, [1.0], "inf"]))
     with pytest.raises(UnknownFormat) as err:
-        TailLimits(**{limit: bad})
-    assert str(err.value) == f"declared limit {limit} = {bad!r} must be null or lie in [0, inf]"
-    if spec.declared_limits is not None:
-        with pytest.raises(UnknownFormat):
-            spec.declared_limits._replace(**{limit: bad})
+        SequenceSpec.from_json(json.dumps(doc))
+    assert str(err.value) == ("declared_limits is no longer read: every kind's "
+                              "tail limits are exact (spec.tail_limits)")
 
 
 @pytest.mark.parametrize("kwargs,message", [
@@ -141,8 +134,10 @@ def test_records_are_tuples():
     # a deliberate API: the records are named tuples, so they have a length,
     # iterate over their fields and equal the plain tuple of those fields
     spec = table((1.0,), (2.0,), tail_ratio=0.25)
-    assert len(spec) == 9 and spec == ("table", *[None] * 4, (1.0,), (2.0,), 0.25, None)
-    assert list(TailLimits(A=1.0)) == [1.0, None, None, None]
+    assert len(spec) == 8 and spec == ("table", *[None] * 4, (1.0,), (2.0,), 0.25)
+    # k = a/b = 0.5, q = k / ((k r + 1)(k + 1))
+    assert list(tail_limits(spec)) == pytest.approx(
+        [0.25, 0.5, 0.5, 0.125, 2.0, 0.25, 0.5 / (1.125 * 1.5), True], rel=1e-15)
     assert SequenceSpec._fields == SPEC_FIELDS and TailLimits._fields == LIMIT_FIELDS
 
 

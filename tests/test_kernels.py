@@ -600,6 +600,16 @@ def test_tv_curve_argument_errors(fam):
         tv_curve(tm, 21, 10)
 
 
+def test_tv_curve_refuses_a_dgs_kernel_without_its_family(fam):
+    # a dgs curve rides the x-marginal chain read from the kernel's family;
+    # a hand-made kernel without one gets a package error, not AttributeError
+    built = build_Pdgs(fam("geometric", 20))
+    tm = TransitionMatrix(kind=DGS, bands=built.bands, stationary=built.stationary,
+                          N=built.N)
+    with pytest.raises(IndexOutOfRange, match="^dgs kernel has no family"):
+        tv_curve(tm, (1, 1), 5)
+
+
 # -- spectral gaps -----------------------------------------------------------
 
 

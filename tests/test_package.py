@@ -78,8 +78,8 @@ before = set(sys.modules)
 import ergochain
 for name in ergochain.example_names():
     ergochain.example_spec(name), ergochain.example_description(name)
-spec = ergochain.table((1.0, 0.5), (0.5,), tail_ratio=0.3,
-                       declared_limits=ergochain.TailLimits(A=0.5))
+spec = ergochain.table((1.0, 0.5), (0.5,), tail_ratio=0.3)
+assert ergochain.tail_limits(spec).exist
 resolved = set(sys.modules) - before
 assert ergochain.SequenceSpec.from_json(spec.to_json()) == spec
 coded = set(sys.modules) - before - resolved

@@ -51,14 +51,11 @@ MAX_N = 10 ** 6
 # largest --steps: tvcurve allocates one float per step, sample keeps the trace
 MAX_STEPS = 10 ** 7
 # largest tvcurve steps x states transported per step: the states within
-# bw * steps of the start (bw = 2 for dgs, 1 otherwise), at most all N, or
-# 2N - 1 for dgs and rgs. A window inside the chain grows by 2 bw a step,
-# so such runs end in seconds (dgs, N = 10^6, 15 800 steps: about 1 s); the
-# slowest are 10^7 steps on about 100 states, 3 to 5 us a step (2-core
-# Xeon VM, numpy 2.4).
-# The count is conservative for dgs, whose curve is transported on the
-# x-marginal chain (at most N states, a window growing by 2 a step); it is
-# kept so that the same requests are refused
+# steps of the start, at most the N states of the x-marginal chain, which
+# also carries a dgs curve, or the 2N - 1 of rgs. A window inside the chain
+# grows by 2 a step, so such runs end in seconds (dgs, N = 10^6, 20 000
+# steps: about 1 s); the slowest are 10^7 steps on about 100 states, 3 to
+# 5 us a step (2-core Xeon VM, numpy 2.4).
 MAX_TV_WORK = 10 ** 9
 # largest subgeo --horizon: the default horizon at MAX_N
 MAX_HORIZON = 4 * MAX_N
@@ -323,9 +320,8 @@ def dispatch(argv: list[str]) -> int:
             raise IndexOutOfRange(f"--n {args.n} is below {MIN_N}, the smallest "
                                   f"truncation level {args.command} accepts")
         if args.command == "tvcurve":
-            states = args.n if args.chain == MARGINAL_X else 2 * args.n - 1
-            bw = 2 if args.chain == DGS else 1
-            states = min(states, 2 * bw * args.steps + 1)
+            states = 2 * args.n - 1 if args.chain == RGS else args.n
+            states = min(states, 2 * args.steps + 1)
             if args.steps * states > MAX_TV_WORK:
                 raise IndexOutOfRange(
                     f"--steps {args.steps} x {states} states exceeds the "

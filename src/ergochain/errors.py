@@ -26,8 +26,8 @@ class OutOfSupport(ErgochainError):
 
 
 class IndexOutOfRange(ErgochainError):
-    """A sequence or statistic index, or a kernel's band offset, is outside
-    its valid range."""
+    """A sequence or statistic index, a count or a size is outside its
+    valid range, or a dgs kernel has no family to form its updates from."""
 
 
 class BadScanProbability(ErgochainError):

@@ -1,32 +1,31 @@
 """Transition kernels of the three chains and their spectral summaries.
 
-For a truncated family on {1..N} the package builds three Markov kernels:
+For a truncated family on {1..N} the package builds three Markov kernels
+from two conditional updates, Pi_x (draw x given y) and Pi_y (y given x):
 
   marginal_x  the x-marginal birth-death chain, tridiagonal on {1..N}
-  dgs         the deterministic-scan Gibbs chain (x then y), supported on
-              the 2N-1 staircase states, pentadiagonal, not pi-symmetric;
-              it keeps a reference to its family
-  rgs         the random-scan Gibbs chain that updates x with probability
-              scan_p and y otherwise; pi-symmetric with positive self-loops
+  dgs         the deterministic-scan Gibbs chain Pi_x Pi_y on the 2N-1
+              staircase states, not pi-symmetric; it stores pi and family
+  rgs         the random-scan Gibbs chain s Pi_x + (1 - s) Pi_y with
+              s = scan_p; pi-symmetric with positive self-loops
 
 Product-space states are ordered (1,1), (2,1), (2,2), (3,2), ..., (N,N).
 This module owns that order: staircase_xy maps position m to its state,
 index_of maps a state back and check_state is their domain, so a kernel
 stores no state list and TransitionMatrix.states is derived on access.
-On this order a random-scan step moves to a neighbouring state, so rgs is
-a birth-death chain on 2N-1 states, and a deterministic-scan step moves at
-most two states away. Every kernel is therefore stored as its diagonals:
-bands[k][m] = P[i, i+k] with m = min(i, i+k), the layout of
-scipy.sparse.diags, and rows (y, y) and (y+1, y) fill the even and odd
-entries of each band, products of the family's conditional laws stay_x,
-stay_y, beta and delta. Total variation curves transport only
-tridiagonal chains: after one sweep of the deterministic scan y is drawn
-from pi(.|x), so a dgs curve is the x-marginal chain's from the law of
-the first x, read from the dgs kernel's family. They transport the
+On this order either update moves to a neighbouring state, so rgs is a
+birth-death chain on 2N-1 states. The marginal and random-scan kernels
+are stored as their diagonals down[m] = P[m+1, m], stay[m] = P[m, m] and
+up[m] = P[m, m+1]; rows (y, y) and (y+1, y) fill the even and odd entries
+of each, products of the family's conditional laws stay_x, stay_y, beta
+and delta. _scan_diagonals fills s Pi_x + (1 - s) Pi_y, and a dgs
+kernel's P is its s = 1 times its s = 0. Total variation curves transport
+only tridiagonal chains: after one sweep of the deterministic scan y is
+drawn from pi(.|x), so a dgs curve is the x-marginal chain's from the law
+of the first x, read from the dgs kernel's family. They transport the
 difference from pi by a fixed three-band step, three products and two
-sums in place on shifted views; the n-step matrix is never formed, and a
-hand-made kernel with other bands is refused, not transported without
-them. After n steps the start's mass lies within n states of the start,
+sums in place on shifted views; the n-step matrix is never formed.
+After n steps the start's mass lies within n states of the start,
 so outside that window the difference is exactly -pi: it is
 transported, a block of steps at a time, only inside the window the
 block's last step reaches, and pi's mass outside comes from cumulative
@@ -35,7 +34,8 @@ into a row of a ring that one row sum reduces to the block's L1 norms,
 and every working array is sized by the reachable range, not by the
 number of states.
 One-step expectations log (P f) come from log f the same way, with one
-logaddexp per band (log_expect), so drift checks never form f itself.
+logaddexp per diagonal (log_expect; for dgs, of Pi_y and then of Pi_x),
+so drift checks never form f itself.
 Spectral gaps come from the edge matrix E: D (I - P) = B^T diag(e) B with
 D = diag(pi), B the first-difference matrix and e_k = pi_k P[k, k+1] the
 edge conductances, so I - P on mean-zero functions has the spectrum of E.
@@ -105,13 +105,14 @@ def _staircase_pi(fam: BivariateFamily) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TransitionMatrix:
-    """A kernel stored as its diagonals and its stationary distribution;
-    bands[k][min(i, i+k)] = P[i, i+k]. family is the family a dgs kernel
-    was built from (None otherwise), kept by reference: tv_curve reads the
-    x-marginal chain from it."""
+    """A kernel and its stationary distribution: a marginal or random-scan
+    kernel as its diagonals down, stay and up; a dgs kernel as None for
+    each and family, the family it was built from, kept by reference."""
 
     kind: str
-    bands: dict = field(repr=False)
+    down: np.ndarray | None = field(repr=False)
+    stay: np.ndarray | None = field(repr=False)
+    up: np.ndarray | None = field(repr=False)
     stationary: np.ndarray = field(repr=False)
     N: int
     family: BivariateFamily | None = field(default=None, repr=False, compare=False)
@@ -130,15 +131,23 @@ class TransitionMatrix:
 
     @property
     def P(self):
-        """The kernel as a scipy.sparse CSR matrix, built on each access.
+        """The kernel as a scipy.sparse CSR matrix, built on each access;
+        for dgs the product Pi_x Pi_y of the two conditional updates.
 
         Needs scipy, which is not a runtime dependency: install the
         package's test extra or scipy itself."""
         import scipy.sparse as sp
 
-        offsets = sorted(self.bands)
-        return sp.diags([self.bands[k] for k in offsets], offsets,
-                        shape=(self.n_states, self.n_states), format="csr")
+        def csr(diagonals):
+            return sp.diags(diagonals, (-1, 0, 1), shape=(self.n_states,) * 2,
+                            format="csr")
+
+        if self.kind == DGS:
+            fam = _family_of(self)
+            product = csr(_scan_diagonals(fam, 1.0)) @ csr(_scan_diagonals(fam, 0.0))
+            product.sort_indices()
+            return product
+        return csr((self.down, self.stay, self.up))
 
     def index_of(self, state) -> int:
         """Position of a state; StartNotInSupport when absent."""
@@ -148,72 +157,74 @@ class TransitionMatrix:
         return 2 * y - 2 + (x - y)
 
 
+def _family_of(tm: TransitionMatrix) -> BivariateFamily:
+    """The family a dgs kernel was built from; IndexOutOfRange without one."""
+    if tm.family is None:
+        raise IndexOutOfRange("dgs kernel has no family; build it with build_Pdgs")
+    return tm.family
+
+
 def build_Px(fam: BivariateFamily) -> TransitionMatrix:
     """Tridiagonal kernel of the x-marginal birth-death chain."""
-    return TransitionMatrix(MARGINAL_X, _px_bands(fam.p, fam.q), fam.pi_x, fam.N)
+    return TransitionMatrix(MARGINAL_X, *_px_diagonals(fam.p, fam.q), fam.pi_x, fam.N)
 
 
-def _px_bands(p: np.ndarray, q: np.ndarray) -> dict:
-    """Bands of the birth-death chain with up and down probabilities p, q."""
-    return {-1: q[1:], 0: np.maximum(0.0, 1.0 - p - q), 1: p[:-1]}
+def _px_diagonals(p: np.ndarray, q: np.ndarray) -> tuple:
+    """down, stay and up of the birth-death chain moving up w.p. p, down q."""
+    return q[1:], np.maximum(0.0, 1.0 - p - q), p[:-1]
 
 
 def build_Pdgs(fam: BivariateFamily) -> TransitionMatrix:
-    """Deterministic-scan kernel: draw x' given y, then y' given x'.
-
-    Both rows (y, y) and (y+1, y) move to (y, y-1), (y, y), (y+1, y) and
-    (y+1, y+1) with the same four probabilities, which puts the kernel on
-    offsets -2..2.
-    """
-    n = 2 * fam.N - 1
-    beta, delta, ob, od = fam.beta, fam.delta, fam.stay_y, fam.stay_x
-    bands = {k: np.zeros(n - abs(k)) for k in range(-2, 3)}
-    # each probability is computed once into a band, then copied
-    to_yy = np.multiply(ob, od, out=bands[0][0::2])                # (y, y)
-    to_down = np.multiply(ob[1:], delta[1:], out=bands[-1][1::2])  # (y, y-1)
-    to_up = np.multiply(beta[:-1], delta[1:], out=bands[0][1::2])  # (y+1, y)
-    to_upup = np.multiply(beta[:-1], od[1:], out=bands[1][1::2])   # (y+1, y+1)
-    bands[1][0::2], bands[2][0::2] = to_up, to_upup
-    bands[-1][0::2], bands[-2][1::2] = to_yy[:-1], to_down[:-1]
-    return TransitionMatrix(DGS, bands, _staircase_pi(fam), fam.N, fam)
+    """Deterministic-scan kernel Pi_x Pi_y: draw x' given y, then y' given
+    x'. It holds the staircase pi and the family the updates come from."""
+    return TransitionMatrix(DGS, None, None, None, _staircase_pi(fam), fam.N, fam)
 
 
 def build_Prgs(fam: BivariateFamily, scan_p: float) -> TransitionMatrix:
-    """Random-scan kernel: refresh x with probability scan_p, else y.
+    """Random-scan kernel: refresh x with probability scan_p, else y."""
+    return TransitionMatrix(RGS, *_scan_diagonals(fam, check_scan_p(scan_p)),
+                            _staircase_pi(fam), fam.N)
+
+
+def _scan_diagonals(fam: BivariateFamily, s: float) -> tuple:
+    """down, stay and up of s Pi_x + (1 - s) Pi_y on the staircase order.
 
     From (y, y) the x-update reaches (y+1, y) and the y-update (y, y-1);
     from (y+1, y) they reach (y, y) and (y+1, y+1). Every move is to a
     neighbour in the staircase order, so the kernel is tridiagonal.
     """
-    s = check_scan_p(scan_p)
     t = 1 - s
     n = 2 * fam.N - 1
     beta, delta, ob, od = fam.beta, fam.delta, fam.stay_y, fam.stay_x
-    bands = {k: np.empty(n - abs(k)) for k in (-1, 0, 1)}
-    # no temporaries: t od passes through band 1 before band 1 is filled
-    stay = np.multiply(s, ob, out=bands[0][0::2])
-    stay += np.multiply(t, od, out=bands[1][:fam.N])
-    np.multiply(s, beta[:-1], out=bands[1][0::2])
-    np.multiply(t, od[1:], out=bands[1][1::2])
-    np.multiply(s, ob[:-1], out=bands[-1][0::2])
-    np.multiply(t, delta[1:], out=bands[-1][1::2])
-    np.add(bands[1][0::2], bands[-1][1::2], out=bands[0][1::2])
-    return TransitionMatrix(RGS, bands, _staircase_pi(fam), fam.N)
+    down, stay, up = np.empty(n - 1), np.empty(n), np.empty(n - 1)
+    # no temporaries: t od passes through up before up is filled
+    even = np.multiply(s, ob, out=stay[0::2])
+    even += np.multiply(t, od, out=up[:fam.N])
+    np.multiply(s, beta[:-1], out=up[0::2])
+    np.multiply(t, od[1:], out=up[1::2])
+    np.multiply(s, ob[:-1], out=down[0::2])
+    np.multiply(t, delta[1:], out=down[1::2])
+    np.add(up[0::2], down[1::2], out=stay[1::2])
+    return down, stay, up
 
 
 def log_expect(tm: TransitionMatrix, log_f: np.ndarray) -> np.ndarray:
-    """log (P f)[i] = log sum_k P[i, i+k] f[i+k] for every state i, from
-    log f; zero entries of a band contribute nothing."""
-    n = tm.n_states
-    out = np.full(n, -np.inf)
+    """log (P f)[i] = log sum_j P[i, j] f[j] for every state i, from log f,
+    adding down, stay and up in turn; zero entries contribute nothing.
+    For dgs, P f = Pi_x (Pi_y f)."""
+    if tm.kind == DGS:
+        fam = _family_of(tm)
+        steps = (_scan_diagonals(fam, 0.0), _scan_diagonals(fam, 1.0))
+    else:
+        steps = ((tm.down, tm.stay, tm.up),)
     with np.errstate(divide="ignore"):
-        for k, band in tm.bands.items():
-            if k >= 0:
-                rows, terms = slice(0, n - k), np.log(band) + log_f[k:]
-            else:
-                rows, terms = slice(-k, n), np.log(band) + log_f[:n + k]
-            out[rows] = np.logaddexp(out[rows], terms)
-    return out
+        for down, stay, up in steps:
+            out = np.full(len(log_f), -np.inf)
+            out[1:] = np.logaddexp(out[1:], np.log(down) + log_f[:-1])
+            out = np.logaddexp(out, np.log(stay) + log_f)
+            out[:-1] = np.logaddexp(out[:-1], np.log(up) + log_f[1:])
+            log_f = out
+    return log_f
 
 
 # -- total variation curves ------------------------------------------------
@@ -280,9 +291,9 @@ def tv_curve(tm: TransitionMatrix, start, n_max: int) -> TVCurve:
     plus pi's mass outside it. That mass comes from cumulative sums of pi
     over the range reachable in the run plus one sum of each remainder
     beyond it. v and the buffer it swaps with hold that range widened by
-    one state, 0 beyond the chain's ends, and each of the three bands is
+    one state, 0 beyond the chain's ends, and each of the three diagonals is
     copied once into column order over the range, so a step is three
-    unclipped products summed in place, band 0, then -1, then +1, on views
+    unclipped products summed in place, stay, then down, then up, on views
     made once per block, and one abs of the window into row (k - 1) mod
     _RING of a ring of _RING rows over the range. Each row is zero outside
     the windows it has held; windows only grow, so a reused row is
@@ -299,15 +310,12 @@ def tv_curve(tm: TransitionMatrix, start, n_max: int) -> TVCurve:
     if tm.kind == DGS:
         pi = tm.stationary
         values[0] = 0.5 * (abs(1.0 - pi[i0]) + pi[:i0].sum() + pi[i0 + 1:].sum())
-        fam = tm.family
-        if fam is None:
-            raise IndexOutOfRange("dgs kernel has no family; build it with build_Pdgs")
+        fam = _family_of(tm)
         i0 //= 2                                   # x' is y0 or y0 + 1
         beta = float(fam.beta[i0])
         if n_max:
             _transport(tm, fam.N, i0, [1.0 - beta, beta][:fam.N - i0], values[1:])
     else:
-        _check_tridiagonal(tm)
         _transport(tm, tm.n_states, i0, [1.0], values)
     rate, const, window = _fit_rate(values)
     return TVCurve(kind=tm.kind, N=tm.N, start=start, n_max=n_max,
@@ -315,17 +323,9 @@ def tv_curve(tm: TransitionMatrix, start, n_max: int) -> TVCurve:
                    fit_window=window)
 
 
-def _check_tridiagonal(tm: TransitionMatrix) -> None:
-    """IndexOutOfRange unless tm's bands are exactly those on offsets -1,
-    0 and 1, the only ones a marginal or random-scan kernel has."""
-    if sorted(tm.bands) != [-1, 0, 1]:
-        raise IndexOutOfRange(f"{tm.kind} kernel has bands {sorted(tm.bands)}, "
-                              "not exactly -1, 0 and 1")
-
-
 def _chain_on(tm: TransitionMatrix, r_lo: int, r_hi: int, s_lo: int, s_hi: int):
     """The chain tv_curve transports for tm, on the states it reaches:
-    its bands, the state entry 0 of the bands belongs to, pi on states
+    its down, stay and up, the state entry 0 of each belongs to, pi on states
     s_lo..s_hi - 1, and pi's mass below r_lo and from r_hi on.
 
     For dgs it is the x-marginal chain, built from the family on s_lo..
@@ -335,10 +335,11 @@ def _chain_on(tm: TransitionMatrix, r_lo: int, r_hi: int, s_lo: int, s_hi: int):
     """
     pi = tm.stationary
     if tm.kind != DGS:
-        return tm.bands, 0, pi[s_lo:s_hi], pi[:r_lo].sum(), pi[r_hi:].sum()
+        diagonals = tm.down, tm.stay, tm.up
+        return diagonals, 0, pi[s_lo:s_hi], pi[:r_lo].sum(), pi[r_hi:].sum()
     fam = tm.family
-    bands = _px_bands(fam.p[s_lo:s_hi], fam.q[s_lo:s_hi])
-    return (bands, s_lo, np.exp(fam.log_pix[s_lo:s_hi]),
+    return (_px_diagonals(fam.p[s_lo:s_hi], fam.q[s_lo:s_hi]), s_lo,
+            np.exp(fam.log_pix[s_lo:s_hi]),
             pi[:max(0, 2 * r_lo - 1)].sum(), pi[2 * r_hi - 1:].sum())
 
 
@@ -350,24 +351,24 @@ def _transport(tm: TransitionMatrix, n: int, i0: int, mass: list,
     i1 = i0 + len(mass)
     r_lo, r_hi = max(0, i0 - steps), min(n, i1 + steps)
     s_lo, s_hi = max(0, r_lo - 1), min(n, r_hi + 1)
-    bands, base, pi, below, above = _chain_on(tm, r_lo, r_hi, s_lo, s_hi)
+    diagonals, base, pi, below, above = _chain_on(tm, r_lo, r_hi, s_lo, s_hi)
     # mass_left[lo - r_lo] is pi's mass below state lo, and
     # mass_right[r_hi - hi] its mass at hi and above; no subtraction, so a
     # tiny tail mass keeps its relative accuracy
     mass_left = np.concatenate(([below], pi[r_lo - s_lo:i0 - s_lo])).cumsum()
     mass_right = np.concatenate(([above], pi[i1 - s_lo:r_hi - s_lo][::-1])).cumsum()
     # v and w hold states r_lo - 1 .. r_hi: -pi on the chain's states and
-    # 0 beyond them, so no band slice needs clipping
+    # 0 beyond them, so no diagonal's slice needs clipping
     off = r_lo - 1
     v = np.zeros(r_hi - r_lo + 2)
     np.negative(pi, out=v[s_lo - off:s_hi - off])
     w = v.copy()
     v[i0 - off:i1 - off] += mass
-    # column k holds P[j-k, j] for j in r_lo .. r_hi - 1, 0 where state
-    # j - k is absent: the chance of staying at j, arriving from above and
-    # arriving from below
-    stay, from_above, from_below = (_column(bands[k], base + max(k, 0), r_lo, r_hi)
-                                    for k in (0, -1, 1))
+    # the columns P[j+1, j], P[j, j] and P[j-1, j] for j in r_lo .. r_hi - 1,
+    # 0 where the state is absent: the chance of arriving from above, of
+    # staying at j and of arriving from below
+    from_above, stay, from_below = (_column(diag, base + k, r_lo, r_hi)
+                                    for diag, k in zip(diagonals, (0, 0, 1)))
     width = r_hi - r_lo
     out[0] = 0.5 * (np.abs(v[i0 - off:i1 - off]).sum() + mass_left[-1] + mass_right[-1])
     ring = np.zeros((min(_RING, steps), width))
@@ -405,13 +406,13 @@ def _transport(tm: TransitionMatrix, n: int, i0: int, mass: list,
                                   + (mass_left[lo] + mass_right[width - hi]))
 
 
-def _column(band: np.ndarray, j0: int, r_lo: int, r_hi: int) -> np.ndarray:
-    """band, whose entry m lies in column j0 + m, as its columns r_lo ..
+def _column(diag: np.ndarray, j0: int, r_lo: int, r_hi: int) -> np.ndarray:
+    """diag, whose entry m lies in column j0 + m, as its columns r_lo ..
     r_hi - 1 with 0 where it has none."""
     col = np.zeros(r_hi - r_lo)
     a = max(r_lo, j0)
-    b = max(a, min(r_hi, j0 + len(band)))        # b < a only when steps = 0
-    col[a - r_lo:b - r_lo] = band[a - j0:b - j0]
+    b = max(a, min(r_hi, j0 + len(diag)))        # b < a only when steps = 0
+    col[a - r_lo:b - r_lo] = diag[a - j0:b - j0]
     return col
 
 
@@ -553,7 +554,7 @@ def spectral_gap(tm: TransitionMatrix) -> SpectralGap:
     """1 - (second-largest eigenvalue modulus) from the edge matrix E.
 
     E is tridiagonal with diagonal up[k] + down[k] and off-diagonal
-    -sqrt(down[k] up[k+1]), up = bands[1], down = bands[-1]; its eigenvalues
+    -sqrt(down[k] up[k+1]), from the kernel's up and down; its eigenvalues
     are 1 - lambda over the spectrum of P less one 1. The marginal and
     random-scan kernels are positive semidefinite (Px = Pxy Pyx and
     Prgs = s Pi_x + (1 - s) Pi_y average conditional-expectation
@@ -564,14 +565,12 @@ def spectral_gap(tm: TransitionMatrix) -> SpectralGap:
     the trial shifts are log-scale, then midpoints, then regula falsi on
     the last pivot of the test (_lowest_eigenvalue). A gap of 0.0 means
     that E - tol I is not positive definite: lambda_min(E) is at or below
-    the solver's resolution, not that the chain fails to mix. dgs kernels, and hand-made
-    kernels with an eigenvalue below -(1 - gap), raise NotSymmetricKernel;
-    hand-made kernels with bands other than -1, 0 and 1 raise
-    IndexOutOfRange.
+    the solver's resolution, not that the chain fails to mix. dgs kernels,
+    and hand-made kernels with an eigenvalue below -(1 - gap), raise
+    NotSymmetricKernel.
     """
     check_gap_kind(tm.kind)
-    _check_tridiagonal(tm)
-    up, down = tm.bands[1], tm.bands[-1]
+    up, down = tm.up, tm.down
     off = np.sqrt(down[:-1]) * np.sqrt(up[1:])
     bound = np.max(up + down + np.r_[0.0, off] + np.r_[off, 0.0])
     # solve on E / 2^k with 2^k >= bound: exact, and c cannot underflow

@@ -210,6 +210,24 @@ def test_tvcurve_at_largest_n_transports_only_the_reachable_window(capsys, steps
     assert d["N"] == 1_000_000 and 0.0 < d["rate"] < 1.0
 
 
+def test_dgs_tvcurve_budget_counts_the_marginal_states(capsys):
+    # a dgs curve is transported on the x-marginal chain, N states on a
+    # window that grows by 2 a step, and is budgeted like marginal_x: at
+    # N = 10^6, 22 360 steps x 44 721 states fit in 10^9 state-steps and
+    # 22 361 x 44 723 do not
+    argv = ("tvcurve", "--example", "power-law", "--n", "1000000",
+            "--format", "json", "--steps")
+    for chain in ("dgs", "marginal_x"):
+        code, out, err = run(capsys, *argv, "22361", "--chain", chain)
+        assert code == 4 and out == ""
+        assert err == ("error: --steps 22361 x 44723 states exceeds the tvcurve "
+                       "budget of 1000000000 state-steps\n")
+    code, out, err = run(capsys, *argv, "22360", "--chain", "dgs")
+    assert code == 0 and err == ""
+    d = json.loads(out)
+    assert d["N"] == 1_000_000 and 0.0 < d["rate"] < 1.0
+
+
 def test_subgeo_formats(capsys):
     code, out, _ = run(capsys, "subgeo", "--example", "mixed-geometric",
                        "--n", "40")
@@ -346,7 +364,7 @@ def test_n_above_limit_exits_4_before_allocating(capsys, command):
     ("subgeo", "--example", "geometric", "--horizon", "1000000000"),
     ("tvcurve", "--example", "geometric", "--n", "200", "--steps", "10000000"),
     ("tvcurve", "--example", "geometric", "--n", "1000000", "--steps", "10000000"),
-    ("tvcurve", "--example", "geometric", "--chain", "dgs", "--n", "100",
+    ("tvcurve", "--example", "geometric", "--chain", "dgs", "--n", "200",
      "--steps", "10000000"),
 ], ids=["tvcurve-steps", "sample-steps", "subgeo-horizon", "tvcurve-work",
         "tvcurve-work-large-n", "tvcurve-work-dgs"])

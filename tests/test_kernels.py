@@ -268,14 +268,14 @@ def test_kernel_retains_only_bands_and_stationary(fam, build):
         retained, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    data = sum(b.nbytes for b in tm.bands.values()) + tm.stationary.nbytes
-    assert retained <= 1.25 * data
+    assert retained <= 1.25 * _stored_bytes(tm)
 
 
 @pytest.mark.parametrize("build", [build_Pdgs, lambda f: build_Prgs(f, 0.5)],
                          ids=[DGS, RGS])
 def test_kernel_builds_without_temporaries(fam, build):
-    # bands and pi are filled in place: no array beyond them is ever live
+    # the diagonals and pi are filled in place: no array beyond them is
+    # ever live, and a dgs kernel stores pi alone
     f = fam("power-law", 200_000)
     build(f)
     tracemalloc.start()
@@ -284,8 +284,14 @@ def test_kernel_builds_without_temporaries(fam, build):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    data = sum(b.nbytes for b in tm.bands.values()) + tm.stationary.nbytes
-    assert peak - data <= 64 * 1024
+    assert peak - _stored_bytes(tm) <= 64 * 1024
+
+
+def _stored_bytes(tm):
+    # the arrays a kernel record holds: pi, and down, stay and up unless dgs
+    stored = (tm.stationary,) if tm.kind == DGS else (tm.down, tm.stay, tm.up,
+                                                      tm.stationary)
+    return sum(a.nbytes for a in stored)
 
 
 # -- TV curves ---------------------------------------------------------------
@@ -339,7 +345,7 @@ def test_tv_curve_matches_dense_transport(fam, kind):
     # reachable window covers every state (after 15 to 58 steps at N = 30,
     # and 1 or 2 at N = 2), and runs that end just before, at and after a
     # block of _RING steps. The dgs reference is the exact curve: float64
-    # powers of the float64 dgs bands are up to 3e-14 off it at N = 30
+    # powers of the float64 dgs kernel are up to 3e-14 off it at N = 30
     n_maxes = (0, 1, 10, _RING - 1, _RING, _RING + 1, 2 * _RING + 1, 60)
     for N in (2, 30):
         f = fam("mixed-geometric", N)
@@ -387,19 +393,13 @@ def _exact_dgs_tv(f, i0, n_max):
 
 def _longdouble_tv(tm, n_max):
     # the plain transport of delta_0 - pi over every state, in long double,
-    # from the float64 bands
-    n = tm.n_states
+    # from the float64 kernel
+    P_T = tm.P.T.astype(np.longdouble).tocsr()
     d = -tm.stationary.astype(np.longdouble)
     d[0] += 1
     ref = [0.5 * np.abs(d).sum()]
     for _ in range(n_max):
-        w = d * tm.bands[0].astype(np.longdouble)
-        for k, band in tm.bands.items():
-            if k > 0:
-                w[k:] += d[:n - k] * band.astype(np.longdouble)
-            elif k < 0:
-                w[:n + k] += d[-k:] * band.astype(np.longdouble)
-        d = w
+        d = P_T @ d
         ref.append(0.5 * np.abs(d).sum())
     return np.array(ref, dtype=float)
 
@@ -482,6 +482,30 @@ def test_dgs_curve_is_the_marginal_curve_after_one_sweep(spec, N):
             ref.append(0.5 * np.abs(d).sum())
             d = d @ P
         assert c.values[1:] == pytest.approx(ref, abs=1e-14)
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=_TABLES, N=st.integers(2, 60), scan_p=st.floats(0.01, 0.99))
+def test_kernels_of_any_table_are_stochastic_with_pi_stationary(spec, N, scan_p):
+    # rows sum to one, pi P = pi (in L1, as test_dgs_invariance), detailed
+    # balance for Px and Prgs (entrywise, as test_rgs_pi_symmetry) and the
+    # product kernels equal the reference from the conditional laws. Every
+    # entry is an exp of a log-weight difference, good to eps times the
+    # log weights' magnitude (test_product_kernel_matches_reference), and
+    # so are the row sums: with log weights near -513, beta + stay_y is
+    # 1 + 5.5e-14, above the built-ins' 5e-14
+    f = build_family(spec, N)
+    tol = 8 * np.finfo(float).eps * max(1.0, np.abs(f.log_a).max())
+    for kind, tm in ((MARGINAL_X, build_Px(f)), (DGS, build_Pdgs(f)),
+                     (RGS, build_Prgs(f, scan_p))):
+        P = _dense(tm)
+        assert np.abs(P.sum(axis=1) - 1.0).max() < tol
+        assert np.abs(tm.stationary @ P - tm.stationary).sum() < 1e-12
+        if kind != DGS:
+            flux = tm.stationary[:, None] * P
+            assert np.abs(flux - flux.T).max() < 1e-14
+        if kind != MARGINAL_X:
+            assert np.abs(P - _dense_reference(f, kind, scan_p)).max() < tol
 
 
 def test_tv_curve_allocates_only_the_window(fam):
@@ -585,7 +609,7 @@ def test_tv_curve_memory_is_sized_by_the_reachable_states(fam, build):
 
 @pytest.mark.parametrize("kind", [MARGINAL_X, DGS, RGS])
 def test_log_expect_matches_dense_product(fam, kind):
-    # the dgs bands hold structural zeros, which must contribute nothing
+    # dgs applies Pi_y, then Pi_x, whose zero entries must contribute nothing
     tm = _build(fam("mixed-geometric", 30), kind)
     log_f = np.linspace(-3.0, 5.0, tm.n_states)
     got = log_expect(tm, log_f)
@@ -601,13 +625,17 @@ def test_tv_curve_argument_errors(fam):
 
 
 def test_tv_curve_refuses_a_dgs_kernel_without_its_family(fam):
-    # a dgs curve rides the x-marginal chain read from the kernel's family;
-    # a hand-made kernel without one gets a package error, not AttributeError
+    # a dgs curve rides the x-marginal chain read from the kernel's family,
+    # and its P and log_expect are formed from the family's two updates; a
+    # hand-made kernel without one gets one package error, not AttributeError
     built = build_Pdgs(fam("geometric", 20))
-    tm = TransitionMatrix(kind=DGS, bands=built.bands, stationary=built.stationary,
-                          N=built.N)
-    with pytest.raises(IndexOutOfRange, match="^dgs kernel has no family"):
-        tv_curve(tm, (1, 1), 5)
+    tm = TransitionMatrix(kind=DGS, down=None, stay=None, up=None,
+                          stationary=built.stationary, N=built.N)
+    for use in (lambda: tv_curve(tm, (1, 1), 5), lambda: tm.P,
+                lambda: log_expect(tm, np.zeros(tm.n_states))):
+        with pytest.raises(IndexOutOfRange, match="^dgs kernel has no family") as err:
+            use()
+        assert "\n" not in str(err.value)
 
 
 # -- spectral gaps -----------------------------------------------------------
@@ -615,9 +643,8 @@ def test_tv_curve_refuses_a_dgs_kernel_without_its_family(fam):
 
 def test_two_state_flat_chain_has_zero_norm():
     half = np.array([0.5])
-    tm = TransitionMatrix(kind=MARGINAL_X,
-                          bands={-1: half, 0: np.array([0.5, 0.5]), 1: half},
-                          stationary=np.array([0.5, 0.5]), N=2)
+    tm = TransitionMatrix(kind=MARGINAL_X, down=half, stay=np.array([0.5, 0.5]),
+                          up=half, stationary=np.array([0.5, 0.5]), N=2)
     g = spectral_gap(tm)
     assert g.norm_estimate == pytest.approx(0.0, abs=1e-14)
     assert g.gap == pytest.approx(1.0, abs=1e-14)
@@ -690,10 +717,10 @@ def test_gap_of_a_tiny_kernel_scales_with_it(fam):
     # while the squared off-diagonals of E would underflow unscaled
     tm = build_Px(fam("geometric", 30))
     tiny = 2.0 ** -600
-    up, down = tm.bands[1] * tiny, tm.bands[-1] * tiny
+    up, down = tm.up * tiny, tm.down * tiny
     slow = TransitionMatrix(
-        kind=MARGINAL_X, stationary=tm.stationary, N=tm.N,
-        bands={-1: down, 0: 1.0 - np.r_[up, 0.0] - np.r_[0.0, down], 1: up})
+        kind=MARGINAL_X, stationary=tm.stationary, N=tm.N, down=down,
+        stay=1.0 - np.r_[up, 0.0] - np.r_[0.0, down], up=up)
     assert spectral_gap(slow).gap == pytest.approx(
         spectral_gap(tm).gap * tiny, rel=1e-12)
 
@@ -726,7 +753,7 @@ def test_rgs_gap_matches_dense_eigensolve(fam, name):
 
 
 def test_rgs_gap_finite_at_large_N(fam):
-    # 1/sqrt(pi) overflows here, so the gap must come from the bands alone
+    # 1/sqrt(pi) overflows here, so the gap must come from the diagonals alone
     g200 = spectral_gap(build_Prgs(fam("geometric", 200), 0.5)).gap
     g1000 = spectral_gap(build_Prgs(fam("geometric", 1000), 0.5)).gap
     assert math.isfinite(g1000)
@@ -741,7 +768,7 @@ def test_dgs_gap_refused(fam):
 def _hand_made(up, down, stationary):
     up, down = np.array(up), np.array(down)
     stay = 1.0 - np.r_[up, 0.0] - np.r_[0.0, down]
-    return TransitionMatrix(kind=MARGINAL_X, bands={-1: down, 0: stay, 1: up},
+    return TransitionMatrix(kind=MARGINAL_X, down=down, stay=stay, up=up,
                             stationary=np.array(stationary), N=len(stay))
 
 
@@ -845,7 +872,7 @@ def _bisection(tm):
     # the gap by plain bisection on the tests spectral_gap makes, on the
     # same scaled edge matrix: its gap, the number of tests it made, and
     # the tolerance both solvers resolve to
-    up, down = tm.bands[1], tm.bands[-1]
+    up, down = tm.up, tm.down
     off = np.sqrt(down[:-1]) * np.sqrt(up[1:])
     bound = np.max(up + down + np.r_[0.0, off] + np.r_[off, 0.0])
     scale = np.ldexp(1.0, np.frexp(bound)[1])
@@ -1004,7 +1031,7 @@ def test_slow_gap_matches_exact_reference(fam, name, kind):
     # E, which is about 1e-5 of them, so they are pinned to that tolerance
     f = fam(name, 25)
     tm = _build(f, kind)
-    up, down = tm.bands[1], tm.bands[-1]
+    up, down = tm.up, tm.down
     off = np.sqrt(down[:-1]) * np.sqrt(up[1:])
     tol = np.finfo(float).eps * np.max(up + down + np.r_[0.0, off] + np.r_[off, 0.0])
     assert spectral_gap(tm).gap == pytest.approx(_exact_gap(f, kind), abs=tol)
@@ -1046,19 +1073,6 @@ def test_tv_curve_matches_dense_transport_on_tables(kind, ring, monkeypatch):
                 for n_max in n_maxes:
                     c = tv_curve(tm, tm.states[i0], n_max)
                     assert c.values == pytest.approx(ref[:n_max + 1], abs=1e-14)
-
-
-def test_non_tridiagonal_kernel_refused():
-    # no builder makes a pentadiagonal marginal kernel; by hand, its bands
-    # at offsets -2 and 2 must be refused, not silently dropped
-    edge = np.full(4, 0.25)
-    tm = TransitionMatrix(kind=MARGINAL_X, stationary=np.full(5, 0.2), N=5,
-                          bands={-2: np.full(3, 0.25), -1: edge, 0: np.full(5, 0.0),
-                                 1: edge, 2: np.full(3, 0.25)})
-    for solve in (lambda: tv_curve(tm, 1, 10), lambda: spectral_gap(tm)):
-        with pytest.raises(IndexOutOfRange) as err:
-            solve()
-        assert "\n" not in str(err.value)
 
 
 @pytest.mark.parametrize("name, sizes, budget", [

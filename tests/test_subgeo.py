@@ -221,9 +221,9 @@ def test_report_horizon_validation(fam):
 
 def _green_diagonal_and_T(f):
     """diag(E^-1) for the marginal's edge matrix E, built densely from the
-    build_Px bands as in kernels.spectral_gap, and T_2..T_N."""
-    bands = build_Px(f).bands
-    up, down = bands[1], bands[-1]
+    build_Px up and down as in kernels.spectral_gap, and T_2..T_N."""
+    tm = build_Px(f)
+    up, down = tm.up, tm.down
     off = -np.sqrt(down[:-1] * up[1:])
     E = np.diag(up + down) + np.diag(off, 1) + np.diag(off, -1)
     T = [conditional_variance_stat(f, i) for i in range(2, f.N + 1)]

@@ -3,22 +3,21 @@
 The decision procedure reads the exact tail limits of the spec's kind
 (spec.tail_limits), in order of evidential strength:
 
-  1. ratio_test     If a_i/b_{i-1} and b_i/a_i stay bounded and
-                    A (1 + M) / (1 + m) < 1, the chain admits a geometric
-                    rate; a drift certificate is then constructed and
-                    verified, and the verdict carries it.
-  2. divergence     If any of the statistics S1, S2, S3 is flagged
-                    diverging, no geometric rate exists.
-  3. limits         If the limits A and lim a_i/b_i exist and violate
-                    the ratio test (A >= 1, or an infinite limsup), the
-                    family is subgeometric even when the finite horizon
-                    left no flag fired.
+  1. ratio_test     A drift certificate is constructed and verified;
+                    one is issued only for limits that pass the ratio
+                    test (a_i/b_{i-1} and b_i/a_i bounded and
+                    A (1 + M) / (1 + m) < 1), so the chain admits a
+                    geometric rate and the verdict carries it.
+  2. divergence     If any of the statistics S1, S2, S3 is unbounded by
+                    the same limits (subgeo.divergence_statistics), no
+                    geometric rate exists; the first such one is named.
 
 Anything else is Inconclusive: the limits satisfy the ratio test but no
-certificate clears the verifier's resolution (drift.VERIFY_TOL), or the
-limits do not exist and no statistic fired. When both premise limits
-exist, geometric and subgeometric outcomes are exhaustive and the
-verdict carries a note saying so.
+certificate clears the verifier's resolution (drift.VERIFY_TOL). The
+flags read only the limits, so they do not depend on N; the certificate
+is verified on the truncation at N. When both premise limits exist,
+geometric and subgeometric outcomes are exhaustive and the verdict
+carries a note saying so.
 
 The verdict never carries both a verified certificate and a fired
 divergence flag; the pipeline order makes the two mutually exclusive.
@@ -26,7 +25,6 @@ divergence flag; the pipeline order makes the two mutually exclusive.
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
 
@@ -93,23 +91,15 @@ def classify(spec: SequenceSpec, N: int = 200,
             verdict=outcome, basis=basis, evidence=evidence, N=N, scan_p=scan_p,
             quantities=quantities, equivalence_note=note, **found)
 
-    # 1. ratio test on the exact limits, with a verified certificate; an
-    # infinite M fails it (inf / inf is NaN, which is not below one)
-    bounded = math.isfinite(lim.a_over_bprev) and math.isfinite(lim.b_over_a)
-    if (bounded and lim.A * (1.0 + lim.M) / (1.0 + lim.m) < 1.0
-            and not isinstance(cert, NoCertificate)):
+    # 1. a verified certificate, issued only where the ratio test passes
+    if not isinstance(cert, NoCertificate):
         return verdict(GEOMETRIC, "ratio_test", EVIDENCE_LIMITS, certificate=cert)
 
-    # 2. diverging statistics
+    # 2. a statistic the exact limits leave unbounded
     report = build_subgeo_report(fam, scan_p=scan_p)
     fired = report.stats.first_diverging()
     if fired is not None:
-        return verdict(SUBGEOMETRIC, f"divergence:{fired}", EVIDENCE_NUMERIC,
-                       subgeo_summary=report.to_json_dict())
-
-    # 3. existing limits that rule a geometric rate out
-    if lim.exist and (lim.A >= 1.0 or not bounded):
-        return verdict(SUBGEOMETRIC, "limits", EVIDENCE_LIMITS,
+        return verdict(SUBGEOMETRIC, f"divergence:{fired}", EVIDENCE_LIMITS,
                        subgeo_summary=report.to_json_dict())
 
     return verdict(INCONCLUSIVE, None, EVIDENCE_NUMERIC)

@@ -3,8 +3,10 @@
 Exit codes: 0 success, 2 usage error, 3 undecided (an Inconclusive
 verdict, or no drift certificate found), 4 domain error.
 
-dispatch refuses a size option above its limit, a negative --steps and
-an --n below MIN_N (classify, drift, report) before any command runs. A
+dispatch refuses an --n or --steps above its limit (MAX_N, MAX_STEPS), a
+negative --steps and an --n below MIN_N (classify, drift, report) before
+any command runs; subgeo has no size option of its own, since its
+statistics run over the truncation's rows i = 2..N. A
 command then reads its spec and checks the arguments their text decides
 (--start, --thin, --scan-p, --seed and spectrum's --chain) before it
 looks up the numeric functions it calls, and those come from the package
@@ -57,10 +59,8 @@ MAX_STEPS = 10 ** 7
 # steps: about 1 s); the slowest are 10^7 steps on about 100 states, 3 to
 # 5 us a step (2-core Xeon VM, numpy 2.4).
 MAX_TV_WORK = 10 ** 9
-# largest subgeo --horizon: the default horizon at MAX_N
-MAX_HORIZON = 4 * MAX_N
 # the size options dispatch refuses above their limit, before any work
-_LIMITS = {"n": MAX_N, "steps": MAX_STEPS, "horizon": MAX_HORIZON}
+_LIMITS = {"n": MAX_N, "steps": MAX_STEPS}
 # smallest --n of classify, drift and report. The library takes any N >= 2
 # (the tail limits are exact); the command line keeps this floor unchanged
 MIN_N = 10
@@ -156,8 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("subgeo", help="conditional-variance and tail statistics")
     _add_spec_args(p)
     p.add_argument("--scan-p", type=float, default=None)
-    p.add_argument("--horizon", type=int, default=None,
-                   help=f"at most {MAX_HORIZON}")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("sample", help="simulate a chain")
@@ -227,8 +225,7 @@ def _cmd_tvcurve(args) -> tuple[str, int]:
 def _cmd_subgeo(args) -> tuple[str, int]:
     spec = _load_spec(args)
     fam = _cli.build_family(spec, args.n)
-    report = _cli.build_subgeo_report(fam, horizon=args.horizon,
-                                      scan_p=args.scan_p)
+    report = _cli.build_subgeo_report(fam, scan_p=args.scan_p)
     if args.format == "json":
         return _dump_json(report.to_json_dict()), 0
     return report.to_csv(), 0

@@ -22,10 +22,26 @@ of the ratio statistics
 is unbounded, by the identity
 1 / T_i = (1 - mu_i) (S1_i + S2_i + b_{i-1}/a_{i-1} + 1).
 
-Statistics are evaluated on the untruncated spec out to a horizon (four
-truncation levels by default, and at least 16) in log space; a statistic
-is flagged diverging when its running maximum tops 10^3 and is still
-growing by ten percent in the last quarter of the horizon.
+Whether each is unbounded is read from the spec's exact tail limits
+(spec.tail_limits), not from its values, so no flag depends on N:
+
+  S1  unbounded iff A >= 1
+  S2  unbounded iff A >= 1 or lim sup a_i / b_{i-1} is infinite
+  S3  unbounded iff lim sup b_i / a_i is infinite
+
+In a ratio row (power_law, geometric, table) a_i / b_i tends to k and
+a_i / a_{i-1} to r, so the tail from i is (1 + 1/k) a_{i-1} r / (1 - r)
+to first order: for r < 1, S1_i -> r (1 + 1/k) / (1 - r),
+S2_i -> r (1 + k) / (1 - r) and S3_i -> 1 / k, all finite, while for
+r = 1 (power_law) S1 and S2 grow like i and S3 tends to 1 / k.
+mixed_geometric divides its e^-i tail by b_{i-1} = e^-2(i-1) in S2
+alone. In alternating, a_i and b_i each fall to e^-2i along one parity,
+so S1 and S2 (through a_{i-1} and b_{i-1}) and S3 = b_i / a_i all grow
+like e^i along it.
+
+The statistics themselves are evaluated on the untruncated spec for
+i = 2..horizon in log space, the tail sums completed with the spec's
+closed-form mass beyond the horizon.
 
 mu_i, T_i and the norm bounds all come from one suffix and one prefix
 logaddexp sum of pi_X. The bounds keep log10 min_T, which carries min_T
@@ -42,10 +58,7 @@ import numpy as np
 
 from .errors import IndexOutOfRange, NonPositiveSequence
 from .family import BivariateFamily
-from .spec import SequenceSpec, check_scan_p
-
-_DIVERGE_LEVEL = math.log(1e3)
-_DIVERGE_GROWTH = math.log(1.1)
+from .spec import SequenceSpec, check_scan_p, tail_limits
 
 STATISTICS = ("S1", "S2", "S3")
 
@@ -92,11 +105,10 @@ class DivergenceStats:
     """The three ratio statistics on 2..horizon and their divergence flags.
 
     Values are exponentials of log-space computations and may overflow to
-    inf for strongly diverging families; the flags are decided on the log
-    scale and are unaffected.
+    inf for strongly diverging families; the flags come from the exact
+    tail limits and are unaffected.
     """
 
-    horizon: int
     indices: np.ndarray = field(repr=False)
     log_S1: np.ndarray = field(repr=False)
     log_S2: np.ndarray = field(repr=False)
@@ -115,22 +127,15 @@ class DivergenceStats:
         return None
 
 
-def _diverging(logs: np.ndarray) -> bool:
-    """Running max above 10^3 and still growing 10 percent in the last quarter."""
-    cut = (3 * len(logs)) // 4
-    r_end = float(np.max(logs))
-    r_3q = float(np.max(logs[:cut]))
-    return r_end > _DIVERGE_LEVEL and r_end > r_3q + _DIVERGE_GROWTH
-
-
 def divergence_statistics(spec: SequenceSpec, horizon: int) -> DivergenceStats:
-    """Evaluate S1, S2, S3 on the untruncated spec for i = 2..horizon.
+    """Evaluate S1, S2, S3 on the untruncated spec for i = 2..horizon, and
+    flag each that is unbounded by the spec's exact tail limits.
 
     Tail sums run termwise to the horizon and are completed with the
     spec's closed-form mass beyond it.
     """
-    if horizon < 16:
-        raise IndexOutOfRange("horizon must be at least 16")
+    if horizon < 2:
+        raise IndexOutOfRange("horizon must be at least 2")
     i = np.arange(1, horizon + 1)
     la, lb = spec.log_a(i), spec.log_b(i)
     if not (np.isfinite(la).all() and np.isfinite(lb).all()):
@@ -139,14 +144,13 @@ def divergence_statistics(spec: SequenceSpec, horizon: int) -> DivergenceStats:
     beyond = spec.log_mass_beyond(horizon)
     log_tail = np.logaddexp(
         np.logaddexp.accumulate(log_piy[::-1])[::-1], beyond)
+    lim = tail_limits(spec)
+    s1 = lim.A >= 1.0
+    flags = {"S1": s1, "S2": s1 or lim.a_over_bprev == math.inf,
+             "S3": lim.b_over_a == math.inf}
     # S1_i and S2_i for i = 2..horizon divide the tail from i by a_{i-1}, b_{i-1}
-    log_S1 = log_tail[1:] - la[:-1]
-    log_S2 = log_tail[1:] - lb[:-1]
-    log_S3 = lb[1:] - la[1:]
-    flags = {"S1": _diverging(log_S1), "S2": _diverging(log_S2),
-             "S3": _diverging(log_S3)}
-    return DivergenceStats(horizon=horizon, indices=np.arange(2, horizon + 1),
-                           log_S1=log_S1, log_S2=log_S2, log_S3=log_S3,
+    return DivergenceStats(indices=i[1:], log_S1=log_tail[1:] - la[:-1],
+                           log_S2=log_tail[1:] - lb[:-1], log_S3=lb[1:] - la[1:],
                            flags=flags)
 
 
@@ -166,9 +170,7 @@ class SubgeoReport:
     stats: DivergenceStats
 
     def to_csv(self) -> str:
-        s1 = self.stats.values("S1")[: self.N - 1]
-        s2 = self.stats.values("S2")[: self.N - 1]
-        s3 = self.stats.values("S3")[: self.N - 1]
+        s1, s2, s3 = (self.stats.values(name) for name in STATISTICS)
         lines = ["i,mu_i,T_i,S1_i,S2_i,S3_i"]
         for k in range(self.N - 1):
             cells = (self.mu[k], self.T[k], s1[k], s2[k], s3[k])
@@ -178,7 +180,6 @@ class SubgeoReport:
     def to_json_dict(self) -> dict:
         return {
             "N": self.N,
-            "horizon": self.stats.horizon,
             "min_T": self.bounds.min_T,
             "log10_min_T": self.bounds.log10_min_T,
             "norm_lower_bound": self.bounds.px_norm_lb,
@@ -188,15 +189,12 @@ class SubgeoReport:
         }
 
 
-def build_subgeo_report(fam: BivariateFamily, horizon: int | None = None,
+def build_subgeo_report(fam: BivariateFamily, *,
                         scan_p: float | None = None) -> SubgeoReport:
-    """Assemble mu, T, norm bounds and divergence flags for a family; mu,
-    T and the bounds share one suffix and one prefix sum of pi_X."""
-    if horizon is None:
-        horizon = max(4 * fam.N, 16)
-    if horizon < fam.N:
-        raise IndexOutOfRange("horizon must reach the truncation level")
-    stats = divergence_statistics(fam.spec, horizon)
+    """Assemble mu, T, norm bounds, and the statistics and flags of
+    divergence_statistics, all for i = 2..N; mu, T and the bounds share
+    one suffix and one prefix sum of pi_X."""
+    stats = divergence_statistics(fam.spec, fam.N)
     log_mu, log_T = _log_mu_T(fam)
     return SubgeoReport(N=fam.N, mu=np.exp(log_mu), T=np.exp(log_T),
                         bounds=_norm_bounds(log_T, scan_p), scan_p=scan_p,

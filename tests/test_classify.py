@@ -67,14 +67,28 @@ def test_subgeometric_carries_summary_with_fired_flag():
     assert 0.0 < v.subgeo_summary["norm_lower_bound"] <= 1.0
 
 
-def test_declared_limits_fallback():
-    # at N = 10 the horizon is too short for any ratio statistic to clear
-    # the divergence level, but the exact tail limits (A = 1) settle it
+def test_power_law_fires_S1_at_small_N():
+    # the flags come from the exact tail limits (A = 1), so the verdict and
+    # its summary name S1 at N = 10 as at every other N
     v = classify(example_spec("power-law"), N=10)
     assert v.verdict == "Subgeometric"
-    assert v.basis == "limits"
+    assert v.basis == "divergence:S1"
     assert v.evidence == "exact-limits"
+    assert v.subgeo_summary["diverging"]["S1"]
     assert "exhaustive" in v.equivalence_note
+
+
+def test_geometric_tail_behind_steep_entries_fires_no_flag():
+    # the a entries fall by 10^-5 a step, so S1 and S3 grow fast on them,
+    # but beyond the table the tail has ratio 0.5 and a_i / b_i = 3.3e-71:
+    # every statistic is bounded, and the certificate's margin, of the
+    # order of that ratio, rounds to 0
+    spec = table(tuple(10.0 ** (-5 * k) for k in range(16)), (1.0,),
+                 tail_ratio=0.5)
+    for N in (2, 5, 10, 200):
+        v = classify(spec, N=N)
+        assert (v.verdict, v.basis) == ("Inconclusive", None)
+        assert v.subgeo_summary is None
 
 
 def test_inconclusive_witness():

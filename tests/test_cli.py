@@ -361,12 +361,11 @@ def test_n_above_limit_exits_4_before_allocating(capsys, command):
 @pytest.mark.parametrize("argv", [
     ("tvcurve", "--example", "geometric", "--steps", "100000000"),
     ("sample", "--example", "geometric", "--steps", "100000000"),
-    ("subgeo", "--example", "geometric", "--horizon", "1000000000"),
     ("tvcurve", "--example", "geometric", "--n", "200", "--steps", "10000000"),
     ("tvcurve", "--example", "geometric", "--n", "1000000", "--steps", "10000000"),
     ("tvcurve", "--example", "geometric", "--chain", "dgs", "--n", "200",
      "--steps", "10000000"),
-], ids=["tvcurve-steps", "sample-steps", "subgeo-horizon", "tvcurve-work",
+], ids=["tvcurve-steps", "sample-steps", "tvcurve-work",
         "tvcurve-work-large-n", "tvcurve-work-dgs"])
 def test_size_above_limit_exits_4_before_allocating(capsys, argv):
     started = time.perf_counter()
@@ -414,12 +413,13 @@ def test_huge_power_law_exponent_exits_4_without_a_warning(capsys, command, d, n
     assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
-def test_subgeo_refuses_a_horizon_past_the_finite_sequence(capsys):
-    # N = 3 is finite, but the statistics run to horizon 16, past i = 7
+def test_subgeo_answers_on_the_finite_rows_of_a_huge_exponent(capsys):
+    # log a_i is finite for i <= 6, and the statistics run over i = 2..N
+    # only; the flags come from the limits (A = 1), not from the rows
     code, out, err = run(capsys, "subgeo", "--spec", _power_law(1e308),
-                         "--n", "3")
-    assert code == 4 and out == ""
-    assert len(err.splitlines()) == 1 and err.startswith("error:")
+                         "--n", "3", "--format", "json")
+    assert code == 0 and err == ""
+    assert json.loads(out, parse_constant=pytest.fail)["diverging"]["S1"]
 
 
 @pytest.mark.parametrize("command", SPEC_COMMANDS)
@@ -444,13 +444,9 @@ def test_spec_file_not_utf8_exits_4(tmp_path, capsys):
 
 @pytest.mark.parametrize("n", ["2", "3"])
 def test_subgeo_default_horizon_at_small_n(capsys, n):
-    # the default horizon 4N is floored at the statistics' minimum of 16
-    code, out, err = run(capsys, "subgeo", "--example", "geometric", "--n", n,
-                         "--format", "json")
+    code, out, err = run(capsys, "subgeo", "--example", "geometric", "--n", n)
     assert code == 0 and err == ""
-    assert json.loads(out)["horizon"] == 16
-    code, out, _ = run(capsys, "subgeo", "--example", "geometric", "--n", n)
-    assert code == 0 and len(out.splitlines()) == int(n)   # header, i = 2..N
+    assert len(out.splitlines()) == int(n)   # header, i = 2..N
 
 
 def test_examples_listing(capsys):
@@ -559,6 +555,9 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         dispatch(["classify", "--example", "nope"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        dispatch(["subgeo", "--example", "geometric", "--horizon", "100"])
+    assert exc.value.code == 2                      # not an option
     capsys.readouterr()
     missing = str(tmp_path / "missing.json")
     code, out, err = run(capsys, "classify", "--spec", missing)
@@ -765,12 +764,14 @@ def _spec_docs(draw):
 
 
 @settings(max_examples=80, deadline=None, database=None)
-@given(st.sampled_from(["classify", "drift"]), _spec_docs(), st.integers(10, 60),
-       st.sampled_from([[], ["--scan-p", "0.5"]]))
+@given(st.sampled_from(["classify", "drift", "subgeo"]), _spec_docs(),
+       st.integers(10, 60), st.sampled_from([[], ["--scan-p", "0.5"]]))
 def test_spec_fuzz_answers_or_refuses_once(command, doc, n, scan):
     out, err = io.StringIO(), io.StringIO()
+    fmt = ["--format", "json"] if command == "subgeo" else []
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = dispatch([command, "--spec", json.dumps(doc), "--n", str(n), *scan])
+        code = dispatch([command, "--spec", json.dumps(doc), "--n", str(n), *scan,
+                         *fmt])
     assert code in (0, 3, 4)
     if code == 4:
         assert out.getvalue() == "" and "Traceback" not in err.getvalue()

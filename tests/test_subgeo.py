@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergochain import (
     IndexOutOfRange,
@@ -21,6 +23,7 @@ from ergochain import (
     example_spec,
     power_law,
     table,
+    tail_limits,
 )
 
 T_LIMIT_GEO = 0.20901164656533677    # (e-2) / (2(e-1)), frozen
@@ -172,8 +175,31 @@ def test_S1_matches_termwise_tail_sum():
 
 
 def test_divergence_horizon_validation():
+    # the statistics start at i = 2, so the shortest horizon is 2
     with pytest.raises(IndexOutOfRange):
-        divergence_statistics(example_spec("geometric"), 8)
+        divergence_statistics(example_spec("geometric"), 1)
+    assert list(divergence_statistics(example_spec("geometric"), 2).indices) == [2]
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=5),
+       st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=5),
+       st.floats(0.01, 0.99999), st.integers(1, 40))
+def test_table_statistics_past_the_tables_equal_their_limits(a, b, ratio, extra):
+    # past both tables a_i / b_i = k and a_i / a_{i-1} = r exactly, so the
+    # tail from i is (1 + 1/k) a_{i-1} r / (1 - r) and each statistic is
+    # at its limit; all three are bounded, so no flag is set
+    spec = table(a, b, tail_ratio=ratio)
+    lim = tail_limits(spec)
+    k, r = lim.m, lim.A
+    first = max(len(a), len(b)) + 2        # i - 1 past both tables
+    stats = divergence_statistics(spec, first + extra)
+    past = stats.indices >= first
+    limits = {"S1": r * (1.0 + 1.0 / k) / (1.0 - r),
+              "S2": r * (1.0 + k) / (1.0 - r), "S3": 1.0 / k}
+    for name, limit in limits.items():
+        np.testing.assert_allclose(stats.values(name)[past], limit, rtol=1e-12)
+    assert stats.flags == {"S1": False, "S2": False, "S3": False}
 
 
 # -- report ------------------------------------------------------------------
@@ -190,7 +216,7 @@ def test_report_shapes_and_serialization(fam):
 
     d = rep.to_json_dict()
     assert d["N"] == 50
-    assert d["horizon"] == 200
+    assert "horizon" not in d
     assert set(d["diverging"]) == {"S1", "S2", "S3"}
     assert d["scan_p"] == 0.5
 
@@ -212,11 +238,6 @@ def test_log10_min_T_where_min_T_underflows(fam, name, log10_min_T):
     nb = build_subgeo_report(fam(name, 2000)).bounds
     assert nb.min_T == 0.0
     assert nb.log10_min_T == pytest.approx(log10_min_T, abs=1e-4)
-
-
-def test_report_horizon_validation(fam):
-    with pytest.raises(IndexOutOfRange):
-        build_subgeo_report(fam("geometric", 50), horizon=40)
 
 
 def _green_diagonal_and_T(f):

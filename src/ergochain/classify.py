@@ -1,26 +1,19 @@
 """End-to-end ergodicity classification for staircase families.
 
-The decision procedure reads the exact tail limits of the spec's kind
-(spec.tail_limits), in order of evidential strength:
+classify decides from the exact tail limits of the spec's kind
+(spec.tail_limits). If they leave a statistic S1, S2 or S3 unbounded
+(subgeo.divergence_flags), the verdict is Subgeometric, basis
+divergence:<the first such one>, with the subgeo summary at N. Otherwise
+it is Geometric, basis ratio_test, with drift.certify's certificate at N,
+or none where certify refuses for want of float64 margin (drift says
+why): the certificate witnesses the truncation and decides nothing.
 
-  1. ratio_test     A drift certificate is constructed and verified;
-                    one is issued only for limits that pass the ratio
-                    test (a_i/b_{i-1} and b_i/a_i bounded and
-                    A (1 + M) / (1 + m) < 1), so the chain admits a
-                    geometric rate and the verdict carries it.
-  2. divergence     If any of the statistics S1, S2, S3 is unbounded by
-                    the same limits (subgeo.divergence_statistics), no
-                    geometric rate exists; the first such one is named.
-
-Anything else is Inconclusive: the limits satisfy the ratio test but no
-certificate clears the verifier's resolution (drift.VERIFY_TOL). The
-flags read only the limits, so they do not depend on N; the certificate
-is verified on the truncation at N. When both premise limits exist,
-geometric and subgeometric outcomes are exhaustive and the verdict
-carries a note saying so.
-
-The verdict never carries both a verified certificate and a fired
-divergence flag; the pipeline order makes the two mutually exclusive.
+Two outcomes suffice: the ratio test (A < 1, a_over_bprev and b_over_a
+finite, A (1 + M) / (1 + m) < 1) is the paper's sufficient condition for
+a geometric rate of both scans, and for every kind in spec.KINDS a row
+fails it exactly when a flag fires (ratio rows have m = M and A = r and
+pass iff r < 1; power_law's r = 1 fires S1, mixed_geometric S2 and
+alternating S1). The limits do not depend on N, nor does the verdict.
 """
 
 from __future__ import annotations
@@ -32,14 +25,14 @@ from .drift import DriftCertificate, NoCertificate, certify
 from .errors import EmptyReport, UnknownFormat
 from .family import build_family
 from .spec import SequenceSpec, _dump_json, _encode_extended, tail_limits
-from .subgeo import build_subgeo_report
+from .subgeo import build_subgeo_report, divergence_flags
 
 GEOMETRIC = "Geometric"
 SUBGEOMETRIC = "Subgeometric"
+# no verdict has it; perfbench/harness.py still counts against it
 INCONCLUSIVE = "Inconclusive"
 
 EVIDENCE_LIMITS = "exact-limits"
-EVIDENCE_NUMERIC = "numeric-estimates"
 
 _EQUIVALENCE_NOTE = ("limits of a_i/a_{i-1} and a_i/b_i exist, so the geometric "
                      "and subgeometric outcomes are exhaustive")
@@ -50,7 +43,7 @@ class ErgodicityVerdict:
     """Classification outcome with the evidence that produced it."""
 
     verdict: str
-    basis: str | None
+    basis: str
     evidence: str
     N: int
     scan_p: float | None
@@ -84,25 +77,23 @@ def classify(spec: SequenceSpec, N: int = 200,
     lim = tail_limits(spec)
     quantities = {k: v for k, v in lim._asdict().items() if k != "exist"}
     note = _EQUIVALENCE_NOTE if lim.exist else None
-    cert = certify(fam, scan_p)
 
-    def verdict(outcome, basis, evidence, **found):
+    def verdict(outcome, basis, **found):
         return ErgodicityVerdict(
-            verdict=outcome, basis=basis, evidence=evidence, N=N, scan_p=scan_p,
-            quantities=quantities, equivalence_note=note, **found)
+            verdict=outcome, basis=basis, evidence=EVIDENCE_LIMITS, N=N,
+            scan_p=scan_p, quantities=quantities, equivalence_note=note, **found)
 
-    # 1. a verified certificate, issued only where the ratio test passes
-    if not isinstance(cert, NoCertificate):
-        return verdict(GEOMETRIC, "ratio_test", EVIDENCE_LIMITS, certificate=cert)
-
-    # 2. a statistic the exact limits leave unbounded
-    report = build_subgeo_report(fam, scan_p=scan_p)
-    fired = report.stats.first_diverging()
+    # 1. a statistic the exact limits leave unbounded
+    fired = next((name for name, f in divergence_flags(lim).items() if f), None)
     if fired is not None:
-        return verdict(SUBGEOMETRIC, f"divergence:{fired}", EVIDENCE_LIMITS,
+        report = build_subgeo_report(fam, scan_p=scan_p)
+        return verdict(SUBGEOMETRIC, f"divergence:{fired}",
                        subgeo_summary=report.to_json_dict())
 
-    return verdict(INCONCLUSIVE, None, EVIDENCE_NUMERIC)
+    # 2. none is, so the limits pass the ratio test
+    cert = certify(fam, scan_p)
+    return verdict(GEOMETRIC, "ratio_test",
+                   certificate=None if isinstance(cert, NoCertificate) else cert)
 
 
 # -- reporting -------------------------------------------------------------
@@ -135,8 +126,8 @@ def verdict_report(verdicts: list[ErgodicityVerdict], fmt: str = "table") -> str
             info = f"min_T={_min_T_text(v.subgeo_summary)}"
         else:
             info = "-"
-        rows.append((v.label or "-", str(v.N), v.verdict, v.basis or "-",
-                     v.evidence, info))
+        rows.append((v.label or "-", str(v.N), v.verdict, v.basis, v.evidence,
+                     info))
     widths = [max(len(r[k]) for r in rows) for k in range(len(headers))]
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
              for row in rows]
@@ -144,7 +135,6 @@ def verdict_report(verdicts: list[ErgodicityVerdict], fmt: str = "table") -> str
 
 
 __all__ = [
-    "GEOMETRIC", "SUBGEOMETRIC", "INCONCLUSIVE",
-    "EVIDENCE_LIMITS", "EVIDENCE_NUMERIC",
+    "GEOMETRIC", "SUBGEOMETRIC", "INCONCLUSIVE", "EVIDENCE_LIMITS",
     "ErgodicityVerdict", "classify", "verdict_report",
 ]

@@ -1,7 +1,7 @@
 """Command line interface.
 
-Exit codes: 0 success, 2 usage error, 3 undecided (an Inconclusive
-verdict, or no drift certificate found), 4 domain error.
+Exit codes: 0 success, 2 usage error, 3 no drift certificate (drift
+only; classify always decides), 4 domain error.
 
 dispatch refuses an --n or --steps above its limit (MAX_N, MAX_STEPS), a
 negative --steps and an --n below MIN_N (classify, drift, report) before
@@ -36,7 +36,7 @@ from .spec import (DGS, MARGINAL_X, RGS, SequenceSpec, _dump_json, check_gap_kin
 # statement before it looks one up
 _NUMERIC = ("build_family", "build_Px", "build_Pdgs", "build_Prgs", "tv_curve",
             "spectral_gap", "certify", "NoCertificate", "build_subgeo_report",
-            "classify", "verdict_report", "INCONCLUSIVE", "RunConfig",
+            "classify", "verdict_report", "RunConfig",
             "run_chain", "batch_means", "CLT_NOTE")
 _cli = sys.modules[__name__]
 
@@ -193,10 +193,9 @@ def _cmd_classify(args) -> tuple[str, int]:
     import dataclasses      # after the refusals; classify has loaded it
 
     v = dataclasses.replace(v, label=args.example or "spec")
-    code = 3 if v.verdict == _cli.INCONCLUSIVE else 0
     if args.format == "table":
-        return _cli.verdict_report([v], "table"), code
-    return _dump_json(v.to_json_dict()), code
+        return _cli.verdict_report([v], "table"), 0
+    return _dump_json(v.to_json_dict()), 0
 
 
 def _cmd_drift(args) -> tuple[str, int]:

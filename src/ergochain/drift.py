@@ -46,8 +46,9 @@ one path that issues a certificate.
 A certificate proves a geometric rate for the chain truncated at N, not
 for the infinite family, but its constants are the untruncated tail's,
 so power-law, which has no geometric rate, is refused at every N.
-Whether the family converges geometrically is classify's answer, which
-also reads the tail limits' ratio test and the divergence statistics.
+Whether the family converges geometrically is classify's answer, read
+from the tail limits alone: where certify refuses for want of margin,
+a Geometric verdict carries no certificate.
 """
 
 from __future__ import annotations

@@ -23,7 +23,8 @@ is unbounded, by the identity
 1 / T_i = (1 - mu_i) (S1_i + S2_i + b_{i-1}/a_{i-1} + 1).
 
 Whether each is unbounded is read from the spec's exact tail limits
-(spec.tail_limits), not from its values, so no flag depends on N:
+(spec.tail_limits) by divergence_flags, not from its values, so no flag
+depends on N:
 
   S1  unbounded iff A >= 1
   S2  unbounded iff A >= 1 or lim sup a_i / b_{i-1} is infinite
@@ -58,7 +59,7 @@ import numpy as np
 
 from .errors import IndexOutOfRange, NonPositiveSequence
 from .family import BivariateFamily
-from .spec import SequenceSpec, check_scan_p, tail_limits
+from .spec import SequenceSpec, TailLimits, check_scan_p, tail_limits
 
 STATISTICS = ("S1", "S2", "S3")
 
@@ -127,6 +128,14 @@ class DivergenceStats:
         return None
 
 
+def divergence_flags(lim: TailLimits) -> dict:
+    """Whether the exact tail limits leave S1, S2 and S3 unbounded, in
+    STATISTICS order."""
+    s1 = lim.A >= 1.0
+    return {"S1": s1, "S2": s1 or lim.a_over_bprev == math.inf,
+            "S3": lim.b_over_a == math.inf}
+
+
 def divergence_statistics(spec: SequenceSpec, horizon: int) -> DivergenceStats:
     """Evaluate S1, S2, S3 on the untruncated spec for i = 2..horizon, and
     flag each that is unbounded by the spec's exact tail limits.
@@ -144,14 +153,10 @@ def divergence_statistics(spec: SequenceSpec, horizon: int) -> DivergenceStats:
     beyond = spec.log_mass_beyond(horizon)
     log_tail = np.logaddexp(
         np.logaddexp.accumulate(log_piy[::-1])[::-1], beyond)
-    lim = tail_limits(spec)
-    s1 = lim.A >= 1.0
-    flags = {"S1": s1, "S2": s1 or lim.a_over_bprev == math.inf,
-             "S3": lim.b_over_a == math.inf}
     # S1_i and S2_i for i = 2..horizon divide the tail from i by a_{i-1}, b_{i-1}
     return DivergenceStats(indices=i[1:], log_S1=log_tail[1:] - la[:-1],
                            log_S2=log_tail[1:] - lb[:-1], log_S3=lb[1:] - la[1:],
-                           flags=flags)
+                           flags=divergence_flags(tail_limits(spec)))
 
 
 @dataclass(frozen=True)
@@ -204,5 +209,5 @@ def build_subgeo_report(fam: BivariateFamily, *,
 __all__ = [
     "STATISTICS", "NormBounds", "DivergenceStats", "SubgeoReport",
     "conditional_variance_stat",
-    "divergence_statistics", "build_subgeo_report",
+    "divergence_flags", "divergence_statistics", "build_subgeo_report",
 ]

@@ -13,16 +13,25 @@ from ergochain import (
     DriftCertificate,
     EmptyReport,
     ErgodicityVerdict,
+    NoCertificate,
     UnknownFormat,
+    alternating,
     build_family,
     build_subgeo_report,
     certify,
     classify,
+    divergence_flags,
     example_spec,
+    geometric,
+    mixed_geometric,
+    power_law,
     table,
+    tail_limits,
     verdict_report,
+    verify_drift,
 )
 from ergochain.drift import VERIFY_TOL
+from ergochain.spec import KINDS
 
 EXPECTED = {
     "power-law": ("Subgeometric", "divergence:S1"),
@@ -81,27 +90,27 @@ def test_power_law_fires_S1_at_small_N():
 def test_geometric_tail_behind_steep_entries_fires_no_flag():
     # the a entries fall by 10^-5 a step, so S1 and S3 grow fast on them,
     # but beyond the table the tail has ratio 0.5 and a_i / b_i = 3.3e-71:
-    # every statistic is bounded, and the certificate's margin, of the
-    # order of that ratio, rounds to 0
+    # every statistic is bounded, so the verdict is Geometric, and the
+    # certificate's margin, of the order of that ratio, rounds to 0
     spec = table(tuple(10.0 ** (-5 * k) for k in range(16)), (1.0,),
                  tail_ratio=0.5)
     for N in (2, 5, 10, 200):
         v = classify(spec, N=N)
-        assert (v.verdict, v.basis) == ("Inconclusive", None)
-        assert v.subgeo_summary is None
+        assert (v.verdict, v.basis) == ("Geometric", "ratio_test")
+        assert v.certificate is None and v.subgeo_summary is None
 
 
-def test_inconclusive_witness():
-    # tail ratio 0.9999: the exact limits pass the ratio test, but the
-    # best certificate's margin -log rho, 7.8e-11, is below the verifier's
-    # tolerance, and no statistic fires
+def test_near_critical_table_without_certificate_is_geometric():
+    # tail ratio 0.9999: the exact limits pass the ratio test and no
+    # statistic fires, though the best certificate's margin -log rho,
+    # 7.8e-11, is below the verifier's tolerance
     spec = table((1.0,), (1.0,), tail_ratio=0.9999)
     v = classify(spec, N=60)
-    assert v.verdict == "Inconclusive"
-    assert v.basis is None
+    assert (v.verdict, v.basis, v.evidence) == ("Geometric", "ratio_test",
+                                                "exact-limits")
     assert v.certificate is None
-    assert v.evidence == "numeric-estimates"
     assert v.quantities["A"] == 0.9999
+    assert isinstance(certify(build_family(spec, 60)), NoCertificate)
 
 
 @pytest.mark.parametrize("r", [0.99, 0.995, 0.999])
@@ -120,16 +129,67 @@ def test_near_critical_table_is_geometric(r):
        st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=4),
        st.floats(0.01, 0.99999), st.integers(2, 60))
 def test_drift_certificate_alone_decides(a, b, r, N):
-    # a certificate is issued only for rows that pass the ratio test, so
-    # it always decides at step 1: no verdict rests on it alone
+    # a table with a tail ratio below one is Geometric at every N; the
+    # verdict carries certify's certificate when one is issued and none
+    # only where certify refuses
     spec = table(a, b, tail_ratio=r)
     v = classify(spec, N=N)
     cert = certify(build_family(spec, N))
-    assert isinstance(cert, DriftCertificate) == (v.verdict == "Geometric")
-    if v.verdict == "Geometric":
-        assert (v.basis, v.certificate) == ("ratio_test", cert)
+    assert (v.verdict, v.basis) == ("Geometric", "ratio_test")
+    if isinstance(cert, DriftCertificate):
+        assert v.certificate == cert
     else:
-        assert v.verdict == "Inconclusive" and v.basis is None
+        assert v.certificate is None
+
+
+_LOG_ENTRY = st.floats(-700.0, 700.0)
+_TAIL_RATIO = (st.floats(1e-300, 1e-3) | st.floats(1e-3, 0.999)
+               | st.floats(0.999, 1.0 - 1e-15))
+
+
+@st.composite
+def _specs(draw):
+    """Specs of all five kinds: tables with entries over e^+-700 and tail
+    ratios near 0 and near 1."""
+    kind = draw(st.sampled_from(KINDS))
+    pos = st.floats(1e-3, 1e3)
+    if kind == "power_law":
+        return power_law(draw(st.floats(1.5, 6.0)), draw(pos), draw(pos))
+    if kind == "geometric":
+        return geometric(draw(pos))
+    if kind == "mixed_geometric":
+        return mixed_geometric(draw(pos))
+    if kind == "alternating":
+        return alternating(draw(pos))
+    entries = st.lists(_LOG_ENTRY, min_size=1, max_size=6).map(
+        lambda logs: tuple(math.exp(x) for x in logs))
+    return table(draw(entries), draw(entries), tail_ratio=draw(_TAIL_RATIO))
+
+
+def _ratio_test(lim):
+    """The paper's sufficient condition for a geometric rate of both scans."""
+    return (lim.A < 1.0 and math.isfinite(lim.a_over_bprev)
+            and math.isfinite(lim.b_over_a)
+            and lim.A * ((1.0 + lim.M) / (1.0 + lim.m)) < 1.0)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_specs())
+def test_no_fired_flag_is_the_ratio_test(spec):
+    lim = tail_limits(spec)
+    assert (not any(divergence_flags(lim).values())) == _ratio_test(lim)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_specs(), st.integers(2, 60), st.sampled_from([None, 0.5]))
+def test_classify_has_two_outcomes_decided_by_the_flags(spec, N, scan_p):
+    fam = build_family(spec, N)
+    v = classify(spec, N=N, scan_p=scan_p)
+    fired = any(divergence_flags(tail_limits(spec)).values())
+    assert v.verdict == ("Subgeometric" if fired else "Geometric")
+    if v.certificate is not None:
+        assert v.verdict == "Geometric"
+        assert verify_drift(v.certificate, fam).holds
 
 
 def test_certificate_and_divergence_are_exclusive():
@@ -204,7 +264,7 @@ def test_report_json_refuses_nan():
     # the JSON is strict, as every other JSON the command line writes
     v = ErgodicityVerdict(
         verdict="Subgeometric", basis="divergence:S1",
-        evidence="numeric-estimates", N=50, scan_p=None, quantities={},
+        evidence="exact-limits", N=50, scan_p=None, quantities={},
         subgeo_summary={"min_T": float("nan")}, label="nan")
     with pytest.raises(ValueError):
         verdict_report([v], "json")

@@ -21,7 +21,7 @@ from ergochain.diagnostics import CLT_NOTE
 
 # the ratio test passes (A = 0.9999), but the best certificate's margin
 # -log rho = 7.8e-11 is below the verifier's tolerance 1e-10
-INCONCLUSIVE_SPEC = table((1.0,), (1.0,), tail_ratio=0.9999).to_json()
+UNCERTIFIED_SPEC = table((1.0,), (1.0,), tail_ratio=0.9999).to_json()
 # certifies with -log rho = 3.1e-10, but no lift to the random scan fits in
 # float64: gamma rounds to 1.0 at scan probability 1e-7
 UNLIFTABLE_SPEC = table((1.0,), (1.0,), tail_ratio=0.9998).to_json()
@@ -58,28 +58,32 @@ def test_classify_table_format(capsys):
     assert "Subgeometric" in lines[1]
 
 
-def test_classify_inconclusive_exits_3(capsys):
-    code, out, _ = run(capsys, "classify", "--spec", INCONCLUSIVE_SPEC,
+def test_classify_uncertified_geometric_exits_0(capsys):
+    code, out, _ = run(capsys, "classify", "--spec", UNCERTIFIED_SPEC,
                        "--n", "60")
-    assert code == 3
-    assert json.loads(out)["verdict"] == "Inconclusive"
+    assert code == 0
+    d = json.loads(out)
+    assert (d["verdict"], d["basis"]) == ("Geometric", "ratio_test")
+    assert d["certificate"] is None
 
 
-def test_classify_inconclusive_table_row(capsys):
-    # an Inconclusive verdict has neither certificate nor summary: no rate_info
-    code, out, _ = run(capsys, "classify", "--spec", INCONCLUSIVE_SPEC,
+def test_classify_uncertified_table_row(capsys):
+    # a Geometric verdict without a certificate has no rate_info
+    code, out, _ = run(capsys, "classify", "--spec", UNCERTIFIED_SPEC,
                        "--format", "table")
-    assert code == 3
+    assert code == 0
     row = out.splitlines()[1].split()
-    assert row[2] == "Inconclusive" and row[-1] == "-"
+    assert row[2] == "Geometric" and row[-1] == "-"
 
 
 def test_classify_spec_from_file(tmp_path, capsys):
     path = tmp_path / "family.json"
-    path.write_text(INCONCLUSIVE_SPEC)
+    path.write_text(UNCERTIFIED_SPEC)
     code, out, _ = run(capsys, "classify", "--spec", str(path), "--n", "60")
-    assert code == 3
-    assert json.loads(out)["label"] == "spec"
+    assert code == 0
+    d = json.loads(out)
+    assert d["label"] == "spec" and d["verdict"] == "Geometric"
+    assert d["certificate"] is None
 
 
 def test_drift_certificate_found(capsys):
@@ -110,13 +114,14 @@ def test_drift_refusal_exits_3(capsys):
 
 @pytest.mark.parametrize("command", ["classify", "drift"])
 def test_unrepresentable_lift_is_undecided(capsys, command):
+    # drift refuses the lift; classify decides from the tail limits alone
     code, out, err = run(capsys, command, "--spec", UNLIFTABLE_SPEC,
                          "--n", "154", "--scan-p", "1e-7")
-    assert code == 3 and err == ""
+    assert code == (0 if command == "classify" else 3) and err == ""
     d = json.loads(out, parse_constant=_reject_constant)
     assert d["certificate"] is None
     if command == "classify":
-        assert d["verdict"] == "Inconclusive"
+        assert (d["verdict"], d["basis"]) == ("Geometric", "ratio_test")
     else:
         assert "lift" in d["reason"]
 
@@ -131,15 +136,32 @@ def test_unlifted_certificate_is_geometric(capsys):
 @pytest.mark.parametrize("command", ["classify", "drift"])
 def test_vacuous_certificate_is_refused(capsys, command):
     # verify_drift accepts a log excess up to VERIFY_TOL = 1e-10, so a rate
-    # 1 - 4.4e-16 proves nothing: the search refuses it, naming the tolerance
+    # 1 - 4.4e-16 proves nothing: the search refuses it, naming the
+    # tolerance, and classify decides Geometric from the tail limits alone
     code, out, err = run(capsys, command, "--spec", VACUOUS_SPEC, "--n", "154")
-    assert code == 3 and err == ""
+    assert code == (0 if command == "classify" else 3) and err == ""
     d = json.loads(out, parse_constant=_reject_constant)
     assert d["certificate"] is None
     if command == "classify":
-        assert (d["verdict"], d["basis"]) == ("Inconclusive", None)
+        assert (d["verdict"], d["basis"]) == ("Geometric", "ratio_test")
     else:
         assert "VERIFY_TOL = 1e-10" in d["reason"]
+
+
+@pytest.mark.parametrize("a, b", [([1.0], [1e-10]), ([1e-10], [1.0])])
+@pytest.mark.parametrize("n", ["10", "200"])
+def test_far_from_balanced_table_is_geometric_but_not_certified(capsys, a, b, n):
+    # q_hat is about 1e-10, so the certificate's margin is below VERIFY_TOL:
+    # classify decides from the tail limits, and drift says why it refuses
+    spec = json.dumps({"kind": "table", "params": {"a": a, "b": b,
+                                                   "tail_ratio": 0.5}})
+    code, out, _ = run(capsys, "classify", "--spec", spec, "--n", n)
+    d = json.loads(out)
+    assert code == 0
+    assert (d["verdict"], d["basis"], d["certificate"]) == ("Geometric",
+                                                            "ratio_test", None)
+    code, out, _ = run(capsys, "drift", "--spec", spec, "--n", n)
+    assert code == 3 and "VERIFY_TOL = 1e-10" in json.loads(out)["reason"]
 
 
 def _reject_constant(name):
@@ -772,7 +794,7 @@ def test_spec_fuzz_answers_or_refuses_once(command, doc, n, scan):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = dispatch([command, "--spec", json.dumps(doc), "--n", str(n), *scan,
                          *fmt])
-    assert code in (0, 3, 4)
+    assert code in ((0, 4) if command == "classify" else (0, 3, 4))
     if code == 4:
         assert out.getvalue() == "" and "Traceback" not in err.getvalue()
         lines = err.getvalue().splitlines()

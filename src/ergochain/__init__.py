@@ -26,8 +26,7 @@ _EXPORTS = {
     "drift": ("drift_coefficient", "DriftCertificate", "NoCertificate",
               "find_drift_certificate", "admissible_c_interval", "lift_to_rgs",
               "DriftReport", "verify_drift", "certify"),
-    "subgeo": ("conditional_variance_stat", "NormBounds", "divergence_flags",
-               "divergence_statistics", "DivergenceStats", "SubgeoReport",
+    "subgeo": ("conditional_variance_stat", "divergence_flags", "SubgeoReport",
                "build_subgeo_report"),
     "classify": ("GEOMETRIC", "SUBGEOMETRIC", "INCONCLUSIVE", "ErgodicityVerdict",
                  "classify", "verdict_report"),

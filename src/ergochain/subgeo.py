@@ -40,9 +40,10 @@ alone. In alternating, a_i and b_i each fall to e^-2i along one parity,
 so S1 and S2 (through a_{i-1} and b_{i-1}) and S3 = b_i / a_i all grow
 like e^i along it.
 
-The statistics themselves are evaluated on the untruncated spec for
-i = 2..horizon in log space, the tail sums completed with the spec's
-closed-form mass beyond the horizon.
+Only the CSV evaluates the statistics themselves, on the untruncated
+spec for i = 2..N in log space, the tail sums completed with the spec's
+closed-form mass beyond N; the JSON summary, and so classify, read
+their flags alone.
 
 mu_i, T_i and the norm bounds all come from one suffix and one prefix
 logaddexp sum of pi_X. The bounds keep log10 min_T, which carries min_T
@@ -57,7 +58,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IndexOutOfRange, NonPositiveSequence
+from .errors import IndexOutOfRange
 from .family import BivariateFamily
 from .spec import SequenceSpec, TailLimits, check_scan_p, tail_limits
 
@@ -79,55 +80,6 @@ def conditional_variance_stat(fam: BivariateFamily, i: int) -> float:
     return float(np.exp(_log_mu_T(fam)[1][i - 2]))
 
 
-@dataclass(frozen=True)
-class NormBounds:
-    """Operator-norm lower bounds from the best separating indicator.
-
-    log10_min_T carries min_T where it underflows to 0.0."""
-
-    px_norm_lb: float
-    rgs_norm_lb: float | None
-    min_T: float
-    log10_min_T: float
-
-
-def _norm_bounds(log_T: np.ndarray, scan_p: float | None) -> NormBounds:
-    if scan_p is not None:
-        scan_p = check_scan_p(scan_p)
-    k = int(np.argmin(log_T))
-    min_T = float(np.exp(log_T[k]))
-    rgs = None if scan_p is None else 1.0 - scan_p * min_T
-    return NormBounds(px_norm_lb=1.0 - min_T, rgs_norm_lb=rgs, min_T=min_T,
-                      log10_min_T=float(log_T[k]) / math.log(10.0))
-
-
-@dataclass(frozen=True)
-class DivergenceStats:
-    """The three ratio statistics on 2..horizon and their divergence flags.
-
-    Values are exponentials of log-space computations and may overflow to
-    inf for strongly diverging families; the flags come from the exact
-    tail limits and are unaffected.
-    """
-
-    indices: np.ndarray = field(repr=False)
-    log_S1: np.ndarray = field(repr=False)
-    log_S2: np.ndarray = field(repr=False)
-    log_S3: np.ndarray = field(repr=False)
-    flags: dict
-
-    def values(self, name: str) -> np.ndarray:
-        logs = {"S1": self.log_S1, "S2": self.log_S2, "S3": self.log_S3}[name]
-        with np.errstate(over="ignore"):
-            return np.exp(logs)
-
-    def first_diverging(self) -> str | None:
-        for name in STATISTICS:
-            if self.flags[name]:
-                return name
-        return None
-
-
 def divergence_flags(lim: TailLimits) -> dict:
     """Whether the exact tail limits leave S1, S2 and S3 unbounded, in
     STATISTICS order."""
@@ -136,78 +88,84 @@ def divergence_flags(lim: TailLimits) -> dict:
             "S3": lim.b_over_a == math.inf}
 
 
-def divergence_statistics(spec: SequenceSpec, horizon: int) -> DivergenceStats:
-    """Evaluate S1, S2, S3 on the untruncated spec for i = 2..horizon, and
-    flag each that is unbounded by the spec's exact tail limits.
+def _log_S(spec: SequenceSpec, N: int) -> tuple[np.ndarray, ...]:
+    """log S1, log S2 and log S3 on the untruncated spec for i = 2..N.
 
-    Tail sums run termwise to the horizon and are completed with the
-    spec's closed-form mass beyond it.
+    Tail sums run termwise to N and are completed with the spec's
+    closed-form mass beyond it.
     """
-    if horizon < 2:
-        raise IndexOutOfRange("horizon must be at least 2")
-    i = np.arange(1, horizon + 1)
+    i = np.arange(1, N + 1)
     la, lb = spec.log_a(i), spec.log_b(i)
-    if not (np.isfinite(la).all() and np.isfinite(lb).all()):
-        raise NonPositiveSequence("spec generated a nonpositive or nonfinite value")
     log_piy = np.logaddexp(la, lb)
-    beyond = spec.log_mass_beyond(horizon)
     log_tail = np.logaddexp(
-        np.logaddexp.accumulate(log_piy[::-1])[::-1], beyond)
-    # S1_i and S2_i for i = 2..horizon divide the tail from i by a_{i-1}, b_{i-1}
-    return DivergenceStats(indices=i[1:], log_S1=log_tail[1:] - la[:-1],
-                           log_S2=log_tail[1:] - lb[:-1], log_S3=lb[1:] - la[1:],
-                           flags=divergence_flags(tail_limits(spec)))
+        np.logaddexp.accumulate(log_piy[::-1])[::-1], spec.log_mass_beyond(N))
+    # S1_i and S2_i for i = 2..N divide the tail from i by a_{i-1}, b_{i-1}
+    return log_tail[1:] - la[:-1], log_tail[1:] - lb[:-1], lb[1:] - la[1:]
 
 
 @dataclass(frozen=True)
 class SubgeoReport:
     """Family-level summary of the conditional-variance diagnostics.
 
-    mu and T hold mu_i and T_i for i = 2..N; bounds are the norm bounds
-    taken from the same log T.
+    log_mu and log_T hold log mu_i and log T_i for i = 2..N, and flags the
+    divergence flags of the spec's exact tail limits. The norm bounds come
+    from the smallest log T; only to_csv evaluates the statistics.
     """
 
+    spec: SequenceSpec = field(repr=False)
     N: int
-    mu: np.ndarray = field(repr=False)
-    T: np.ndarray = field(repr=False)
-    bounds: NormBounds
     scan_p: float | None
-    stats: DivergenceStats
+    log_mu: np.ndarray = field(repr=False)
+    log_T: np.ndarray = field(repr=False)
+    flags: dict
+
+    @property
+    def mu(self) -> np.ndarray:
+        return np.exp(self.log_mu)
+
+    @property
+    def T(self) -> np.ndarray:
+        return np.exp(self.log_T)
 
     def to_csv(self) -> str:
-        s1, s2, s3 = (self.stats.values(name) for name in STATISTICS)
+        with np.errstate(over="ignore"):    # a diverging S may overflow to inf
+            s1, s2, s3 = (np.exp(v) for v in _log_S(self.spec, self.N))
+        mu, T = self.mu, self.T
         lines = ["i,mu_i,T_i,S1_i,S2_i,S3_i"]
         for k in range(self.N - 1):
-            cells = (self.mu[k], self.T[k], s1[k], s2[k], s3[k])
+            cells = (mu[k], T[k], s1[k], s2[k], s3[k])
             lines.append(f"{k + 2}," + ",".join(repr(float(v)) for v in cells))
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
+        """The norm bounds at the best separating indicator; log10_min_T
+        carries min_T where it underflows to 0.0."""
+        k = int(np.argmin(self.log_T))
+        min_T = float(np.exp(self.log_T[k]))
         return {
             "N": self.N,
-            "min_T": self.bounds.min_T,
-            "log10_min_T": self.bounds.log10_min_T,
-            "norm_lower_bound": self.bounds.px_norm_lb,
-            "rgs_norm_lower_bound": self.bounds.rgs_norm_lb,
+            "min_T": min_T,
+            "log10_min_T": float(self.log_T[k]) / math.log(10.0),
+            "norm_lower_bound": 1.0 - min_T,
+            "rgs_norm_lower_bound": None if self.scan_p is None
+            else 1.0 - self.scan_p * min_T,
             "scan_p": self.scan_p,
-            "diverging": dict(self.stats.flags),
+            "diverging": dict(self.flags),
         }
 
 
 def build_subgeo_report(fam: BivariateFamily, *,
                         scan_p: float | None = None) -> SubgeoReport:
-    """Assemble mu, T, norm bounds, and the statistics and flags of
-    divergence_statistics, all for i = 2..N; mu, T and the bounds share
-    one suffix and one prefix sum of pi_X."""
-    stats = divergence_statistics(fam.spec, fam.N)
+    """Assemble log mu and log T for i = 2..N, from one suffix and one
+    prefix sum of pi_X, and the flags of the spec's exact tail limits."""
+    if scan_p is not None:
+        scan_p = check_scan_p(scan_p)
     log_mu, log_T = _log_mu_T(fam)
-    return SubgeoReport(N=fam.N, mu=np.exp(log_mu), T=np.exp(log_T),
-                        bounds=_norm_bounds(log_T, scan_p), scan_p=scan_p,
-                        stats=stats)
+    return SubgeoReport(spec=fam.spec, N=fam.N, scan_p=scan_p, log_mu=log_mu,
+                        log_T=log_T, flags=divergence_flags(tail_limits(fam.spec)))
 
 
 __all__ = [
-    "STATISTICS", "NormBounds", "DivergenceStats", "SubgeoReport",
-    "conditional_variance_stat",
-    "divergence_flags", "divergence_statistics", "build_subgeo_report",
+    "STATISTICS", "SubgeoReport", "conditional_variance_stat",
+    "divergence_flags", "build_subgeo_report",
 ]

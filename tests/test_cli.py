@@ -785,6 +785,38 @@ def _spec_docs(draw):
     return doc
 
 
+_SCAN_PS = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0,
+                            5e-324, 2.2250738585072014e-308]) | st.floats()
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(st.integers(-5, 60), st.none() | _SCAN_PS, st.sampled_from(["json", "csv"]))
+def test_subgeo_argument_fuzz_answers_or_refuses_once(n, scan_p, fmt):
+    out, err = io.StringIO(), io.StringIO()
+    scan = [] if scan_p is None else [f"--scan-p={scan_p!r}"]
+    argv = ["subgeo", "--example", "geometric", "--n", str(n), *scan,
+            "--format", fmt]
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = dispatch(argv)
+    except SystemExit as exc:          # argparse's usage error
+        assert exc.code == 2
+        return
+    assert code in (0, 4)
+    if code == 4:
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        return
+    assert err.getvalue() == "" and n >= 2
+    assert scan_p is None or 0.0 < scan_p < 1.0
+    if fmt == "json":
+        d = json.loads(out.getvalue(), parse_constant=_reject_constant)
+        assert d["N"] == n and d["scan_p"] == scan_p
+    else:
+        assert len(out.getvalue().splitlines()) == n
+
+
 @settings(max_examples=80, deadline=None, database=None)
 @given(st.sampled_from(["classify", "drift", "subgeo"]), _spec_docs(),
        st.integers(10, 60), st.sampled_from([[], ["--scan-p", "0.5"]]))

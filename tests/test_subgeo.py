@@ -5,6 +5,7 @@ variance computed here from the two-point conditionals, which is the
 module's core oracle.
 """
 
+import json
 import math
 
 import numpy as np
@@ -14,17 +15,21 @@ from hypothesis import strategies as st
 
 from ergochain import (
     IndexOutOfRange,
+    SequenceSpec,
     build_family,
     build_Px,
     build_subgeo_report,
+    classify,
     conditional_variance_stat,
-    divergence_statistics,
+    divergence_flags,
     example_names,
     example_spec,
     power_law,
     table,
     tail_limits,
 )
+from ergochain import subgeo
+from ergochain.cli import dispatch
 
 T_LIMIT_GEO = 0.20901164656533677    # (e-2) / (2(e-1)), frozen
 T20_GEO = 0.2090116489074363         # frozen direct evaluation at i = 20
@@ -97,88 +102,85 @@ def test_mu_structure(fam):
 
 def test_norm_bounds_geometric(fam):
     f = fam("geometric", 200)
-    nb = build_subgeo_report(f, scan_p=0.5).bounds
-    assert nb.px_norm_lb == pytest.approx(1.0 - nb.min_T, abs=1e-15)
-    assert nb.rgs_norm_lb == pytest.approx(1.0 - 0.5 * nb.min_T, abs=1e-15)
-    assert 0.0 < nb.px_norm_lb < 1.0
-    assert nb.rgs_norm_lb >= nb.px_norm_lb
-    assert nb.min_T == pytest.approx(T_LIMIT_GEO, rel=1e-6)
+    nb = build_subgeo_report(f, scan_p=0.5).to_json_dict()
+    assert nb["norm_lower_bound"] == pytest.approx(1.0 - nb["min_T"], abs=1e-15)
+    assert nb["rgs_norm_lower_bound"] == pytest.approx(1.0 - 0.5 * nb["min_T"],
+                                                       abs=1e-15)
+    assert 0.0 < nb["norm_lower_bound"] < 1.0
+    assert nb["rgs_norm_lower_bound"] >= nb["norm_lower_bound"]
+    assert nb["min_T"] == pytest.approx(T_LIMIT_GEO, rel=1e-6)
 
 
 def test_norm_bounds_without_scan(fam):
-    nb = build_subgeo_report(fam("geometric", 50)).bounds
-    assert nb.rgs_norm_lb is None
+    nb = build_subgeo_report(fam("geometric", 50)).to_json_dict()
+    assert nb["rgs_norm_lower_bound"] is None
 
 
 @pytest.mark.parametrize("name", example_names())
 def test_rgs_bound_dominates_px_bound(fam, name):
-    nb = build_subgeo_report(fam(name, 100), scan_p=0.5).bounds
-    assert nb.rgs_norm_lb >= nb.px_norm_lb
+    nb = build_subgeo_report(fam(name, 100), scan_p=0.5).to_json_dict()
+    assert nb["rgs_norm_lower_bound"] >= nb["norm_lower_bound"]
 
 
 def test_power_law_norm_bound_near_one():
-    nb = build_subgeo_report(build_family(power_law(2.0), 2000)).bounds
-    assert nb.px_norm_lb >= 0.99
+    nb = build_subgeo_report(build_family(power_law(2.0), 2000)).to_json_dict()
+    assert nb["norm_lower_bound"] >= 0.99
 
 
 # -- divergence statistics ---------------------------------------------------
 
 
+def S_values(spec, N):
+    """i = 2..N and S1, S2 and S3 there, as the CSV prints them."""
+    with np.errstate(over="ignore"):
+        s = [np.exp(v) for v in subgeo._log_S(spec, N)]
+    return np.arange(2, N + 1), *s
+
+
+def flags(name):
+    return divergence_flags(tail_limits(example_spec(name)))
+
+
 def test_power_law_S1_fires_and_grows_linearly():
-    st = divergence_statistics(example_spec("power-law"), 2000)
-    assert st.flags["S1"]
-    s1 = st.values("S1")
+    assert flags("power-law")["S1"]
+    i, s1, _, _ = S_values(example_spec("power-law"), 2000)
     # S1_i ~ ((c1+c2)/c1) * i = 2i for equal constants
-    i = st.indices
     ratio = s1[i == 1600][0] / s1[i == 800][0]
     assert ratio == pytest.approx(2.0, rel=0.05)
     assert s1[i == 1000][0] == pytest.approx(2000.0, rel=0.05)
 
 
 def test_mixed_fires_S2_only():
-    st = divergence_statistics(example_spec("mixed-geometric"), 800)
-    assert st.flags == {"S1": False, "S2": True, "S3": False}
-    assert st.first_diverging() == "S2"
+    assert flags("mixed-geometric") == {"S1": False, "S2": True, "S3": False}
 
 
 def test_alternating_fires_S3():
-    st = divergence_statistics(example_spec("alternating"), 800)
-    assert st.flags["S3"]
+    f = flags("alternating")
+    assert f["S3"]
     # the other reciprocal ratios blow up along the same parity classes
-    assert st.first_diverging() is not None
+    assert f["S1"] and f["S2"]
 
 
 def test_geometric_fires_nothing():
-    st = divergence_statistics(example_spec("geometric"), 800)
-    assert not any(st.flags.values())
-    assert st.first_diverging() is None
+    assert not any(flags("geometric").values())
 
 
 def test_S3_matches_sequence_ratio():
     spec = example_spec("mixed-geometric")
-    st = divergence_statistics(spec, 100)
-    i = np.asarray(st.indices)
+    i, _, _, s3 = S_values(spec, 100)
     direct = np.exp(spec.log_b(i) - spec.log_a(i))
-    assert np.allclose(st.values("S3"), direct, rtol=1e-12)
+    assert np.allclose(s3, direct, rtol=1e-12)
 
 
 def test_S1_matches_termwise_tail_sum():
     spec = example_spec("geometric")
-    st = divergence_statistics(spec, 60)
+    idx, s1, _, _ = S_values(spec, 60)
     # recompute S1_10 by brute force over a long explicit tail
     i = 10
     xs = np.arange(i, 5000)
     tail = np.exp(spec.log_a(xs)) + np.exp(spec.log_b(xs))
     direct = tail.sum() / math.exp(spec.log_a(np.array([i - 1]))[0])
-    got = st.values("S1")[np.asarray(st.indices) == i][0]
-    assert got == pytest.approx(direct, rel=1e-10)
-
-
-def test_divergence_horizon_validation():
-    # the statistics start at i = 2, so the shortest horizon is 2
-    with pytest.raises(IndexOutOfRange):
-        divergence_statistics(example_spec("geometric"), 1)
-    assert list(divergence_statistics(example_spec("geometric"), 2).indices) == [2]
+    assert s1[idx == i][0] == pytest.approx(direct, rel=1e-10)
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -193,13 +195,12 @@ def test_table_statistics_past_the_tables_equal_their_limits(a, b, ratio, extra)
     lim = tail_limits(spec)
     k, r = lim.m, lim.A
     first = max(len(a), len(b)) + 2        # i - 1 past both tables
-    stats = divergence_statistics(spec, first + extra)
-    past = stats.indices >= first
-    limits = {"S1": r * (1.0 + 1.0 / k) / (1.0 - r),
-              "S2": r * (1.0 + k) / (1.0 - r), "S3": 1.0 / k}
-    for name, limit in limits.items():
-        np.testing.assert_allclose(stats.values(name)[past], limit, rtol=1e-12)
-    assert stats.flags == {"S1": False, "S2": False, "S3": False}
+    i, *values = S_values(spec, first + extra)
+    past = i >= first
+    limits = (r * (1.0 + 1.0 / k) / (1.0 - r), r * (1.0 + k) / (1.0 - r), 1.0 / k)
+    for s, limit in zip(values, limits):
+        np.testing.assert_allclose(s[past], limit, rtol=1e-12)
+    assert divergence_flags(lim) == {"S1": False, "S2": False, "S3": False}
 
 
 # -- report ------------------------------------------------------------------
@@ -227,17 +228,78 @@ def test_report_shares_one_log_T_with_the_bounds_and_the_statistic(fam, name):
     rep = build_subgeo_report(f, scan_p=0.5)
     assert [float(t) for t in rep.T] == [conditional_variance_stat(f, i)
                                          for i in range(2, 201)]
-    assert rep.bounds.min_T == rep.T.min()
-    assert 10.0 ** rep.bounds.log10_min_T == pytest.approx(rep.bounds.min_T,
-                                                           rel=1e-12)
+    nb = rep.to_json_dict()
+    assert nb["min_T"] == rep.T.min()
+    assert 10.0 ** nb["log10_min_T"] == pytest.approx(nb["min_T"], rel=1e-12)
+
+
+def _identity_residuals(spec, N):
+    """|log(1/T_i) - log((1 - mu_i)(S1_i + S2_i + b_{i-1}/a_{i-1} + 1))| on
+    the rows i whose untruncated tail from i loses below 1e-17 of its mass
+    to the truncation (b_N and the mass beyond N). T comes from the
+    family, S from the spec."""
+    f = build_family(spec, N)
+    log_T = build_subgeo_report(f).log_T
+    log_omm = np.logaddexp.accumulate(f.log_pix[:-1])       # 1 - mu_i
+    i = np.arange(1, N + 1)
+    la, lb = spec.log_a(i), spec.log_b(i)
+    lost = np.logaddexp(lb[-1], spec.log_mass_beyond(N))
+    log_tail = np.logaddexp.accumulate(np.logaddexp(la, lb)[::-1])[::-1][1:]
+    rows = lost - log_tail < math.log(1e-17)
+    log_S1, log_S2, _ = subgeo._log_S(spec, N)
+    terms = np.stack([log_S1, log_S2, lb[:-1] - la[:-1], np.zeros(N - 1)])
+    rhs = log_omm + np.logaddexp.reduce(terms, axis=0)
+    return np.abs(-log_T - rhs)[rows]
+
+
+@pytest.mark.parametrize("name", ["geometric", "mixed-geometric", "alternating"])
+@pytest.mark.parametrize("N", [50, 200, 2000])
+def test_one_over_T_is_the_S_sum(name, N):
+    # 1/T_i = (1 - mu_i)(S1_i + S2_i + b_{i-1}/a_{i-1} + 1) once the
+    # truncation has lost nothing of the tail from i
+    res = _identity_residuals(example_spec(name), N)
+    assert res.size > 0
+    assert res.max() <= 32 * N * np.finfo(float).eps
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=8),
+       st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=8),
+       st.floats(0.01, 0.99999), st.integers(10, 200))
+def test_one_over_T_is_the_S_sum_on_tables(a, b, ratio, N):
+    res = _identity_residuals(table(a, b, tail_ratio=ratio), N)
+    assert np.all(res <= 32 * N * np.finfo(float).eps)
+
+
+class _TailSumReached(Exception):
+    pass
+
+
+@pytest.mark.parametrize("N", [10, 2000])
+def test_only_the_csv_sums_the_tail_beyond_N(monkeypatch, capsys, N):
+    # the verdict, the JSON summary and subgeo --format json read the
+    # flags alone; only the CSV's S columns complete a tail beyond N
+    def refuse(self, horizon):
+        raise _TailSumReached
+
+    monkeypatch.setattr(SequenceSpec, "log_mass_beyond", refuse)
+    spec = example_spec("power-law")
+    assert classify(spec, N).verdict == "Subgeometric"
+    report = build_subgeo_report(build_family(spec, N), scan_p=0.5)
+    assert report.to_json_dict()["diverging"]["S1"]
+    assert dispatch(["subgeo", "--example", "power-law", "--n", str(N),
+                     "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["N"] == N
+    with pytest.raises(_TailSumReached):
+        report.to_csv()
 
 
 @pytest.mark.parametrize("name, log10_min_T", [("mixed-geometric", -867.8815),
                                                ("alternating", -868.4519)])
 def test_log10_min_T_where_min_T_underflows(fam, name, log10_min_T):
-    nb = build_subgeo_report(fam(name, 2000)).bounds
-    assert nb.min_T == 0.0
-    assert nb.log10_min_T == pytest.approx(log10_min_T, abs=1e-4)
+    nb = build_subgeo_report(fam(name, 2000)).to_json_dict()
+    assert nb["min_T"] == 0.0
+    assert nb["log10_min_T"] == pytest.approx(log10_min_T, abs=1e-4)
 
 
 def _green_diagonal_and_T(f):

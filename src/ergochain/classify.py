@@ -4,9 +4,10 @@ classify decides from the exact tail limits of the spec's kind
 (spec.tail_limits). If they leave a statistic S1, S2 or S3 unbounded
 (subgeo.divergence_flags), the verdict is Subgeometric, basis
 divergence:<the first such one>, with the subgeo summary at N. Otherwise
-it is Geometric, basis ratio_test, with drift.certify's certificate at N,
-or none where certify refuses for want of float64 margin (drift says
-why): the certificate witnesses the truncation and decides nothing.
+it is Geometric, basis ratio_test, with drift.certify's certificate at N:
+the certificate witnesses the truncation and decides nothing, and it is
+missing only where its margin 1 - rho underflows float64 (drift says
+so).
 
 Two outcomes suffice: the ratio test (A < 1, a_over_bprev and b_over_a
 finite, A (1 + M) / (1 + m) < 1) is the paper's sufficient condition for
@@ -122,6 +123,8 @@ def verdict_report(verdicts: list[ErgodicityVerdict], fmt: str = "table") -> str
     for v in verdicts:
         if v.certificate is not None:
             info = f"rho={v.certificate.rho:.6g}"
+            if info == "rho=1":         # 1 - rho is below 5e-7
+                info = f"rho=1-{v.certificate.one_minus_rho:.3g}"
         elif v.subgeo_summary is not None:
             info = f"min_T={_min_T_text(v.subgeo_summary)}"
         else:

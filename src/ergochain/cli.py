@@ -1,7 +1,9 @@
 """Command line interface.
 
 Exit codes: 0 success, 2 usage error, 3 no drift certificate (drift
-only; classify always decides), 4 domain error.
+only, on a spec whose tail limits fire a divergence flag or whose margin
+1 - rho underflows float64; classify always decides, and its certificate
+is null only there), 4 domain error.
 
 dispatch refuses an --n or --steps above its limit (MAX_N, MAX_STEPS), a
 negative --steps and an --n below MIN_N (classify, drift, report) before

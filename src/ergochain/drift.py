@@ -1,71 +1,80 @@
 """Geometric drift certificates for the marginal and random-scan chains.
 
 The test function is V(x) = z^x with z > 1. One step of the birth-death
-marginal multiplies V by
+marginal, up with probability p_x and down with q_x (build_Px's
+diagonals), multiplies V by 1 + eps(x), and the excess
 
-    coefficient(x, z) = p_x (z - 1) + q_x (1/z - 1) + 1,
+    eps(x) = p_x (z - 1) - q_x (1 - 1/z)
 
-so a certificate consists of a base z, a rate rho < 1 dominating the
-coefficient for all x beyond a threshold x0, and the constant
-L = max_{x <= x0} E[V(X_1) | X_0 = x], giving
-
-    E[V(X_1) | X_0 = x] <= rho V(x) + L        for every x.
+is formed from z - 1, which is exact, so no number near 1 is formed. A
+certificate is a base z, a margin delta with eps(x) <= -delta beyond a
+threshold x0, and L = max_{x <= x0} E[V(X_1) | X_0 = x]
+(kernels.log_expect), so that E[V(X_1) | X_0 = x] <= (1 - delta) V(x) + L.
 
 The tail constants r_hat = limsup p_x / q_x and q_hat = liminf q_x are
 the spec's exact tail limits, spec.tail_limits. For z < 2 / (r + 1) the
-certified rate is
+rate rho(z) = 1 + (q/2)(z - 1)((r + 1)/2 - 1/z) (rho_bound) is smallest
+at z* = sqrt(2 / (r + 1)), with delta = 1 - rho* = (q/2)(1 - u)^2,
+u = sqrt((r + 1)/2), taken in closed form with 1 - u = ((1 - r)/2) /
+(1 + u). The certificate uses z*; rho is 1 - delta rounded to float64,
+and log10_one_minus_rho carries delta. eps(x) is compared with -delta
+with its rounding bound, 4 eps64 (p_x (z - 1) + q_x (1 - 1/z)), about
+11 eps64 / (1 - r_hat) of |eps(x)| in the tail, and no other tolerance.
+So every spec whose limits pass the ratio test is certified, except
+where delta underflows float64's normal range, which is refused with
+that reason; a spec whose limits fire a divergence flag
+(subgeo.divergence_flags) has no geometric drift, and the refusal names
+the flags. These are the only refusals, and drift's only exit 3.
 
-    rho(z) = 1 + (q/2)(z - 1)((r + 1)/2 - 1/z),
-
-which is smallest at z* = sqrt(2 / (r + 1)), inside (1, 2 / (r + 1)),
-with rho* = 1 - (q/2)(1 - sqrt((r + 1)/2))^2. The certificate uses z*.
-verify_drift accepts a log excess up to VERIFY_TOL, so a certificate is
-issued only when its margin -log rho* exceeds VERIFY_TOL; a smaller
-margin proves nothing. That one rule refuses r_hat = 1 (power-law),
-q_hat = 0 (mixed-geometric, alternating) and every table whose tail
-ratio r is within 1.1e-4 of one (its margin is at most about
-(1 - r)^2 / 128). certify holds the lifted rate gamma to the same rule.
-
-A certificate for the random-scan chain with scan probability s follows
-by lifting: for any c strictly between s/(1-s) and s/(rho (1-s)),
+The random-scan chain with scan probability s is certified by lifting.
+With lo = s/(1-s) and c = lo / (1 - tau), 0 < tau < delta,
 
     W(x, y) = V(x) + c G(y),   G(y) = ((a_y + z b_y) / (a_y + b_y)) z^y,
-    gamma   = max{(1-s)(c rho + 1), s (1 + c) / c}  <  1,
+    1 - gamma = s w / (1 - tau),   w = min(delta - tau, tau (1 - tau) / lo),
 
-and one random-scan step satisfies E W <= gamma W + (1-s) c L. One
+and one random-scan step satisfies E W <= gamma W + (1-s) c L. The
+default tau = 1 - sqrt(rho*) makes c = sqrt(lo hi), the geometric mean
+of the admissible interval, and 1 - gamma = min(s, 1 - s)(1 - sqrt(rho*)).
+tau is held exactly, so the lift holds where c rounds to lo; c and gamma
+are shown rounded, and log10_one_minus_gamma carries 1 - gamma. One
 record, DriftCertificate, serves all three chains (the deterministic
-scan's x-marginal is the marginal chain); its lift fields scan_p, c and
-gamma are None until lift_to_rgs sets them. Verification is exhaustive
-over the truncated support: the one-step expectation of V (or W) is
-taken through the banded kernel itself, build_Px or build_Prgs, with
-kernels.log_expect, and both sides are compared in log space, so
-certificates remain checkable when z^x overflows. certify runs search,
-verification, lift and the lifted verification in that order; it is the
-one path that issues a certificate.
+scan's x-marginal is the marginal chain); its lift fields scan_p, c,
+gamma and tau are None until lift_to_rgs sets them.
 
-A certificate proves a geometric rate for the chain truncated at N, not
-for the infinite family, but its constants are the untruncated tail's,
-so power-law, which has no geometric rate, is refused at every N.
-Whether the family converges geometrically is classify's answer, read
-from the tail limits alone: where certify refuses for want of margin,
-a Geometric verdict carries no certificate.
+verify_drift checks the same excess form at every state of the
+truncation, at most 0 beyond x0 and at most L/V(x) up to it:
+eps(x) + delta on the marginal chain, and on the random scan's 2N-1
+staircase pairs, with w = (1 - gamma) / ((1-s) c) as above,
+
+    (E W - gamma W) / ((1-s) c V(x)) = (c w - tau) G(y)/V(x)
+                                       + (w + tau - delta) + eps(x) + delta,
+
+where c w - tau and w + tau - delta are at most 0, and G(y)/V(x) is
+1 + beta_y (z - 1) at (y, y) and 1 - (a_y / pi_Y(y))(1 - 1/z) at
+(y + 1, y). certify, the one path that issues a certificate, runs
+search, verification, lift and lifted verification in that order.
+
+A certificate proves a geometric rate for the chain truncated at N; its
+constants are the untruncated tail's. Whether the family converges
+geometrically is classify's answer, read from the tail limits alone.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .errors import BadZ, COutOfRange
-from .family import BivariateFamily
-from .kernels import build_Prgs, build_Px, log_expect, staircase_xy
+from .family import BivariateFamily, _exp_sat
+from .kernels import build_Px, log_expect, staircase_xy
 from .spec import _encode_extended, check_scan_p, tail_limits
+from .subgeo import divergence_flags
 
-# the largest log excess verify_drift accepts; a certified rate must be
-# below one by more than it
-VERIFY_TOL = 1e-10
+# the rounding bound of eps(x), relative to p_x (z - 1) + q_x (1 - 1/z)
+_ROUNDING = 4.0 * sys.float_info.epsilon
 
 
 def drift_coefficient(p: float, q: float, z: float) -> float:
@@ -80,7 +89,9 @@ _LIFT = ("scan_p", "c", "gamma")
 
 @dataclass(frozen=True)
 class DriftCertificate:
-    """Verified drift data for the marginal chain; lifted when scan_p is set."""
+    """Verified drift data for the marginal chain; lifted when scan_p is set.
+
+    tau, set with the lift, is 1 - lo/c held exactly; the JSON shows c."""
 
     z: float
     rho: float
@@ -92,10 +103,25 @@ class DriftCertificate:
     scan_p: float | None = None
     c: float | None = None
     gamma: float | None = None
+    tau: float | None = None
 
     @property
     def L(self) -> float:
-        return math.exp(self.log_L)
+        return _exp_sat(self.log_L)
+
+    @property
+    def one_minus_rho(self) -> float:
+        """delta, the certified margin 1 - rho* in closed form."""
+        return _one_minus_rho(self.r_hat, self.q_hat)
+
+    @property
+    def log10_one_minus_gamma(self) -> float | None:
+        """log10 (1 - gamma) of the lift, None before it."""
+        if self.scan_p is None:
+            return None
+        w = _lift_terms(self.scan_p, self.tau, self.one_minus_rho)[0]
+        return (math.log10(self.scan_p) + math.log10(w)
+                - math.log1p(-self.tau) / math.log(10.0))
 
     @property
     def log_bound_constant(self) -> float:
@@ -105,10 +131,13 @@ class DriftCertificate:
     def to_json_dict(self) -> dict:
         out = asdict(self)
         lift = {k: out.pop(k) for k in _LIFT}
+        del out["tau"]
         out["L"] = _encode_extended(self.L)
+        out["log10_one_minus_rho"] = math.log10(self.one_minus_rho)
         if self.scan_p is not None:
             out["rgs"] = {**lift, "bound_constant": _encode_extended(
-                math.exp(self.log_bound_constant))}
+                _exp_sat(self.log_bound_constant)),
+                "log10_one_minus_gamma": self.log10_one_minus_gamma}
         return out
 
 
@@ -127,42 +156,55 @@ class NoCertificate:
 
 
 def rho_bound(r_hat: float, q_hat: float, z: float) -> float:
-    """The certified rate at base z for tail constants (r_hat, q_hat)."""
+    """The rate the tail constants (r_hat, q_hat) certify at base z; at
+    z* it is 1 - delta, which the certificate forms without the 1."""
     return 1.0 + 0.5 * q_hat * (z - 1.0) * (0.5 * (r_hat + 1.0) - 1.0 / z)
 
 
-def _unresolved(name: str, rate: float) -> str | None:
-    """Why a certified rate is refused, or None when its margin -log rate
-    is above VERIFY_TOL."""
-    margin = -math.log(rate) + 0.0     # 0, not -0, at rate 1
-    return None if margin > VERIFY_TOL else (
-        f"margin -log {name} = {margin:.3g} is not above the verifier's "
-        f"tolerance VERIFY_TOL = {VERIFY_TOL:g}")
+def _one_minus_rho(r_hat: float, q_hat: float) -> float:
+    """1 - rho* = (q/2)(1 - u)^2 with u = sqrt((r + 1)/2), and 1 - u
+    formed as ((1 - r)/2) / (1 + u)."""
+    u = math.sqrt(0.5 * (r_hat + 1.0))
+    return 0.5 * q_hat * (0.5 * (1.0 - r_hat) / (1.0 + u)) ** 2
+
+
+def _excess(fam: BivariateFamily, z: float) -> np.ndarray:
+    """eps(x) plus its rounding bound, for x = 1..N."""
+    up = z - 1.0                            # exact for 1 < z < 2
+    rise, fall = fam.p * up, fam.q * (up / z)
+    return (rise - fall) + _ROUNDING * (rise + fall)
 
 
 def find_drift_certificate(fam: BivariateFamily):
     """The certificate at the optimal base z* = sqrt(2 / (r_hat + 1)),
     with r_hat and q_hat from tail_limits(fam.spec), for any N >= 2.
 
-    Returns a DriftCertificate, or a NoCertificate value when the margin
-    -log rho* is not above VERIFY_TOL. The threshold x0 is the largest
-    index whose coefficient exceeds rho (at least 1), so the drift bound
-    holds pointwise beyond it by construction.
+    Returns a DriftCertificate, or a NoCertificate value when the tail
+    limits fire a divergence flag or delta underflows. The threshold x0
+    is the largest index whose excess (with its rounding bound) is above
+    -delta (at least 1), so the drift bound holds beyond it by
+    construction.
     """
     lim = tail_limits(fam.spec)
     r_hat, q_hat = lim.r_hat, lim.q_hat
-    z = math.sqrt(2.0 / (r_hat + 1.0))
-    rho = rho_bound(r_hat, q_hat, z)
-    reason = _unresolved("rho", rho)
-    if reason is not None:
-        return NoCertificate(reason=reason, r_hat=r_hat, q_hat=q_hat)
+    fired = [name for name, f in divergence_flags(lim).items() if f]
+    if fired:
+        return NoCertificate(
+            reason=f"the tail limits fire {', '.join(fired)}: no geometric drift",
+            r_hat=r_hat, q_hat=q_hat)
+    delta = _one_minus_rho(r_hat, q_hat)
+    if not delta >= sys.float_info.min:
+        return NoCertificate(
+            reason=f"1 - rho = (q_hat/2)(1 - sqrt((r_hat + 1)/2))^2 = {delta:.3g} "
+                   f"underflows float64 (q_hat = {q_hat:.3g})",
+            r_hat=r_hat, q_hat=q_hat)
 
-    coeff = drift_coefficient(fam.p, fam.q, z)
-    violators = np.where(coeff[1:] > rho)[0]        # indices for x = 2..N
-    x0 = int(violators[-1] + 2) if violators.size else 1
+    z = math.sqrt(2.0 / (r_hat + 1.0))
+    beyond = np.where(_excess(fam, z)[1:] > -delta)[0]  # indices for x = 2..N
+    x0 = int(beyond[-1] + 2) if beyond.size else 1
     log_V = np.arange(1, fam.N + 1) * math.log(z)
     log_L = float(np.max(log_expect(build_Px(fam), log_V)[:x0]))
-    return DriftCertificate(z=z, rho=rho, log_L=log_L, x0=x0,
+    return DriftCertificate(z=z, rho=1.0 - delta, log_L=log_L, x0=x0,
                             r_hat=r_hat, q_hat=q_hat, N=fam.N)
 
 
@@ -174,33 +216,54 @@ def admissible_c_interval(cert: DriftCertificate, scan_p: float) -> tuple[float,
     return lo, hi
 
 
+def _default_tau(delta: float) -> float:
+    """1 - sqrt(1 - delta), without forming sqrt(1 - delta)."""
+    return -math.expm1(0.5 * math.log1p(-delta))
+
+
+def _lift_terms(s: float, tau: float, delta: float) -> tuple[float, float, float]:
+    """w = (1 - gamma) / ((1-s) c) of the lift at scan probability s with
+    c = lo / (1 - tau), and the two terms its excess adds to
+    eps(x) + delta: c w - tau, the coefficient of G(y)/V(x), and
+    w + tau - delta. Both are at most 0; min keeps rounding from lifting
+    them above it."""
+    lo = s / (1.0 - s)
+    a1, a2 = delta - tau, tau * (1.0 - tau) / lo
+    return min(a1, a2), min(0.0, lo * a1 / (1.0 - tau) - tau), min(0.0, a2 - a1)
+
+
 def lift_to_rgs(cert: DriftCertificate, scan_p: float,
                 c: float | None = None) -> DriftCertificate:
     """cert lifted to the random-scan chain at scan_p from its marginal
-    constants alone. When c is omitted the geometric mean of the
-    admissible interval is used; a supplied c outside the open interval
-    raises COutOfRange.
+    constants alone. When c is omitted, tau = 1 - sqrt(1 - delta) and c is
+    the geometric mean of the admissible interval; a supplied c gives
+    tau = 1 - lo/c, to its float64 resolution, and one outside the open
+    interval raises COutOfRange.
     """
     lo, hi = admissible_c_interval(cert, scan_p)
+    delta = cert.one_minus_rho
     if c is None:
-        c = math.sqrt(lo * hi)
-    c = float(c)
-    if not lo < c < hi:
-        raise COutOfRange(f"c = {c!r} outside admissible interval ({lo!r}, {hi!r})")
-    gamma = max((1.0 - scan_p) * (c * cert.rho + 1.0),
-                scan_p * (1.0 + c) / c)
-    if not (cert.rho < gamma < 1.0):
-        raise COutOfRange(f"lift produced gamma = {gamma!r} outside (rho, 1)")
-    return replace(cert, scan_p=scan_p, c=c, gamma=gamma)
+        tau = _default_tau(delta)
+        # sqrt(lo hi) with both scaled by 2^-e, so the product cannot underflow
+        m, e = math.frexp(lo)
+        c = math.ldexp(math.sqrt(m * math.ldexp(hi, -e)), e)
+    else:
+        c = float(c)
+        tau = (c - lo) / c
+        if not (lo < c < hi and tau < delta):
+            raise COutOfRange(f"c = {c!r} outside admissible interval ({lo!r}, {hi!r})")
+    gamma = min(1.0, max(cert.rho, (1.0 - scan_p) * (c * cert.rho + 1.0),
+                         scan_p * (1.0 + c) / c))
+    return replace(cert, scan_p=scan_p, c=c, gamma=gamma, tau=tau)
 
 
 @dataclass(frozen=True)
 class DriftReport:
     """Exhaustive verification outcome over the truncated support.
 
-    max_violation is the largest log excess of the one-step expectation
-    over the certified bound; the certificate holds when it is at most
-    VERIFY_TOL.
+    max_violation is the largest excess of the one-step expectation over
+    the certified bound, as a fraction of delta; the certificate holds
+    when it is at most 0.
     """
 
     max_violation: float
@@ -209,47 +272,42 @@ class DriftReport:
     checked: int
 
 
-def _log_G(fam: BivariateFamily, log_z: float) -> np.ndarray:
-    """log G(y) for y = 1..N with G(y) = ((a_y + z b_y)/(a_y + b_y)) z^y."""
-    y = np.arange(1, fam.N + 1, dtype=float)
-    return (np.logaddexp(fam.log_a, log_z + fam.log_b)
-            - fam.log_piy + y * log_z)
-
-
 def verify_drift(cert: DriftCertificate, fam: BivariateFamily) -> DriftReport:
-    """Check a certificate's drift inequality at every support state.
+    """Check a certificate's drift inequality at every support state, in
+    the excess form of the module docstring.
 
     A certificate whose lift fields are None is checked on the marginal
     chain (x = 1..N), a lifted one on the random scan's 2N-1 staircase
-    pairs, positioned by kernels.staircase_xy. The one-step expectation of
-    the test function is taken through the chain's banded kernel with
-    log_expect and compared with the certified bound in log space.
+    pairs.
     """
-    log_z = math.log(cert.z)
-    if cert.scan_p is None:
-        tm = build_Px(fam)
-        x, y = np.arange(1, fam.N + 1), None
-        log_W = x * log_z
-        log_rate, log_const = math.log(cert.rho), cert.log_L
-    else:
-        tm = build_Prgs(fam, cert.scan_p)
+    delta = cert.one_minus_rho
+    if cert.rho < 1.0 - delta:          # rho claims a faster rate: check that
+        delta = 1.0 - cert.rho
+    x = np.arange(1, fam.N + 1)
+    excess = _excess(fam, cert.z) + delta
+    with np.errstate(over="ignore"):
+        excess[:cert.x0] -= np.exp(cert.log_L - x[:cert.x0] * math.log(cert.z))
+    y = None
+    if cert.scan_p is not None:
+        _, g_term, slack = _lift_terms(cert.scan_p, cert.tau, delta)
         x, y = staircase_xy(fam.N)
-        log_W = np.logaddexp(x * log_z, math.log(cert.c) + _log_G(fam, log_z)[y - 1])
-        log_rate, log_const = math.log(cert.gamma), cert.log_bound_constant
-    viol = log_expect(tm, log_W) - np.logaddexp(log_rate + log_W, log_const)
-    k = int(np.argmax(viol))
-    mv = float(viol[k])
+        up = cert.z - 1.0
+        G_over_V = np.empty(2 * fam.N - 1)
+        G_over_V[0::2] = 1.0 + fam.beta * up
+        G_over_V[1::2] = 1.0 - fam.stay_y[:-1] * (up / cert.z)
+        excess = g_term * G_over_V + slack + excess[x - 1]
+    k = int(np.argmax(excess))
     worst = int(x[k]) if y is None else (int(x[k]), int(y[k]))
-    return DriftReport(max_violation=mv, holds=mv <= VERIFY_TOL,
-                       worst_state=worst, checked=tm.n_states)
+    return DriftReport(max_violation=float(excess[k]) / delta,
+                       holds=bool(excess[k] <= 0.0), worst_state=worst,
+                       checked=len(excess))
 
 
 def certify(fam: BivariateFamily, scan_p: float | None = None):
     """The marginal certificate, lifted to the random scan when scan_p is
     given, that verify_drift accepts; or a NoCertificate whose reason
-    names the step that stopped: the search, a verification, a lift
-    float64 cannot represent (COutOfRange), or a lifted rate gamma whose
-    margin is not above VERIFY_TOL. A scan_p outside (0, 1) raises
+    names the step that stopped: the search (a fired divergence flag, or
+    delta underflowing) or a verification. A scan_p outside (0, 1) raises
     BadScanProbability before the search."""
     if scan_p is not None:
         check_scan_p(scan_p)
@@ -264,20 +322,13 @@ def certify(fam: BivariateFamily, scan_p: float | None = None):
         return refuse("marginal certificate fails verification")
     if scan_p is None:
         return cert
-    try:
-        lifted = lift_to_rgs(cert, scan_p)
-    except COutOfRange as exc:
-        return refuse(f"lift to the random scan failed: {exc}")
-    reason = _unresolved("gamma", lifted.gamma)
-    if reason is not None:
-        return refuse(reason)
+    lifted = lift_to_rgs(cert, scan_p)
     if not verify_drift(lifted, fam).holds:
         return refuse("lifted certificate fails verification")
     return lifted
 
 
 __all__ = [
-    "VERIFY_TOL",
     "DriftCertificate", "NoCertificate", "DriftReport", "drift_coefficient",
     "rho_bound", "find_drift_certificate", "admissible_c_interval",
     "lift_to_rgs", "verify_drift", "certify",

@@ -35,7 +35,7 @@ and every working array is sized by the reachable range, not by the
 number of states.
 One-step expectations log (P f) come from log f the same way, with one
 logaddexp per diagonal (log_expect; for dgs, of Pi_y and then of Pi_x),
-so drift checks never form f itself.
+so the drift constant L is taken without forming z^x itself.
 Spectral gaps come from the edge matrix E: D (I - P) = B^T diag(e) B with
 D = diag(pi), B the first-difference matrix and e_k = pi_k P[k, k+1] the
 edge conductances, so I - P on mean-zero functions has the spectrum of E.

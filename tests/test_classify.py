@@ -29,7 +29,6 @@ from ergochain import (
     verdict_report,
     verify_drift,
 )
-from ergochain.drift import VERIFY_TOL
 from ergochain.spec import KINDS
 
 EXPECTED = {
@@ -90,37 +89,52 @@ def test_geometric_tail_behind_steep_entries_fires_no_flag():
     # the a entries fall by 10^-5 a step, so S1 and S3 grow fast on them,
     # but beyond the table the tail has ratio 0.5 and a_i / b_i = 3.3e-71:
     # every statistic is bounded, so the verdict is Geometric, and the
-    # certificate's margin, of the order of that ratio, rounds to 0
+    # certificate's margin 1 - rho, of the order of that ratio, is stated
     spec = table(tuple(10.0 ** (-5 * k) for k in range(16)), (1.0,),
                  tail_ratio=0.5)
     for N in (2, 5, 10, 200):
         v = classify(spec, N=N)
         assert (v.verdict, v.basis) == ("Geometric", "ratio_test")
-        assert v.certificate is None and v.subgeo_summary is None
+        assert v.certificate.rho == 1.0 and v.subgeo_summary is None
+        assert -74.0 < v.certificate.to_json_dict()["log10_one_minus_rho"] < -72.0
 
 
 def test_near_critical_table_without_certificate_is_geometric():
-    # tail ratio 0.9999: the exact limits pass the ratio test and no
-    # statistic fires, though the best certificate's margin -log rho,
-    # 7.8e-11, is below the verifier's tolerance
-    spec = table((1.0,), (1.0,), tail_ratio=0.9999)
+    # tail ratio 0.9999 behind a_i / b_i = 1e300: the exact limits pass the
+    # ratio test and no statistic fires, but the certificate's margin
+    # 1 - rho = (q_hat/2)(1 - sqrt((r + 1)/2))^2, about 3e-310, underflows
+    spec = table((1.0,), (1e-300,), tail_ratio=0.9999)
     v = classify(spec, N=60)
     assert (v.verdict, v.basis, v.evidence) == ("Geometric", "ratio_test",
                                                 "exact-limits")
     assert v.certificate is None
     assert v.quantities["A"] == 0.9999
-    assert isinstance(certify(build_family(spec, 60)), NoCertificate)
+    out = certify(build_family(spec, 60))
+    assert isinstance(out, NoCertificate) and "underflows" in out.reason
 
 
-@pytest.mark.parametrize("r", [0.99, 0.995, 0.999])
+@pytest.mark.parametrize("r", [0.99, 0.995, 0.999, 0.9999, 0.99999])
 def test_near_critical_table_is_geometric(r):
-    # a constant tail ratio r < 1 is geometric at every N, with a
-    # certificate whose margin clears the verifier's tolerance
+    # a constant tail ratio r < 1 is geometric at every N, with a verified
+    # certificate that states how far its rates are below 1: with a_i = b_i,
+    # q_hat = 1 / (2 (r + 1)), 1 - rho = (q_hat/2)(1 - sqrt((r + 1)/2))^2
+    # and, at scan_p 1/2, 1 - gamma = (1 - sqrt(rho)) / 2
+    from mpmath import log10, mp, mpf, sqrt
+
+    with mp.workdps(30):
+        q = 1 / (2 * (mpf(r) + 1))
+        delta = q / 2 * (1 - sqrt((mpf(r) + 1) / 2)) ** 2
+        log10_rho, log10_gamma = log10(delta), log10((1 - sqrt(1 - delta)) / 2)
     for N in (10, 2000):
-        v = classify(table((1.0,), (1.0,), tail_ratio=r), N=N, scan_p=0.5)
+        spec = table((1.0,), (1.0,), tail_ratio=r)
+        v = classify(spec, N=N, scan_p=0.5)
         assert (v.verdict, v.basis, v.evidence) == ("Geometric", "ratio_test",
                                                     "exact-limits")
-        assert -math.log(v.certificate.gamma) > VERIFY_TOL
+        assert verify_drift(v.certificate, build_family(spec, N)).holds
+        d = v.certificate.to_json_dict()
+        assert d["log10_one_minus_rho"] == pytest.approx(float(log10_rho), rel=1e-9)
+        assert d["rgs"]["log10_one_minus_gamma"] == pytest.approx(
+            float(log10_gamma), rel=1e-9)
 
 
 @settings(max_examples=30, deadline=None, database=None)

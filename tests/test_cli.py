@@ -19,19 +19,15 @@ from ergochain import table
 from ergochain.cli import MIN_N, dispatch
 from ergochain.diagnostics import CLT_NOTE
 
-# the ratio test passes (A = 0.9999), but the best certificate's margin
-# -log rho = 7.8e-11 is below the verifier's tolerance 1e-10
-UNCERTIFIED_SPEC = table((1.0,), (1.0,), tail_ratio=0.9999).to_json()
-# certifies with -log rho = 3.1e-10, but no lift to the random scan fits in
-# float64: gamma rounds to 1.0 at scan probability 1e-7
+# the ratio test passes (A = 0.9999), but behind a_i / b_i = 1e300 the
+# certificate's margin 1 - rho, about 3e-310, underflows float64
+UNCERTIFIED_SPEC = table((1.0,), (1e-300,), tail_ratio=0.9999).to_json()
+# certifies with 1 - rho = 3.1e-10; at scan probability 1e-7 the lift's
+# gamma = 1 - 1.6e-17 rounds to 1.0 in float64
 UNLIFTABLE_SPEC = table((1.0,), (1.0,), tail_ratio=0.9998).to_json()
-# its best rate rho is within ulps of 1, so a certificate would prove nothing
-VACUOUS_SPEC = json.dumps({"kind": "table", "params": {
-    "a": [1.2602965398145352e-38, 2.6507480257709705e-267,
-          3.70335196283661e-135, 3.0989551395265743e-125],
-    "b": [8.734113359284468e-165, 3.831735966407416e-299,
-          1.155024330605395e-179, 1.141077950296553e-112],
-    "tail_ratio": 0.7686484683596883}})
+# a_i / b_i = 1e-306 leaves 1 - rho, about 9e-309, below float64's normal
+# range, so a certificate would prove nothing that float64 can state
+VACUOUS_SPEC = table((1e-306,), (1.0,), tail_ratio=0.5).to_json()
 
 
 def run(capsys, *argv):
@@ -113,17 +109,19 @@ def test_drift_refusal_exits_3(capsys):
 
 
 @pytest.mark.parametrize("command", ["classify", "drift"])
-def test_unrepresentable_lift_is_undecided(capsys, command):
-    # drift refuses the lift; classify decides from the tail limits alone
+def test_lift_whose_gamma_rounds_to_1_is_certified(capsys, command):
+    # 1 - gamma = min(s, 1 - s)(1 - sqrt(rho)) = 1.6e-17 is carried in
+    # log10, so the lift is issued although gamma prints as 1.0
     code, out, err = run(capsys, command, "--spec", UNLIFTABLE_SPEC,
                          "--n", "154", "--scan-p", "1e-7")
-    assert code == (0 if command == "classify" else 3) and err == ""
+    assert code == 0 and err == ""
     d = json.loads(out, parse_constant=_reject_constant)
-    assert d["certificate"] is None
-    if command == "classify":
-        assert (d["verdict"], d["basis"]) == ("Geometric", "ratio_test")
-    else:
-        assert "lift" in d["reason"]
+    cert = d["certificate"] if command == "classify" else d
+    assert cert["rgs"]["gamma"] == 1.0 and cert["rgs"]["scan_p"] == 1e-7
+    assert cert["rgs"]["log10_one_minus_gamma"] == pytest.approx(
+        math.log10(1e-7) + math.log10(-math.expm1(0.5 * math.log1p(
+            -10.0 ** cert["log10_one_minus_rho"]))), abs=1e-12)
+    assert -16.9 < cert["rgs"]["log10_one_minus_gamma"] < -16.7
 
 
 def test_unlifted_certificate_is_geometric(capsys):
@@ -135,9 +133,9 @@ def test_unlifted_certificate_is_geometric(capsys):
 
 @pytest.mark.parametrize("command", ["classify", "drift"])
 def test_vacuous_certificate_is_refused(capsys, command):
-    # verify_drift accepts a log excess up to VERIFY_TOL = 1e-10, so a rate
-    # 1 - 4.4e-16 proves nothing: the search refuses it, naming the
-    # tolerance, and classify decides Geometric from the tail limits alone
+    # a margin 1 - rho below float64's normal range proves nothing float64
+    # can state: the search refuses it, naming the underflow, and classify
+    # decides Geometric from the tail limits alone
     code, out, err = run(capsys, command, "--spec", VACUOUS_SPEC, "--n", "154")
     assert code == (0 if command == "classify" else 3) and err == ""
     d = json.loads(out, parse_constant=_reject_constant)
@@ -145,13 +143,13 @@ def test_vacuous_certificate_is_refused(capsys, command):
     if command == "classify":
         assert (d["verdict"], d["basis"]) == ("Geometric", "ratio_test")
     else:
-        assert "VERIFY_TOL = 1e-10" in d["reason"]
+        assert "underflows float64" in d["reason"]
 
 
-@pytest.mark.parametrize("a, b", [([1.0], [1e-10]), ([1e-10], [1.0])])
+@pytest.mark.parametrize("a, b", [([1.0], [1e-307]), ([1e-307], [1.0])])
 @pytest.mark.parametrize("n", ["10", "200"])
 def test_far_from_balanced_table_is_geometric_but_not_certified(capsys, a, b, n):
-    # q_hat is about 1e-10, so the certificate's margin is below VERIFY_TOL:
+    # q_hat is about 1e-307, so the certificate's margin underflows:
     # classify decides from the tail limits, and drift says why it refuses
     spec = json.dumps({"kind": "table", "params": {"a": a, "b": b,
                                                    "tail_ratio": 0.5}})
@@ -161,7 +159,25 @@ def test_far_from_balanced_table_is_geometric_but_not_certified(capsys, a, b, n)
     assert (d["verdict"], d["basis"], d["certificate"]) == ("Geometric",
                                                             "ratio_test", None)
     code, out, _ = run(capsys, "drift", "--spec", spec, "--n", n)
-    assert code == 3 and "VERIFY_TOL = 1e-10" in json.loads(out)["reason"]
+    assert code == 3 and "underflows float64" in json.loads(out)["reason"]
+
+
+@pytest.mark.parametrize("a, b, log10_delta", [
+    ([1.0], [1e-10], -11.7460), ([1e-10], [1.0], -12.0470)])
+@pytest.mark.parametrize("n", ["10", "200"])
+def test_far_from_balanced_table_is_certified(capsys, a, b, log10_delta, n):
+    # q_hat is about 1e-10, so 1 - rho is about 1e-12: rho is 1 - delta to
+    # float64's resolution, and log10_one_minus_rho states delta itself
+    spec = json.dumps({"kind": "table", "params": {"a": a, "b": b,
+                                                   "tail_ratio": 0.5}})
+    code, out, _ = run(capsys, "drift", "--spec", spec, "--n", n)
+    assert code == 0
+    d = json.loads(out, parse_constant=_reject_constant)
+    assert d["log10_one_minus_rho"] == pytest.approx(log10_delta, abs=1e-3)
+    assert d["rho"] == pytest.approx(1.0 - 10.0 ** d["log10_one_minus_rho"],
+                                     rel=0, abs=2.0 ** -53)
+    code, out, _ = run(capsys, "classify", "--spec", spec, "--n", n)
+    assert code == 0 and json.loads(out)["certificate"] == d
 
 
 def _reject_constant(name):
@@ -749,7 +765,7 @@ def test_drift_refuses_the_truncated_power_law(capsys, n):
     assert code == 3
     d = json.loads(out, parse_constant=_reject_constant)
     assert d["certificate"] is None and d["r_hat"] == 1.0
-    assert "VERIFY_TOL" in d["reason"]
+    assert "S1" in d["reason"]
 
 
 # -- spec fuzz: every JSON object gets an answer or one refusal ---------------
@@ -815,6 +831,69 @@ def test_subgeo_argument_fuzz_answers_or_refuses_once(n, scan_p, fmt):
         assert d["N"] == n and d["scan_p"] == scan_p
     else:
         assert len(out.getvalue().splitlines()) == n
+
+
+_HARNESS_ENTRY = st.floats(-3.0, 3.0).map(lambda v: float(f"{math.exp(v):.6g}"))
+# the built-ins, and random tables drawn like perfbench's harness.table_spec
+_DRIFT_SPECS = (st.sampled_from([["--example", n] for n in ergochain.example_names()])
+                | st.builds(lambda a, b, r: ["--spec", table(a, b, r).to_json()],
+                            st.lists(_HARNESS_ENTRY, min_size=1, max_size=5),
+                            st.lists(_HARNESS_ENTRY, min_size=1, max_size=5),
+                            st.floats(0.3, 0.8)))
+_DRIFT_SCAN_PS = st.sampled_from([5e-324, 1e-300, 1.0 - 2.0 ** -53, 0.0, 1.0,
+                                  math.nan, math.inf]) | st.floats(0.0, 1.0)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.sampled_from(["classify", "drift"]), _DRIFT_SPECS, st.integers(10, 2000),
+       st.none() | _DRIFT_SCAN_PS)
+def test_drift_and_classify_argument_fuzz_answers_or_refuses_once(command, spec, n,
+                                                                   scan_p):
+    out, err = io.StringIO(), io.StringIO()
+    scan = [] if scan_p is None else [f"--scan-p={scan_p!r}"]
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = dispatch([command, *spec, "--n", str(n), *scan])
+    except SystemExit as exc:          # argparse's usage error
+        assert exc.code == 2
+        return
+    if code == 4:
+        assert out.getvalue() == "" and not 0.0 < scan_p < 1.0
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        return
+    assert err.getvalue() == ""
+    d = json.loads(out.getvalue(), parse_constant=_reject_constant)
+    if command == "classify":
+        assert code == 0 and d["N"] == n
+        return
+    if code == 3:
+        # a flag fires, or 1 - rho underflows
+        assert d["certificate"] is None
+        assert any(k in d["reason"] for k in ("S1", "S2", "S3", "underflows"))
+        return
+    assert code == 0 and d["N"] == n
+    assert math.isfinite(d["log10_one_minus_rho"]) and d["log10_one_minus_rho"] < 0
+    if scan_p is not None:
+        g = d["rgs"]["log10_one_minus_gamma"]
+        assert math.isfinite(g) and g < 0 and d["rgs"]["scan_p"] == scan_p
+
+
+# a_i = b_i = 1 up to i = 6 000: the drift bound's constant L = e^863
+# overflows float64, and the certificate's JSON encodes it as "inf"
+_FLAT_SPEC = json.dumps({"kind": "table", "params": {
+    "a": [1.0] * 6000, "b": [1.0] * 6000, "tail_ratio": 0.5}})
+
+
+@pytest.mark.parametrize("command", ["drift", "classify"])
+def test_drift_constants_that_overflow_read_inf(capsys, command):
+    code, out, err = run(capsys, command, "--spec", _FLAT_SPEC, "--n", "8000",
+                         "--scan-p", "0.5")
+    assert code == 0 and err == ""
+    d = json.loads(out, parse_constant=_reject_constant)
+    cert = d["certificate"] if command == "classify" else d
+    assert cert["x0"] == 6000 and cert["log_L"] == pytest.approx(863.05, abs=0.01)
+    assert cert["L"] == "inf" and cert["rgs"]["bound_constant"] == "inf"
 
 
 @settings(max_examples=80, deadline=None, database=None)

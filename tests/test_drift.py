@@ -34,7 +34,6 @@ from ergochain import (
     verify_drift,
 )
 from ergochain.drift import (
-    VERIFY_TOL,
     certify,
     rho_bound,
 )
@@ -119,13 +118,12 @@ def test_no_certificate_for_heavy_tail():
 @pytest.mark.parametrize("N", [2, 10, 30, 49, 50, 200])
 def test_no_certificate_for_truncated_power_law(fam, N):
     # truncated at N the chain's own ratios p_x / q_x stay below one, but
-    # the tail's limit r_hat = 1 leaves rho = 1, and the family has no
-    # geometric rate
+    # the tail's limit r_hat = 1 fires S1 (and with it S2), and the family
+    # has no geometric rate
     out = certify(fam("power-law", N))
     assert isinstance(out, NoCertificate)
     assert out.r_hat == 1.0
-    assert out.reason == ("margin -log rho = 0 is not above the verifier's "
-                          "tolerance VERIFY_TOL = 1e-10")
+    assert out.reason == "the tail limits fire S1, S2: no geometric drift"
 
 
 @pytest.mark.parametrize("name", ["power-law", "geometric", "mixed-geometric",
@@ -209,6 +207,39 @@ def test_lifted_certificate_verifies_on_support(fam):
     assert lifted.gamma > cert.rho
 
 
+@pytest.mark.parametrize("scan_p, u", [(None, None), (0.2, 0.1), (0.2, 0.9),
+                                        (0.5, 0.5), (0.8, 0.1), (0.8, 0.9)])
+def test_verified_excess_is_the_dense_one(fam, scan_p, u):
+    # max_violation is the largest excess of the one-step expectation over
+    # the certified bound, in units of 1 - rho; rebuilt here densely from
+    # the conditional laws, where float64 resolves it (1 - rho = 5e-3)
+    f = fam("geometric", 40)
+    cert = find_drift_certificate(f)
+    z, delta, L = cert.z, cert.one_minus_rho, cert.L
+    xs = np.arange(1, f.N + 1)
+    V = z ** xs.astype(float)
+    PV = V * (f.p * z + (1.0 - f.p - f.q) + f.q / z)
+    inside = xs <= cert.x0
+    if scan_p is None:
+        ref = (PV - (1.0 - delta) * V - L * inside) / (V * delta)
+        rep = verify_drift(cert, f)
+    else:
+        lo, hi = admissible_c_interval(cert, scan_p)
+        lifted = lift_to_rgs(cert, scan_p, c=lo * (hi / lo) ** u)
+        s, c = scan_p, lifted.c
+        gamma = 1.0 - 10.0 ** lifted.log10_one_minus_gamma
+        G = (f.a + z * f.b) / (f.a + f.b) * V
+        x = np.concatenate((xs, xs[1:]))       # (y, y), then (y + 1, y)
+        y = np.concatenate((xs, xs[:-1]))
+        W = V[x - 1] + c * G[y - 1]
+        EW = s * (1.0 + c) * G[y - 1] + (1.0 - s) * (V[x - 1] + c * PV[x - 1])
+        K = (1.0 - s) * c * L * inside[x - 1]
+        ref = (EW - gamma * W - K) / ((1.0 - s) * c * V[x - 1] * delta)
+        rep = verify_drift(lifted, f)
+    assert rep.holds
+    assert rep.max_violation == pytest.approx(ref.max(), rel=1e-6)
+
+
 @pytest.mark.parametrize("name", ["power-law", "geometric", "mixed-geometric",
                                   "alternating"])
 @pytest.mark.parametrize("scan_p", [0.1, 0.5, 0.9])
@@ -247,15 +278,15 @@ def test_certificate_json_fields(fam):
 
 # -- certify: search, verify, lift, verify --------------------------------
 
-# rho* is within a few ulps of 1: below the verifier's tolerance
+# rho* is within a few ulps of 1, and 1 - rho* is stated in log10
 VACUOUS = table(
     (1.2602965398145352e-38, 2.6507480257709705e-267, 3.70335196283661e-135,
      3.0989551395265743e-125),
     (8.734113359284468e-165, 3.831735966407416e-299, 1.155024330605395e-179,
      1.141077950296553e-112),
     tail_ratio=0.7686484683596883)
-# -log rho* = 3.1e-10 clears the tolerance, but at scan_p 1e-7 the lift's
-# gamma = 1 - 1.6e-17 rounds to 1.0
+# 1 - rho* = 3.1e-10, and at scan_p 1e-7 the lift's gamma = 1 - 1.6e-17
+# rounds to 1.0
 UNLIFTABLE = table((1.0,), (1.0,), tail_ratio=0.9998)
 
 
@@ -265,30 +296,38 @@ def _json_round_trips(cert):
     return json.loads(json.dumps(d, allow_nan=False)) == d
 
 
-def test_certify_refuses_an_unrepresentable_lift():
+def test_certify_lifts_where_gamma_rounds_to_1():
     f = build_family(UNLIFTABLE, 154)
     cert = certify(f)
     assert isinstance(cert, DriftCertificate)
-    assert VERIFY_TOL < -math.log(cert.rho) < 1e-9
-    with pytest.raises(COutOfRange):
-        lift_to_rgs(cert, 1e-7)
+    assert 3e-10 < cert.one_minus_rho < 3.2e-10 and cert.rho < 1.0
     out = certify(f, 1e-7)
-    assert isinstance(out, NoCertificate) and "lift" in out.reason
+    assert isinstance(out, DriftCertificate) and out.gamma == 1.0
+    assert verify_drift(out, f).holds
+    # 1 - gamma = min(s, 1 - s)(1 - sqrt(rho)), and tau = 1 - sqrt(rho)
+    tau = -math.expm1(0.5 * math.log1p(-cert.one_minus_rho))
+    assert out.tau == tau
+    assert out.log10_one_minus_gamma == pytest.approx(math.log10(1e-7 * tau),
+                                                      rel=1e-14)
     assert (out.r_hat, out.q_hat) == (cert.r_hat, cert.q_hat)
 
 
-def test_certify_refuses_a_margin_below_the_verifier_tolerance():
-    # verified with log excess up to VERIFY_TOL, a rate rho with
-    # -log rho <= VERIFY_TOL would prove nothing
-    out = certify(build_family(VACUOUS, 154))
-    assert isinstance(out, NoCertificate) and "VERIFY_TOL = 1e-10" in out.reason
-    assert -math.log(rho_bound(out.r_hat, out.q_hat,
-                               math.sqrt(2.0 / (out.r_hat + 1.0)))) < 1e-15
-    # the lift is held to the same rule: gamma's margin is about
-    # scan_p (1 - sqrt(rho)), 2.5e-12 here
+def test_certify_refuses_only_a_margin_that_underflows():
+    # a rate rho* within ulps of 1 is certified: its margin is carried in
+    # log10, and rho prints as its float64 rounding
+    f = build_family(VACUOUS, 154)
+    out = certify(f)
+    assert isinstance(out, DriftCertificate) and verify_drift(out, f).holds
+    assert out.to_json_dict()["log10_one_minus_rho"] == math.log10(out.one_minus_rho)
+    assert out.one_minus_rho < 1e-15
+    # the lift keeps its margin too: 1 - gamma = scan_p (1 - sqrt(rho)),
+    # 2.5e-12 here
     out = certify(build_family(example_spec("geometric"), 200), 1e-9)
-    assert isinstance(out, NoCertificate)
-    assert out.reason.startswith("margin -log gamma = 2.48e-12 is not above")
+    assert isinstance(out, DriftCertificate) and out.gamma < 1.0
+    assert 10.0 ** out.log10_one_minus_gamma == pytest.approx(2.48e-12, rel=1e-2)
+    # only a margin below float64's normal range is refused, with that reason
+    out = certify(build_family(table((1e-306,), (1.0,), tail_ratio=0.5), 154))
+    assert isinstance(out, NoCertificate) and "underflows float64" in out.reason
 
 
 def test_certify_checks_scan_p_before_searching():
@@ -318,10 +357,10 @@ def test_certify_refuses_a_certificate_that_fails_verification(
 
 def test_certify_sweep_agrees_with_classify_and_round_trips():
     # random tables in the style of the tail-underflow sweeps; a few of
-    # them reach rho or gamma within the verifier's tolerance of 1, down to
-    # rho within ulps of 1, and are refused by VERIFY_TOL
+    # them reach rho or gamma within 1e-10 of 1, down to rho within ulps of
+    # 1, and each is certified
     rng = np.random.default_rng(20261018)
-    unresolved = lifted = 0
+    near_1 = lifted = 0
     for _ in range(800):
         k = int(rng.integers(3, 21))
         a = tuple(10.0 ** rng.uniform(-300, 0, k))
@@ -333,14 +372,14 @@ def test_certify_sweep_agrees_with_classify_and_round_trips():
         cert = certify(f, s)
         if v.certificate is not None:
             assert cert == v.certificate
-        if isinstance(cert, NoCertificate):
-            unresolved += "VERIFY_TOL" in cert.reason and "= 0 " not in cert.reason
-            continue
+        assert isinstance(cert, DriftCertificate)
+        near_1 += cert.to_json_dict()["rgs"]["log10_one_minus_gamma"] < -10.0
         lifted += 1
         assert _json_round_trips(cert)
-        base = dataclasses.replace(cert, scan_p=None, c=None, gamma=None)
+        base = dataclasses.replace(cert, scan_p=None, c=None, gamma=None,
+                                   tau=None)
         assert _json_round_trips(base) and base == certify(f)
-    assert unresolved >= 1 and lifted >= 10
+    assert near_1 >= 1 and lifted == 800
 
 
 # -- every issued certificate holds, checked without log_expect --------------
@@ -386,11 +425,89 @@ def test_issued_certificates_hold_at_every_state(spec, N, scan_p):
 
 @settings(max_examples=60, deadline=None)
 @given(spec=_TABLES, N=st.integers(2, 300), scan_p=st.floats(1e-9, 1.0 - 1e-9))
-def test_no_issued_certificate_is_within_the_verifier_tolerance(spec, N, scan_p):
-    # verify_drift accepts a log excess up to VERIFY_TOL, so an issued
-    # rate must be below one by more than that
+def test_issued_certificates_state_their_margins(spec, N, scan_p):
+    # an issued certificate states 1 - rho and 1 - gamma in log10, finite
+    # and negative, and 1 - gamma = min(s, 1 - s)(1 - sqrt(rho)) < 1 - rho
     f = build_family(spec, N)
     for cert in (certify(f), certify(f, scan_p)):
-        if isinstance(cert, DriftCertificate):
-            assert -math.log(cert.rho) > VERIFY_TOL
-            assert cert.gamma is None or -math.log(cert.gamma) > VERIFY_TOL
+        if isinstance(cert, NoCertificate):
+            assert "underflows float64" in cert.reason
+            continue
+        d = cert.to_json_dict()
+        assert -308.0 < d["log10_one_minus_rho"] < 0.0
+        assert cert.rho == pytest.approx(1.0 - cert.one_minus_rho, rel=0,
+                                         abs=2.0 ** -53)
+        if cert.scan_p is not None:
+            g = d["rgs"]["log10_one_minus_gamma"]
+            assert math.isfinite(g) and g < d["log10_one_minus_rho"]
+            assert cert.rho <= cert.gamma <= 1.0
+
+
+# -- every certificate at N <= 60 holds to 50 digits --------------------------
+
+
+def _mp_recheck(cert, f):
+    """The certificate rechecked at 50 digits from the family's log a and
+    log b: eps(x) <= -delta beyond x0 and E V <= (1 - delta) V + L at every
+    x; when lifted, E W <= gamma W + (1 - s) c L at every staircase pair,
+    with c = lo / (1 - tau) and 1 - gamma from tau exactly, and the stated
+    log10 (1 - gamma) equal to it to rounding."""
+    from mpmath import exp, log10, mpf, sqrt
+
+    a = [exp(mpf(v)) for v in f.log_a]
+    b = [exp(mpf(v)) for v in f.log_b] + [mpf(0)]
+    pix = [a[i] + (b[i - 1] if i else 0) for i in range(f.N)]
+    piy = [a[i] + b[i] for i in range(f.N)]
+    z, L = mpf(cert.z), exp(mpf(cert.log_L))
+    r, q = mpf(cert.r_hat), mpf(cert.q_hat)
+    delta = q / 2 * (1 - sqrt((r + 1) / 2)) ** 2
+    PV, ok = [], True
+    for i in range(f.N):
+        p_x = a[i] * b[i] / (pix[i] * piy[i])
+        q_x = a[i - 1] * b[i - 1] / (pix[i] * piy[i - 1]) if i else 0
+        eps = p_x * (z - 1) + q_x * (1 / z - 1)
+        PV.append((1 + eps) * z ** (i + 1))
+        ok &= eps <= -delta if i + 1 > cert.x0 else PV[i] <= (1 - delta) * z ** (i + 1) + L
+    if cert.scan_p is None:
+        return ok
+    s, tau = mpf(cert.scan_p), mpf(cert.tau)
+    lo = s / (1 - s)
+    c = lo / (1 - tau)
+    one_minus_gamma = s * min(delta - tau, tau * (1 - tau) / lo) / (1 - tau)
+    ok &= abs(log10(one_minus_gamma) - cert.log10_one_minus_gamma) <= 1e-13 * (
+        1 + abs(cert.log10_one_minus_gamma))
+    const = (1 - s) * c * L
+    for y in range(1, f.N + 1):
+        G = (a[y - 1] + z * b[y - 1]) / piy[y - 1] * z ** y
+        for x in (y, y + 1)[:1 if y == f.N else 2]:
+            W = z ** x + c * G
+            EW = s * (1 + c) * G + (1 - s) * (z ** x + c * PV[x - 1])
+            ok &= EW <= (1 - one_minus_gamma) * W + const
+    return ok
+
+
+_RECHECK_SPECS = [
+    *(example_spec(name) for name in ("geometric", "power-law", "mixed-geometric",
+                                      "alternating")),
+    *(table((1.0,), (1.0,), tail_ratio=r) for r in (0.9, 0.99, 0.999, 0.9999,
+                                                     0.99999)),
+    table((1.0,), (1e-10,), tail_ratio=0.5), table((1e-10,), (1.0,), tail_ratio=0.5),
+    table((1.0,), (1e-200,), tail_ratio=0.5), VACUOUS, UNLIFTABLE,
+    table(tuple(10.0 ** (-5 * k) for k in range(16)), (1.0,), tail_ratio=0.5),
+]
+
+
+@pytest.mark.parametrize("scan_p", [None, 0.5, 1e-7, 0.9999999999999999, 1e-300])
+def test_issued_certificates_hold_to_50_digits(scan_p):
+    from mpmath import mp
+
+    issued = 0
+    with mp.workdps(50):
+        for spec in _RECHECK_SPECS:
+            for N in (2, 10, 60):
+                f = build_family(spec, N)
+                cert = certify(f, scan_p)
+                if isinstance(cert, DriftCertificate):
+                    issued += 1
+                    assert _mp_recheck(cert, f), (spec, N)
+    assert issued == 3 * (len(_RECHECK_SPECS) - 3)

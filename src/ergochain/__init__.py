@@ -23,7 +23,7 @@ _EXPORTS = {
     "presets": ("example_names", "example_spec", "example_description"),
     "kernels": ("TransitionMatrix", "build_Px", "build_Pdgs", "build_Prgs",
                 "TVCurve", "tv_curve", "SpectralGap", "spectral_gap"),
-    "drift": ("drift_coefficient", "DriftCertificate", "NoCertificate",
+    "drift": ("DriftCertificate", "NoCertificate",
               "find_drift_certificate", "admissible_c_interval", "lift_to_rgs",
               "DriftReport", "verify_drift", "certify"),
     "subgeo": ("conditional_variance_stat", "divergence_flags", "SubgeoReport",
@@ -36,7 +36,7 @@ _EXPORTS = {
     "diagnostics": ("CLT_NOTE", "BatchMeansEstimate", "batch_means"),
     "errors": ("ErgochainError", "NonPositiveSequence", "DegenerateTruncation",
                "OutOfSupport", "IndexOutOfRange", "BadScanProbability",
-               "StartNotInSupport", "BadSeed", "NotSymmetricKernel", "BadZ",
+               "StartNotInSupport", "BadSeed", "NotSymmetricKernel",
                "COutOfRange", "TooFewSamples", "UnknownFormat", "EmptyReport"),
 }
 _SUBMODULE = {name: mod for mod, names in _EXPORTS.items() for name in names}

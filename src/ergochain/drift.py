@@ -13,11 +13,12 @@ threshold x0, and L = max_{x <= x0} E[V(X_1) | X_0 = x]
 
 The tail constants r_hat = limsup p_x / q_x and q_hat = liminf q_x are
 the spec's exact tail limits, spec.tail_limits. For z < 2 / (r + 1) the
-rate rho(z) = 1 + (q/2)(z - 1)((r + 1)/2 - 1/z) (rho_bound) is smallest
-at z* = sqrt(2 / (r + 1)), with delta = 1 - rho* = (q/2)(1 - u)^2,
+rate rho(z) = 1 + (q/2)(z - 1)((r + 1)/2 - 1/z) is smallest at
+z* = sqrt(2 / (r + 1)), with delta = 1 - rho* = (q/2)(1 - u)^2,
 u = sqrt((r + 1)/2), taken in closed form with 1 - u = ((1 - r)/2) /
-(1 + u). The certificate uses z*; rho is 1 - delta rounded to float64,
-and log10_one_minus_rho carries delta. eps(x) is compared with -delta
+(1 + u). The certificate uses z*; rho is 1 - delta rounded up to
+float64, so it never states a faster rate than the one verified, and
+log10_one_minus_rho carries delta. eps(x) is compared with -delta
 with its rounding bound, 4 eps64 (p_x (z - 1) + q_x (1 - 1/z)), about
 11 eps64 / (1 - r_hat) of |eps(x)| in the tail, and no other tolerance.
 So every spec whose limits pass the ratio test is certified, except
@@ -33,26 +34,31 @@ With lo = s/(1-s) and c = lo / (1 - tau), 0 < tau < delta,
     1 - gamma = s w / (1 - tau),   w = min(delta - tau, tau (1 - tau) / lo),
 
 and one random-scan step satisfies E W <= gamma W + (1-s) c L. The
-default tau = 1 - sqrt(rho*) makes c = sqrt(lo hi), the geometric mean
-of the admissible interval, and 1 - gamma = min(s, 1 - s)(1 - sqrt(rho*)).
-tau is held exactly, so the lift holds where c rounds to lo; c and gamma
-are shown rounded, and log10_one_minus_gamma carries 1 - gamma. One
-record, DriftCertificate, serves all three chains (the deterministic
-scan's x-marginal is the marginal chain); its lift fields scan_p, c,
-gamma and tau are None until lift_to_rgs sets them.
+default tau = 1 - sqrt(1 - delta) makes c = sqrt(lo hi), the geometric
+mean of the admissible interval, and 1 - gamma = min(s, 1 - s)(1 - sqrt(rho*)).
+The lift is held as scan_p and tau alone, both float64 and set together,
+and everything else is read from them: 1 - gamma is formed exactly
+(fractions.Fraction) in their values and delta's, gamma is 1 - gamma
+rounded up to float64, c is rounded to nearest, and
+log10_one_minus_gamma carries 1 - gamma. So the lift holds where c
+rounds to lo, and the rates a certificate states are the ones
+verify_drift checks. One record, DriftCertificate, serves all three
+chains (the deterministic scan's x-marginal is the marginal chain).
 
 verify_drift checks the same excess form at every state of the
 truncation, at most 0 beyond x0 and at most L/V(x) up to it:
 eps(x) + delta on the marginal chain, and on the random scan's 2N-1
-staircase pairs, with w = (1 - gamma) / ((1-s) c) as above,
+staircase pairs, with w as above,
 
     (E W - gamma W) / ((1-s) c V(x)) = (c w - tau) G(y)/V(x)
                                        + (w + tau - delta) + eps(x) + delta,
 
 where c w - tau and w + tau - delta are at most 0, and G(y)/V(x) is
 1 + beta_y (z - 1) at (y, y) and 1 - (a_y / pi_Y(y))(1 - 1/z) at
-(y + 1, y). certify, the one path that issues a certificate, runs
-search, verification, lift and lifted verification in that order.
+(y + 1, y). delta there is the certificate's one_minus_rho: the closed
+form, or 1 - rho where a hand-set rho claims more. certify, the one path
+that issues a certificate, runs search, verification, lift and lifted
+verification in that order.
 
 A certificate proves a geometric rate for the chain truncated at N; its
 constants are the untruncated tail's. Whether the family converges
@@ -64,10 +70,11 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import asdict, dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 
-from .errors import BadZ, COutOfRange
+from .errors import COutOfRange
 from .family import BivariateFamily, _exp_sat
 from .kernels import build_Px, log_expect, staircase_xy
 from .spec import _encode_extended, check_scan_p, tail_limits
@@ -77,21 +84,12 @@ from .subgeo import divergence_flags
 _ROUNDING = 4.0 * sys.float_info.epsilon
 
 
-def drift_coefficient(p: float, q: float, z: float) -> float:
-    """One-step multiplier of V(x) = z^x at up/down probabilities (p, q)."""
-    if not (z > 1.0 and math.isfinite(z)):
-        raise BadZ(f"z = {z!r} must be finite and exceed 1")
-    return p * (z - 1.0) + q * (1.0 / z - 1.0) + 1.0
-
-
-_LIFT = ("scan_p", "c", "gamma")
-
-
 @dataclass(frozen=True)
 class DriftCertificate:
     """Verified drift data for the marginal chain; lifted when scan_p is set.
 
-    tau, set with the lift, is 1 - lo/c held exactly; the JSON shows c."""
+    The lift is scan_p and tau = 1 - lo/c, set together with
+    0 < tau < one_minus_rho; c and gamma are read from them."""
 
     z: float
     rho: float
@@ -101,9 +99,16 @@ class DriftCertificate:
     q_hat: float
     N: int
     scan_p: float | None = None
-    c: float | None = None
-    gamma: float | None = None
     tau: float | None = None
+
+    def __post_init__(self):
+        if (self.scan_p is None) != (self.tau is None):
+            raise COutOfRange("a lift sets scan_p and tau together")
+        if self.scan_p is not None:
+            check_scan_p(self.scan_p)
+            delta = self.one_minus_rho
+            if not 0.0 < self.tau < delta:
+                raise COutOfRange(f"tau = {self.tau!r} outside (0, {delta!r})")
 
     @property
     def L(self) -> float:
@@ -111,33 +116,54 @@ class DriftCertificate:
 
     @property
     def one_minus_rho(self) -> float:
-        """delta, the certified margin 1 - rho* in closed form."""
-        return _one_minus_rho(self.r_hat, self.q_hat)
+        """delta, the margin verify_drift checks: 1 - rho* in closed form,
+        or 1 - rho where rho claims a larger one."""
+        return max(_one_minus_rho(self.r_hat, self.q_hat), 1.0 - self.rho)
+
+    def _one_minus_gamma(self) -> Fraction:
+        """1 - gamma = s w / (1 - tau), exact in the float64 values of
+        scan_p, tau and delta."""
+        s, tau, delta = map(Fraction, (self.scan_p, self.tau, self.one_minus_rho))
+        w = min(delta - tau, tau * (1 - tau) * (1 - s) / s)
+        return s * w / (1 - tau)
+
+    @property
+    def gamma(self) -> float | None:
+        """The lifted rate, rounded up to float64; None before the lift."""
+        return None if self.scan_p is None else _one_minus_up(self._one_minus_gamma())
+
+    @property
+    def c(self) -> float | None:
+        """The lift constant lo / (1 - tau), rounded; None before the lift."""
+        if self.scan_p is None:
+            return None
+        s = Fraction(self.scan_p)
+        return float(s / ((1 - s) * (1 - Fraction(self.tau))))
 
     @property
     def log10_one_minus_gamma(self) -> float | None:
         """log10 (1 - gamma) of the lift, None before it."""
         if self.scan_p is None:
             return None
-        w = _lift_terms(self.scan_p, self.tau, self.one_minus_rho)[0]
-        return (math.log10(self.scan_p) + math.log10(w)
-                - math.log1p(-self.tau) / math.log(10.0))
+        m = self._one_minus_gamma()
+        e = m.numerator.bit_length() - m.denominator.bit_length()
+        return math.log10(m / Fraction(2) ** e) + e * math.log10(2.0)
 
     @property
     def log_bound_constant(self) -> float:
-        """log of the lifted additive constant (1 - scan_p) c L."""
-        return math.log((1.0 - self.scan_p) * self.c) + self.log_L
+        """log of the lifted additive constant (1 - scan_p) c L = s L / (1 - tau)."""
+        return math.log(self.scan_p) - math.log1p(-self.tau) + self.log_L
 
     def to_json_dict(self) -> dict:
         out = asdict(self)
-        lift = {k: out.pop(k) for k in _LIFT}
-        del out["tau"]
+        lift = {k: out.pop(k) for k in ("scan_p", "tau")}
         out["L"] = _encode_extended(self.L)
         out["log10_one_minus_rho"] = math.log10(self.one_minus_rho)
         if self.scan_p is not None:
-            out["rgs"] = {**lift, "bound_constant": _encode_extended(
-                _exp_sat(self.log_bound_constant)),
-                "log10_one_minus_gamma": self.log10_one_minus_gamma}
+            out["rgs"] = {**lift, "c": self.c, "gamma": self.gamma,
+                          "bound_constant": _encode_extended(
+                              _exp_sat(self.log_bound_constant)),
+                          "log10_one_minus_gamma": self.log10_one_minus_gamma}
         return out
 
 
@@ -155,17 +181,17 @@ class NoCertificate:
                 "q_hat": _encode_extended(self.q_hat)}
 
 
-def rho_bound(r_hat: float, q_hat: float, z: float) -> float:
-    """The rate the tail constants (r_hat, q_hat) certify at base z; at
-    z* it is 1 - delta, which the certificate forms without the 1."""
-    return 1.0 + 0.5 * q_hat * (z - 1.0) * (0.5 * (r_hat + 1.0) - 1.0 / z)
-
-
 def _one_minus_rho(r_hat: float, q_hat: float) -> float:
     """1 - rho* = (q/2)(1 - u)^2 with u = sqrt((r + 1)/2), and 1 - u
     formed as ((1 - r)/2) / (1 + u)."""
     u = math.sqrt(0.5 * (r_hat + 1.0))
     return 0.5 * q_hat * (0.5 * (1.0 - r_hat) / (1.0 + u)) ** 2
+
+
+def _one_minus_up(m: Fraction) -> float:
+    """The smallest float64 at least 1 - m."""
+    g = float(1 - m)
+    return math.nextafter(g, 2.0) if 1 - Fraction(g) > m else g
 
 
 def _excess(fam: BivariateFamily, z: float) -> np.ndarray:
@@ -204,8 +230,8 @@ def find_drift_certificate(fam: BivariateFamily):
     x0 = int(beyond[-1] + 2) if beyond.size else 1
     log_V = np.arange(1, fam.N + 1) * math.log(z)
     log_L = float(np.max(log_expect(build_Px(fam), log_V)[:x0]))
-    return DriftCertificate(z=z, rho=1.0 - delta, log_L=log_L, x0=x0,
-                            r_hat=r_hat, q_hat=q_hat, N=fam.N)
+    return DriftCertificate(z=z, rho=_one_minus_up(Fraction(delta)), log_L=log_L,
+                            x0=x0, r_hat=r_hat, q_hat=q_hat, N=fam.N)
 
 
 def admissible_c_interval(cert: DriftCertificate, scan_p: float) -> tuple[float, float]:
@@ -216,20 +242,14 @@ def admissible_c_interval(cert: DriftCertificate, scan_p: float) -> tuple[float,
     return lo, hi
 
 
-def _default_tau(delta: float) -> float:
-    """1 - sqrt(1 - delta), without forming sqrt(1 - delta)."""
-    return -math.expm1(0.5 * math.log1p(-delta))
-
-
-def _lift_terms(s: float, tau: float, delta: float) -> tuple[float, float, float]:
-    """w = (1 - gamma) / ((1-s) c) of the lift at scan probability s with
-    c = lo / (1 - tau), and the two terms its excess adds to
-    eps(x) + delta: c w - tau, the coefficient of G(y)/V(x), and
+def _lift_terms(s: float, tau: float, delta: float) -> tuple[float, float]:
+    """The two terms the lift at scan probability s with c = lo / (1 - tau)
+    adds to eps(x) + delta: c w - tau, the coefficient of G(y)/V(x), and
     w + tau - delta. Both are at most 0; min keeps rounding from lifting
     them above it."""
     lo = s / (1.0 - s)
     a1, a2 = delta - tau, tau * (1.0 - tau) / lo
-    return min(a1, a2), min(0.0, lo * a1 / (1.0 - tau) - tau), min(0.0, a2 - a1)
+    return min(0.0, lo * a1 / (1.0 - tau) - tau), min(0.0, a2 - a1)
 
 
 def lift_to_rgs(cert: DriftCertificate, scan_p: float,
@@ -243,18 +263,13 @@ def lift_to_rgs(cert: DriftCertificate, scan_p: float,
     lo, hi = admissible_c_interval(cert, scan_p)
     delta = cert.one_minus_rho
     if c is None:
-        tau = _default_tau(delta)
-        # sqrt(lo hi) with both scaled by 2^-e, so the product cannot underflow
-        m, e = math.frexp(lo)
-        c = math.ldexp(math.sqrt(m * math.ldexp(hi, -e)), e)
+        tau = -math.expm1(0.5 * math.log1p(-delta))
     else:
         c = float(c)
         tau = (c - lo) / c
-        if not (lo < c < hi and tau < delta):
+        if not (lo < c < hi and 0.0 < tau < delta):
             raise COutOfRange(f"c = {c!r} outside admissible interval ({lo!r}, {hi!r})")
-    gamma = min(1.0, max(cert.rho, (1.0 - scan_p) * (c * cert.rho + 1.0),
-                         scan_p * (1.0 + c) / c))
-    return replace(cert, scan_p=scan_p, c=c, gamma=gamma, tau=tau)
+    return replace(cert, scan_p=scan_p, tau=tau)
 
 
 @dataclass(frozen=True)
@@ -276,20 +291,19 @@ def verify_drift(cert: DriftCertificate, fam: BivariateFamily) -> DriftReport:
     """Check a certificate's drift inequality at every support state, in
     the excess form of the module docstring.
 
-    A certificate whose lift fields are None is checked on the marginal
-    chain (x = 1..N), a lifted one on the random scan's 2N-1 staircase
-    pairs.
+    Every certificate is checked on the marginal chain (x = 1..N); a
+    lifted one also on the random scan's 2N-1 staircase pairs, and its
+    max_violation and worst_state are the lift's. So a certificate holds
+    only where every rate it states holds.
     """
     delta = cert.one_minus_rho
-    if cert.rho < 1.0 - delta:          # rho claims a faster rate: check that
-        delta = 1.0 - cert.rho
     x = np.arange(1, fam.N + 1)
     excess = _excess(fam, cert.z) + delta
     with np.errstate(over="ignore"):
         excess[:cert.x0] -= np.exp(cert.log_L - x[:cert.x0] * math.log(cert.z))
-    y = None
+    holds, y = bool(np.max(excess) <= 0.0), None
     if cert.scan_p is not None:
-        _, g_term, slack = _lift_terms(cert.scan_p, cert.tau, delta)
+        g_term, slack = _lift_terms(cert.scan_p, cert.tau, delta)
         x, y = staircase_xy(fam.N)
         up = cert.z - 1.0
         G_over_V = np.empty(2 * fam.N - 1)
@@ -299,7 +313,7 @@ def verify_drift(cert: DriftCertificate, fam: BivariateFamily) -> DriftReport:
     k = int(np.argmax(excess))
     worst = int(x[k]) if y is None else (int(x[k]), int(y[k]))
     return DriftReport(max_violation=float(excess[k]) / delta,
-                       holds=bool(excess[k] <= 0.0), worst_state=worst,
+                       holds=holds and bool(excess[k] <= 0.0), worst_state=worst,
                        checked=len(excess))
 
 
@@ -329,7 +343,7 @@ def certify(fam: BivariateFamily, scan_p: float | None = None):
 
 
 __all__ = [
-    "DriftCertificate", "NoCertificate", "DriftReport", "drift_coefficient",
-    "rho_bound", "find_drift_certificate", "admissible_c_interval",
+    "DriftCertificate", "NoCertificate", "DriftReport",
+    "find_drift_certificate", "admissible_c_interval",
     "lift_to_rgs", "verify_drift", "certify",
 ]

@@ -47,12 +47,9 @@ class NotSymmetricKernel(ErgochainError):
     or a spectral gap was asked of a kernel that is not positive semidefinite."""
 
 
-class BadZ(ErgochainError):
-    """A drift base z is outside the admissible interval."""
-
-
 class COutOfRange(ErgochainError):
-    """A lift constant c is outside the admissible open interval."""
+    """A lift constant c, or its tau = 1 - lo/c, is outside the admissible
+    open interval."""
 
 
 class TooFewSamples(ErgochainError):

@@ -9,6 +9,7 @@ import dataclasses
 import json
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,14 +18,12 @@ from hypothesis import strategies as st
 
 from ergochain import (
     BadScanProbability,
-    BadZ,
     COutOfRange,
     DriftCertificate,
     NoCertificate,
     admissible_c_interval,
     build_family,
     classify,
-    drift_coefficient,
     example_spec,
     find_drift_certificate,
     lift_to_rgs,
@@ -33,14 +32,27 @@ from ergochain import (
     tail_limits,
     verify_drift,
 )
-from ergochain.drift import (
-    certify,
-    rho_bound,
-)
+from ergochain.drift import certify
 from ergochain.kernels import build_Prgs, build_Px, log_expect
 
 COEF_GEO_Z13_X10 = 0.960187767622529   # frozen direct evaluation
 Z_UPPER_GEO = 1.4621171572600098       # 2 / (e^{-1} + 1)
+
+
+# -- oracles: the drift formulas in their textbook form ------------------------
+
+
+def drift_coefficient(p, q, z):
+    """One-step multiplier 1 + eps of V(x) = z^x at up/down probabilities
+    (p, q)."""
+    if not (z > 1.0 and math.isfinite(z)):
+        raise ValueError(f"z = {z!r} must be finite and exceed 1")
+    return p * (z - 1.0) + q * (1.0 / z - 1.0) + 1.0
+
+
+def rho_bound(r_hat, q_hat, z):
+    """The rate the tail constants (r_hat, q_hat) certify at base z."""
+    return 1.0 + 0.5 * q_hat * (z - 1.0) * (0.5 * (r_hat + 1.0) - 1.0 / z)
 
 
 def test_coefficient_tends_to_one_as_z_shrinks():
@@ -50,7 +62,7 @@ def test_coefficient_tends_to_one_as_z_shrinks():
 
 @pytest.mark.parametrize("z", [1.0, 0.5, -2.0, float("inf"), float("nan")])
 def test_coefficient_rejects_bad_z(z):
-    with pytest.raises(BadZ):
+    with pytest.raises(ValueError):
         drift_coefficient(0.1, 0.2, z)
 
 
@@ -273,7 +285,64 @@ def test_certificate_json_fields(fam):
     lifted = lift_to_rgs(cert, 0.25)
     d2 = lifted.to_json_dict()
     assert d2["rgs"]["scan_p"] == 0.25
-    assert {"c", "gamma", "bound_constant"} <= set(d2["rgs"])
+    assert {"c", "gamma", "tau", "bound_constant"} <= set(d2["rgs"])
+    # c is lo / (1 - tau) rounded to nearest
+    s, tau = Fraction(0.25), Fraction(d2["rgs"]["tau"])
+    assert d2["rgs"]["c"] == float(s / ((1 - s) * (1 - tau)))
+
+
+def _base_fields(cert):
+    return {k: getattr(cert, k) for k in ("z", "rho", "log_L", "x0", "r_hat",
+                                          "q_hat", "N")}
+
+
+def test_hand_built_lifted_certificate(fam):
+    # a lift is scan_p and tau, set together; c and gamma are read from them
+    f = fam("geometric", 100)
+    cert = find_drift_certificate(f)
+    lifted = lift_to_rgs(cert, 0.5)
+    hand = DriftCertificate(**_base_fields(cert), scan_p=0.5, tau=lifted.tau)
+    assert hand == lifted and verify_drift(hand, f).holds
+    assert hand.to_json_dict() == lifted.to_json_dict()
+    for lift in ({"scan_p": 0.5}, {"tau": lifted.tau}, {"scan_p": 0.5, "tau": 0.0},
+                 {"scan_p": 0.5, "tau": cert.one_minus_rho}):
+        with pytest.raises(COutOfRange):
+            DriftCertificate(**_base_fields(cert), **lift)
+    with pytest.raises(BadScanProbability):
+        DriftCertificate(**_base_fields(cert), scan_p=1.0, tau=lifted.tau)
+
+
+def test_lift_states_the_rate_it_verifies(fam):
+    f = fam("geometric", 100)
+    lifted = certify(f, 0.5)
+    # gamma is not stored, so it cannot be set apart from the lift
+    with pytest.raises(TypeError):
+        dataclasses.replace(lifted, gamma=lifted.rho)
+    # every tau in (0, delta) is a lift, the gamma it states verifies, and
+    # the default tau = 1 - sqrt(1 - delta) states the fastest one
+    for k in (1, 3, 5, 7):
+        other = dataclasses.replace(lifted, tau=lifted.one_minus_rho * k / 8)
+        assert lifted.gamma < other.gamma < 1.0 and verify_drift(other, f).holds
+    # a rho that claims a faster marginal rate fails verification, lifted
+    # or not
+    bad = dataclasses.replace(lifted, rho=lifted.rho / 2.0)
+    assert bad.one_minus_rho == 1.0 - bad.rho > lifted.one_minus_rho
+    assert not verify_drift(bad, f).holds
+    assert not verify_drift(dataclasses.replace(bad, scan_p=None, tau=None), f).holds
+
+
+def test_rates_are_rounded_up_onto_their_margins():
+    # at scan_p 1 - 2^-53, 1 - gamma = 2^-53 (1 - sqrt(rho)) = 2.75e-19, so
+    # gamma is 1.0, not the float formula's 1 - 2^-52
+    f = build_family(example_spec("geometric"), 200)
+    out = certify(f, 0.9999999999999999)
+    assert out.gamma == 1.0 and verify_drift(out, f).holds
+    assert out.log10_one_minus_gamma == pytest.approx(-18.5607, abs=1e-3)
+    # rho is the smallest float64 at least 1 - delta, never rounded below it
+    for spec in (VACUOUS, UNLIFTABLE, example_spec("geometric")):
+        cert = certify(build_family(spec, 154))
+        one_minus = 1 - Fraction(cert.one_minus_rho)
+        assert Fraction(cert.rho) >= one_minus > Fraction(math.nextafter(cert.rho, 0.0))
 
 
 # -- certify: search, verify, lift, verify --------------------------------
@@ -376,8 +445,7 @@ def test_certify_sweep_agrees_with_classify_and_round_trips():
         near_1 += cert.to_json_dict()["rgs"]["log10_one_minus_gamma"] < -10.0
         lifted += 1
         assert _json_round_trips(cert)
-        base = dataclasses.replace(cert, scan_p=None, c=None, gamma=None,
-                                   tau=None)
+        base = dataclasses.replace(cert, scan_p=None, tau=None)
         assert _json_round_trips(base) and base == certify(f)
     assert near_1 >= 1 and lifted == 800
 
@@ -427,7 +495,8 @@ def test_issued_certificates_hold_at_every_state(spec, N, scan_p):
 @given(spec=_TABLES, N=st.integers(2, 300), scan_p=st.floats(1e-9, 1.0 - 1e-9))
 def test_issued_certificates_state_their_margins(spec, N, scan_p):
     # an issued certificate states 1 - rho and 1 - gamma in log10, finite
-    # and negative, and 1 - gamma = min(s, 1 - s)(1 - sqrt(rho)) < 1 - rho
+    # and negative, with 1 - gamma = min(s, 1 - s)(1 - sqrt(rho)) < 1 - rho,
+    # and rho and gamma are those margins rounded up to float64
     f = build_family(spec, N)
     for cert in (certify(f), certify(f, scan_p)):
         if isinstance(cert, NoCertificate):
@@ -435,12 +504,20 @@ def test_issued_certificates_state_their_margins(spec, N, scan_p):
             continue
         d = cert.to_json_dict()
         assert -308.0 < d["log10_one_minus_rho"] < 0.0
-        assert cert.rho == pytest.approx(1.0 - cert.one_minus_rho, rel=0,
-                                         abs=2.0 ** -53)
+        assert _rounded_up(cert.rho, Fraction(cert.one_minus_rho))
         if cert.scan_p is not None:
             g = d["rgs"]["log10_one_minus_gamma"]
             assert math.isfinite(g) and g < d["log10_one_minus_rho"]
             assert cert.rho <= cert.gamma <= 1.0
+            s, tau = Fraction(cert.scan_p), Fraction(cert.tau)
+            delta = Fraction(cert.one_minus_rho)
+            w = min(delta - tau, tau * (1 - tau) * (1 - s) / s)
+            assert _rounded_up(cert.gamma, s * w / (1 - tau))
+
+
+def _rounded_up(rate, margin):
+    """rate is the smallest float64 at least 1 - margin."""
+    return Fraction(rate) >= 1 - margin > Fraction(math.nextafter(rate, 0.0))
 
 
 # -- every certificate at N <= 60 holds to 50 digits --------------------------
@@ -448,29 +525,32 @@ def test_issued_certificates_state_their_margins(spec, N, scan_p):
 
 def _mp_recheck(cert, f):
     """The certificate rechecked at 50 digits from the family's log a and
-    log b: eps(x) <= -delta beyond x0 and E V <= (1 - delta) V + L at every
-    x; when lifted, E W <= gamma W + (1 - s) c L at every staircase pair,
-    with c = lo / (1 - tau) and 1 - gamma from tau exactly, and the stated
-    log10 (1 - gamma) equal to it to rounding."""
+    log b, against the rates it states: delta within rounding of its
+    closed form, rho >= 1 - delta, eps(x) <= -delta beyond x0 and
+    E V <= rho V + L at every x; when lifted, E W <= gamma W + (1 - s) c L
+    at every staircase pair with c = lo / (1 - tau), and the stated
+    log10 (1 - gamma) equal to 1 - gamma from tau to rounding."""
     from mpmath import exp, log10, mpf, sqrt
 
     a = [exp(mpf(v)) for v in f.log_a]
     b = [exp(mpf(v)) for v in f.log_b] + [mpf(0)]
     pix = [a[i] + (b[i - 1] if i else 0) for i in range(f.N)]
     piy = [a[i] + b[i] for i in range(f.N)]
-    z, L = mpf(cert.z), exp(mpf(cert.log_L))
+    z, L, rho = mpf(cert.z), exp(mpf(cert.log_L)), mpf(cert.rho)
     r, q = mpf(cert.r_hat), mpf(cert.q_hat)
-    delta = q / 2 * (1 - sqrt((r + 1) / 2)) ** 2
-    PV, ok = [], True
+    delta = mpf(cert.one_minus_rho)
+    ok = abs(delta / (q / 2 * (1 - sqrt((r + 1) / 2)) ** 2) - 1) <= 1e-14
+    ok &= rho >= 1 - delta
+    PV = []
     for i in range(f.N):
         p_x = a[i] * b[i] / (pix[i] * piy[i])
         q_x = a[i - 1] * b[i - 1] / (pix[i] * piy[i - 1]) if i else 0
         eps = p_x * (z - 1) + q_x * (1 / z - 1)
         PV.append((1 + eps) * z ** (i + 1))
-        ok &= eps <= -delta if i + 1 > cert.x0 else PV[i] <= (1 - delta) * z ** (i + 1) + L
+        ok &= eps <= -delta if i + 1 > cert.x0 else PV[i] <= rho * z ** (i + 1) + L
     if cert.scan_p is None:
         return ok
-    s, tau = mpf(cert.scan_p), mpf(cert.tau)
+    s, tau, gamma = mpf(cert.scan_p), mpf(cert.tau), mpf(cert.gamma)
     lo = s / (1 - s)
     c = lo / (1 - tau)
     one_minus_gamma = s * min(delta - tau, tau * (1 - tau) / lo) / (1 - tau)
@@ -482,7 +562,7 @@ def _mp_recheck(cert, f):
         for x in (y, y + 1)[:1 if y == f.N else 2]:
             W = z ** x + c * G
             EW = s * (1 + c) * G + (1 - s) * (z ** x + c * PV[x - 1])
-            ok &= EW <= (1 - one_minus_gamma) * W + const
+            ok &= EW <= gamma * W + const
     return ok
 
 

@@ -169,5 +169,5 @@ def test_certificate_json_is_strict_and_round_trips(spec, N, scan_p):
     assert ("rgs" in d) == (c.scan_p is not None)
     assert verify_drift(c, fam).holds
     if c.scan_p is not None:
-        unlifted = dataclasses.replace(c, scan_p=None, c=None, gamma=None)
+        unlifted = dataclasses.replace(c, scan_p=None, tau=None)
         assert _lift(c) == _lift(unlifted)

@@ -26,13 +26,11 @@ _EXPORTS = {
     "drift": ("DriftCertificate", "NoCertificate",
               "find_drift_certificate", "admissible_c_interval", "lift_to_rgs",
               "DriftReport", "verify_drift", "certify"),
-    "subgeo": ("conditional_variance_stat", "divergence_flags", "SubgeoReport",
-               "build_subgeo_report"),
+    "subgeo": ("divergence_flags", "SubgeoReport", "build_subgeo_report"),
     "classify": ("GEOMETRIC", "SUBGEOMETRIC", "INCONCLUSIVE", "ErgodicityVerdict",
                  "classify", "verdict_report"),
-    "samplers": ("CHAIN_IDS", "make_rng", "marginal_step", "dgs_step", "rgs_step",
-                 "RunConfig", "Trace", "run_chain", "EnsembleResult",
-                 "run_marginal_ensemble"),
+    "samplers": ("CHAIN_IDS", "make_rng", "RunConfig", "Trace", "run_chain",
+                 "EnsembleResult", "run_marginal_ensemble"),
     "diagnostics": ("CLT_NOTE", "BatchMeansEstimate", "batch_means"),
     "errors": ("ErgochainError", "NonPositiveSequence", "DegenerateTruncation",
                "OutOfSupport", "IndexOutOfRange", "BadScanProbability",

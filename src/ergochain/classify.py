@@ -6,8 +6,8 @@ classify decides from the exact tail limits of the spec's kind
 divergence:<the first such one>, with the subgeo summary at N. Otherwise
 it is Geometric, basis ratio_test, with drift.certify's certificate at N:
 the certificate witnesses the truncation and decides nothing, and it is
-missing only where its margin 1 - rho underflows float64 (drift says
-so).
+missing only where its margin 1 - rho underflows float64 or its base z*
+rounds to 1 (drift says which).
 
 Two outcomes suffice: the ratio test (A < 1, a_over_bprev and b_over_a
 finite, A (1 + M) / (1 + m) < 1) is the paper's sufficient condition for

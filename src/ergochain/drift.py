@@ -22,10 +22,11 @@ log10_one_minus_rho carries delta. eps(x) is compared with -delta
 with its rounding bound, 4 eps64 (p_x (z - 1) + q_x (1 - 1/z)), about
 11 eps64 / (1 - r_hat) of |eps(x)| in the tail, and no other tolerance.
 So every spec whose limits pass the ratio test is certified, except
-where delta underflows float64's normal range, which is refused with
-that reason; a spec whose limits fire a divergence flag
-(subgeo.divergence_flags) has no geometric drift, and the refusal names
-the flags. These are the only refusals, and drift's only exit 3.
+where delta underflows float64's normal range or z* rounds to 1 (r_hat
+within 5 ulps of 1), which are refused with that reason; a spec whose
+limits fire a divergence flag (subgeo.divergence_flags) has no geometric
+drift, and the refusal names the flags. These are the only refusals,
+and drift's only exit 3.
 
 The random-scan chain with scan probability s is certified by lifting.
 With lo = s/(1-s) and c = lo / (1 - tau), 0 < tau < delta,
@@ -206,7 +207,8 @@ def find_drift_certificate(fam: BivariateFamily):
     with r_hat and q_hat from tail_limits(fam.spec), for any N >= 2.
 
     Returns a DriftCertificate, or a NoCertificate value when the tail
-    limits fire a divergence flag or delta underflows. The threshold x0
+    limits fire a divergence flag, delta underflows or z* rounds to 1,
+    where V = z^x is constant and drifts nowhere. The threshold x0
     is the largest index whose excess (with its rounding bound) is above
     -delta (at least 1), so the drift bound holds beyond it by
     construction.
@@ -226,6 +228,11 @@ def find_drift_certificate(fam: BivariateFamily):
             r_hat=r_hat, q_hat=q_hat)
 
     z = math.sqrt(2.0 / (r_hat + 1.0))
+    if not z > 1.0:
+        return NoCertificate(
+            reason=f"z* = sqrt(2 / (r_hat + 1)) rounds to {z!r} in float64 "
+                   f"(r_hat = {r_hat!r}): V = z^x is constant",
+            r_hat=r_hat, q_hat=q_hat)
     beyond = np.where(_excess(fam, z)[1:] > -delta)[0]  # indices for x = 2..N
     x0 = int(beyond[-1] + 2) if beyond.size else 1
     log_V = np.arange(1, fam.N + 1) * math.log(z)
@@ -320,9 +327,9 @@ def verify_drift(cert: DriftCertificate, fam: BivariateFamily) -> DriftReport:
 def certify(fam: BivariateFamily, scan_p: float | None = None):
     """The marginal certificate, lifted to the random scan when scan_p is
     given, that verify_drift accepts; or a NoCertificate whose reason
-    names the step that stopped: the search (a fired divergence flag, or
-    delta underflowing) or a verification. A scan_p outside (0, 1) raises
-    BadScanProbability before the search."""
+    names the step that stopped: the search (a fired divergence flag,
+    delta underflowing or z* rounding to 1) or a verification. A scan_p
+    outside (0, 1) raises BadScanProbability before the search."""
     if scan_p is not None:
         check_scan_p(scan_p)
     cert = find_drift_certificate(fam)

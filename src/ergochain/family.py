@@ -23,10 +23,14 @@ chain with up and down probabilities
     p_x = a_x b_x / ((a_x + b_{x-1}) (a_x + b_x))
     q_x = a_{x-1} b_{x-1} / ((a_x + b_{x-1}) (a_{x-1} + b_{x-1}))
 
-build_family stores these conditional laws once: the stays as stay_x and
-stay_y, the moves as beta and delta, p and q, and log_t = log t_y with
+A family stores log a and log b alone and derives everything else from
+them on first read, once: log pi_X and log pi_Y; log_t = log t_y with
 t_y = a_y b_y / (a_y + b_y) = pi_X(y) p_y, the conductance between
-levels y and y + 1; kernels, drift and subgeo read them from there.
+levels y and y + 1; the stays stay_x and stay_y, the moves beta and
+delta, and p and q. Each conditional pair comes from one exp: the smaller
+member is exp(min(log move, log stay) - log pi), the larger is 1 minus
+it, so the pair sums to 1 to within an ulp. Kernels, drift and subgeo
+read these arrays from the family, and each pays only for what it reads.
 
 Finite families are produced by truncating a sequence specification
 (spec.SequenceSpec) at a level N: indices above N are dropped, b_N is
@@ -42,6 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -56,11 +61,14 @@ from .spec import SequenceSpec
 class BivariateFamily:
     """A staircase family truncated to support {1..N}^2 and renormalized.
 
-    Arrays are indexed by 0..N-1 for levels 1..N. log_b[N-1] is -inf
-    because b_N is forced to zero by the truncation. retained_mass is the
-    spec's raw mass kept by the truncation, before renormalization.
-    stay_x[x-1] = P(Y = x | X = x), stay_y[y-1] = P(X = y | Y = y) and
-    log_t[y-1] = log a_y + log b_y - log pi_Y(y) (-inf at y = N).
+    log_a and log_b are the only arrays stored; every other one is derived
+    from them on first read and cached. Arrays are indexed by 0..N-1 for
+    levels 1..N. log_b[N-1] is -inf because b_N is forced to zero by the
+    truncation. retained_mass is the spec's raw mass kept by the
+    truncation, before renormalization. beta[y-1] = P(X = y+1 | Y = y),
+    stay_y[y-1] = P(X = y | Y = y), delta[x-1] = P(Y = x-1 | X = x),
+    stay_x[x-1] = P(Y = x | X = x) and log_t[y-1] = log a_y + log b_y -
+    log pi_Y(y) (-inf at y = N).
     """
 
     spec: SequenceSpec
@@ -69,32 +77,42 @@ class BivariateFamily:
     log_b: np.ndarray = field(repr=False)
     retained_mass: float = 1.0
 
-    # derived arrays, filled in build_family
-    log_pix: np.ndarray = field(default=None, repr=False)
-    log_piy: np.ndarray = field(default=None, repr=False)
-    beta: np.ndarray = field(default=None, repr=False)
-    delta: np.ndarray = field(default=None, repr=False)
-    p: np.ndarray = field(default=None, repr=False)
-    q: np.ndarray = field(default=None, repr=False)
-    stay_x: np.ndarray = field(default=None, repr=False)
-    stay_y: np.ndarray = field(default=None, repr=False)
-    log_t: np.ndarray = field(default=None, repr=False)
+    @cached_property
+    def log_pix(self) -> np.ndarray:
+        return np.logaddexp(self.log_a, _shift_down(self.log_b))
 
-    @property
-    def a(self) -> np.ndarray:
-        return np.exp(self.log_a)
+    @cached_property
+    def log_piy(self) -> np.ndarray:
+        return np.logaddexp(self.log_a, self.log_b)
 
-    @property
-    def b(self) -> np.ndarray:
-        return np.exp(self.log_b)
+    @cached_property
+    def log_t(self) -> np.ndarray:
+        return self.log_a + self.log_b - self.log_piy
 
-    @property
-    def pi_x(self) -> np.ndarray:
-        return np.exp(self.log_pix)
+    @cached_property
+    def _law_y(self) -> tuple:
+        return _two_point(self.log_b, self.log_a, self.log_piy)
 
-    @property
-    def pi_y(self) -> np.ndarray:
-        return np.exp(self.log_piy)
+    @cached_property
+    def _law_x(self) -> tuple:
+        return _two_point(_shift_down(self.log_b), self.log_a, self.log_pix)
+
+    @cached_property
+    def p(self) -> np.ndarray:
+        return self.beta * self.stay_x
+
+    @cached_property
+    def q(self) -> np.ndarray:
+        return self.delta * _shift_down(self.stay_y, 0.0)
+
+    beta = cached_property(lambda self: self._law_y[0])
+    stay_y = cached_property(lambda self: self._law_y[1])
+    delta = cached_property(lambda self: self._law_x[0])
+    stay_x = cached_property(lambda self: self._law_x[1])
+    a = cached_property(lambda self: np.exp(self.log_a))
+    b = cached_property(lambda self: np.exp(self.log_b))
+    pi_x = cached_property(lambda self: np.exp(self.log_pix))
+    pi_y = cached_property(lambda self: np.exp(self.log_piy))
 
     def joint(self, x: int, y: int) -> float:
         """pi(x, y); zero off the staircase, OutOfSupport outside the box."""
@@ -111,7 +129,8 @@ def build_family(spec: SequenceSpec, N: int) -> BivariateFamily:
     """Truncate spec at level N, force b_N = 0, and renormalize.
 
     Raises NonPositiveSequence if the spec produces a nonfinite log value
-    and DegenerateTruncation if no mass is retained.
+    or a log a_y + log b_y below -1.8e308 (y < N), and
+    DegenerateTruncation if no mass is retained.
     """
     if N < 2:
         raise DegenerateTruncation("need N >= 2 for a nondegenerate truncation")
@@ -122,32 +141,27 @@ def build_family(spec: SequenceSpec, N: int) -> BivariateFamily:
         raise NonPositiveSequence("spec generated a nonpositive or nonfinite value")
     lb[N - 1] = -np.inf
     log_mass = _renormalize(la, lb)
-
-    log_pix = np.logaddexp(la, _shift_down(lb))
-    log_piy = np.logaddexp(la, lb)
-    beta = np.exp(lb - log_piy)                     # P(X = y+1 | Y = y)
-    delta = np.exp(_shift_down(lb) - log_pix)       # P(Y = x-1 | X = x)
-    stay_x = np.exp(la - log_pix)                   # P(Y = x | X = x)
-    stay_y = np.exp(la - log_piy)                   # P(X = y | Y = y)
-    p = beta * stay_x
-    q = delta * np.concatenate(([0.0], stay_y[:-1]))
-    with np.errstate(over="ignore"):    # log a_y + log b_y below -1.8e308
-        log_t = la + lb - log_piy
-    if not np.isfinite(log_t[:-1]).all():
-        raise NonPositiveSequence("spec generated a nonpositive or nonfinite value")
-
-    return BivariateFamily(
-        spec=spec, N=int(N), log_a=la, log_b=lb,
-        retained_mass=_exp_sat(float(log_mass)),
-        log_pix=log_pix, log_piy=log_piy,
-        beta=beta, delta=delta, p=p, q=q, stay_x=stay_x, stay_y=stay_y,
-        log_t=log_t,
-    )
+    with np.errstate(over="ignore"):
+        if not np.isfinite(la[:-1] + lb[:-1]).all():    # log t_y, y < N
+            raise NonPositiveSequence("spec generated a nonpositive or nonfinite value")
+    return BivariateFamily(spec=spec, N=int(N), log_a=la, log_b=lb,
+                           retained_mass=_exp_sat(float(log_mass)))
 
 
-def _shift_down(logs: np.ndarray) -> np.ndarray:
-    """Prepend log 0 and drop the last entry: value at index i-1."""
-    return np.concatenate(([-np.inf], logs[:-1]))
+def _two_point(log_move: np.ndarray, log_stay: np.ndarray, log_pi: np.ndarray) -> tuple:
+    """(move, stay) of the two-point laws with weights e^log_move and
+    e^log_stay over e^log_pi: the smaller member from one exp, the larger
+    as 1 minus it."""
+    small = np.exp(np.minimum(log_move, log_stay) - log_pi)
+    large = 1.0 - small
+    move_smaller = log_move < log_stay
+    return np.where(move_smaller, small, large), np.where(move_smaller, large, small)
+
+
+def _shift_down(v: np.ndarray, first: float = -np.inf) -> np.ndarray:
+    """Prepend first (log 0 by default) and drop the last entry: value at
+    index i-1."""
+    return np.concatenate(([first], v[:-1]))
 
 
 def _renormalize(la: np.ndarray, lb: np.ndarray):

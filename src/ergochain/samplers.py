@@ -17,8 +17,7 @@ kinds never share uniforms even under the same seed.
 The samplers draw uniforms in blocks: rng.random(k) yields the same
 doubles, in the same order, as k calls of rng.random(), so a trace does
 not depend on the block size.  run_chain steps over those blocks with
-the rules above inlined; marginal_step, dgs_step and rgs_step state the
-same rules one step at a time.
+the rules above inlined.
 
 A function g of the state, when given, is evaluated after each block,
 not inside the step loop: run_chain calls it once per distinct state
@@ -67,32 +66,6 @@ def make_rng(seed: int, kind: str) -> np.random.Generator:
         raise BadSeed(f"seed must be a nonnegative integer, got {seed!r}") from None
     ss = np.random.SeedSequence((seed, CHAIN_IDS[kind]))
     return np.random.Generator(np.random.Philox(ss))
-
-
-def marginal_step(fam: BivariateFamily, x: int, u: float) -> int:
-    p, q = fam.p[x - 1], fam.q[x - 1]
-    if u < p:
-        return x + 1
-    if u < p + q:
-        return x - 1
-    return x
-
-
-def dgs_step(fam: BivariateFamily, y: int, u1: float, u2: float) -> tuple[int, int]:
-    """One deterministic-scan step; the row depends on y only."""
-    x_new = y + 1 if u1 < fam.beta[y - 1] else y
-    y_new = x_new - 1 if u2 < fam.delta[x_new - 1] else x_new
-    return x_new, y_new
-
-
-def rgs_step(fam: BivariateFamily, x: int, y: int, scan_p: float,
-             u1: float, u2: float) -> tuple[int, int]:
-    """One random-scan step; exactly one coordinate moves per step."""
-    if u1 < scan_p:
-        x_new = y + 1 if u2 < fam.beta[y - 1] else y
-        return x_new, y
-    y_new = x - 1 if u2 < fam.delta[x - 1] else x
-    return x, y_new
 
 
 @dataclass(frozen=True)
@@ -180,7 +153,6 @@ def run_chain(fam: BivariateFamily, cfg: RunConfig) -> Trace:
     # the step rules' thresholds as lists indexed by the 1-based state
     if marginal:
         x = check_state(MARGINAL_X, fam.N, cfg.init)
-        # marginal_step's rule; p + q here is the same double it forms
         p, pq = [0.0, *fam.p.tolist()], [0.0, *(fam.p + fam.q).tolist()]
     else:
         x, y = check_state(cfg.kind, fam.N, cfg.init)
@@ -201,7 +173,7 @@ def run_chain(fam: BivariateFamily, cfg: RunConfig) -> Trace:
                     x -= 1
                 put(x)
         else:
-            # (u1, u2) pairs in draw order, as in dgs_step and rgs_step
+            # (u1, u2) pairs in draw order
             u = iter(rng.random(2 * m).tolist())
             if cfg.kind == DGS:
                 for u1, u2 in zip(u, u):
@@ -326,7 +298,6 @@ def run_marginal_ensemble(fam: BivariateFamily, n_chains: int, n_steps: int,
 
 __all__ = [
     "CHAIN_IDS", "make_rng",
-    "marginal_step", "dgs_step", "rgs_step",
     "RunConfig", "Trace", "run_chain",
     "EnsembleResult", "run_marginal_ensemble",
 ]

@@ -58,7 +58,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IndexOutOfRange
 from .family import BivariateFamily
 from .spec import SequenceSpec, TailLimits, check_scan_p, tail_limits
 
@@ -71,13 +70,6 @@ def _log_mu_T(fam: BivariateFamily) -> tuple[np.ndarray, np.ndarray]:
     log_mu = np.logaddexp.accumulate(fam.log_pix[:0:-1])[::-1]
     log_omm = np.logaddexp.accumulate(fam.log_pix[:-1])
     return log_mu, fam.log_t[:-1] - log_mu - log_omm    # t_{i-1}, i = 2..N
-
-
-def conditional_variance_stat(fam: BivariateFamily, i: int) -> float:
-    """T_i = E[Var(h_i(X) | Y)] by the closed form, for 2 <= i <= N."""
-    if not 2 <= i <= fam.N:
-        raise IndexOutOfRange(f"statistic defined for 2 <= i <= N, got {i}")
-    return float(np.exp(_log_mu_T(fam)[1][i - 2]))
 
 
 def divergence_flags(lim: TailLimits) -> dict:
@@ -166,6 +158,6 @@ def build_subgeo_report(fam: BivariateFamily, *,
 
 
 __all__ = [
-    "STATISTICS", "SubgeoReport", "conditional_variance_stat",
+    "STATISTICS", "SubgeoReport",
     "divergence_flags", "build_subgeo_report",
 ]

@@ -19,7 +19,6 @@ from ergochain import (
     build_Px,
     build_family,
     classify,
-    conditional_variance_stat,
     example_names,
     example_spec,
     find_drift_certificate,
@@ -35,6 +34,7 @@ from ergochain import (
     tv_curve,
     verify_drift,
 )
+from test_subgeo import conditional_variance_stat
 
 
 def check(num: int, desc: str, ok: bool) -> None:

@@ -28,6 +28,9 @@ UNLIFTABLE_SPEC = table((1.0,), (1.0,), tail_ratio=0.9998).to_json()
 # a_i / b_i = 1e-306 leaves 1 - rho, about 9e-309, below float64's normal
 # range, so a certificate would prove nothing that float64 can state
 VACUOUS_SPEC = table((1e-306,), (1.0,), tail_ratio=0.5).to_json()
+# tail ratio 1 - 2^-53: the optimal base z* = sqrt(2 / (r + 1)) rounds to
+# 1.0, where V = z^x is constant and drifts nowhere
+FLAT_SPEC = table((1.0,), (1.0,), tail_ratio=1.0 - 2.0 ** -53).to_json()
 
 
 def run(capsys, *argv):
@@ -133,17 +136,20 @@ def test_unlifted_certificate_is_geometric(capsys):
 
 @pytest.mark.parametrize("command", ["classify", "drift"])
 def test_vacuous_certificate_is_refused(capsys, command):
-    # a margin 1 - rho below float64's normal range proves nothing float64
-    # can state: the search refuses it, naming the underflow, and classify
-    # decides Geometric from the tail limits alone
-    code, out, err = run(capsys, command, "--spec", VACUOUS_SPEC, "--n", "154")
-    assert code == (0 if command == "classify" else 3) and err == ""
-    d = json.loads(out, parse_constant=_reject_constant)
-    assert d["certificate"] is None
-    if command == "classify":
-        assert (d["verdict"], d["basis"]) == ("Geometric", "ratio_test")
-    else:
-        assert "underflows float64" in d["reason"]
+    # a margin 1 - rho below float64's normal range, or a base z* that
+    # rounds to 1, proves nothing float64 can state: the search refuses
+    # it, naming the cause, and classify decides Geometric from the tail
+    # limits alone
+    for spec, reason in ((VACUOUS_SPEC, "underflows float64"),
+                         (FLAT_SPEC, "rounds to 1.0 in float64")):
+        code, out, err = run(capsys, command, "--spec", spec, "--n", "154")
+        assert code == (0 if command == "classify" else 3) and err == ""
+        d = json.loads(out, parse_constant=_reject_constant)
+        assert d["certificate"] is None
+        if command == "classify":
+            assert (d["verdict"], d["basis"]) == ("Geometric", "ratio_test")
+        else:
+            assert reason in d["reason"]
 
 
 @pytest.mark.parametrize("a, b", [([1.0], [1e-307]), ([1e-307], [1.0])])

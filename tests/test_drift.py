@@ -399,6 +399,22 @@ def test_certify_refuses_only_a_margin_that_underflows():
     assert isinstance(out, NoCertificate) and "underflows float64" in out.reason
 
 
+def test_certify_refuses_a_base_that_rounds_to_one():
+    # r_hat within five ulps of 1: z* = sqrt(2 / (r_hat + 1)) is 1.0 in
+    # float64, so V = z^x is constant and would pass as rho = 1, x0 = N
+    for k in (1, 5):
+        f = build_family(table((1.0,), (1.0,), tail_ratio=1.0 - k * 2.0 ** -53), 50)
+        for scan_p in (None, 0.5):
+            out = certify(f, scan_p)
+            assert isinstance(out, NoCertificate)
+            assert "rounds to 1.0 in float64" in out.reason
+    # six ulps below 1, z* = 1 + 2^-52 and the certificate holds
+    f = build_family(table((1.0,), (1.0,), tail_ratio=1.0 - 6 * 2.0 ** -53), 50)
+    out = certify(f, 0.5)
+    assert isinstance(out, DriftCertificate) and out.z > 1.0
+    assert verify_drift(out, f).holds
+
+
 def test_certify_checks_scan_p_before_searching():
     f = build_family(example_spec("power-law"), 10000)
     assert isinstance(certify(f), NoCertificate)

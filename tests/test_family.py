@@ -5,6 +5,7 @@ the series directly in extended precision; they are frozen here and never
 recomputed from the code under test.
 """
 
+import dataclasses
 import json
 import math
 import sys
@@ -12,10 +13,11 @@ import sys
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ergochain import (
+    BivariateFamily,
     DegenerateTruncation,
     IndexOutOfRange,
     NonPositiveSequence,
@@ -185,6 +187,44 @@ def test_probability_structure(fam, name):
     b_prev = np.concatenate(([0.0], f.b[:-1]))
     assert np.allclose(f.pi_x, f.a + b_prev, rtol=0, atol=1e-15)
     assert np.allclose(f.pi_y, f.a + f.b, rtol=0, atol=1e-15)
+
+
+def test_a_family_stores_only_log_a_and_log_b():
+    stored = ["spec", "N", "log_a", "log_b", "retained_mass"]
+    assert [f.name for f in dataclasses.fields(BivariateFamily)] == stored
+    f = build_family(example_spec("geometric"), 50)
+    assert list(vars(f)) == stored              # nothing derived at build
+    beta = f.beta
+    assert f.beta is beta and "beta" in vars(f)  # derived on first read, once
+
+
+def _check_pairs(f):
+    """Each two-point conditional law sums to 1 within an ulp, and its
+    smaller member is the one exp of its log weight over log pi."""
+    eps = np.finfo(float).eps
+    b_prev = np.concatenate(([-np.inf], f.log_b[:-1]))
+    for move, stay, log_move, log_pi in ((f.beta, f.stay_y, f.log_b, f.log_piy),
+                                         (f.delta, f.stay_x, b_prev, f.log_pix)):
+        assert np.abs(move + stay - 1.0).max() <= eps
+        smaller = np.where(log_move < f.log_a, move, stay)
+        assert np.array_equal(smaller, np.exp(np.minimum(log_move, f.log_a) - log_pi))
+
+
+@pytest.mark.parametrize("name", example_names())
+@pytest.mark.parametrize("N", [2, 200, 2000])
+def test_conditional_pairs_of_the_built_ins(fam, name, N):
+    _check_pairs(fam(name, N))
+
+
+_ENTRIES = st.lists(st.floats(1e-300, 1e300), min_size=1, max_size=8).map(tuple)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ENTRIES, _ENTRIES, st.floats(0.01, 0.999), st.integers(2, 60))
+# log weights near -513: two separate exps summed to 1 + 5.5e-14 here
+@example((1.0, 4.568827173079522e+222), (1.0,), 0.5, 2)
+def test_conditional_pairs_of_any_table(a, b, ratio, N):
+    _check_pairs(build_family(table(a, b, tail_ratio=ratio), N))
 
 
 def test_joint_and_support(fam):

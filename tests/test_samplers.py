@@ -24,11 +24,8 @@ from ergochain import (
     build_Prgs,
     build_Px,
     build_family,
-    dgs_step,
     example_spec,
     make_rng,
-    marginal_step,
-    rgs_step,
     run_chain,
     run_marginal_ensemble,
 )
@@ -64,7 +61,34 @@ def test_rng_unknown_kind():
         make_rng(0, "gibbs")
 
 
-# -- single-step branch logic ------------------------------------------------
+# -- single-step oracles and their branch logic --------------------------------
+
+
+def marginal_step(fam, x: int, u: float) -> int:
+    """One marginal step: up when u < p_x, down when u < p_x + q_x."""
+    p, q = fam.p[x - 1], fam.q[x - 1]
+    if u < p:
+        return x + 1
+    if u < p + q:
+        return x - 1
+    return x
+
+
+def dgs_step(fam, y: int, u1: float, u2: float) -> tuple[int, int]:
+    """One deterministic-scan step; the row depends on y only."""
+    x_new = y + 1 if u1 < fam.beta[y - 1] else y
+    y_new = x_new - 1 if u2 < fam.delta[x_new - 1] else x_new
+    return x_new, y_new
+
+
+def rgs_step(fam, x: int, y: int, scan_p: float,
+             u1: float, u2: float) -> tuple[int, int]:
+    """One random-scan step; exactly one coordinate moves per step."""
+    if u1 < scan_p:
+        x_new = y + 1 if u2 < fam.beta[y - 1] else y
+        return x_new, y
+    y_new = x - 1 if u2 < fam.delta[x - 1] else x
+    return x, y_new
 
 
 def test_marginal_step_branches(fam50):

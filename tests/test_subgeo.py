@@ -14,13 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ergochain import (
-    IndexOutOfRange,
+    BivariateFamily,
     SequenceSpec,
     build_family,
     build_Px,
     build_subgeo_report,
     classify,
-    conditional_variance_stat,
     divergence_flags,
     example_names,
     example_spec,
@@ -33,6 +32,12 @@ from ergochain.cli import dispatch
 
 T_LIMIT_GEO = 0.20901164656533677    # (e-2) / (2(e-1)), frozen
 T20_GEO = 0.2090116489074363         # frozen direct evaluation at i = 20
+
+
+def conditional_variance_stat(f, i: int) -> float:
+    """T_i = E[Var(h_i(X) | Y)] by the closed form, for 2 <= i <= N: the
+    entry of the report's log T, on its own."""
+    return float(np.exp(subgeo._log_mu_T(f)[1][i - 2]))
 
 
 def direct_T(f, i: int) -> float:
@@ -79,14 +84,6 @@ def test_mixed_T_decays_monotonically(fam):
     vals = [conditional_variance_stat(f, i) for i in range(10, 31)]
     assert all(b < a for a, b in zip(vals, vals[1:]))
     assert vals[-1] < 1e-10
-
-
-def test_stat_index_bounds(fam):
-    f = fam("geometric", 30)
-    with pytest.raises(IndexOutOfRange):
-        conditional_variance_stat(f, 1)
-    with pytest.raises(IndexOutOfRange):
-        conditional_variance_stat(f, 31)
 
 
 def test_mu_structure(fam):
@@ -292,6 +289,28 @@ def test_only_the_csv_sums_the_tail_beyond_N(monkeypatch, capsys, N):
     assert json.loads(capsys.readouterr().out)["N"] == N
     with pytest.raises(_TailSumReached):
         report.to_csv()
+
+
+class _ProbabilityRead(Exception):
+    pass
+
+
+@pytest.mark.parametrize("N", [10, 2000])
+def test_a_subgeometric_verdict_reads_no_probability(monkeypatch, capsys, N):
+    # the verdict and subgeo --format json read log pi_X and log t alone;
+    # the conditional probabilities are derived only where they are read
+    def refuse(self):
+        raise _ProbabilityRead
+
+    for name in ("beta", "delta", "p", "q", "stay_x", "stay_y"):
+        monkeypatch.setattr(BivariateFamily, name, property(refuse))
+    spec = example_spec("power-law")
+    assert classify(spec, N).verdict == "Subgeometric"
+    assert dispatch(["subgeo", "--example", "power-law", "--n", str(N),
+                     "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["N"] == N
+    with pytest.raises(_ProbabilityRead):
+        build_family(spec, N).p
 
 
 @pytest.mark.parametrize("name, log10_min_T", [("mixed-geometric", -867.8815),

@@ -8,8 +8,10 @@ diagonals), multiplies V by 1 + eps(x), and the excess
 
 is formed from z - 1, which is exact, so no number near 1 is formed. A
 certificate is a base z, a margin delta with eps(x) <= -delta beyond a
-threshold x0, and L = max_{x <= x0} E[V(X_1) | X_0 = x]
-(kernels.log_expect), so that E[V(X_1) | X_0 = x] <= (1 - delta) V(x) + L.
+threshold x0, and L = max_{x <= x0} E[V(X_1) | X_0 = x], so that
+E[V(X_1) | X_0 = x] <= (1 - delta) V(x) + L. The one eps array serves
+both: x0 is read from it, and log L is the largest x log z +
+log1p(eps(x)) for x <= x0.
 
 The tail constants r_hat = limsup p_x / q_x and q_hat = liminf q_x are
 the spec's exact tail limits, spec.tail_limits. For z < 2 / (r + 1) the
@@ -58,8 +60,9 @@ where c w - tau and w + tau - delta are at most 0, and G(y)/V(x) is
 1 + beta_y (z - 1) at (y, y) and 1 - (a_y / pi_Y(y))(1 - 1/z) at
 (y + 1, y). delta there is the certificate's one_minus_rho: the closed
 form, or 1 - rho where a hand-set rho claims more. certify, the one path
-that issues a certificate, runs search, verification, lift and lifted
-verification in that order.
+that issues a certificate, runs the search, the lift when a scan
+probability is given, and one verification, in that order: a lifted
+certificate's verification checks the marginal excess at every state too.
 
 A certificate proves a geometric rate for the chain truncated at N; its
 constants are the untruncated tail's. Whether the family converges
@@ -77,7 +80,7 @@ import numpy as np
 
 from .errors import COutOfRange
 from .family import BivariateFamily, _exp_sat
-from .kernels import build_Px, log_expect, staircase_xy
+from .kernels import staircase_xy
 from .spec import _encode_extended, check_scan_p, tail_limits
 from .subgeo import divergence_flags
 
@@ -195,11 +198,11 @@ def _one_minus_up(m: Fraction) -> float:
     return math.nextafter(g, 2.0) if 1 - Fraction(g) > m else g
 
 
-def _excess(fam: BivariateFamily, z: float) -> np.ndarray:
-    """eps(x) plus its rounding bound, for x = 1..N."""
+def _excess(fam: BivariateFamily, z: float) -> tuple[np.ndarray, np.ndarray]:
+    """eps(x) and its rounding bound, for x = 1..N."""
     up = z - 1.0                            # exact for 1 < z < 2
     rise, fall = fam.p * up, fam.q * (up / z)
-    return (rise - fall) + _ROUNDING * (rise + fall)
+    return rise - fall, _ROUNDING * (rise + fall)
 
 
 def find_drift_certificate(fam: BivariateFamily):
@@ -233,10 +236,11 @@ def find_drift_certificate(fam: BivariateFamily):
             reason=f"z* = sqrt(2 / (r_hat + 1)) rounds to {z!r} in float64 "
                    f"(r_hat = {r_hat!r}): V = z^x is constant",
             r_hat=r_hat, q_hat=q_hat)
-    beyond = np.where(_excess(fam, z)[1:] > -delta)[0]  # indices for x = 2..N
+    eps, bound = _excess(fam, z)
+    beyond = np.where((eps + bound)[1:] > -delta)[0]  # indices for x = 2..N
     x0 = int(beyond[-1] + 2) if beyond.size else 1
-    log_V = np.arange(1, fam.N + 1) * math.log(z)
-    log_L = float(np.max(log_expect(build_Px(fam), log_V)[:x0]))
+    # E[V(X_1) | x] = z^x (1 + eps(x))
+    log_L = float(np.max(np.arange(1, x0 + 1) * math.log(z) + np.log1p(eps[:x0])))
     return DriftCertificate(z=z, rho=_one_minus_up(Fraction(delta)), log_L=log_L,
                             x0=x0, r_hat=r_hat, q_hat=q_hat, N=fam.N)
 
@@ -305,7 +309,8 @@ def verify_drift(cert: DriftCertificate, fam: BivariateFamily) -> DriftReport:
     """
     delta = cert.one_minus_rho
     x = np.arange(1, fam.N + 1)
-    excess = _excess(fam, cert.z) + delta
+    eps, bound = _excess(fam, cert.z)
+    excess = eps + bound + delta
     with np.errstate(over="ignore"):
         excess[:cert.x0] -= np.exp(cert.log_L - x[:cert.x0] * math.log(cert.z))
     holds, y = bool(np.max(excess) <= 0.0), None
@@ -335,18 +340,13 @@ def certify(fam: BivariateFamily, scan_p: float | None = None):
     cert = find_drift_certificate(fam)
     if isinstance(cert, NoCertificate):
         return cert
-
-    def refuse(reason):
-        return NoCertificate(reason=reason, r_hat=cert.r_hat, q_hat=cert.q_hat)
-
+    chain = "marginal"
+    if scan_p is not None:      # the lift's verification checks the marginal excess too
+        cert, chain = lift_to_rgs(cert, scan_p), "lifted"
     if not verify_drift(cert, fam).holds:
-        return refuse("marginal certificate fails verification")
-    if scan_p is None:
-        return cert
-    lifted = lift_to_rgs(cert, scan_p)
-    if not verify_drift(lifted, fam).holds:
-        return refuse("lifted certificate fails verification")
-    return lifted
+        return NoCertificate(reason=f"{chain} certificate fails verification",
+                             r_hat=cert.r_hat, q_hat=cert.q_hat)
+    return cert
 
 
 __all__ = [

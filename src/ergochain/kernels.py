@@ -32,10 +32,8 @@ block's last step reaches, and pi's mass outside comes from cumulative
 sums over the range the chain can reach. Each step of a block writes |v|
 into a row of a ring that one row sum reduces to the block's L1 norms,
 and every working array is sized by the reachable range, not by the
-number of states.
-One-step expectations log (P f) come from log f the same way, with one
-logaddexp per diagonal (log_expect; for dgs, of Pi_y and then of Pi_x),
-so the drift constant L is taken without forming z^x itself.
+number of states. No kernel forms a one-step expectation: the drift
+constant L is read from the family's p and q (drift, in excess form).
 Spectral gaps come from the edge matrix E: D (I - P) = B^T diag(e) B with
 D = diag(pi), B the first-difference matrix and e_k = pi_k P[k, k+1] the
 edge conductances, so I - P on mean-zero functions has the spectrum of E.
@@ -206,25 +204,6 @@ def _scan_diagonals(fam: BivariateFamily, s: float) -> tuple:
     np.multiply(t, delta[1:], out=down[1::2])
     np.add(up[0::2], down[1::2], out=stay[1::2])
     return down, stay, up
-
-
-def log_expect(tm: TransitionMatrix, log_f: np.ndarray) -> np.ndarray:
-    """log (P f)[i] = log sum_j P[i, j] f[j] for every state i, from log f,
-    adding down, stay and up in turn; zero entries contribute nothing.
-    For dgs, P f = Pi_x (Pi_y f)."""
-    if tm.kind == DGS:
-        fam = _family_of(tm)
-        steps = (_scan_diagonals(fam, 0.0), _scan_diagonals(fam, 1.0))
-    else:
-        steps = ((tm.down, tm.stay, tm.up),)
-    with np.errstate(divide="ignore"):
-        for down, stay, up in steps:
-            out = np.full(len(log_f), -np.inf)
-            out[1:] = np.logaddexp(out[1:], np.log(down) + log_f[:-1])
-            out = np.logaddexp(out, np.log(stay) + log_f)
-            out[:-1] = np.logaddexp(out[:-1], np.log(up) + log_f[1:])
-            log_f = out
-    return log_f
 
 
 # -- total variation curves ------------------------------------------------
@@ -594,6 +573,6 @@ def spectral_gap(tm: TransitionMatrix) -> SpectralGap:
 
 __all__ = [
     "TransitionMatrix", "TVCurve", "SpectralGap",
-    "build_Px", "build_Pdgs", "build_Prgs", "log_expect",
+    "build_Px", "build_Pdgs", "build_Prgs",
     "staircase_xy", "tv_curve", "spectral_gap",
 ]

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import ergochain
 from ergochain import table
-from ergochain.cli import MIN_N, dispatch
+from ergochain.cli import MAX_N, MAX_STEPS, MIN_N, dispatch
 from ergochain.diagnostics import CLT_NOTE
 
 # the ratio test passes (A = 0.9999), but behind a_i / b_i = 1e300 the
@@ -883,6 +883,76 @@ def test_drift_and_classify_argument_fuzz_answers_or_refuses_once(command, spec,
     if scan_p is not None:
         g = d["rgs"]["log10_one_minus_gamma"]
         assert math.isfinite(g) and g < 0 and d["rgs"]["scan_p"] == scan_p
+
+
+# each command's own options, and the values drawn for them: mostly in
+# range, and one time in eight out of range, above the size limits
+# (refused before any work) or text argparse cannot parse. --n stays at
+# most 300 and --steps at most 2 000
+_OWN_OPTIONS = {
+    "spectrum": ("n", "scan-p", "chain"),
+    "tvcurve": ("n", "steps", "start", "scan-p", "chain", "format"),
+    "sample": ("n", "steps", "seed", "start", "thin", "scan-p", "g-indicator",
+               "chain", "format"),
+    "report": ("examples", "n", "scan-p", "format"),
+}
+_FORMATS = {"tvcurve": ["csv", "json"], "sample": ["csv", "json"],
+            "report": ["table", "json"]}
+_OPTION_VALUES = {      # (usual, odd)
+    "n": (st.integers(2, 300), st.sampled_from([-3, 0, 1, MAX_N + 1, "1e3", "x"])),
+    "steps": (st.integers(0, 2000), st.sampled_from([-3, -1, MAX_STEPS + 1, "2.5"])),
+    "seed": (st.integers(0, 2 ** 70), st.sampled_from([-3, -1, "x"])),
+    "start": (st.integers(1, 300) | st.builds(lambda y, d: f"{y + d},{y}",
+                                              st.integers(1, 300), st.integers(0, 1)),
+              st.sampled_from([-1, 0, 310, "", "1,2,3", "a,b", "1.5", "0,0"])),
+    "thin": (st.integers(1, 50), st.integers(-2, 0)),
+    "scan-p": (st.floats(0.0, 1.0), _SCAN_PS),
+    "g-indicator": (st.integers(1, 300), st.integers(-5, 0)),
+    "chain": (st.sampled_from(["marginal_x", "dgs", "rgs"]), st.just("gibbs")),
+    "examples": (st.sampled_from(["all", "geometric,power-law"]),
+                 st.sampled_from(["alternating,", "nope", ""])),
+}
+
+
+@st.composite
+def _own_argv(draw):
+    """A command of spectrum, tvcurve, sample and report, with any subset
+    of its own options."""
+    command = draw(st.sampled_from(sorted(_OWN_OPTIONS)))
+    argv, given_ = [command], {}
+    if command != "report":
+        argv += ["--example", draw(st.sampled_from(ergochain.example_names()))]
+    for name in _OWN_OPTIONS[command]:
+        if draw(st.booleans()):
+            usual, odd = ((st.sampled_from(_FORMATS[command]), st.just("xml"))
+                          if name == "format" else _OPTION_VALUES[name])
+            given_[name] = str(draw(odd if draw(st.integers(0, 7)) == 0 else usual))
+            argv.append(f"--{name}={given_[name]}")
+    return command, argv, given_
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_own_argv())
+def test_other_commands_argument_fuzz_answers_or_refuses_once(case):
+    command, argv, given_ = case
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = dispatch(argv)
+    except SystemExit as exc:          # argparse's usage error
+        assert exc.code == 2
+        return
+    if code == 4:
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        return
+    assert code == 0 and err.getvalue() == "" and out.getvalue()
+    n = int(given_.get("n", 200))
+    assert 2 <= n <= MAX_N and (command != "report" or n >= MIN_N)
+    assert 0 <= int(given_.get("steps", 0)) <= MAX_STEPS
+    if command == "spectrum" or given_.get("format") == "json":
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
 
 
 # a_i = b_i = 1 up to i = 6 000: the drift bound's constant L = e^863

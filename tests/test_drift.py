@@ -33,7 +33,7 @@ from ergochain import (
     verify_drift,
 )
 from ergochain.drift import certify
-from ergochain.kernels import build_Prgs, build_Px, log_expect
+from ergochain.kernels import build_Prgs, build_Px
 
 COEF_GEO_Z13_X10 = 0.960187767622529   # frozen direct evaluation
 Z_UPPER_GEO = 1.4621171572600098       # 2 / (e^{-1} + 1)
@@ -91,7 +91,7 @@ def test_log_PxV_matches_direct_expectation(fam):
     f = fam("geometric", 30)
     z = 1.1
     x = np.arange(1, 31)
-    got = np.exp(log_expect(build_Px(f), x * math.log(z)))
+    got = np.asarray(build_Px(f).P.todense()) @ z ** x
     direct = (f.p * z ** (x + 1) + f.q * z ** (x - 1)
               + (1.0 - f.p - f.q) * z ** x)
     assert np.allclose(got, direct, rtol=1e-12)
@@ -274,7 +274,7 @@ def test_kernel_lift_expectation_matches_reference(fam, name, scan_p):
            + (1.0 - f.p - f.q) * z ** xs)
     ref = s * (1.0 + c) * G[y - 1] + (1.0 - s) * (z ** x + c * PxV[x - 1])
     log_W = np.log(z ** x + c * G[y - 1])
-    got = log_expect(build_Prgs(f, scan_p), log_W)
+    got = np.log(np.asarray(build_Prgs(f, scan_p).P.todense()) @ np.exp(log_W))
     assert np.allclose(got, np.log(ref), rtol=0, atol=1e-12)
 
 
@@ -440,6 +440,41 @@ def test_certify_refuses_a_certificate_that_fails_verification(
     assert isinstance(out, NoCertificate) and step in out.reason
 
 
+def test_certify_verifies_once(fam, monkeypatch):
+    # a lifted certificate's verification checks the marginal excess too,
+    # so certify verifies only the certificate it issues
+    import ergochain.drift as drift
+
+    real, checked = drift.verify_drift, []
+
+    def verify(cert, f):
+        checked.append(cert.scan_p)
+        return real(cert, f)
+
+    monkeypatch.setattr(drift, "verify_drift", verify)
+    for scan_p in (None, 0.5):
+        assert isinstance(certify(fam("geometric", 100), scan_p), DriftCertificate)
+    assert checked == [None, 0.5]
+
+
+@pytest.mark.parametrize("N", [10, 2000])
+def test_certificates_build_no_kernel(fam, monkeypatch, N):
+    # L is read from the excess array the search forms for x0, so neither
+    # certify nor classify builds a transition kernel
+    import ergochain.kernels as kernels
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a drift certificate built a kernel")
+
+    monkeypatch.setattr(kernels, "build_Px", refuse)
+    monkeypatch.setattr(kernels.TransitionMatrix, "__init__", refuse)
+    f = fam("geometric", N)
+    assert isinstance(certify(f), DriftCertificate)
+    assert isinstance(certify(f, 0.5), DriftCertificate)
+    v = classify(example_spec("geometric"), N)
+    assert v.verdict == "Geometric" and isinstance(v.certificate, DriftCertificate)
+
+
 def test_certify_sweep_agrees_with_classify_and_round_trips():
     # random tables in the style of the tail-underflow sweeps; a few of
     # them reach rho or gamma within 1e-10 of 1, down to rho within ulps of
@@ -466,7 +501,7 @@ def test_certify_sweep_agrees_with_classify_and_round_trips():
     assert near_1 >= 1 and lifted == 800
 
 
-# -- every issued certificate holds, checked without log_expect --------------
+# -- every issued certificate holds, checked state by state -----------------
 
 _ENTRY = st.floats(1e-300, 1e300)
 _TABLES = st.builds(table, st.lists(_ENTRY, min_size=1, max_size=8).map(tuple),
@@ -607,3 +642,35 @@ def test_issued_certificates_hold_to_50_digits(scan_p):
                     issued += 1
                     assert _mp_recheck(cert, f), (spec, N)
     assert issued == 3 * (len(_RECHECK_SPECS) - 3)
+
+
+# -- L is the largest one-step expectation up to x0, to 50 digits -------------
+
+
+def _log_L_is_exact(cert, f):
+    """log L within 2 eps of max over x <= x0 of log E[z^X_1 | X_0 = x] =
+    log(z^x (1 + eps(x))), taken at 50 digits from the family's own p and q."""
+    from mpmath import log, mp, mpf
+
+    with mp.workdps(50):
+        z = mpf(cert.z)
+        ref = max(x * log(z) + log(1 + mpf(float(f.p[x - 1])) * (z - 1)
+                                   - mpf(float(f.q[x - 1])) * (1 - 1 / z))
+                  for x in range(1, cert.x0 + 1))
+        return abs(cert.log_L - ref) <= 2 * np.finfo(float).eps * abs(ref)
+
+
+def test_geometric_L_is_exact_to_two_eps():
+    for N in (2, 3, 10, 60):
+        f = build_family(example_spec("geometric"), N)
+        cert = certify(f)
+        assert isinstance(cert, DriftCertificate) and _log_L_is_exact(cert, f), N
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=_TABLES, N=st.integers(2, 60))
+def test_issued_L_is_exact_to_two_eps(spec, N):
+    f = build_family(spec, N)
+    cert = certify(f)
+    if isinstance(cert, DriftCertificate):
+        assert _log_L_is_exact(cert, f)

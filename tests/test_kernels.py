@@ -33,7 +33,7 @@ from ergochain import (
     tv_curve,
 )
 from ergochain import kernels
-from ergochain.kernels import _RING, _final_pivot, _lowest_eigenvalue, log_expect
+from ergochain.kernels import _RING, _final_pivot, _lowest_eigenvalue
 
 P1 = 0.5819767068693265     # p_1 of the geometric family, frozen
 # each conditional pair sums to 1 to within an ulp, so a kernel entry or
@@ -608,15 +608,6 @@ def test_tv_curve_memory_is_sized_by_the_reachable_states(fam, build):
     assert peak < 64 * 1024
 
 
-@pytest.mark.parametrize("kind", [MARGINAL_X, DGS, RGS])
-def test_log_expect_matches_dense_product(fam, kind):
-    # dgs applies Pi_y, then Pi_x, whose zero entries must contribute nothing
-    tm = _build(fam("mixed-geometric", 30), kind)
-    log_f = np.linspace(-3.0, 5.0, tm.n_states)
-    got = log_expect(tm, log_f)
-    assert np.allclose(got, np.log(_dense(tm) @ np.exp(log_f)), rtol=0, atol=1e-13)
-
-
 def test_tv_curve_argument_errors(fam):
     tm = build_Px(fam("geometric", 20))
     with pytest.raises(IndexOutOfRange):
@@ -627,13 +618,12 @@ def test_tv_curve_argument_errors(fam):
 
 def test_tv_curve_refuses_a_dgs_kernel_without_its_family(fam):
     # a dgs curve rides the x-marginal chain read from the kernel's family,
-    # and its P and log_expect are formed from the family's two updates; a
-    # hand-made kernel without one gets one package error, not AttributeError
+    # and its P is formed from the family's two updates; a hand-made kernel
+    # without one gets one package error, not AttributeError
     built = build_Pdgs(fam("geometric", 20))
     tm = TransitionMatrix(kind=DGS, down=None, stay=None, up=None,
                           stationary=built.stationary, N=built.N)
-    for use in (lambda: tv_curve(tm, (1, 1), 5), lambda: tm.P,
-                lambda: log_expect(tm, np.zeros(tm.n_states))):
+    for use in (lambda: tv_curve(tm, (1, 1), 5), lambda: tm.P):
         with pytest.raises(IndexOutOfRange, match="^dgs kernel has no family") as err:
             use()
         assert "\n" not in str(err.value)

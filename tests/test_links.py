@@ -14,7 +14,12 @@ and each tolerance is the stated rounding of its two sides:
   bound carries its rounding, 8 eps plus n times g's, and TV that of n
   transport steps over the states, 2 (n + 1) n_states eps;
 - drift.certify issues a certificate exactly where no divergence flag
-  fires, and refuses only where 1 - rho underflows float64.
+  fires, and refuses only where 1 - rho underflows float64;
+- Fact 1: the random-scan gap at scan probability s is 2 s t g /
+  (1 + sqrt(1 - 4 s t g)), t = 1 - s, a function of the gap g of Px
+  alone. Each gap carries its 4 eps, and g's moves the formula by
+  s t / sqrt(1 - 4 s t g) times as much; the formula's own rounding is
+  4 eps of its value.
 """
 
 import math
@@ -65,6 +70,17 @@ def test_gap_is_at_most_min_T(spec, N):
     g = spectral_gap(build_Px(f)).gap
     log_min_T = float(np.min(build_subgeo_report(f).log_T))
     assert g - 4 * EPS <= math.exp(log_min_T + 32 * N * EPS)
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(TABLES, SIZES, st.floats(0.05, 0.95))
+def test_rgs_gap_is_a_function_of_the_marginal_gap(spec, N, scan_p):
+    f = build_family(spec, N)
+    stg = scan_p * (1 - scan_p) * spectral_gap(build_Px(f)).gap
+    root = math.sqrt(1 - 4 * stg)
+    expected = 2 * stg / (1 + root)
+    tol = 4 * EPS * (1 + scan_p * (1 - scan_p) / root) + 4 * EPS * expected
+    assert abs(spectral_gap(build_Prgs(f, scan_p)).gap - expected) <= tol
 
 
 def _l2_bound_holds(tm, start, log_pi_start):

@@ -58,8 +58,8 @@ MAX_STEPS = 10 ** 7
 # steps of the start, at most the N states of the x-marginal chain, which
 # also carries a dgs curve, or the 2N - 1 of rgs. A window inside the chain
 # grows by 2 a step, so such runs end in seconds (dgs, N = 10^6, 20 000
-# steps: about 1 s); the slowest are 10^7 steps on about 100 states, 3 to
-# 5 us a step (2-core Xeon VM, numpy 2.4).
+# steps: about 1 s); the slowest are 10^7 steps on about 100 states,
+# about 3 us a step, 31 s in all (2-core Xeon VM, numpy 2.4).
 MAX_TV_WORK = 10 ** 9
 # the size options dispatch refuses above their limit, before any work
 _LIMITS = {"n": MAX_N, "steps": MAX_STEPS}

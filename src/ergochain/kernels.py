@@ -23,8 +23,8 @@ kernel's P is its s = 1 times its s = 0. Total variation curves transport
 only tridiagonal chains: after one sweep of the deterministic scan y is
 drawn from pi(.|x), so a dgs curve is the x-marginal chain's from the law
 of the first x, read from the dgs kernel's family. They transport the
-difference from pi by a fixed three-band step, three products and two
-sums in place on shifted views; the n-step matrix is never formed.
+difference from pi by one three-band step, three products and two sums
+from one buffer into the other; the n-step matrix is never formed.
 After n steps the start's mass lies within n states of the start,
 so outside that window the difference is exactly -pi: it is
 transported, a block of steps at a time, only inside the window the
@@ -62,8 +62,10 @@ from .spec import DGS, MARGINAL_X, RGS, check_gap_kind, check_scan_p
 
 # TV values below this are fitting noise and are excluded from rate fits.
 _TV_FLOOR = 1e-13
-# tv_curve sums |v| over this many steps at once
-_RING = 16
+# tv_curve sums |v| over blocks of this many steps, or of fewer, down to
+# 16, where their ring would pass _RING_BYTES and fall out of a core's cache
+_RING = 64
+_RING_BYTES = 2 ** 19
 # _fit_rate reads the curve this many steps at a time
 _FIT_BLOCK = 4096
 
@@ -261,26 +263,26 @@ def tv_curve(tm: TransitionMatrix, start, n_max: int) -> TVCurve:
     rounding stays relative to the distance rather than to pi and the
     tail of the curve is resolved down to the fit floor.
 
-    After k steps v is exactly -pi outside the window of states within k
-    of the start's support, and since pi P = pi a step keeps it -pi there
-    to rounding. The steps run in blocks of _RING. Every step of a block
-    updates v only on the window the block's last step reaches, reading
-    the previous v on that window widened by one state, where entries
-    never updated still hold -pi; TV is half the sum of |v| on the window
-    plus pi's mass outside it. That mass comes from cumulative sums of pi
-    over the range reachable in the run plus one sum of each remainder
-    beyond it. v and the buffer it swaps with hold that range widened by
-    one state, 0 beyond the chain's ends, and each of the three diagonals is
-    copied once into column order over the range, so a step is three
-    unclipped products summed in place, stay, then down, then up, on views
-    made once per block, and one abs of the window into row (k - 1) mod
-    _RING of a ring of _RING rows over the range. Each row is zero outside
-    the windows it has held; windows only grow, so a reused row is
-    overwritten wherever it held a value. After each block, one row sum
-    over the ring gives the window sums of its steps. Every array but
-    values is sized by the reachable range, not by the number of states
-    or of steps. Once the window covers every state, a step is the plain
-    transport.
+    After k steps v is exactly -pi outside the window of states within k of
+    the start's support, and since pi P = pi a step keeps it -pi there to
+    rounding. The steps run in blocks of up to _RING. Every step of a block
+    updates v only on the window the block's last step reaches, reading the
+    previous v on that window widened by one state, where entries never
+    updated still hold -pi; TV is half the sum of |v| on the window plus
+    pi's mass outside it. That mass comes from cumulative sums of pi over
+    the range reachable in the run plus one sum of each remainder beyond it.
+    Two buffers hold that range widened by one state, 0 beyond the chain's
+    ends, v after step k in buffer k mod 2, and each of the three diagonals
+    is copied once into column order over the range. So one step body serves
+    every step: it reads one buffer and writes the other, three unclipped
+    products summed, stay, then down, then up, on views of both buffers made
+    once per block, and one abs of the window into the step's row of a ring
+    over the range. Each row is zero outside the windows it has held;
+    windows only grow, so a reused row is overwritten wherever it held a
+    value. After each block, one row sum over the ring gives the window sums
+    of its steps. Every array but values is sized by the reachable range,
+    not by the number of states or of steps. Once the window covers every
+    state, a step is the plain transport.
     """
     if n_max < 0:
         raise IndexOutOfRange("n_max must be nonnegative")
@@ -336,51 +338,44 @@ def _transport(tm: TransitionMatrix, n: int, i0: int, mass: list,
     # tiny tail mass keeps its relative accuracy
     mass_left = np.concatenate(([below], pi[r_lo - s_lo:i0 - s_lo])).cumsum()
     mass_right = np.concatenate(([above], pi[i1 - s_lo:r_hi - s_lo][::-1])).cumsum()
-    # v and w hold states r_lo - 1 .. r_hi: -pi on the chain's states and
-    # 0 beyond them, so no diagonal's slice needs clipping
+    # buf[k % 2] holds v after step k on states r_lo - 1 .. r_hi: -pi on the
+    # chain's states and 0 beyond them, so no diagonal's slice needs clipping
     off = r_lo - 1
-    v = np.zeros(r_hi - r_lo + 2)
-    np.negative(pi, out=v[s_lo - off:s_hi - off])
-    w = v.copy()
-    v[i0 - off:i1 - off] += mass
+    buf = np.zeros((2, r_hi - r_lo + 2))
+    np.negative(pi, out=buf[:, s_lo - off:s_hi - off])
+    buf[0, i0 - off:i1 - off] += mass
     # the columns P[j+1, j], P[j, j] and P[j-1, j] for j in r_lo .. r_hi - 1,
     # 0 where the state is absent: the chance of arriving from above, of
     # staying at j and of arriving from below
     from_above, stay, from_below = (_column(diag, base + k, r_lo, r_hi)
                                     for diag, k in zip(diagonals, (0, 0, 1)))
     width = r_hi - r_lo
-    out[0] = 0.5 * (np.abs(v[i0 - off:i1 - off]).sum() + mass_left[-1] + mass_right[-1])
-    ring = np.zeros((min(_RING, steps), width))
+    out[0] = 0.5 * (np.abs(buf[0, i0 - off:i1 - off]).sum() + mass_left[-1] + mass_right[-1])
+    rows = min(_RING, max(16, _RING_BYTES // (8 * width)))
+    ring = np.zeros((min(rows, steps), width))
     scratch = np.empty(width)
     mul, add, absolute = np.multiply, np.add, np.absolute
-    for first in range(1, steps + 1, _RING):
-        last = min(first + _RING, steps + 1)
+    for first in range(1, steps + 1, rows):
+        last = min(first + rows, steps + 1)
         # every step of the block moves v on the window its last step reaches
         lo = max(0, i0 - r_lo - (last - 1))
         hi = min(width, i1 - r_lo + (last - 1))
         d, a, b, t = stay[lo:hi], from_above[lo:hi], from_below[lo:hi], scratch[lo:hi]
-        v0, va, vb = v[lo + 1:hi + 1], v[lo + 2:hi + 2], v[lo:hi]
-        w0, wa, wb = w[lo + 1:hi + 1], w[lo + 2:hi + 2], w[lo:hi]
-        block = ring[:last - first, lo:hi]
         # (vP)[j] = v[j] P[j, j] + v[j+1] P[j+1, j] + v[j-1] P[j-1, j], added
-        # in that order; the steps alternate between reading v and reading w
-        for k in range(0, last - first, 2):
+        # in that order; a step reads one buffer and writes the other
+        reads, writes = ((u[lo + 1:hi + 1], u[lo + 2:hi + 2], u[lo:hi])
+                         for u in (buf[(first - 1) % 2], buf[first % 2]))
+        block = ring[:last - first, lo:hi]
+        for row in block:
+            v0, va, vb = reads
+            w0 = writes[0]
             mul(v0, d, w0)
             mul(va, a, t)
             add(w0, t, w0)
             mul(vb, b, t)
             add(w0, t, w0)
-            absolute(w0, block[k])
-            if k + 1 == last - first:
-                break
-            mul(w0, d, v0)
-            mul(wa, a, t)
-            add(v0, t, v0)
-            mul(wb, b, t)
-            add(v0, t, v0)
-            absolute(v0, block[k + 1])
-        if (last - first) % 2:
-            v, w = w, v
+            absolute(w0, row)
+            reads, writes = writes, reads
         out[first:last] = 0.5 * (block.sum(axis=1)
                                   + (mass_left[lo] + mass_right[width - hi]))
 

@@ -523,6 +523,22 @@ def test_tv_curve_allocates_only_the_window(fam):
     assert peak <= tm.stationary.nbytes + 64 * 1024
 
 
+def test_wide_tv_curve_keeps_its_ring_in_cache(fam):
+    # 5 000 dgs steps reach 5 001 states, where 64 ring rows would take
+    # 2.6 MB: the blocks shorten to 16 steps, so the ring holds 16 rows.
+    # The other working arrays are a few rows of the range each
+    tm = build_Pdgs(fam("power-law", 20_000))
+    tv_curve(tm, (1, 1), 100)       # warm numpy's caches outside the trace
+    tracemalloc.start()
+    try:
+        tv_curve(tm, (1, 1), 5_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    row = 8 * 5_003
+    assert peak <= 16 * row + 16 * row + 64 * 1024
+
+
 def test_long_tv_curve_allocates_only_its_values(fam):
     # 10^5 steps on 5 states: the curve is the one array as long as the run
     tm = build_Px(fam("geometric", 5))
@@ -1037,19 +1053,22 @@ def _random_tables(seed, count):
                     tail_ratio=float(0.3 + 0.5 * rng.random()))
 
 
-@pytest.mark.parametrize("ring", [_RING, 5])
+@pytest.mark.parametrize("ring", [_RING, 5, 1])
 @pytest.mark.parametrize("kind", [MARGINAL_X, RGS])
 def test_tv_curve_matches_dense_transport_on_tables(kind, ring, monkeypatch):
-    # runs whose last block of steps ends after an odd and after an even
-    # number of steps, so that either half of the alternating step ends a
-    # block, from either end and the middle of small and large tables; an
-    # odd ring also ends blocks before the last after an odd number. The
+    # runs that end just before, at and just after the end of a block of
+    # ring steps, after an odd and after an even number of steps, so that
+    # the last step may have written either of the two buffers the steps
+    # alternate between, from either end and the middle of small and large
+    # tables; an odd ring also ends blocks before the last after an odd
+    # number, and a ring of 1 makes every step its own block. The
     # reference is a dense transport of the difference from pi, as in the
     # dgs test above: a float64 kernel's rows sum to one only to rounding,
     # so dense powers of the point mass itself drift by about n eps
     # (1.5e-14 after 401 steps at N = 3)
     monkeypatch.setattr(kernels, "_RING", ring)
-    n_maxes = (0, 1, 15, 16, 17, 31, 33, 47, 400, 401)
+    n_maxes = sorted({0, 1, ring - 1, ring, ring + 1, 2 * ring - 1, 2 * ring + 1,
+                      3 * ring - 1, 400, 401})
     for spec in _random_tables(20261019, 3):
         for N in (2, 3, 30, 200):
             tm = _build(build_family(spec, N), kind)

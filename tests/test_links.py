@@ -19,12 +19,21 @@ and each tolerance is the stated rounding of its two sides:
   (1 + sqrt(1 - 4 s t g)), t = 1 - s, a function of the gap g of Px
   alone. Each gap carries its 4 eps, and g's moves the formula by
   s t / sqrt(1 - 4 s t g) times as much; the formula's own rounding is
-  4 eps of its value.
+  4 eps of its value;
+- the Hardy constant B of Px brackets its gap, 1/(4B) <= g <= 2/B (Miclo
+  1999; Chen 2000). B = max(B+, B-) is split at the median level m, with
+  B+ = max over i > m of (sum_{j=m}^{i-1} 1/e_j) pi([i, N]) and B- = max
+  over i < m of (sum_{j=i}^{m-1} 1/e_j) pi([1, i]), e_j = pi_j p_j the
+  edge conductances. It is summed in log space from log pi_X and log e,
+  since a linear-space B overflows at geometric N = 2 000, and its
+  rounding is taken as 4 N eps in log B (0.64 N eps against 50 digits on
+  44 specs at N <= 50).
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf, sqrt
@@ -39,6 +48,8 @@ from ergochain import (
     build_subgeo_report,
     certify,
     divergence_flags,
+    example_names,
+    example_spec,
     geometric,
     mixed_geometric,
     power_law,
@@ -81,6 +92,38 @@ def test_rgs_gap_is_a_function_of_the_marginal_gap(spec, N, scan_p):
     expected = 2 * stg / (1 + root)
     tol = 4 * EPS * (1 + scan_p * (1 - scan_p) / root) + 4 * EPS * expected
     assert abs(spectral_gap(build_Prgs(f, scan_p)).gap - expected) <= tol
+
+
+def _log_hardy(f):
+    """log B of Px, from the median level split."""
+    log_pi, log_e = f.log_pix, f.log_t[:-1]
+    # 0-based: m is the first level with pi([1, m]) >= 1/2, and edge j joins
+    # levels j and j + 1
+    log_prefix = np.logaddexp.accumulate(log_pi)
+    log_suffix = np.logaddexp.accumulate(log_pi[::-1])[::-1]
+    m = int(np.searchsorted(log_prefix, math.log(0.5)))
+    plus = np.logaddexp.accumulate(-log_e[m:]) + log_suffix[m + 1:]
+    minus = np.logaddexp.accumulate(-log_e[:m][::-1])[::-1] + log_prefix[:m]
+    return max(np.max(plus, initial=-np.inf), np.max(minus, initial=-np.inf))
+
+
+def _hardy_brackets_the_gap(f):
+    g = spectral_gap(build_Px(f)).gap
+    log_B, slack = _log_hardy(f), 4 * f.N * EPS
+    assert math.exp(-math.log(4) - log_B - slack) <= g + 4 * EPS
+    assert g - 4 * EPS <= math.exp(math.log(2) - log_B + slack)
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(TABLES, SIZES)
+def test_hardy_constant_brackets_the_gap(spec, N):
+    _hardy_brackets_the_gap(build_family(spec, N))
+
+
+@pytest.mark.parametrize("N", [10, 200, 2000])
+@pytest.mark.parametrize("name", example_names())
+def test_hardy_constant_brackets_the_gap_of_the_built_ins(name, N):
+    _hardy_brackets_the_gap(build_family(example_spec(name), N))
 
 
 def _l2_bound_holds(tm, start, log_pi_start):

@@ -4,10 +4,13 @@ classify decides from the exact tail limits of the spec's kind
 (spec.tail_limits). If they leave a statistic S1, S2 or S3 unbounded
 (subgeo.divergence_flags), the verdict is Subgeometric, basis
 divergence:<the first such one>, with the subgeo summary at N. Otherwise
-it is Geometric, basis ratio_test, with drift.certify's certificate at N:
-the certificate witnesses the truncation and decides nothing, and it is
-missing only where its margin 1 - rho underflows float64 or its base z*
-rounds to 1 (drift says which).
+it is Geometric, basis ratio_test, with drift.certify's certificate: it
+is found on the spec's head family, whose size the spec fixes, holds for
+the untruncated chain and for the truncation at N alike, and decides
+nothing. It is missing only where its margin 1 - rho underflows float64
+or z* is so close to 1 that the tail's excess is not resolved below
+-delta (drift says which). The family at N is built either way, for the
+subgeo summary and to refuse an N the spec cannot be truncated at.
 
 Two outcomes suffice: the ratio test (A < 1, a_over_bprev and b_over_a
 finite, A (1 + M) / (1 + m) < 1) is the paper's sufficient condition for

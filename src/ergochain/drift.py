@@ -20,15 +20,38 @@ z* = sqrt(2 / (r + 1)), with delta = 1 - rho* = (q/2)(1 - u)^2,
 u = sqrt((r + 1)/2), taken in closed form with 1 - u = ((1 - r)/2) /
 (1 + u). The certificate uses z*; rho is 1 - delta rounded up to
 float64, so it never states a faster rate than the one verified, and
-log10_one_minus_rho carries delta. eps(x) is compared with -delta
-with its rounding bound, 4 eps64 (p_x (z - 1) + q_x (1 - 1/z)), about
-11 eps64 / (1 - r_hat) of |eps(x)| in the tail, and no other tolerance.
-So every spec whose limits pass the ratio test is certified, except
-where delta underflows float64's normal range or z* rounds to 1 (r_hat
-within 5 ulps of 1), which are refused with that reason; a spec whose
-limits fire a divergence flag (subgeo.divergence_flags) has no geometric
-drift, and the refusal names the flags. These are the only refusals,
-and drift's only exit 3.
+log10_one_minus_rho carries delta.
+
+A certificate belongs to the tail. Beyond K = spec._tail_start (2 for
+geometric, max(len a, len b) + 2 for a table; every other kind fires a
+flag) the untruncated chain's p_x, q_x, beta_y and stay_y are constant.
+The head family, the truncation at K + 3, has the untruncated rows up
+to K + 2, so its row K + 1 and pairs (K + 1, K + 1) and (K + 2, K + 1)
+stand for every state beyond K. The search and the check run on it and
+keep x0 <= K, so the certificate holds for the untruncated chain, and
+every field but N is the same at every N. It holds on each truncation
+too, whose rows are the untruncated chain's except row N: there p_N = 0
+lowers the marginal excess, and beta_N = 0 makes G(N)/V(N) = 1, so the
+lifted excess at (N, N) is at most that marginal excess (both lift
+terms below are at most 0); the pair (N, N - 1) reads the untruncated
+stay_y(N - 1).
+
+eps(x) is compared with -delta with its rounding bound, 4 eps64 (p_x
+(z - 1) + q_x (1 - 1/z)), about 11 eps64 / (1 - r_hat) of |eps(x)| in
+the tail, and no other tolerance. The bound takes p_x and q_x as
+accurate to about an ulp, as they are where their logs are small: on
+the head rows, whose logs exceed the table's by O(K), not on a
+truncation's at large N (geometric's p_x at N = 10^6 are 5.8e-11 off
+the head's). The tail's exact excess is -2 (2 + 1/u) delta <= -6 delta,
+so every spec whose limits pass the ratio test is certified, except
+where delta underflows float64's normal range or the tail's excess is
+not resolved below -delta: z* rounds to 1 (r_hat within 5 ulps of 1)
+and V = z^x is constant, or the tail row's rounding exceeds its five
+delta of slack (r_hat within 32 ulps of 1 for table((1,), (1,), r_hat),
+within about 3e-13 for tables with entries near e^+-700). These are
+refused with that reason; a spec whose limits fire a divergence flag
+(subgeo.divergence_flags) has no geometric drift, and the refusal names
+the flags. These are the only refusals, and drift's only exit 3.
 
 The random-scan chain with scan probability s is certified by lifting.
 With lo = s/(1-s) and c = lo / (1 - tau), 0 < tau < delta,
@@ -48,8 +71,8 @@ rounds to lo, and the rates a certificate states are the ones
 verify_drift checks. One record, DriftCertificate, serves all three
 chains (the deterministic scan's x-marginal is the marginal chain).
 
-verify_drift checks the same excess form at every state of the
-truncation, at most 0 beyond x0 and at most L/V(x) up to it:
+verify_drift checks the same excess form at every state of the family
+it is given, at most 0 beyond x0 and at most L/V(x) up to it:
 eps(x) + delta on the marginal chain, and on the random scan's 2N-1
 staircase pairs, with w as above,
 
@@ -60,13 +83,14 @@ where c w - tau and w + tau - delta are at most 0, and G(y)/V(x) is
 1 + beta_y (z - 1) at (y, y) and 1 - (a_y / pi_Y(y))(1 - 1/z) at
 (y + 1, y). delta there is the certificate's one_minus_rho: the closed
 form, or 1 - rho where a hand-set rho claims more. certify, the one path
-that issues a certificate, runs the search, the lift when a scan
-probability is given, and one verification, in that order: a lifted
-certificate's verification checks the marginal excess at every state too.
+that issues a certificate, builds the head family once and runs the
+search, the lift when a scan probability is given, and one verification
+on that family, in that order: a lifted certificate's verification
+checks the marginal excess at every state too.
 
-A certificate proves a geometric rate for the chain truncated at N; its
-constants are the untruncated tail's. Whether the family converges
-geometrically is classify's answer, read from the tail limits alone.
+A certificate proves the drift condition for the untruncated chain and
+for each of its truncations. Whether the family converges geometrically
+is classify's answer, read from the tail limits alone.
 """
 
 from __future__ import annotations
@@ -79,9 +103,10 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import COutOfRange
-from .family import BivariateFamily, _exp_sat
+from .family import BivariateFamily, _exp_sat, build_family
 from .kernels import staircase_xy
-from .spec import _encode_extended, check_scan_p, tail_limits
+from .spec import (SequenceSpec, _encode_extended, _tail_start, check_scan_p,
+                   tail_limits)
 from .subgeo import divergence_flags
 
 # the rounding bound of eps(x), relative to p_x (z - 1) + q_x (1 - 1/z)
@@ -207,42 +232,53 @@ def _excess(fam: BivariateFamily, z: float) -> tuple[np.ndarray, np.ndarray]:
 
 def find_drift_certificate(fam: BivariateFamily):
     """The certificate at the optimal base z* = sqrt(2 / (r_hat + 1)),
-    with r_hat and q_hat from tail_limits(fam.spec), for any N >= 2.
+    with r_hat and q_hat from tail_limits(fam.spec), found on the head
+    family; it reads only fam.spec and fam.N, and records N = fam.N.
 
     Returns a DriftCertificate, or a NoCertificate value when the tail
-    limits fire a divergence flag, delta underflows or z* rounds to 1,
-    where V = z^x is constant and drifts nowhere. The threshold x0
-    is the largest index whose excess (with its rounding bound) is above
-    -delta (at least 1), so the drift bound holds beyond it by
-    construction.
+    limits fire a divergence flag, delta underflows, or z* is so close
+    to 1 that the tail's excess is not resolved below -delta. The
+    threshold x0 is the largest state whose excess (with its rounding
+    bound) is above -delta, at least 1 and at most K, so the drift bound
+    holds beyond it by construction, at every state of the untruncated
+    chain.
     """
-    lim = tail_limits(fam.spec)
+    return _search(fam.spec, fam.N)[0]
+
+
+def _search(spec: SequenceSpec, N: int) -> tuple:
+    """find_drift_certificate's outcome for spec at N, and the head
+    family it was found on (None where the search stops)."""
+    lim = tail_limits(spec)
     r_hat, q_hat = lim.r_hat, lim.q_hat
     fired = [name for name, f in divergence_flags(lim).items() if f]
     if fired:
         return NoCertificate(
             reason=f"the tail limits fire {', '.join(fired)}: no geometric drift",
-            r_hat=r_hat, q_hat=q_hat)
+            r_hat=r_hat, q_hat=q_hat), None
     delta = _one_minus_rho(r_hat, q_hat)
     if not delta >= sys.float_info.min:
         return NoCertificate(
             reason=f"1 - rho = (q_hat/2)(1 - sqrt((r_hat + 1)/2))^2 = {delta:.3g} "
                    f"underflows float64 (q_hat = {q_hat:.3g})",
-            r_hat=r_hat, q_hat=q_hat)
+            r_hat=r_hat, q_hat=q_hat), None
 
     z = math.sqrt(2.0 / (r_hat + 1.0))
-    if not z > 1.0:
+    K = _tail_start(spec)
+    head = build_family(spec, K + 3)     # rows up to K + 2 are the untruncated chain's
+    eps, bound = _excess(head, z)
+    above = np.flatnonzero((eps + bound)[1:] > -delta)   # indices for x = 2..K+3
+    x0 = int(above[-1] + 2) if above.size else 1
+    if x0 > K:
         return NoCertificate(
             reason=f"z* = sqrt(2 / (r_hat + 1)) rounds to {z!r} in float64 "
-                   f"(r_hat = {r_hat!r}): V = z^x is constant",
-            r_hat=r_hat, q_hat=q_hat)
-    eps, bound = _excess(fam, z)
-    beyond = np.where((eps + bound)[1:] > -delta)[0]  # indices for x = 2..N
-    x0 = int(beyond[-1] + 2) if beyond.size else 1
+                   f"(r_hat = {r_hat!r}): the excess of V = z^x beyond x = {K} "
+                   f"is not resolved below -delta",
+            r_hat=r_hat, q_hat=q_hat), None
     # E[V(X_1) | x] = z^x (1 + eps(x))
     log_L = float(np.max(np.arange(1, x0 + 1) * math.log(z) + np.log1p(eps[:x0])))
     return DriftCertificate(z=z, rho=_one_minus_up(Fraction(delta)), log_L=log_L,
-                            x0=x0, r_hat=r_hat, q_hat=q_hat, N=fam.N)
+                            x0=x0, r_hat=r_hat, q_hat=q_hat, N=N), head
 
 
 def admissible_c_interval(cert: DriftCertificate, scan_p: float) -> tuple[float, float]:
@@ -331,19 +367,21 @@ def verify_drift(cert: DriftCertificate, fam: BivariateFamily) -> DriftReport:
 
 def certify(fam: BivariateFamily, scan_p: float | None = None):
     """The marginal certificate, lifted to the random scan when scan_p is
-    given, that verify_drift accepts; or a NoCertificate whose reason
-    names the step that stopped: the search (a fired divergence flag,
-    delta underflowing or z* rounding to 1) or a verification. A scan_p
-    outside (0, 1) raises BadScanProbability before the search."""
+    given, that verify_drift accepts on the head family, and so on fam
+    and every other truncation; or a NoCertificate whose reason names the
+    step that stopped: the search (a fired divergence flag, delta
+    underflowing or the tail's excess not resolved below -delta) or a
+    verification. Only fam.spec and fam.N are read. A scan_p outside
+    (0, 1) raises BadScanProbability before the search."""
     if scan_p is not None:
         check_scan_p(scan_p)
-    cert = find_drift_certificate(fam)
+    cert, head = _search(fam.spec, fam.N)
     if isinstance(cert, NoCertificate):
         return cert
     chain = "marginal"
     if scan_p is not None:      # the lift's verification checks the marginal excess too
         cert, chain = lift_to_rgs(cert, scan_p), "lifted"
-    if not verify_drift(cert, fam).holds:
+    if not verify_drift(cert, head).holds:
         return NoCertificate(reason=f"{chain} certificate fails verification",
                              r_hat=cert.r_hat, q_hat=cert.q_hat)
     return cert

@@ -396,6 +396,20 @@ def tail_limits(spec: SequenceSpec) -> TailLimits:
                       r_hat=e2, q_hat=0.0, exist=False)
 
 
+def _tail_start(spec: SequenceSpec) -> int | None:
+    """K such that the untruncated chain's p_x, q_x, beta_y and stay_y
+    are constant for x, y > K: 2 for geometric, whose a_i / b_i and
+    a_i / b_{i-1} are constant from i = 2, and max(len a, len b) + 2 for
+    a table, whose ratios are constant past both tables. None for the
+    other kinds, whose rows never settle; their tail limits fire a
+    divergence flag."""
+    if spec.kind == "geometric":
+        return 2
+    if spec.kind == "table":
+        return max(len(spec.a_table), len(spec.b_table)) + 2
+    return None
+
+
 # -- factory helpers -----------------------------------------------------
 
 

@@ -34,6 +34,7 @@ from ergochain import (
 )
 from ergochain.drift import certify
 from ergochain.kernels import build_Prgs, build_Px
+from ergochain.spec import _tail_start
 
 COEF_GEO_Z13_X10 = 0.960187767622529   # frozen direct evaluation
 Z_UPPER_GEO = 1.4621171572600098       # 2 / (e^{-1} + 1)
@@ -408,11 +409,21 @@ def test_certify_refuses_a_base_that_rounds_to_one():
             out = certify(f, scan_p)
             assert isinstance(out, NoCertificate)
             assert "rounds to 1.0 in float64" in out.reason
-    # six ulps below 1, z* = 1 + 2^-52 and the certificate holds
-    f = build_family(table((1.0,), (1.0,), tail_ratio=1.0 - 6 * 2.0 ** -53), 50)
-    out = certify(f, 0.5)
-    assert isinstance(out, DriftCertificate) and out.z > 1.0
-    assert verify_drift(out, f).holds
+    # from six to 31 ulps below 1, z* > 1 but the tail's excess, at most
+    # -6 delta, is within its rounding bound of -delta: only an x0 past
+    # every state of the truncation would pass, which says nothing
+    for k in (6, 31):
+        f = build_family(table((1.0,), (1.0,), tail_ratio=1.0 - k * 2.0 ** -53), 50)
+        for scan_p in (None, 0.5):
+            out = certify(f, scan_p)
+            assert isinstance(out, NoCertificate)
+            assert "beyond x = 3 is not resolved below -delta" in out.reason
+    # 32 ulps below 1, z* = 1 + 4 ulps and the certificate holds, x0 = 1
+    spec = table((1.0,), (1.0,), tail_ratio=1.0 - 32 * 2.0 ** -53)
+    out = certify(build_family(spec, 50), 0.5)
+    assert isinstance(out, DriftCertificate) and out.z > 1.0 and out.x0 == 1
+    for N in (2, 50, 2000):
+        assert verify_drift(out, build_family(spec, N)).holds
 
 
 def test_certify_checks_scan_p_before_searching():
@@ -473,6 +484,14 @@ def test_certificates_build_no_kernel(fam, monkeypatch, N):
     assert isinstance(certify(f, 0.5), DriftCertificate)
     v = classify(example_spec("geometric"), N)
     assert v.verdict == "Geometric" and isinstance(v.certificate, DriftCertificate)
+
+
+def test_certify_derives_no_array_of_the_truncation():
+    # the certificate is found and verified on the head family, whose size
+    # the spec fixes, so certify reads only the family's spec and N
+    f = build_family(example_spec("geometric"), 1_000_000)
+    assert isinstance(certify(f, 0.5), DriftCertificate)
+    assert not {"p", "q", "beta", "stay_y"} & set(vars(f))
 
 
 def test_certify_sweep_agrees_with_classify_and_round_trips():
@@ -628,8 +647,16 @@ _RECHECK_SPECS = [
 ]
 
 
+def _head(spec):
+    """The head family, where certify finds and verifies a certificate:
+    its rows up to K + 2 are the untruncated chain's."""
+    return build_family(spec, _tail_start(spec) + 3)
+
+
 @pytest.mark.parametrize("scan_p", [None, 0.5, 1e-7, 0.9999999999999999, 1e-300])
 def test_issued_certificates_hold_to_50_digits(scan_p):
+    # on each truncation, and on the head family, whose rows K + 1 and
+    # K + 2 stand for every state of the untruncated tail
     from mpmath import mp
 
     issued = 0
@@ -641,17 +668,20 @@ def test_issued_certificates_hold_to_50_digits(scan_p):
                 if isinstance(cert, DriftCertificate):
                     issued += 1
                     assert _mp_recheck(cert, f), (spec, N)
+                    assert _mp_recheck(cert, _head(spec)), spec
     assert issued == 3 * (len(_RECHECK_SPECS) - 3)
 
 
 # -- L is the largest one-step expectation up to x0, to 50 digits -------------
 
 
-def _log_L_is_exact(cert, f):
+def _log_L_is_exact(cert, spec):
     """log L within 2 eps of max over x <= x0 of log E[z^X_1 | X_0 = x] =
-    log(z^x (1 + eps(x))), taken at 50 digits from the family's own p and q."""
+    log(z^x (1 + eps(x))), taken at 50 digits from the head family's own
+    p and q."""
     from mpmath import log, mp, mpf
 
+    f = _head(spec)
     with mp.workdps(50):
         z = mpf(cert.z)
         ref = max(x * log(z) + log(1 + mpf(float(f.p[x - 1])) * (z - 1)
@@ -664,7 +694,7 @@ def test_geometric_L_is_exact_to_two_eps():
     for N in (2, 3, 10, 60):
         f = build_family(example_spec("geometric"), N)
         cert = certify(f)
-        assert isinstance(cert, DriftCertificate) and _log_L_is_exact(cert, f), N
+        assert isinstance(cert, DriftCertificate) and _log_L_is_exact(cert, f.spec), N
 
 
 @settings(max_examples=60, deadline=None)
@@ -673,4 +703,4 @@ def test_issued_L_is_exact_to_two_eps(spec, N):
     f = build_family(spec, N)
     cert = certify(f)
     if isinstance(cert, DriftCertificate):
-        assert _log_L_is_exact(cert, f)
+        assert _log_L_is_exact(cert, spec)

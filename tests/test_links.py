@@ -14,7 +14,11 @@ and each tolerance is the stated rounding of its two sides:
   bound carries its rounding, 8 eps plus n times g's, and TV that of n
   transport steps over the states, 2 (n + 1) n_states eps;
 - drift.certify issues a certificate exactly where no divergence flag
-  fires, and refuses only where 1 - rho underflows float64;
+  fires, and refuses only where 1 - rho underflows float64 or r_hat is
+  so close to 1 that the tail's excess is not resolved;
+- a certificate is the untruncated tail's: certify gives the same one at
+  every N but for the N it records, with x0 <= K (spec._tail_start), and
+  verify_drift accepts it on every truncation;
 - Fact 1: the random-scan gap at scan probability s is 2 s t g /
   (1 + sqrt(1 - 4 s t g)), t = 1 - s, a function of the gap g of Px
   alone. Each gap carries its 4 eps, and g's moves the formula by
@@ -30,6 +34,7 @@ and each tolerance is the stated rounding of its two sides:
   44 specs at N <= 50).
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -59,6 +64,7 @@ from ergochain import (
     tv_curve,
     verify_drift,
 )
+from ergochain.spec import _tail_start
 
 EPS = np.finfo(float).eps
 # the TV curves run until the bound falls below this, or for _STEPS steps
@@ -187,11 +193,27 @@ def test_certificate_is_issued_exactly_where_no_flag_fires(spec, N, scan_p):
     if any(flags.values()):
         assert isinstance(cert, NoCertificate)
         assert all(name in cert.reason for name, fired in flags.items() if fired)
-    elif isinstance(cert, NoCertificate):
-        assert "underflows float64" in cert.reason
+    elif isinstance(cert, NoCertificate) and "underflows float64" in cert.reason:
         with mp.workdps(50):
             r, q = mpf(cert.r_hat), mpf(cert.q_hat)
             assert q / 2 * (1 - sqrt((r + 1) / 2)) ** 2 < np.finfo(float).tiny
+    elif isinstance(cert, NoCertificate):
+        # the tail's excess, at most -6 delta in exact arithmetic, is
+        # within the rounding of the head family's rows of -delta
+        assert "is not resolved below -delta" in cert.reason
+        assert 1.0 - cert.r_hat < 1e-11
     else:
         assert isinstance(cert, DriftCertificate)
         assert verify_drift(cert, f).holds
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(TABLES | st.floats(1e-3, 1e3).map(geometric), st.integers(2, 2000),
+       st.integers(2, 2000), st.sampled_from([None, 0.5]))
+def test_certificate_does_not_depend_on_N(spec, N, N2, scan_p):
+    cert = certify(build_family(spec, N), scan_p)
+    assert isinstance(cert, DriftCertificate) and cert.N == N
+    assert cert.x0 <= _tail_start(spec)
+    assert certify(build_family(spec, N2), scan_p) == dataclasses.replace(cert, N=N2)
+    for n in (N, N2):
+        assert verify_drift(cert, build_family(spec, n)).holds

@@ -9,8 +9,11 @@ is found on the spec's head family, whose size the spec fixes, holds for
 the untruncated chain and for the truncation at N alike, and decides
 nothing. It is missing only where its margin 1 - rho underflows float64
 or z* is so close to 1 that the tail's excess is not resolved below
--delta (drift says which). The family at N is built either way, for the
-subgeo summary and to refuse an N the spec cannot be truncated at.
+-delta (drift says which). The family at N is built only for the
+subgeo summary, which also refuses an N the spec cannot be truncated at.
+A Geometric verdict builds none: only the geometric and table kinds
+reach it, build_family refuses neither at any N >= 2, and certify
+refuses an N below 2 as build_family does.
 
 Two outcomes suffice: the ratio test (A < 1, a_over_bprev and b_over_a
 finite, A (1 + M) / (1 + m) < 1) is the paper's sufficient condition for
@@ -77,7 +80,6 @@ class ErgodicityVerdict:
 def classify(spec: SequenceSpec, N: int = 200,
              scan_p: float | None = None) -> ErgodicityVerdict:
     """Classify the family truncated at N >= 2; see the module docstring."""
-    fam = build_family(spec, N)
     lim = tail_limits(spec)
     quantities = {k: v for k, v in lim._asdict().items() if k != "exist"}
     note = _EQUIVALENCE_NOTE if lim.exist else None
@@ -90,12 +92,12 @@ def classify(spec: SequenceSpec, N: int = 200,
     # 1. a statistic the exact limits leave unbounded
     fired = next((name for name, f in divergence_flags(lim).items() if f), None)
     if fired is not None:
-        report = build_subgeo_report(fam, scan_p=scan_p)
+        report = build_subgeo_report(build_family(spec, N), scan_p=scan_p)
         return verdict(SUBGEOMETRIC, f"divergence:{fired}",
                        subgeo_summary=report.to_json_dict())
 
     # 2. none is, so the limits pass the ratio test
-    cert = certify(fam, scan_p)
+    cert = certify(spec, N, scan_p)
     return verdict(GEOMETRIC, "ratio_test",
                    certificate=None if isinstance(cert, NoCertificate) else cert)
 

@@ -203,8 +203,10 @@ def _cmd_classify(args) -> tuple[str, int]:
 
 def _cmd_drift(args) -> tuple[str, int]:
     spec = _load_spec(args)
-    cert = _cli.certify(_cli.build_family(spec, args.n), args.scan_p)
+    cert = _cli.certify(spec, args.n, args.scan_p)
     code = 3 if isinstance(cert, _cli.NoCertificate) else 0
+    if code:        # as classify: a spec that cannot be truncated at N exits 4
+        _cli.build_family(spec, args.n)
     return _dump_json(cert.to_json_dict()), code
 
 

@@ -36,22 +36,31 @@ lifted excess at (N, N) is at most that marginal excess (both lift
 terms below are at most 0); the pair (N, N - 1) reads the untruncated
 stay_y(N - 1).
 
-eps(x) is compared with -delta with its rounding bound, 4 eps64 (p_x
-(z - 1) + q_x (1 - 1/z)), about 11 eps64 / (1 - r_hat) of |eps(x)| in
-the tail, and no other tolerance. The bound takes p_x and q_x as
-accurate to about an ulp, as they are where their logs are small: on
-the head rows, whose logs exceed the table's by O(K), not on a
-truncation's at large N (geometric's p_x at N = 10^6 are 5.8e-11 off
-the head's). The tail's exact excess is -2 (2 + 1/u) delta <= -6 delta,
-so every spec whose limits pass the ratio test is certified, except
-where delta underflows float64's normal range or the tail's excess is
-not resolved below -delta: z* rounds to 1 (r_hat within 5 ulps of 1)
-and V = z^x is constant, or the tail row's rounding exceeds its five
-delta of slack (r_hat within 32 ulps of 1 for table((1,), (1,), r_hat),
-within about 3e-13 for tables with entries near e^+-700). These are
-refused with that reason; a spec whose limits fire a divergence flag
-(subgeo.divergence_flags) has no geometric drift, and the refusal names
-the flags. These are the only refusals, and drift's only exit 3.
+eps(x) is compared with -delta with its rounding bound, (4 + 12 s)
+eps64 (p_x (z - 1) + q_x (1 - 1/z)), and no other tolerance. 4 eps64
+is the excess's own rounding with p_x and q_x accurate to about an ulp,
+as they are where the spec's logs are of order one. s is the largest
+|log a_i| or |log b_i| the spec gives the family's rows: a log the
+family stores is off by up to about 3 s eps64 (the spec's rounding and
+the shifts by the largest log and by the log mass), p_x and q_x move by
+up to 3 times that, and forming them from the logs adds about 2 s
+eps64. (On table((e^B, 1), (e^-B, 1), r) with B up to 700, p_x and q_x
+are off by at most 0.75 s eps64 against 50 digits from the spec's
+exact ratios.) So on the head rows the bound is about (4 + 12 s) 2.7
+eps64 / (1 - r_hat) of |eps(x)| in the tail, and on a truncation at
+large N it grows with the logs there (geometric's p_x at N = 10^6 are
+5.8e-11 off the head's, against 12 s eps64 = 2.7e-9). The tail's exact
+excess is -2 (2 + 1/u) delta <= -6 delta, so every spec whose limits
+pass the ratio test is certified, except where delta underflows
+float64's normal range or the tail's excess is not resolved below
+-delta: z* rounds to 1 (r_hat within 5 ulps of 1) and V = z^x is
+constant, or the tail row's rounding exceeds its five delta of slack
+(1 - r_hat below about 3.2 (4 + 12 s) eps64: r_hat within 32 ulps of 1
+for table((1,), (1,), r_hat), within about 6e-12 of 1 for tables with
+entries near e^+-700). These are refused with that reason; a spec whose
+limits fire a divergence flag (subgeo.divergence_flags) has no
+geometric drift, and the refusal names the flags. These are the only
+refusals, and drift's only exit 3.
 
 The random-scan chain with scan probability s is certified by lifting.
 With lo = s/(1-s) and c = lo / (1 - tau), 0 < tau < delta,
@@ -83,10 +92,11 @@ where c w - tau and w + tau - delta are at most 0, and G(y)/V(x) is
 1 + beta_y (z - 1) at (y, y) and 1 - (a_y / pi_Y(y))(1 - 1/z) at
 (y + 1, y). delta there is the certificate's one_minus_rho: the closed
 form, or 1 - rho where a hand-set rho claims more. certify, the one path
-that issues a certificate, builds the head family once and runs the
-search, the lift when a scan probability is given, and one verification
-on that family, in that order: a lifted certificate's verification
-checks the marginal excess at every state too.
+that issues a certificate, takes the spec and N and builds no family
+at N: it builds the head family once and runs the search, the lift
+when a scan probability is given, and one verification on that family,
+in that order; a lifted certificate's verification checks the marginal
+excess at every state too.
 
 A certificate proves the drift condition for the untruncated chain and
 for each of its truncations. Whether the family converges geometrically
@@ -103,14 +113,15 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import COutOfRange
-from .family import BivariateFamily, _exp_sat, build_family
-from .kernels import staircase_xy
+from .family import BivariateFamily, _check_N, _exp_sat, build_family, staircase_xy
 from .spec import (SequenceSpec, _encode_extended, _tail_start, check_scan_p,
                    tail_limits)
 from .subgeo import divergence_flags
 
-# the rounding bound of eps(x), relative to p_x (z - 1) + q_x (1 - 1/z)
+# the rounding bound of eps(x), relative to p_x (z - 1) + q_x (1 - 1/z):
+# _ROUNDING plus _LOG_ROUNDING times the size s of the spec's logs
 _ROUNDING = 4.0 * sys.float_info.epsilon
+_LOG_ROUNDING = 12.0 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -227,7 +238,15 @@ def _excess(fam: BivariateFamily, z: float) -> tuple[np.ndarray, np.ndarray]:
     """eps(x) and its rounding bound, for x = 1..N."""
     up = z - 1.0                            # exact for 1 < z < 2
     rise, fall = fam.p * up, fam.q * (up / z)
-    return rise - fall, _ROUNDING * (rise + fall)
+    return rise - fall, (_ROUNDING + _LOG_ROUNDING * _log_size(fam)) * (rise + fall)
+
+
+def _log_size(fam: BivariateFamily) -> float:
+    """s: the largest |log a_i| (i <= N) and |log b_i| (i < N) the spec
+    gives, before the family renormalizes them."""
+    idx = np.arange(1, fam.N + 1)
+    return float(max(np.abs(fam.spec.log_a(idx)).max(),
+                     np.abs(fam.spec.log_b(idx[:-1])).max()))
 
 
 def find_drift_certificate(fam: BivariateFamily):
@@ -365,17 +384,20 @@ def verify_drift(cert: DriftCertificate, fam: BivariateFamily) -> DriftReport:
                        checked=len(excess))
 
 
-def certify(fam: BivariateFamily, scan_p: float | None = None):
-    """The marginal certificate, lifted to the random scan when scan_p is
-    given, that verify_drift accepts on the head family, and so on fam
-    and every other truncation; or a NoCertificate whose reason names the
-    step that stopped: the search (a fired divergence flag, delta
-    underflowing or the tail's excess not resolved below -delta) or a
-    verification. Only fam.spec and fam.N are read. A scan_p outside
-    (0, 1) raises BadScanProbability before the search."""
+def certify(spec: SequenceSpec, N: int = 200, scan_p: float | None = None):
+    """spec's marginal certificate, recording N and lifted to the random
+    scan when scan_p is given, that verify_drift accepts on the head
+    family, and so on the truncation at N and every other; or a
+    NoCertificate whose reason names the step that stopped: the search (a
+    fired divergence flag, delta underflowing or the tail's excess not
+    resolved below -delta) or a verification. No family at N is built.
+    Before the search, an N below 2 raises DegenerateTruncation, as
+    build_family does, and then a scan_p outside (0, 1) raises
+    BadScanProbability."""
+    N = _check_N(N)
     if scan_p is not None:
         check_scan_p(scan_p)
-    cert, head = _search(fam.spec, fam.N)
+    cert, head = _search(spec, N)
     if isinstance(cert, NoCertificate):
         return cert
     chain = "marginal"

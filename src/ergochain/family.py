@@ -33,25 +33,34 @@ it, so the pair sums to 1 to within an ulp. Kernels, drift and subgeo
 read these arrays from the family, and each pays only for what it reads.
 
 Finite families are produced by truncating a sequence specification
-(spec.SequenceSpec) at a level N: indices above N are dropped, b_N is
-forced to zero so the support is exactly {1..N}^2, and the retained mass
-is renormalized. The untruncated tail's limiting ratios do not depend
-on N; spec.tail_limits gives them in closed form.
+(spec.SequenceSpec) at a level N >= 2 (_check_N, which drift.certify
+shares): indices above N are dropped, b_N is forced to zero so the
+support is exactly {1..N}^2, and the retained mass is renormalized. The
+untruncated tail's limiting ratios do not depend on N; spec.tail_limits
+gives them in closed form.
 All sequence evaluation is carried out in log space so that thin tails
 (for instance e^{-2i} at i in the hundreds) neither underflow nor lose
 the ratios that every derived quantity is built from.
+
+The bivariate chains move on the staircase states in the order (1,1),
+(2,1), (2,2), (3,2), ..., (N,N). This module owns that order:
+staircase_xy maps position m to its state and check_state is the
+support, so kernels, drift and the samplers share it, and kernels'
+index_of maps a state back.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateTruncation, NonPositiveSequence, OutOfSupport
-from .spec import SequenceSpec
+from .errors import (DegenerateTruncation, NonPositiveSequence, OutOfSupport,
+                     StartNotInSupport)
+from .spec import MARGINAL_X, SequenceSpec
 
 
 # -- truncated family ----------------------------------------------------
@@ -130,10 +139,9 @@ def build_family(spec: SequenceSpec, N: int) -> BivariateFamily:
 
     Raises NonPositiveSequence if the spec produces a nonfinite log value
     or a log a_y + log b_y below -1.8e308 (y < N), and
-    DegenerateTruncation if no mass is retained.
+    DegenerateTruncation if N < 2 or no mass is retained.
     """
-    if N < 2:
-        raise DegenerateTruncation("need N >= 2 for a nondegenerate truncation")
+    N = _check_N(N)
     idx = np.arange(1, N + 1)
     la = np.asarray(spec.log_a(idx), dtype=float).copy()
     lb = np.asarray(spec.log_b(idx), dtype=float).copy()
@@ -144,8 +152,45 @@ def build_family(spec: SequenceSpec, N: int) -> BivariateFamily:
     with np.errstate(over="ignore"):
         if not np.isfinite(la[:-1] + lb[:-1]).all():    # log t_y, y < N
             raise NonPositiveSequence("spec generated a nonpositive or nonfinite value")
-    return BivariateFamily(spec=spec, N=int(N), log_a=la, log_b=lb,
+    return BivariateFamily(spec=spec, N=N, log_a=la, log_b=lb,
                            retained_mass=_exp_sat(float(log_mass)))
+
+
+def _check_N(N) -> int:
+    """N as an int: DegenerateTruncation below 2, and TypeError for an N
+    that is not an integer, so 2.7 is refused rather than truncated."""
+    if N < 2:
+        raise DegenerateTruncation("need N >= 2 for a nondegenerate truncation")
+    return operator.index(N)
+
+
+# -- the staircase order ---------------------------------------------------
+
+
+def staircase_xy(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """x and y of the 2N-1 staircase states: m -> ((m+1)//2 + 1, m//2 + 1)."""
+    m = np.arange(2 * N - 1)
+    return (m + 1) // 2 + 1, m // 2 + 1
+
+
+def check_state(kind: str, N: int, state):
+    """state as x or (x, y) of ints when it lies in the chain's support.
+
+    Only integers are accepted, so 2.7 is refused rather than truncated;
+    anything else raises StartNotInSupport.
+    """
+    try:
+        if kind == MARGINAL_X:
+            x = operator.index(state)
+            if 1 <= x <= N:
+                return x
+        else:
+            x, y = map(operator.index, state)
+            if 1 <= y <= N and (x == y or (x == y + 1 and y < N)):
+                return x, y
+    except (TypeError, ValueError):
+        pass
+    raise StartNotInSupport(f"state {state!r} not in chain support")
 
 
 def _two_point(log_move: np.ndarray, log_stay: np.ndarray, log_pi: np.ndarray) -> tuple:
@@ -189,4 +234,4 @@ def _exp_sat(log_v: float) -> float:
         return math.inf
 
 
-__all__ = ["BivariateFamily", "build_family"]
+__all__ = ["BivariateFamily", "build_family", "staircase_xy"]

@@ -9,10 +9,11 @@ from two conditional updates, Pi_x (draw x given y) and Pi_y (y given x):
   rgs         the random-scan Gibbs chain s Pi_x + (1 - s) Pi_y with
               s = scan_p; pi-symmetric with positive self-loops
 
-Product-space states are ordered (1,1), (2,1), (2,2), (3,2), ..., (N,N).
-This module owns that order: staircase_xy maps position m to its state,
-index_of maps a state back and check_state is their domain, so a kernel
-stores no state list and TransitionMatrix.states is derived on access.
+Product-space states are ordered (1,1), (2,1), (2,2), (3,2), ..., (N,N),
+the staircase order family defines: family.staircase_xy maps position m
+to its state and family.check_state is the support, and index_of maps a
+state back, so a kernel stores no state list and TransitionMatrix.states
+is derived on access.
 On this order either update moves to a neighbouring state, so rgs is a
 birth-death chain on 2N-1 states. The marginal and random-scan kernels
 are stored as their diagonals down[m] = P[m+1, m], stay[m] = P[m, m] and
@@ -51,13 +52,12 @@ solving spectral gaps load numpy alone.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IndexOutOfRange, NotSymmetricKernel, StartNotInSupport
-from .family import BivariateFamily
+from .errors import IndexOutOfRange, NotSymmetricKernel
+from .family import BivariateFamily, check_state, staircase_xy
 from .spec import DGS, MARGINAL_X, RGS, check_gap_kind, check_scan_p
 
 # TV values below this are fitting noise and are excluded from rate fits.
@@ -68,32 +68,6 @@ _RING = 64
 _RING_BYTES = 2 ** 19
 # _fit_rate reads the curve this many steps at a time
 _FIT_BLOCK = 4096
-
-
-def check_state(kind: str, N: int, state):
-    """state as x or (x, y) of ints when it lies in the chain's support.
-
-    Only integers are accepted, so 2.7 is refused rather than truncated;
-    anything else raises StartNotInSupport.
-    """
-    try:
-        if kind == MARGINAL_X:
-            x = operator.index(state)
-            if 1 <= x <= N:
-                return x
-        else:
-            x, y = map(operator.index, state)
-            if 1 <= y <= N and (x == y or (x == y + 1 and y < N)):
-                return x, y
-    except (TypeError, ValueError):
-        pass
-    raise StartNotInSupport(f"state {state!r} not in chain support")
-
-
-def staircase_xy(N: int) -> tuple[np.ndarray, np.ndarray]:
-    """x and y of the 2N-1 staircase states: m -> ((m+1)//2 + 1, m//2 + 1)."""
-    m = np.arange(2 * N - 1)
-    return (m + 1) // 2 + 1, m // 2 + 1
 
 
 def _staircase_pi(fam: BivariateFamily) -> np.ndarray:
@@ -568,6 +542,5 @@ def spectral_gap(tm: TransitionMatrix) -> SpectralGap:
 
 __all__ = [
     "TransitionMatrix", "TVCurve", "SpectralGap",
-    "build_Px", "build_Pdgs", "build_Prgs",
-    "staircase_xy", "tv_curve", "spectral_gap",
+    "build_Px", "build_Pdgs", "build_Prgs", "tv_curve", "spectral_gap",
 ]

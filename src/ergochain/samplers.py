@@ -37,8 +37,7 @@ import numpy as np
 
 from .diagnostics import BatchMeansEstimate, _from_means, batch_layout
 from .errors import BadSeed, IndexOutOfRange, StartNotInSupport
-from .family import BivariateFamily
-from .kernels import check_state
+from .family import BivariateFamily, check_state
 from .spec import DGS, MARGINAL_X, RGS, check_scan_p
 
 CHAIN_IDS = {MARGINAL_X: 0, DGS: 1, RGS: 2}

@@ -1,6 +1,7 @@
 """End-to-end classification verdicts and report formatting."""
 
 import dataclasses
+import importlib
 import json
 import math
 
@@ -109,7 +110,7 @@ def test_near_critical_table_without_certificate_is_geometric():
                                                 "exact-limits")
     assert v.certificate is None
     assert v.quantities["A"] == 0.9999
-    out = certify(build_family(spec, 60))
+    out = certify(spec, 60)
     assert isinstance(out, NoCertificate) and "underflows" in out.reason
 
 
@@ -147,7 +148,7 @@ def test_drift_certificate_alone_decides(a, b, r, N):
     # only where certify refuses
     spec = table(a, b, tail_ratio=r)
     v = classify(spec, N=N)
-    cert = certify(build_family(spec, N))
+    cert = certify(spec, N)
     assert (v.verdict, v.basis) == ("Geometric", "ratio_test")
     if isinstance(cert, DriftCertificate):
         assert v.certificate == cert
@@ -234,12 +235,81 @@ def test_equivalence_note_present():
 
 
 def test_small_N_rejected():
-    # only a truncation below 2 is refused; the limits need no window
-    with pytest.raises(DegenerateTruncation):
-        classify(example_spec("geometric"), N=1)
+    # only a truncation below 2 is refused, on either path; the limits
+    # need no window
+    for spec in (example_spec("geometric"), STEEP_HEAD, example_spec("power-law")):
+        for scan_p in (None, 0.5, 1.5):
+            with pytest.raises(DegenerateTruncation):
+                classify(spec, N=1, scan_p=scan_p)
     for N in (2, 9):
         v = classify(example_spec("geometric"), N=N)
         assert (v.verdict, v.basis) == ("Geometric", "ratio_test")
+
+
+# -- which families a verdict builds ----------------------------------------
+
+STEEP_HEAD = table((1.0, 3.0), (2.0,), tail_ratio=0.7)
+
+
+def _recording_build_family(monkeypatch):
+    """The N of every family classify and certify build, in order."""
+    built, real = [], build_family
+
+    def recording(spec, N):
+        built.append(N)
+        return real(spec, N)
+
+    for module in ("ergochain.classify", "ergochain.drift"):
+        monkeypatch.setattr(importlib.import_module(module), "build_family", recording)
+    return built
+
+
+@pytest.mark.parametrize("scan_p", [None, 0.5])
+@pytest.mark.parametrize("spec, K", [(example_spec("geometric"), 2), (STEEP_HEAD, 4)])
+def test_geometric_verdict_builds_only_the_head_family(monkeypatch, spec, K, scan_p):
+    # the certificate is found and verified on the head family, the
+    # truncation at K + 3, so no family at N is built
+    built = _recording_build_family(monkeypatch)
+    v = classify(spec, 10 ** 6, scan_p)
+    assert (v.verdict, v.N) == ("Geometric", 10 ** 6)
+    assert v.certificate.N == 10 ** 6 and built == [K + 3]
+    # and the verdict is the one at N = 10 but for N
+    small = classify(spec, 10, scan_p)
+    assert built == [K + 3] * 2
+    large_cert = dataclasses.replace(small.certificate, N=10 ** 6)
+    assert dataclasses.replace(small, N=10 ** 6, certificate=large_cert) == v
+
+
+@pytest.mark.parametrize("scan_p", [None, 0.5])
+def test_subgeometric_verdict_builds_the_family_at_N(monkeypatch, scan_p):
+    # the subgeo summary reads the truncation at N
+    built = _recording_build_family(monkeypatch)
+    v = classify(example_spec("power-law"), 10 ** 5, scan_p)
+    assert v.verdict == "Subgeometric" and built == [10 ** 5]
+
+
+# the kinds a Geometric verdict can have: geometric, and tables with
+# entries over e^+-700 and tail ratios from 1e-300 to 1 - 1e-15
+_ENTRY = _LOG_ENTRY.map(math.exp)
+_ENTRIES = st.lists(_ENTRY, min_size=1, max_size=12).map(tuple)
+_RATIO_SPECS = (st.builds(geometric, _ENTRY)
+                | st.builds(table, _ENTRIES, _ENTRIES, tail_ratio=_TAIL_RATIO))
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=_RATIO_SPECS, N=st.integers(2, 5000))
+def test_a_geometric_verdict_refuses_no_N(spec, N):
+    # classify builds no family at N on the Geometric path, so it relies on
+    # build_family refusing no N >= 2 of the specs that reach that path
+    assert build_family(spec, N).N == N
+
+
+@pytest.mark.parametrize("spec", [
+    example_spec("geometric"), geometric(1e-300), STEEP_HEAD,
+    table((math.exp(700), 1.0), (math.exp(-700),), tail_ratio=1e-300),
+    table((1e-300,), (1e300,), tail_ratio=1.0 - 1e-15)])
+def test_a_geometric_verdict_refuses_no_N_at_the_largest(spec):
+    assert build_family(spec, 10 ** 6).N == 10 ** 6
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED))

@@ -665,6 +665,39 @@ def test_commands_leave_scipy_unloaded():
     assert res["before"] == [] and res["after"] == []
 
 
+# Run in a fresh interpreter: whether ergochain.kernels is loaded after
+# importing the modules classify, drift and sample use, and after those
+# commands.
+_FRESH_NO_KERNELS = """
+import contextlib, io, json, sys
+import ergochain.classify, ergochain.samplers
+from ergochain.cli import dispatch
+
+imported = "ergochain.kernels" in sys.modules
+with (contextlib.redirect_stdout(io.StringIO()),
+      contextlib.redirect_stderr(io.StringIO())):
+    codes = [dispatch(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "before": imported,
+                  "after": "ergochain.kernels" in sys.modules}))
+"""
+
+
+def test_classify_drift_and_sample_leave_kernels_unloaded():
+    # the staircase order and the chain's support live in family, so these
+    # commands build no kernel and load none of the kernels module
+    res = _fresh_run(
+        ["classify", "--example", "geometric", "--scan-p", "0.5"],
+        ["classify", "--example", "power-law", "--scan-p", "0.5"],
+        ["drift", "--example", "geometric", "--scan-p", "0.5"],
+        ["drift", "--example", "power-law"],
+        ["sample", "--example", "geometric", "--chain", "rgs", "--steps", "500",
+         "--g-indicator", "2", "--format", "json"],
+        ["sample", "--example", "geometric", "--start", "3"],
+        ["report", "--n", "50"],
+        script=_FRESH_NO_KERNELS)
+    assert res == {"codes": [0, 0, 0, 3, 0, 0, 0], "before": False, "after": False}
+
+
 # -- refusals the text of the spec or of one argument decides ----------------
 
 # Run in a fresh interpreter: for each command in turn, its exit code, its

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from ergochain import (
     BadScanProbability,
     COutOfRange,
+    DegenerateTruncation,
     DriftCertificate,
     NoCertificate,
     admissible_c_interval,
@@ -133,7 +134,7 @@ def test_no_certificate_for_truncated_power_law(fam, N):
     # truncated at N the chain's own ratios p_x / q_x stay below one, but
     # the tail's limit r_hat = 1 fires S1 (and with it S2), and the family
     # has no geometric rate
-    out = certify(fam("power-law", N))
+    out = certify(example_spec("power-law"), N)
     assert isinstance(out, NoCertificate)
     assert out.r_hat == 1.0
     assert out.reason == "the tail limits fire S1, S2: no geometric drift"
@@ -146,7 +147,7 @@ def test_no_certificate_for_truncated_power_law(fam, N):
 def test_surrogates_are_the_tail_estimates(fam, name, N, scan_p):
     spec = example_spec(name)
     est = tail_limits(spec)
-    cert = certify(fam(name, N), scan_p)
+    cert = certify(example_spec(name), N, scan_p)
     quantities = classify(spec, N, scan_p).quantities
     assert (cert.r_hat, cert.q_hat) == (est.r_hat, est.q_hat)
     assert (quantities["r_hat"], quantities["q_hat"]) == (est.r_hat, est.q_hat)
@@ -167,7 +168,7 @@ def test_tail_ratio_finite_where_p_and_q_underflow(name):
     spec = example_spec(name)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = certify(build_family(spec, 1000))
+        out = certify(spec, 1000)
     assert out.r_hat == math.exp(-2.0) and out.q_hat == 0.0
 
 
@@ -315,7 +316,7 @@ def test_hand_built_lifted_certificate(fam):
 
 def test_lift_states_the_rate_it_verifies(fam):
     f = fam("geometric", 100)
-    lifted = certify(f, 0.5)
+    lifted = certify(f.spec, f.N, 0.5)
     # gamma is not stored, so it cannot be set apart from the lift
     with pytest.raises(TypeError):
         dataclasses.replace(lifted, gamma=lifted.rho)
@@ -336,12 +337,12 @@ def test_rates_are_rounded_up_onto_their_margins():
     # at scan_p 1 - 2^-53, 1 - gamma = 2^-53 (1 - sqrt(rho)) = 2.75e-19, so
     # gamma is 1.0, not the float formula's 1 - 2^-52
     f = build_family(example_spec("geometric"), 200)
-    out = certify(f, 0.9999999999999999)
+    out = certify(f.spec, f.N, 0.9999999999999999)
     assert out.gamma == 1.0 and verify_drift(out, f).holds
     assert out.log10_one_minus_gamma == pytest.approx(-18.5607, abs=1e-3)
     # rho is the smallest float64 at least 1 - delta, never rounded below it
     for spec in (VACUOUS, UNLIFTABLE, example_spec("geometric")):
-        cert = certify(build_family(spec, 154))
+        cert = certify(spec, 154)
         one_minus = 1 - Fraction(cert.one_minus_rho)
         assert Fraction(cert.rho) >= one_minus > Fraction(math.nextafter(cert.rho, 0.0))
 
@@ -368,10 +369,10 @@ def _json_round_trips(cert):
 
 def test_certify_lifts_where_gamma_rounds_to_1():
     f = build_family(UNLIFTABLE, 154)
-    cert = certify(f)
+    cert = certify(f.spec, f.N)
     assert isinstance(cert, DriftCertificate)
     assert 3e-10 < cert.one_minus_rho < 3.2e-10 and cert.rho < 1.0
-    out = certify(f, 1e-7)
+    out = certify(f.spec, f.N, 1e-7)
     assert isinstance(out, DriftCertificate) and out.gamma == 1.0
     assert verify_drift(out, f).holds
     # 1 - gamma = min(s, 1 - s)(1 - sqrt(rho)), and tau = 1 - sqrt(rho)
@@ -386,17 +387,17 @@ def test_certify_refuses_only_a_margin_that_underflows():
     # a rate rho* within ulps of 1 is certified: its margin is carried in
     # log10, and rho prints as its float64 rounding
     f = build_family(VACUOUS, 154)
-    out = certify(f)
+    out = certify(f.spec, f.N)
     assert isinstance(out, DriftCertificate) and verify_drift(out, f).holds
     assert out.to_json_dict()["log10_one_minus_rho"] == math.log10(out.one_minus_rho)
     assert out.one_minus_rho < 1e-15
     # the lift keeps its margin too: 1 - gamma = scan_p (1 - sqrt(rho)),
     # 2.5e-12 here
-    out = certify(build_family(example_spec("geometric"), 200), 1e-9)
+    out = certify(example_spec("geometric"), 200, 1e-9)
     assert isinstance(out, DriftCertificate) and out.gamma < 1.0
     assert 10.0 ** out.log10_one_minus_gamma == pytest.approx(2.48e-12, rel=1e-2)
     # only a margin below float64's normal range is refused, with that reason
-    out = certify(build_family(table((1e-306,), (1.0,), tail_ratio=0.5), 154))
+    out = certify(table((1e-306,), (1.0,), tail_ratio=0.5), 154)
     assert isinstance(out, NoCertificate) and "underflows float64" in out.reason
 
 
@@ -406,7 +407,7 @@ def test_certify_refuses_a_base_that_rounds_to_one():
     for k in (1, 5):
         f = build_family(table((1.0,), (1.0,), tail_ratio=1.0 - k * 2.0 ** -53), 50)
         for scan_p in (None, 0.5):
-            out = certify(f, scan_p)
+            out = certify(f.spec, f.N, scan_p)
             assert isinstance(out, NoCertificate)
             assert "rounds to 1.0 in float64" in out.reason
     # from six to 31 ulps below 1, z* > 1 but the tail's excess, at most
@@ -415,12 +416,12 @@ def test_certify_refuses_a_base_that_rounds_to_one():
     for k in (6, 31):
         f = build_family(table((1.0,), (1.0,), tail_ratio=1.0 - k * 2.0 ** -53), 50)
         for scan_p in (None, 0.5):
-            out = certify(f, scan_p)
+            out = certify(f.spec, f.N, scan_p)
             assert isinstance(out, NoCertificate)
             assert "beyond x = 3 is not resolved below -delta" in out.reason
     # 32 ulps below 1, z* = 1 + 4 ulps and the certificate holds, x0 = 1
     spec = table((1.0,), (1.0,), tail_ratio=1.0 - 32 * 2.0 ** -53)
-    out = certify(build_family(spec, 50), 0.5)
+    out = certify(spec, 50, 0.5)
     assert isinstance(out, DriftCertificate) and out.z > 1.0 and out.x0 == 1
     for N in (2, 50, 2000):
         assert verify_drift(out, build_family(spec, N)).holds
@@ -428,10 +429,10 @@ def test_certify_refuses_a_base_that_rounds_to_one():
 
 def test_certify_checks_scan_p_before_searching():
     f = build_family(example_spec("power-law"), 10000)
-    assert isinstance(certify(f), NoCertificate)
+    assert isinstance(certify(f.spec, f.N), NoCertificate)
     for s in (0.0, 1.0, 1.5):
         with pytest.raises(BadScanProbability):
-            certify(f, s)
+            certify(f.spec, f.N, s)
 
 
 @pytest.mark.parametrize("scan_p, failing, step", [
@@ -447,7 +448,7 @@ def test_certify_refuses_a_certificate_that_fails_verification(
         return dataclasses.replace(rep, holds=rep.holds and cert.scan_p != failing)
 
     monkeypatch.setattr(drift, "verify_drift", verify)
-    out = certify(fam("geometric", 100), scan_p)
+    out = certify(example_spec("geometric"), 100, scan_p)
     assert isinstance(out, NoCertificate) and step in out.reason
 
 
@@ -464,7 +465,8 @@ def test_certify_verifies_once(fam, monkeypatch):
 
     monkeypatch.setattr(drift, "verify_drift", verify)
     for scan_p in (None, 0.5):
-        assert isinstance(certify(fam("geometric", 100), scan_p), DriftCertificate)
+        assert isinstance(certify(example_spec("geometric"), 100, scan_p),
+                          DriftCertificate)
     assert checked == [None, 0.5]
 
 
@@ -480,18 +482,39 @@ def test_certificates_build_no_kernel(fam, monkeypatch, N):
     monkeypatch.setattr(kernels, "build_Px", refuse)
     monkeypatch.setattr(kernels.TransitionMatrix, "__init__", refuse)
     f = fam("geometric", N)
-    assert isinstance(certify(f), DriftCertificate)
-    assert isinstance(certify(f, 0.5), DriftCertificate)
+    assert isinstance(certify(f.spec, f.N), DriftCertificate)
+    assert isinstance(certify(f.spec, f.N, 0.5), DriftCertificate)
     v = classify(example_spec("geometric"), N)
     assert v.verdict == "Geometric" and isinstance(v.certificate, DriftCertificate)
 
 
-def test_certify_derives_no_array_of_the_truncation():
+def test_certify_builds_only_the_head_family(monkeypatch):
     # the certificate is found and verified on the head family, whose size
-    # the spec fixes, so certify reads only the family's spec and N
-    f = build_family(example_spec("geometric"), 1_000_000)
-    assert isinstance(certify(f, 0.5), DriftCertificate)
-    assert not {"p", "q", "beta", "stay_y"} & set(vars(f))
+    # the spec fixes, so certify builds no family at N
+    import ergochain.drift as drift
+
+    built = []
+
+    def recording(spec, N):
+        built.append(N)
+        return build_family(spec, N)
+
+    monkeypatch.setattr(drift, "build_family", recording)
+    for spec in (example_spec("geometric"), table((1.0, 3.0), (2.0,), tail_ratio=0.7)):
+        for scan_p in (None, 0.5):
+            built.clear()
+            cert = certify(spec, 1_000_000, scan_p)
+            assert isinstance(cert, DriftCertificate) and cert.N == 1_000_000
+            assert built == [_tail_start(spec) + 3]
+
+
+def test_certify_checks_N_before_scan_p():
+    # N is checked as build_family checks it, and before scan_p
+    for spec in (example_spec("geometric"), example_spec("power-law")):
+        for scan_p in (None, 0.5, 1.5):
+            with pytest.raises(DegenerateTruncation):
+                certify(spec, 1, scan_p)
+    assert certify(example_spec("geometric"), 2).N == 2
 
 
 def test_certify_sweep_agrees_with_classify_and_round_trips():
@@ -508,7 +531,7 @@ def test_certify_sweep_agrees_with_classify_and_round_trips():
         N, s = int(rng.integers(10, 151)), float(rng.uniform(0.05, 0.95))
         f = build_family(spec, N)
         v = classify(spec, N, scan_p=s)
-        cert = certify(f, s)
+        cert = certify(f.spec, f.N, s)
         if v.certificate is not None:
             assert cert == v.certificate
         assert isinstance(cert, DriftCertificate)
@@ -516,7 +539,7 @@ def test_certify_sweep_agrees_with_classify_and_round_trips():
         lifted += 1
         assert _json_round_trips(cert)
         base = dataclasses.replace(cert, scan_p=None, tau=None)
-        assert _json_round_trips(base) and base == certify(f)
+        assert _json_round_trips(base) and base == certify(f.spec, f.N)
     assert near_1 >= 1 and lifted == 800
 
 
@@ -556,7 +579,7 @@ def _dense_violation(cert, f):
 @given(spec=_TABLES, N=st.integers(10, 300), scan_p=st.floats(0.05, 0.95))
 def test_issued_certificates_hold_at_every_state(spec, N, scan_p):
     f = build_family(spec, N)
-    for cert in (certify(f), certify(f, scan_p)):
+    for cert in (certify(f.spec, f.N), certify(f.spec, f.N, scan_p)):
         if isinstance(cert, DriftCertificate):
             assert _dense_violation(cert, f) <= 1e-9
 
@@ -568,7 +591,7 @@ def test_issued_certificates_state_their_margins(spec, N, scan_p):
     # and negative, with 1 - gamma = min(s, 1 - s)(1 - sqrt(rho)) < 1 - rho,
     # and rho and gamma are those margins rounded up to float64
     f = build_family(spec, N)
-    for cert in (certify(f), certify(f, scan_p)):
+    for cert in (certify(f.spec, f.N), certify(f.spec, f.N, scan_p)):
         if isinstance(cert, NoCertificate):
             assert "underflows float64" in cert.reason
             continue
@@ -664,12 +687,64 @@ def test_issued_certificates_hold_to_50_digits(scan_p):
         for spec in _RECHECK_SPECS:
             for N in (2, 10, 60):
                 f = build_family(spec, N)
-                cert = certify(f, scan_p)
+                cert = certify(f.spec, f.N, scan_p)
                 if isinstance(cert, DriftCertificate):
                     issued += 1
                     assert _mp_recheck(cert, f), (spec, N)
                     assert _mp_recheck(cert, _head(spec)), spec
     assert issued == 3 * (len(_RECHECK_SPECS) - 3)
+
+
+# -- the tail row holds to 50 digits where the spec's logs are large ---------
+
+
+def _exact_excess(spec, z, x):
+    """eps(x) of the untruncated chain at 50 digits, from the spec's
+    entries taken as exact: a table's, extended by its tail ratio."""
+    from mpmath import mpf
+
+    def entry(tab, i):
+        n, r = len(tab), mpf(spec.tail_ratio)
+        return mpf(tab[i - 1]) if i <= n else mpf(tab[-1]) * r ** (i - n)
+
+    a = [entry(spec.a_table, i) for i in (x - 1, x)]
+    b = [entry(spec.b_table, i) for i in (x - 1, x)]
+    pix = a[1] + b[0]
+    p = a[1] * b[1] / (pix * (a[1] + b[1]))
+    q = a[0] * b[0] / (pix * (a[0] + b[0]))
+    z = mpf(z)
+    return p * (z - 1) - q * (1 - 1 / z)
+
+
+@pytest.mark.parametrize("B", [5, 300, 700])
+@pytest.mark.parametrize("r", [0.5, 0.99, 1.0 - 1e-11, 1.0 - 1e-13])
+def test_tail_row_holds_to_50_digits_where_logs_are_large(B, r):
+    # the family's logs of this spec reach B, so its p_x and q_x are off by
+    # up to about 0.75 B eps64, and the excess's rounding bound grows with
+    # the logs: it covers the float excess's error on every row of the
+    # head family that stands for the untruncated chain, every certificate
+    # issued holds at 50 digits from the spec's exact entries beyond x0,
+    # the tail row K + 1 among them, and only a tail too close to 1 for
+    # logs this large is refused
+    from mpmath import mp, mpf
+
+    from ergochain.drift import _excess
+
+    spec = table((math.exp(B), 1.0), (math.exp(-B), 1.0), tail_ratio=r)
+    K = _tail_start(spec)
+    z = math.sqrt(2.0 / (r + 1.0))
+    eps, bound = _excess(build_family(spec, K + 3), z)
+    cert = certify(spec, 200)
+    with mp.workdps(50):
+        for x in range(2, K + 3):
+            assert abs(mpf(eps[x - 1]) - _exact_excess(spec, z, x)) <= bound[x - 1], x
+        if B >= 300 and r == 1.0 - 1e-13:
+            assert isinstance(cert, NoCertificate)
+            assert "is not resolved below -delta" in cert.reason
+            return
+        assert isinstance(cert, DriftCertificate) and cert.z == z
+        for x in range(cert.x0 + 1, K + 3):
+            assert _exact_excess(spec, z, x) <= -mpf(cert.one_minus_rho), x
 
 
 # -- L is the largest one-step expectation up to x0, to 50 digits -------------
@@ -693,7 +768,7 @@ def _log_L_is_exact(cert, spec):
 def test_geometric_L_is_exact_to_two_eps():
     for N in (2, 3, 10, 60):
         f = build_family(example_spec("geometric"), N)
-        cert = certify(f)
+        cert = certify(f.spec, f.N)
         assert isinstance(cert, DriftCertificate) and _log_L_is_exact(cert, f.spec), N
 
 
@@ -701,6 +776,6 @@ def test_geometric_L_is_exact_to_two_eps():
 @given(spec=_TABLES, N=st.integers(2, 60))
 def test_issued_L_is_exact_to_two_eps(spec, N):
     f = build_family(spec, N)
-    cert = certify(f)
+    cert = certify(f.spec, f.N)
     if isinstance(cert, DriftCertificate):
         assert _log_L_is_exact(cert, spec)

@@ -160,7 +160,7 @@ def _lift(cert):
 @given(TABLES, st.integers(10, 60), st.sampled_from([None, 0.1, 0.5, 0.9]))
 def test_certificate_json_is_strict_and_round_trips(spec, N, scan_p):
     fam = build_family(spec, N)
-    c = certify(fam, scan_p)
+    c = certify(fam.spec, fam.N, scan_p)
     if isinstance(c, NoCertificate):
         return
     d = c.to_json_dict()

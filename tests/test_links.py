@@ -189,7 +189,7 @@ def _specs(draw):
 def test_certificate_is_issued_exactly_where_no_flag_fires(spec, N, scan_p):
     f = build_family(spec, N)
     flags = divergence_flags(tail_limits(spec))
-    cert = certify(f, scan_p)
+    cert = certify(f.spec, f.N, scan_p)
     if any(flags.values()):
         assert isinstance(cert, NoCertificate)
         assert all(name in cert.reason for name, fired in flags.items() if fired)
@@ -211,9 +211,9 @@ def test_certificate_is_issued_exactly_where_no_flag_fires(spec, N, scan_p):
 @given(TABLES | st.floats(1e-3, 1e3).map(geometric), st.integers(2, 2000),
        st.integers(2, 2000), st.sampled_from([None, 0.5]))
 def test_certificate_does_not_depend_on_N(spec, N, N2, scan_p):
-    cert = certify(build_family(spec, N), scan_p)
+    cert = certify(spec, N, scan_p)
     assert isinstance(cert, DriftCertificate) and cert.N == N
     assert cert.x0 <= _tail_start(spec)
-    assert certify(build_family(spec, N2), scan_p) == dataclasses.replace(cert, N=N2)
+    assert certify(spec, N2, scan_p) == dataclasses.replace(cert, N=N2)
     for n in (N, N2):
         assert verify_drift(cert, build_family(spec, n)).holds

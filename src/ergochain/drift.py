@@ -39,24 +39,29 @@ stay_y(N - 1).
 eps(x) is compared with -delta with its rounding bound, (4 + 12 s)
 eps64 (p_x (z - 1) + q_x (1 - 1/z)), and no other tolerance. 4 eps64
 is the excess's own rounding with p_x and q_x accurate to about an ulp,
-as they are where the spec's logs are of order one. s is the largest
-|log a_i| or |log b_i| the spec gives the family's rows: a log the
+as they would be if every log the family stores were of order one. s
+is the largest |log a_i| or |log b_i| the spec gives the family's rows
+plus R, the log of the mass left after the family's shift by the
+largest, which every stored log takes too (log 11 on the head family of
+table((1,), (1,), r), about log 2n with n unit entries): a log the
 family stores is off by up to about 3 s eps64 (the spec's rounding and
-the shifts by the largest log and by the log mass), p_x and q_x move by
-up to 3 times that, and forming them from the logs adds about 2 s
-eps64. (On table((e^B, 1), (e^-B, 1), r) with B up to 700, p_x and q_x
-are off by at most 0.75 s eps64 against 50 digits from the spec's
-exact ratios.) So on the head rows the bound is about (4 + 12 s) 2.7
-eps64 / (1 - r_hat) of |eps(x)| in the tail, and on a truncation at
-large N it grows with the logs there (geometric's p_x at N = 10^6 are
-5.8e-11 off the head's, against 12 s eps64 = 2.7e-9). The tail's exact
+the two shifts), p_x and q_x move by up to 3 times that, and forming
+them from the logs adds about 2 s eps64. (On table((e^B, 1), (e^-B,
+1), r) with B up to 700, p_x and q_x are off by at most 0.75 s eps64
+against 50 digits from the spec's exact ratios; with 10^4 unit entries,
+R = 9.9, the float excess is off by 4.06 eps64 (p_x (z - 1) + q_x (1 -
+1/z)), beyond the 4 eps64 a bound without R gives.) So on the head
+rows the bound is about (4 + 12 s) 2.7 eps64 / (1 - r_hat) of |eps(x)|
+in the tail, and on a truncation at large N it grows with the logs
+there and with R, about log 2N (geometric's p_x at N = 10^6 are 5.8e-11
+off the head's, against 12 s eps64 = 2.7e-9). The tail's exact
 excess is -2 (2 + 1/u) delta <= -6 delta, so every spec whose limits
 pass the ratio test is certified, except where delta underflows
 float64's normal range or the tail's excess is not resolved below
 -delta: z* rounds to 1 (r_hat within 5 ulps of 1) and V = z^x is
 constant, or the tail row's rounding exceeds its five delta of slack
-(1 - r_hat below about 3.2 (4 + 12 s) eps64: r_hat within 32 ulps of 1
-for table((1,), (1,), r_hat), within about 6e-12 of 1 for tables with
+(1 - r_hat below about 3.2 (4 + 12 s) eps64: r_hat within 216 ulps of
+1 for table((1,), (1,), r_hat), within about 6e-12 of 1 for tables with
 entries near e^+-700). These are refused with that reason; a spec whose
 limits fire a divergence flag (subgeo.divergence_flags) has no
 geometric drift, and the refusal names the flags. These are the only
@@ -243,10 +248,13 @@ def _excess(fam: BivariateFamily, z: float) -> tuple[np.ndarray, np.ndarray]:
 
 def _log_size(fam: BivariateFamily) -> float:
     """s: the largest |log a_i| (i <= N) and |log b_i| (i < N) the spec
-    gives, before the family renormalizes them."""
+    gives, before the family renormalizes them, plus the log of the mass
+    left after the shift by the largest, the second shift every stored
+    log takes: minus the largest log the family stores, exactly."""
     idx = np.arange(1, fam.N + 1)
-    return float(max(np.abs(fam.spec.log_a(idx)).max(),
-                     np.abs(fam.spec.log_b(idx[:-1])).max()))
+    spec_size = max(np.abs(fam.spec.log_a(idx)).max(),
+                    np.abs(fam.spec.log_b(idx[:-1])).max())
+    return float(spec_size - max(fam.log_a.max(), fam.log_b.max()))
 
 
 def find_drift_certificate(fam: BivariateFamily):

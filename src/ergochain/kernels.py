@@ -44,9 +44,13 @@ geometric means of the bracket's ends while they differ by more than a
 factor of 4, midpoints after that, and then regula falsi on the
 reduction's last pivot.
 
-The only scipy import is scipy.sparse, inside TransitionMatrix.P, so
-importing this module, building kernels, transporting TV curves and
-solving spectral gaps load numpy alone.
+TransitionMatrix.P is a BandMatrix, the kernel's diagonals stored
+row-aligned, three for the marginal and random-scan kernels and five for
+dgs, whose product of the two updates is formed from shifted products of
+their bands. It offers sums, products with a vector, the transpose and
+toarray, and nothing here imports scipy: importing this module, building
+kernels, reading P, transporting TV curves and solving spectral gaps
+load numpy alone.
 """
 
 from __future__ import annotations
@@ -77,6 +81,88 @@ def _staircase_pi(fam: BivariateFamily) -> np.ndarray:
     return np.exp(logs, out=logs)
 
 
+@dataclass(frozen=True, eq=False)
+class BandMatrix:
+    """A square matrix stored as its diagonals, row-aligned: bands[k, i]
+    is M[i, i + offsets[k]], 0 where that column is outside the matrix,
+    with offsets increasing. It offers toarray, sum, T, nnz and @ with a
+    vector on either side."""
+
+    offsets: tuple
+    bands: np.ndarray = field(repr=False)
+
+    # ndarray @ BandMatrix returns NotImplemented and so reaches __rmatmul__
+    __array_ufunc__ = None
+
+    def _diagonals(self):
+        """(offset, band, lo, hi) per band: rows lo..hi - 1 are in the matrix."""
+        n = self.bands.shape[1]
+        for k, band in zip(self.offsets, self.bands):
+            yield k, band, max(0, -k), min(n, n - k)
+
+    @property
+    def nnz(self) -> int:
+        """The number of nonzero entries."""
+        return int(np.count_nonzero(self.bands))
+
+    @property
+    def T(self) -> BandMatrix:
+        """The transpose: M.T[i, i - k] = M[i - k, i], band k moved k rows."""
+        bands = np.zeros_like(self.bands)
+        for row, (k, band, lo, hi) in zip(bands[::-1], self._diagonals()):
+            row[lo + k:hi + k] = band[lo:hi]
+        return BandMatrix(tuple(-k for k in reversed(self.offsets)), bands)
+
+    def toarray(self) -> np.ndarray:
+        n = self.bands.shape[1]
+        out = np.zeros((n, n))
+        rows = np.arange(n)
+        for k, band, lo, hi in self._diagonals():
+            out[rows[lo:hi], rows[lo:hi] + k] = band[lo:hi]
+        return out
+
+    def sum(self, axis: int) -> np.ndarray:
+        """Row sums (axis 1) or column sums (axis 0), as a vector."""
+        if axis not in (0, 1):
+            raise ValueError(f"axis must be 0 or 1, not {axis!r}")
+        return (self.T if axis == 0 else self).bands.sum(axis=0)
+
+    def __matmul__(self, x) -> np.ndarray:
+        """M x for a vector x: (M x)[i] = sum over k of bands[k, i] x[i + k]."""
+        x = np.asarray(x)
+        if x.shape != self.bands.shape[1:]:
+            raise ValueError(f"cannot multiply a {self.bands.shape[1]}-state "
+                             f"matrix by an array of shape {x.shape}")
+        out = np.zeros(x.shape)
+        for k, band, lo, hi in self._diagonals():
+            out[lo:hi] += band[lo:hi] * x[lo + k:hi + k]
+        return out
+
+    def __rmatmul__(self, x) -> np.ndarray:
+        """x M, as M.T x."""
+        return self.T @ x
+
+
+def _tridiagonal(down: np.ndarray, stay: np.ndarray, up: np.ndarray) -> BandMatrix:
+    """The BandMatrix with diagonals down[m] = M[m+1, m], stay and up[m] = M[m, m+1]."""
+    bands = np.zeros((3, len(stay)))
+    bands[0, 1:], bands[1], bands[2, :-1] = down, stay, up
+    return BandMatrix((-1, 0, 1), bands)
+
+
+def _product(A: BandMatrix, B: BandMatrix) -> BandMatrix:
+    """A B for band matrices whose offsets are consecutive: band a + b of
+    the product gains A[i, i + a] B[i + a, i + a + b], from shifted
+    products of whole bands, added in increasing a, the order in which a
+    CSR product adds each entry's terms."""
+    offsets = tuple(range(A.offsets[0] + B.offsets[0], A.offsets[-1] + B.offsets[-1] + 1))
+    bands = np.zeros((len(offsets), A.bands.shape[1]))
+    for a, band, lo, hi in A._diagonals():
+        for b, other in zip(B.offsets, B.bands):
+            bands[a + b - offsets[0], lo:hi] += band[lo:hi] * other[lo + a:hi + a]
+    return BandMatrix(offsets, bands)
+
+
 @dataclass(frozen=True)
 class TransitionMatrix:
     """A kernel and its stationary distribution: a marginal or random-scan
@@ -104,24 +190,15 @@ class TransitionMatrix:
         return list(zip(x.tolist(), y.tolist()))
 
     @property
-    def P(self):
-        """The kernel as a scipy.sparse CSR matrix, built on each access;
-        for dgs the product Pi_x Pi_y of the two conditional updates.
-
-        Needs scipy, which is not a runtime dependency: install the
-        package's test extra or scipy itself."""
-        import scipy.sparse as sp
-
-        def csr(diagonals):
-            return sp.diags(diagonals, (-1, 0, 1), shape=(self.n_states,) * 2,
-                            format="csr")
-
+    def P(self) -> BandMatrix:
+        """The kernel as a BandMatrix, built on each access: the three
+        diagonals down, stay and up, or for dgs the five-band product
+        Pi_x Pi_y of the two conditional updates."""
         if self.kind == DGS:
             fam = _family_of(self)
-            product = csr(_scan_diagonals(fam, 1.0)) @ csr(_scan_diagonals(fam, 0.0))
-            product.sort_indices()
-            return product
-        return csr((self.down, self.stay, self.up))
+            return _product(_tridiagonal(*_scan_diagonals(fam, 1.0)),
+                            _tridiagonal(*_scan_diagonals(fam, 0.0)))
+        return _tridiagonal(self.down, self.stay, self.up)
 
     def index_of(self, state) -> int:
         """Position of a state; StartNotInSupport when absent."""

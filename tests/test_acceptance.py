@@ -176,7 +176,7 @@ def test_criterion_7_sampler_frequencies_and_determinism():
     ok = True
 
     rng = make_rng(11, "marginal_x")
-    P = np.asarray(build_Px(fam).P.todense())
+    P = build_Px(fam).P.toarray()
     for x0 in (2, 10, 25):
         u = rng.random(n)
         p, q = fam.p[x0 - 1], fam.q[x0 - 1]

@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, formats, and file output."""
 
+import ast
 import contextlib
 import io
 import json
@@ -624,7 +625,8 @@ def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
 fam = build_family(example_spec("power-law"), 50)
-build_Px(fam), build_Pdgs(fam), build_Prgs(fam, 0.5)
+for tm in (build_Px(fam), build_Pdgs(fam), build_Prgs(fam, 0.5)):
+    tm.P.sum(axis=1), tm.P.T @ tm.stationary, tm.P.nnz
 before = scipy_modules()
 with (contextlib.redirect_stdout(io.StringIO()),
       contextlib.redirect_stderr(io.StringIO())):
@@ -663,6 +665,20 @@ def test_commands_leave_scipy_unloaded():
     )
     assert res["codes"] == [0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0]
     assert res["before"] == [] and res["after"] == []
+
+
+def test_no_module_imports_scipy():
+    # scipy is a test extra; no module of the package imports it, at the
+    # top or inside a function
+    for path in sorted(Path(ergochain.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] if node.level == 0 else []
+            else:
+                continue
+            assert not [n for n in names if n.split(".")[0] == "scipy"], path
 
 
 # Run in a fresh interpreter: whether ergochain.kernels is loaded after

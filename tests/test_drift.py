@@ -93,7 +93,7 @@ def test_log_PxV_matches_direct_expectation(fam):
     f = fam("geometric", 30)
     z = 1.1
     x = np.arange(1, 31)
-    got = np.asarray(build_Px(f).P.todense()) @ z ** x
+    got = build_Px(f).P.toarray() @ z ** x
     direct = (f.p * z ** (x + 1) + f.q * z ** (x - 1)
               + (1.0 - f.p - f.q) * z ** x)
     assert np.allclose(got, direct, rtol=1e-12)
@@ -276,7 +276,7 @@ def test_kernel_lift_expectation_matches_reference(fam, name, scan_p):
            + (1.0 - f.p - f.q) * z ** xs)
     ref = s * (1.0 + c) * G[y - 1] + (1.0 - s) * (z ** x + c * PxV[x - 1])
     log_W = np.log(z ** x + c * G[y - 1])
-    got = np.log(np.asarray(build_Prgs(f, scan_p).P.todense()) @ np.exp(log_W))
+    got = np.log(build_Prgs(f, scan_p).P.toarray() @ np.exp(log_W))
     assert np.allclose(got, np.log(ref), rtol=0, atol=1e-12)
 
 
@@ -410,19 +410,29 @@ def test_certify_refuses_a_base_that_rounds_to_one():
             out = certify(f.spec, f.N, scan_p)
             assert isinstance(out, NoCertificate)
             assert "rounds to 1.0 in float64" in out.reason
-    # from six to 31 ulps below 1, z* > 1 but the tail's excess, at most
+    # from six to 215 ulps below 1, z* > 1 but the tail's excess, at most
     # -6 delta, is within its rounding bound of -delta: only an x0 past
     # every state of the truncation would pass, which says nothing
-    for k in (6, 31):
+    for k in (6, 215):
         f = build_family(table((1.0,), (1.0,), tail_ratio=1.0 - k * 2.0 ** -53), 50)
         for scan_p in (None, 0.5):
             out = certify(f.spec, f.N, scan_p)
             assert isinstance(out, NoCertificate)
             assert "beyond x = 3 is not resolved below -delta" in out.reason
-    # 32 ulps below 1, z* = 1 + 4 ulps and the certificate holds, x0 = 1
-    spec = table((1.0,), (1.0,), tail_ratio=1.0 - 32 * 2.0 ** -53)
+    # 216 ulps below 1, z* = 1 + 27 ulps and the certificate holds, x0 = 1.
+    # The rounding bound counts the family's second shift, the log of its
+    # mass after the shift by the largest log: log 11 on the head family,
+    # about 4.6 at N = 50 and 8.3 at N = 2 000, so verify_drift confirms
+    # this certificate on the head and at N = 2 only; 700 ulps below 1 it
+    # confirms it at every N here
+    spec = table((1.0,), (1.0,), tail_ratio=1.0 - 216 * 2.0 ** -53)
     out = certify(spec, 50, 0.5)
     assert isinstance(out, DriftCertificate) and out.z > 1.0 and out.x0 == 1
+    for N in (2, _tail_start(spec) + 3):
+        assert verify_drift(out, build_family(spec, N)).holds
+    spec = table((1.0,), (1.0,), tail_ratio=1.0 - 700 * 2.0 ** -53)
+    out = certify(spec, 50, 0.5)
+    assert isinstance(out, DriftCertificate) and out.x0 == 1
     for N in (2, 50, 2000):
         assert verify_drift(out, build_family(spec, N)).holds
 
@@ -743,6 +753,34 @@ def test_tail_row_holds_to_50_digits_where_logs_are_large(B, r):
             assert "is not resolved below -delta" in cert.reason
             return
         assert isinstance(cert, DriftCertificate) and cert.z == z
+        for x in range(cert.x0 + 1, K + 3):
+            assert _exact_excess(spec, z, x) <= -mpf(cert.one_minus_rho), x
+
+
+@pytest.mark.parametrize("n", [10 ** 3, 10 ** 4, 10 ** 5])
+def test_tail_row_holds_to_50_digits_after_a_large_shift(n):
+    # n unit entries: the family stores every log shifted by log(2n) or
+    # so, which rounds p_x and q_x as logs of that size would (the float
+    # excess is off by 4.06 eps64 (rise + fall) at n = 10^4, against 50
+    # digits), and the rounding bound counts that shift
+    from mpmath import mp, mpf
+
+    from ergochain.drift import _excess
+
+    r = 1.0 - 1e-12
+    spec = table((1.0,) * n, (1.0,) * n, tail_ratio=r)
+    K = _tail_start(spec)
+    z = math.sqrt(2.0 / (r + 1.0))
+    eps, bound = _excess(build_family(spec, K + 3), z)
+    cert = certify(spec, 200)
+    with mp.workdps(50):
+        # the rows before n - 2 are all row 2
+        for x in (2, *range(n - 2, K + 3)):
+            assert abs(mpf(eps[x - 1]) - _exact_excess(spec, z, x)) <= bound[x - 1], x
+        if isinstance(cert, NoCertificate):
+            assert "is not resolved below -delta" in cert.reason
+            return
+        assert cert.z == z
         for x in range(cert.x0 + 1, K + 3):
             assert _exact_excess(spec, z, x) <= -mpf(cert.one_minus_rho), x
 

@@ -42,7 +42,7 @@ KERNEL_TOL = 4 * np.finfo(float).eps
 
 
 def _dense(tm):
-    return np.asarray(tm.P.todense())
+    return tm.P.toarray()
 
 
 def _build(f, kind):
@@ -117,6 +117,62 @@ def test_product_kernel_matches_reference(fam, name, kind):
     f = fam(name, 40)
     assert (np.abs(_dense(_build(f, kind)) - _dense_reference(f, kind)).max()
             < KERNEL_TOL)
+
+
+def _check_view(tm):
+    # every reader of the band view gets what the dense matrix gives: sums
+    # and products to the rounding of five terms (and a subnormal's), the
+    # transpose and the count of nonzero entries exactly
+    P = tm.P
+    D = P.toarray()
+    x = np.random.default_rng(tm.n_states).uniform(-1.0, 1.0, tm.n_states)
+    A, ax = np.abs(D), np.abs(x)
+    for got, want, scale in ((P.sum(axis=0), D.sum(axis=0), A.sum(axis=0)),
+                             (P.sum(axis=1), D.sum(axis=1), A.sum(axis=1)),
+                             (P @ x, D @ x, A @ ax), (x @ P, x @ D, ax @ A)):
+        assert got.shape == want.shape
+        assert (np.abs(got - want) <= 8 * np.finfo(float).eps * scale
+                + 8 * np.nextafter(0.0, 1.0)).all()
+    assert np.array_equal(P.T.toarray(), D.T)
+    assert P.nnz == np.count_nonzero(D)
+
+
+def _csr_product(f):
+    # the dgs kernel as scipy.sparse forms it from the two updates, dense
+    import scipy.sparse as sp
+
+    def csr(diagonals):
+        return sp.diags(diagonals, (-1, 0, 1), shape=(2 * f.N - 1,) * 2, format="csr")
+
+    return (csr(kernels._scan_diagonals(f, 1.0))
+            @ csr(kernels._scan_diagonals(f, 0.0))).toarray()
+
+
+@pytest.mark.parametrize("name", example_names())
+@pytest.mark.parametrize("N", [2, 3, 40])
+def test_band_view_matches_the_dense_matrix(fam, name, N):
+    f = fam(name, N)
+    for kind in (MARGINAL_X, DGS, RGS):
+        _check_view(_build(f, kind))
+
+
+@pytest.mark.parametrize("name", example_names())
+@pytest.mark.parametrize("N", [2, 3, 40, 200])
+def test_dgs_view_is_the_csr_product_of_the_updates(fam, name, N):
+    # scipy is only an oracle here: the five-band product is bitwise the
+    # CSR product of Pi_x and Pi_y
+    f = fam(name, N)
+    assert np.array_equal(build_Pdgs(f).P.toarray(), _csr_product(f))
+
+
+def test_band_view_refuses_what_it_does_not_offer(fam):
+    P = build_Px(fam("geometric", 10)).P
+    with pytest.raises(ValueError):
+        P.sum(axis=None)
+    with pytest.raises(ValueError):
+        P @ np.ones(11)
+    with pytest.raises(ValueError):
+        np.ones((10, 10)) @ P
 
 
 # -- deterministic scan ------------------------------------------------------
@@ -396,7 +452,7 @@ def _exact_dgs_tv(f, i0, n_max):
 def _longdouble_tv(tm, n_max):
     # the plain transport of delta_0 - pi over every state, in long double,
     # from the float64 kernel
-    P_T = tm.P.T.astype(np.longdouble).tocsr()
+    P_T = np.asarray(tm.P.toarray(), dtype=np.longdouble).T
     d = -tm.stationary.astype(np.longdouble)
     d[0] += 1
     ref = [0.5 * np.abs(d).sum()]
@@ -456,6 +512,15 @@ _ENTRY = st.floats(1e-300, 1e300)
 _TABLES = st.builds(table, st.lists(_ENTRY, min_size=1, max_size=8).map(tuple),
                     st.lists(_ENTRY, min_size=1, max_size=8).map(tuple),
                     tail_ratio=st.floats(0.01, 0.999))
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=_TABLES, N=st.integers(2, 60), scan_p=st.floats(0.01, 0.99))
+def test_band_view_of_any_table_matches_the_dense_matrix(spec, N, scan_p):
+    f = build_family(spec, N)
+    for tm in (build_Px(f), build_Pdgs(f), build_Prgs(f, scan_p)):
+        _check_view(tm)
+    assert np.array_equal(build_Pdgs(f).P.toarray(), _csr_product(f))
 
 
 @settings(max_examples=30, deadline=None)

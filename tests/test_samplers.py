@@ -38,7 +38,7 @@ def fam50():
 
 
 def _dense(tm):
-    return np.asarray(tm.P.todense())
+    return tm.P.toarray()
 
 
 # -- streams -----------------------------------------------------------------

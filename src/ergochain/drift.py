@@ -37,30 +37,32 @@ terms below are at most 0); the pair (N, N - 1) reads the untruncated
 stay_y(N - 1).
 
 eps(x) is compared with -delta with its rounding bound, (4 + 12 s)
-eps64 (p_x (z - 1) + q_x (1 - 1/z)), and no other tolerance. 4 eps64
-is the excess's own rounding with p_x and q_x accurate to about an ulp,
-as they would be if every log the family stores were of order one. s
-is the largest |log a_i| or |log b_i| the spec gives the family's rows
-plus R, the log of the mass left after the family's shift by the
-largest, which every stored log takes too (log 11 on the head family of
-table((1,), (1,), r), about log 2n with n unit entries): a log the
-family stores is off by up to about 3 s eps64 (the spec's rounding and
-the two shifts), p_x and q_x move by up to 3 times that, and forming
+eps64 (p_x (z - 1) + q_x (1 - 1/z)), and no other tolerance. p_x and
+q_x are read from the spec's logs shifted by the largest alone
+(_rows), not from the family's: they are ratios of the weights, so the
+family's second shift, by the log of its mass, cancels from them in
+exact arithmetic, and kept in it would round every log at its size,
+about log 2n with n unit entries and growing with N (with 10^4 unit
+entries the family's float excess is off by 4.06 eps64 (p_x (z - 1) +
+q_x (1 - 1/z)) against 50 digits, the rows' by 0.07). 4 eps64 is the
+excess's own rounding with p_x and q_x accurate to about an ulp, as
+they are where the spec's logs are of order one. s is the largest
+|log a_i| or |log b_i| the spec gives the rows: a log the rows store
+is off by up to about 3 s eps64 (the spec's rounding and the shift by
+the largest log), p_x and q_x move by up to 3 times that, and forming
 them from the logs adds about 2 s eps64. (On table((e^B, 1), (e^-B,
-1), r) with B up to 700, p_x and q_x are off by at most 0.75 s eps64
-against 50 digits from the spec's exact ratios; with 10^4 unit entries,
-R = 9.9, the float excess is off by 4.06 eps64 (p_x (z - 1) + q_x (1 -
-1/z)), beyond the 4 eps64 a bound without R gives.) So on the head
-rows the bound is about (4 + 12 s) 2.7 eps64 / (1 - r_hat) of |eps(x)|
-in the tail, and on a truncation at large N it grows with the logs
-there and with R, about log 2N (geometric's p_x at N = 10^6 are 5.8e-11
-off the head's, against 12 s eps64 = 2.7e-9). The tail's exact
+1), r) with B up to 700, p_x and q_x are off by at most 0.76 s eps64
+against 50 digits from the spec's exact ratios.) So on the head rows
+the bound is about (4 + 12 s) 2.7 eps64 / (1 - r_hat) of |eps(x)| in
+the tail, and on a truncation at large N it grows with the logs there
+(geometric's p_x at N = 10^6 are within 4.4e-11 of the head's,
+relative, against 12 s eps64 = 2.7e-9). The tail's exact
 excess is -2 (2 + 1/u) delta <= -6 delta, so every spec whose limits
 pass the ratio test is certified, except where delta underflows
 float64's normal range or the tail's excess is not resolved below
 -delta: z* rounds to 1 (r_hat within 5 ulps of 1) and V = z^x is
 constant, or the tail row's rounding exceeds its five delta of slack
-(1 - r_hat below about 3.2 (4 + 12 s) eps64: r_hat within 216 ulps of
+(1 - r_hat below about 3.2 (4 + 12 s) eps64: r_hat within 24 ulps of
 1 for table((1,), (1,), r_hat), within about 6e-12 of 1 for tables with
 entries near e^+-700). These are refused with that reason; a spec whose
 limits fire a divergence flag (subgeo.divergence_flags) has no
@@ -240,21 +242,28 @@ def _one_minus_up(m: Fraction) -> float:
 
 
 def _excess(fam: BivariateFamily, z: float) -> tuple[np.ndarray, np.ndarray]:
-    """eps(x) and its rounding bound, for x = 1..N."""
+    """eps(x) and its rounding bound, for x = 1..N, from _rows(fam)."""
+    rows, s = _rows(fam)
     up = z - 1.0                            # exact for 1 < z < 2
-    rise, fall = fam.p * up, fam.q * (up / z)
-    return rise - fall, (_ROUNDING + _LOG_ROUNDING * _log_size(fam)) * (rise + fall)
+    rise, fall = rows.p * up, rows.q * (up / z)
+    return rise - fall, (_ROUNDING + _LOG_ROUNDING * s) * (rise + fall)
 
 
-def _log_size(fam: BivariateFamily) -> float:
-    """s: the largest |log a_i| (i <= N) and |log b_i| (i < N) the spec
-    gives, before the family renormalizes them, plus the log of the mass
-    left after the shift by the largest, the second shift every stored
-    log takes: minus the largest log the family stores, exactly."""
+def _rows(fam: BivariateFamily) -> tuple[BivariateFamily, float]:
+    """fam's chain with the spec's logs shifted by the largest alone, and
+    s, the largest |log a_i| (i <= N) and |log b_i| (i < N) the spec gives.
+
+    p and q are ratios of the weights, so fam's second shift, by the log
+    of its mass, cancels from them in exact arithmetic; these rows leave
+    it out, and it rounds none of their logs. Their log_a and log_b are
+    not log probabilities."""
     idx = np.arange(1, fam.N + 1)
-    spec_size = max(np.abs(fam.spec.log_a(idx)).max(),
-                    np.abs(fam.spec.log_b(idx[:-1])).max())
-    return float(spec_size - max(fam.log_a.max(), fam.log_b.max()))
+    la = np.array(fam.spec.log_a(idx), dtype=float)
+    lb = np.array(fam.spec.log_b(idx), dtype=float)
+    lb[-1] = -np.inf
+    s = float(max(np.abs(la).max(), np.abs(lb[:-1]).max()))
+    top = max(la.max(), lb.max())
+    return BivariateFamily(spec=fam.spec, N=fam.N, log_a=la - top, log_b=lb - top), s
 
 
 def find_drift_certificate(fam: BivariateFamily):

@@ -34,7 +34,7 @@ sums over the range the chain can reach. Each step of a block writes |v|
 into a row of a ring that one row sum reduces to the block's L1 norms,
 and every working array is sized by the reachable range, not by the
 number of states. No kernel forms a one-step expectation: the drift
-constant L is read from the family's p and q (drift, in excess form).
+constant L is read from p and q (drift, in excess form).
 Spectral gaps come from the edge matrix E: D (I - P) = B^T diag(e) B with
 D = diag(pi), B the first-difference matrix and e_k = pi_k P[k, k+1] the
 edge conductances, so I - P on mean-zero functions has the spectrum of E.
@@ -47,10 +47,10 @@ reduction's last pivot.
 TransitionMatrix.P is a BandMatrix, the kernel's diagonals stored
 row-aligned, three for the marginal and random-scan kernels and five for
 dgs, whose product of the two updates is formed from shifted products of
-their bands. It offers sums, products with a vector, the transpose and
-toarray, and nothing here imports scipy: importing this module, building
-kernels, reading P, transporting TV curves and solving spectral gaps
-load numpy alone.
+their bands. It offers row sums, products with a vector, the transpose
+and toarray, and nothing here imports scipy: importing this module,
+building kernels, reading P, transporting TV curves and solving spectral
+gaps load numpy alone.
 """
 
 from __future__ import annotations
@@ -85,8 +85,8 @@ def _staircase_pi(fam: BivariateFamily) -> np.ndarray:
 class BandMatrix:
     """A square matrix stored as its diagonals, row-aligned: bands[k, i]
     is M[i, i + offsets[k]], 0 where that column is outside the matrix,
-    with offsets increasing. It offers toarray, sum, T, nnz and @ with a
-    vector on either side."""
+    with offsets increasing. It offers toarray, row sums, T, nnz and @
+    with a vector on either side."""
 
     offsets: tuple
     bands: np.ndarray = field(repr=False)
@@ -122,10 +122,10 @@ class BandMatrix:
         return out
 
     def sum(self, axis: int) -> np.ndarray:
-        """Row sums (axis 1) or column sums (axis 0), as a vector."""
-        if axis not in (0, 1):
-            raise ValueError(f"axis must be 0 or 1, not {axis!r}")
-        return (self.T if axis == 0 else self).bands.sum(axis=0)
+        """Row sums, as a vector; axis must be 1."""
+        if axis != 1:
+            raise ValueError(f"axis must be 1, not {axis!r}")
+        return self.bands.sum(axis=0)
 
     def __matmul__(self, x) -> np.ndarray:
         """M x for a vector x: (M x)[i] = sum over k of bands[k, i] x[i + k]."""

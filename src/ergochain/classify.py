@@ -8,9 +8,9 @@ it is Geometric, basis ratio_test, with drift.certify's certificate: it
 is found on the spec's head family, whose size the spec fixes, holds for
 the untruncated chain and for the truncation at N alike, and decides
 nothing. It is missing only where its margin 1 - rho underflows float64
-or z* is so close to 1 that the tail's excess is not resolved below
--delta (drift says which). The family at N is built only for the
-subgeo summary, which also refuses an N the spec cannot be truncated at.
+or z* rounds to 1.0, r_hat within five ulps of 1 (drift says which).
+The family at N is built only for the subgeo summary, which also
+refuses an N the spec cannot be truncated at.
 A Geometric verdict builds none: only the geometric and table kinds
 reach it, build_family refuses neither at any N >= 2, and certify
 refuses an N below 2 as build_family does.

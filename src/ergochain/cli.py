@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 2 usage error, 3 no drift certificate (drift
 only, on a spec whose tail limits fire a divergence flag, whose margin
-1 - rho underflows float64, or whose r_hat is so close to 1 that the
-tail's excess is not resolved; classify always decides, and its
-certificate is null only there), 4 domain error.
+1 - rho underflows float64, or whose z* rounds to 1.0, r_hat within
+five ulps of 1; classify always decides, and a Geometric verdict's
+certificate is null only at the last two), 4 domain error.
 
 dispatch refuses an --n or --steps above its limit (MAX_N, MAX_STEPS), a
 negative --steps and an --n below MIN_N (classify, drift, report) before

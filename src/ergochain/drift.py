@@ -30,44 +30,29 @@ to K + 2, so its row K + 1 and pairs (K + 1, K + 1) and (K + 2, K + 1)
 stand for every state beyond K. The search and the check run on it and
 keep x0 <= K, so the certificate holds for the untruncated chain, and
 every field but N is the same at every N. It holds on each truncation
-too, whose rows are the untruncated chain's except row N: there p_N = 0
-lowers the marginal excess, and beta_N = 0 makes G(N)/V(N) = 1, so the
-lifted excess at (N, N) is at most that marginal excess (both lift
-terms below are at most 0); the pair (N, N - 1) reads the untruncated
-stay_y(N - 1).
+too, whose rows are the untruncated chain's except row N, where p_N = 0
+lowers the marginal excess, and with it the lifted excess of the pairs
+at x = N (below).
 
-eps(x) is compared with -delta with its rounding bound, (4 + 12 s)
-eps64 (p_x (z - 1) + q_x (1 - 1/z)), and no other tolerance. p_x and
-q_x are read from the spec's logs shifted by the largest alone
-(_rows), not from the family's: they are ratios of the weights, so the
-family's second shift, by the log of its mass, cancels from them in
-exact arithmetic, and kept in it would round every log at its size,
-about log 2n with n unit entries and growing with N (with 10^4 unit
-entries the family's float excess is off by 4.06 eps64 (p_x (z - 1) +
-q_x (1 - 1/z)) against 50 digits, the rows' by 0.07). 4 eps64 is the
-excess's own rounding with p_x and q_x accurate to about an ulp, as
-they are where the spec's logs are of order one. s is the largest
-|log a_i| or |log b_i| the spec gives the rows: a log the rows store
-is off by up to about 3 s eps64 (the spec's rounding and the shift by
-the largest log), p_x and q_x move by up to 3 times that, and forming
-them from the logs adds about 2 s eps64. (On table((e^B, 1), (e^-B,
-1), r) with B up to 700, p_x and q_x are off by at most 0.76 s eps64
-against 50 digits from the spec's exact ratios.) So on the head rows
-the bound is about (4 + 12 s) 2.7 eps64 / (1 - r_hat) of |eps(x)| in
-the tail, and on a truncation at large N it grows with the logs there
-(geometric's p_x at N = 10^6 are within 4.4e-11 of the head's,
-relative, against 12 s eps64 = 2.7e-9). The tail's exact
-excess is -2 (2 + 1/u) delta <= -6 delta, so every spec whose limits
-pass the ratio test is certified, except where delta underflows
-float64's normal range or the tail's excess is not resolved below
--delta: z* rounds to 1 (r_hat within 5 ulps of 1) and V = z^x is
-constant, or the tail row's rounding exceeds its five delta of slack
-(1 - r_hat below about 3.2 (4 + 12 s) eps64: r_hat within 24 ulps of
-1 for table((1,), (1,), r_hat), within about 6e-12 of 1 for tables with
-entries near e^+-700). These are refused with that reason; a spec whose
-limits fire a divergence flag (subgeo.divergence_flags) has no
-geometric drift, and the refusal names the flags. These are the only
-refusals, and drift's only exit 3.
+eps(x) <= -delta is decided row by row (_excess), with no tolerance. The
+float excess, from the family's own p and q, settles each row more than
+64 (1 + s) eps64 (p_x (z - 1) + q_x (1 - 1/z)) from -delta, s the
+largest |log| the family stores plus |log| of the spec's top weight: the
+spec's logs, the shift to the family's and the family's logs are each at
+most s in size and round at it, so p_x and q_x are within a few s eps64
+of the spec's exact ratios (a term-by-term count gives 4 + 12 s for the
+excess). A table's open row is decided exactly (fractions.Fraction) in
+the spec's float entries and tail ratio, from the top row down; rows
+beyond K + 1 share row K + 1's value and row N drops its up-move, so the
+exact work is O(K) at any N. An open row of another kind counts as above
+-delta, which can only raise x0; geometric leaves none, its tail rows
+sitting 0.32 (p_x (z - 1) + q_x (1 - 1/z)) below -delta. The tail's
+exact excess at z* is -2 (2 + 1/u) delta <= -6 delta, so every spec
+whose limits pass the ratio test is certified unless delta underflows
+float64's normal range or z* rounds to 1.0 (r_hat within five ulps of 1,
+V = z^x constant), or its limits fire a divergence flag
+(subgeo.divergence_flags): no geometric drift. These three, each refused
+with its reason, are drift's only exit 3.
 
 The random-scan chain with scan probability s is certified by lifting.
 With lo = s/(1-s) and c = lo / (1 - tau), 0 < tau < delta,
@@ -95,15 +80,18 @@ staircase pairs, with w as above,
     (E W - gamma W) / ((1-s) c V(x)) = (c w - tau) G(y)/V(x)
                                        + (w + tau - delta) + eps(x) + delta,
 
-where c w - tau and w + tau - delta are at most 0, and G(y)/V(x) is
-1 + beta_y (z - 1) at (y, y) and 1 - (a_y / pi_Y(y))(1 - 1/z) at
-(y + 1, y). delta there is the certificate's one_minus_rho: the closed
-form, or 1 - rho where a hand-set rho claims more. certify, the one path
-that issues a certificate, takes the spec and N and builds no family
-at N: it builds the head family once and runs the search, the lift
-when a scan probability is given, and one verification on that family,
-in that order; a lifted certificate's verification checks the marginal
-excess at every state too.
+where G(y)/V(x) is 1 + beta_y (z - 1) at (y, y) and 1 - (a_y /
+pi_Y(y))(1 - 1/z) at (y + 1, y). In exact arithmetic c w - tau <= 0,
+w + tau - delta <= 0 and G(y)/V(x) > 0, so a pair's lifted excess is at
+most the marginal excess of its x: the lift needs no exact path of its
+own, and a marginal row decided exactly counts as 0 there. delta is the
+certificate's one_minus_rho: the closed form, or 1 - rho where a
+hand-set rho claims more. certify, the one path that issues a
+certificate, takes the spec and N and builds no family at N: it builds
+the head family once and runs the search, the lift when a scan
+probability is given, and one verification on that family, in that
+order; a lifted certificate's verification checks the marginal excess
+at every state too.
 
 A certificate proves the drift condition for the untruncated chain and
 for each of its truncations. Whether the family converges geometrically
@@ -125,10 +113,7 @@ from .spec import (SequenceSpec, _encode_extended, _tail_start, check_scan_p,
                    tail_limits)
 from .subgeo import divergence_flags
 
-# the rounding bound of eps(x), relative to p_x (z - 1) + q_x (1 - 1/z):
-# _ROUNDING plus _LOG_ROUNDING times the size s of the spec's logs
-_ROUNDING = 4.0 * sys.float_info.epsilon
-_LOG_ROUNDING = 12.0 * sys.float_info.epsilon
+_FILTER = 64.0 * sys.float_info.epsilon   # per (1 + s)(p_x (z - 1) + q_x (1 - 1/z))
 
 
 @dataclass(frozen=True)
@@ -241,29 +226,56 @@ def _one_minus_up(m: Fraction) -> float:
     return math.nextafter(g, 2.0) if 1 - Fraction(g) > m else g
 
 
-def _excess(fam: BivariateFamily, z: float) -> tuple[np.ndarray, np.ndarray]:
-    """eps(x) and its rounding bound, for x = 1..N, from _rows(fam)."""
-    rows, s = _rows(fam)
+def _excess(fam: BivariateFamily, z: float, delta: float,
+            x0: int) -> tuple[np.ndarray, np.ndarray]:
+    """eps(x) for x = 1..N from fam's p and q, and an upper bound of
+    eps(x) + delta, at most 0 beyond x0 exactly where eps(x) <= -delta:
+    the float bound, or 0 on a table's row that holds exactly. Rows are
+    decided from the top down, and below the first that fails none is."""
     up = z - 1.0                            # exact for 1 < z < 2
-    rise, fall = rows.p * up, rows.q * (up / z)
-    return rise - fall, (_ROUNDING + _LOG_ROUNDING * s) * (rise + fall)
+    rise, fall = fam.p * up, fam.q * (up / z)
+    eps, room = rise - fall, _FILTER * (1.0 + _log_size(fam)) * (rise + fall)
+    upper = eps + room + delta
+    lo = max(x0, 1)                         # row 1 is never decided exactly
+    xs = np.flatnonzero(upper[lo:] > 0.0) + lo + 1
+    if xs.size and fam.spec.kind == "table":
+        upper[xs[_exact_below(fam.spec, fam.N, xs, z, delta)] - 1] = 0.0
+    return eps, upper
 
 
-def _rows(fam: BivariateFamily) -> tuple[BivariateFamily, float]:
-    """fam's chain with the spec's logs shifted by the largest alone, and
-    s, the largest |log a_i| (i <= N) and |log b_i| (i < N) the spec gives.
+def _log_size(fam: BivariateFamily) -> float:
+    """s: the largest |log| fam stores plus |log| of the spec's top weight,
+    which is log retained_mass less the top's stored log and within 746
+    of 0 (the cap where the mass overflows float64)."""
+    top = math.log(fam.retained_mass) + max(fam.log_a.max(), fam.log_b.max())
+    return max(np.abs(fam.log_a).max(), np.abs(fam.log_b[:-1]).max()) + min(abs(top), 746.0)
 
-    p and q are ratios of the weights, so fam's second shift, by the log
-    of its mass, cancels from them in exact arithmetic; these rows leave
-    it out, and it rounds none of their logs. Their log_a and log_b are
-    not log probabilities."""
-    idx = np.arange(1, fam.N + 1)
-    la = np.array(fam.spec.log_a(idx), dtype=float)
-    lb = np.array(fam.spec.log_b(idx), dtype=float)
-    lb[-1] = -np.inf
-    s = float(max(np.abs(la).max(), np.abs(lb[:-1]).max()))
-    top = max(la.max(), lb.max())
-    return BivariateFamily(spec=fam.spec, N=fam.N, log_a=la - top, log_b=lb - top), s
+
+def _exact_below(spec: SequenceSpec, N: int, xs: np.ndarray, z: float,
+                 delta: float) -> np.ndarray:
+    """Whether eps(x) <= -delta holds exactly on the rising rows xs >= 2 of
+    the table spec's truncation at N, from the top row down until one fails.
+    Rows K < x < N all take row K + 1's value; row N has no up-move."""
+    K, r, zf = _tail_start(spec), Fraction(spec.tail_ratio), Fraction(z)
+    up, d = zf - 1, Fraction(delta)
+
+    def w(tab, i):
+        n = len(tab)
+        return Fraction(tab[i - 1]) if i <= n else Fraction(tab[-1]) * r ** (i - n)
+
+    def below(x, top):      # eps(x) pi_X(x) = t_x (z - 1) - t_(x-1) (1 - 1/z)
+        a0, a1, b0 = w(spec.a_table, x - 1), w(spec.a_table, x), w(spec.b_table, x - 1)
+        b1 = 0 if top else w(spec.b_table, x)       # t_i = a_i b_i / (a_i + b_i)
+        return (a1 * b1 / (a1 + b1) - a0 * b0 / (a0 + b0) / zf) * up <= -d * (a1 + b0)
+
+    held, i = np.zeros(xs.size, dtype=bool), xs.size
+    while i > 0:            # from the top row down, until one fails
+        x = int(xs[i - 1])
+        lo = int(np.searchsorted(xs, K + 1)) if K < x < N else i - 1
+        if not below(min(x, K + 1), x == N):
+            break
+        held[lo:i], i = True, lo
+    return held
 
 
 def find_drift_certificate(fam: BivariateFamily):
@@ -272,13 +284,10 @@ def find_drift_certificate(fam: BivariateFamily):
     family; it reads only fam.spec and fam.N, and records N = fam.N.
 
     Returns a DriftCertificate, or a NoCertificate value when the tail
-    limits fire a divergence flag, delta underflows, or z* is so close
-    to 1 that the tail's excess is not resolved below -delta. The
-    threshold x0 is the largest state whose excess (with its rounding
-    bound) is above -delta, at least 1 and at most K, so the drift bound
-    holds beyond it by construction, at every state of the untruncated
-    chain.
-    """
+    limits fire a divergence flag, delta underflows, or z* rounds to 1.0
+    in float64. x0 is the largest state not decided at most -delta, at
+    least 1 and at most K, so the drift bound holds beyond it by
+    construction, at every state of the untruncated chain."""
     return _search(fam.spec, fam.N)[0]
 
 
@@ -288,29 +297,20 @@ def _search(spec: SequenceSpec, N: int) -> tuple:
     lim = tail_limits(spec)
     r_hat, q_hat = lim.r_hat, lim.q_hat
     fired = [name for name, f in divergence_flags(lim).items() if f]
-    if fired:
-        return NoCertificate(
-            reason=f"the tail limits fire {', '.join(fired)}: no geometric drift",
-            r_hat=r_hat, q_hat=q_hat), None
-    delta = _one_minus_rho(r_hat, q_hat)
-    if not delta >= sys.float_info.min:
-        return NoCertificate(
-            reason=f"1 - rho = (q_hat/2)(1 - sqrt((r_hat + 1)/2))^2 = {delta:.3g} "
-                   f"underflows float64 (q_hat = {q_hat:.3g})",
-            r_hat=r_hat, q_hat=q_hat), None
-
-    z = math.sqrt(2.0 / (r_hat + 1.0))
-    K = _tail_start(spec)
-    head = build_family(spec, K + 3)     # rows up to K + 2 are the untruncated chain's
-    eps, bound = _excess(head, z)
-    above = np.flatnonzero((eps + bound)[1:] > -delta)   # indices for x = 2..K+3
+    delta, z = _one_minus_rho(r_hat, q_hat), math.sqrt(2.0 / (r_hat + 1.0))
+    for stop, reason in (    # the search's only stops, in this order
+            (fired, f"the tail limits fire {', '.join(fired)}: no geometric drift"),
+            (not delta >= sys.float_info.min,
+             f"1 - rho = (q_hat/2)(1 - sqrt((r_hat + 1)/2))^2 = {delta:.3g} "
+             f"underflows float64 (q_hat = {q_hat:.3g})"),
+            (z == 1.0, f"z* = sqrt(2 / (r_hat + 1)) rounds to 1.0 in float64 "
+                       f"(r_hat = {r_hat!r}): V = z^x is constant")):
+        if stop:
+            return NoCertificate(reason=reason, r_hat=r_hat, q_hat=q_hat), None
+    head = build_family(spec, _tail_start(spec) + 3)   # rows to K + 2 untruncated
+    eps, upper = _excess(head, z, delta, 1)
+    above = np.flatnonzero(upper[1:] > 0.0)   # indices for x = 2..K+3
     x0 = int(above[-1] + 2) if above.size else 1
-    if x0 > K:
-        return NoCertificate(
-            reason=f"z* = sqrt(2 / (r_hat + 1)) rounds to {z!r} in float64 "
-                   f"(r_hat = {r_hat!r}): the excess of V = z^x beyond x = {K} "
-                   f"is not resolved below -delta",
-            r_hat=r_hat, q_hat=q_hat), None
     # E[V(X_1) | x] = z^x (1 + eps(x))
     log_L = float(np.max(np.arange(1, x0 + 1) * math.log(z) + np.log1p(eps[:x0])))
     return DriftCertificate(z=z, rho=_one_minus_up(Fraction(delta)), log_L=log_L,
@@ -381,8 +381,7 @@ def verify_drift(cert: DriftCertificate, fam: BivariateFamily) -> DriftReport:
     """
     delta = cert.one_minus_rho
     x = np.arange(1, fam.N + 1)
-    eps, bound = _excess(fam, cert.z)
-    excess = eps + bound + delta
+    excess = _excess(fam, cert.z, delta, cert.x0)[1]
     with np.errstate(over="ignore"):
         excess[:cert.x0] -= np.exp(cert.log_L - x[:cert.x0] * math.log(cert.z))
     holds, y = bool(np.max(excess) <= 0.0), None
@@ -406,8 +405,8 @@ def certify(spec: SequenceSpec, N: int = 200, scan_p: float | None = None):
     scan when scan_p is given, that verify_drift accepts on the head
     family, and so on the truncation at N and every other; or a
     NoCertificate whose reason names the step that stopped: the search (a
-    fired divergence flag, delta underflowing or the tail's excess not
-    resolved below -delta) or a verification. No family at N is built.
+    fired divergence flag, delta underflowing or z* rounding to 1.0) or a
+    verification. No family at N is built.
     Before the search, an N below 2 raises DegenerateTruncation, as
     build_family does, and then a scan_p outside (0, 1) raises
     BadScanProbability."""

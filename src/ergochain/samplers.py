@@ -206,7 +206,7 @@ def run_chain(fam: BivariateFamily, cfg: RunConfig) -> Trace:
 # -- vectorized ensemble of marginal chains --------------------------------
 
 
-def _add_rows(start: np.ndarray, rows) -> np.ndarray:
+def _add_steps(start: np.ndarray, rows) -> np.ndarray:
     """start + rows[0] + rows[1] + ..., added one row at a time in step
     order, so every sum rounds as it would step by step.  Accumulating
     along axis 0 keeps that order at any width; a reduction would not,
@@ -277,14 +277,14 @@ def run_marginal_ensemble(fam: BivariateFamily, n_chains: int, n_steps: int,
             s = np.add(s, move, out=row)
         if track:
             gv = g(rows[:c] + 1)
-            total = _add_rows(total, gv)
+            total = _add_steps(total, gv)
             # rows lo:hi end the batch of step c0 + hi
             lo = 0
             for hi in range(batch_size - c0 % batch_size, c + 1, batch_size):
-                batch_acc = _add_rows(batch_acc, gv[lo:hi])
+                batch_acc = _add_steps(batch_acc, gv[lo:hi])
                 batch_means[:, (c0 + hi) // batch_size - 1] = batch_acc / batch_size
                 batch_acc, lo = zeros, hi
-            batch_acc = _add_rows(batch_acc, gv[lo:c])
+            batch_acc = _add_steps(batch_acc, gv[lo:c])
 
     states = s + 1
     if not track:

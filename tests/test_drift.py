@@ -410,15 +410,16 @@ def test_certify_refuses_a_base_that_rounds_to_one():
             out = certify(f.spec, f.N, scan_p)
             assert isinstance(out, NoCertificate)
             assert "rounds to 1.0 in float64" in out.reason
-    # from six to 24 ulps below 1, z* > 1 but the tail's excess, at most
-    # -6 delta, is within its rounding bound of -delta: only an x0 past
-    # every state of the truncation would pass, which says nothing
+    # from six to 24 ulps below 1, z* > 1 and the tail's excess, at most
+    # -6 delta, is within its float bound of -delta: the exact check
+    # decides it, and the certificate holds with x0 = 1 on every truncation
     for k in (6, 24):
-        f = build_family(table((1.0,), (1.0,), tail_ratio=1.0 - k * 2.0 ** -53), 50)
+        spec = table((1.0,), (1.0,), tail_ratio=1.0 - k * 2.0 ** -53)
         for scan_p in (None, 0.5):
-            out = certify(f.spec, f.N, scan_p)
-            assert isinstance(out, NoCertificate)
-            assert "beyond x = 3 is not resolved below -delta" in out.reason
+            out = certify(spec, 50, scan_p)
+            assert isinstance(out, DriftCertificate) and out.z > 1.0 and out.x0 == 1
+            for N in (2, 50, 2000):
+                assert verify_drift(out, build_family(spec, N)).holds
     # 25 ulps below 1, z* = 1 + 3 ulps and the certificate holds, x0 = 1
     spec = table((1.0,), (1.0,), tail_ratio=1.0 - 25 * 2.0 ** -53)
     out = certify(spec, 50, 0.5)
@@ -716,35 +717,40 @@ def _exact_excess(spec, z, x):
     return p * (z - 1) - q * (1 - 1 / z)
 
 
-@pytest.mark.parametrize("B", [5, 300, 700])
-@pytest.mark.parametrize("r", [0.5, 0.99, 1.0 - 1e-11, 1.0 - 1e-13])
-def test_tail_row_holds_to_50_digits_where_logs_are_large(B, r):
-    # the family's logs of this spec reach B, so its p_x and q_x are off by
-    # up to about 0.75 B eps64, and the excess's rounding bound grows with
-    # the logs: it covers the float excess's error on every row of the
-    # head family that stands for the untruncated chain, every certificate
-    # issued holds at 50 digits from the spec's exact entries beyond x0,
-    # the tail row K + 1 among them, and only a tail too close to 1 for
-    # logs this large is refused
+def _verdicts_hold_to_50_digits(spec, cert, xs):
+    """On the rows xs of the head family, every row the search decides at
+    most -delta is so at 50 digits from the spec's exact entries, and so
+    is every row beyond x0."""
     from mpmath import mp, mpf
 
     from ergochain.drift import _excess
 
+    delta = cert.one_minus_rho
+    upper = _excess(_head(spec), cert.z, delta, 1)[1]
+    with mp.workdps(50):
+        for x in xs:
+            below = _exact_excess(spec, cert.z, x) <= -mpf(delta)
+            assert below or upper[x - 1] > 0.0, x
+            assert below or x <= cert.x0, x
+    return True
+
+
+@pytest.mark.parametrize("B", [5, 300, 700])
+@pytest.mark.parametrize("r", [0.5, 0.99, 1.0 - 1e-11, 1.0 - 1e-13])
+def test_tail_row_holds_to_50_digits_where_logs_are_large(B, r):
+    # the family's logs of this spec reach 2 B, so its p_x and q_x are off
+    # by up to about 0.75 B eps64, and the float bound grows with the logs:
+    # near r = 1 it leaves the tail rows open, and the exact check decides
+    # them. Every spec is certified, and every row of the head family that
+    # stands for the untruncated chain holds at 50 digits where the search
+    # decides it, the tail row K + 1 among them
     spec = table((math.exp(B), 1.0), (math.exp(-B), 1.0), tail_ratio=r)
     K = _tail_start(spec)
-    z = math.sqrt(2.0 / (r + 1.0))
-    eps, bound = _excess(build_family(spec, K + 3), z)
     cert = certify(spec, 200)
-    with mp.workdps(50):
-        for x in range(2, K + 3):
-            assert abs(mpf(eps[x - 1]) - _exact_excess(spec, z, x)) <= bound[x - 1], x
-        if B >= 300 and r == 1.0 - 1e-13:
-            assert isinstance(cert, NoCertificate)
-            assert "is not resolved below -delta" in cert.reason
-            return
-        assert isinstance(cert, DriftCertificate) and cert.z == z
-        for x in range(cert.x0 + 1, K + 3):
-            assert _exact_excess(spec, z, x) <= -mpf(cert.one_minus_rho), x
+    assert isinstance(cert, DriftCertificate) and cert.z == math.sqrt(2.0 / (r + 1.0))
+    assert _verdicts_hold_to_50_digits(spec, cert, range(2, K + 3))
+    if B >= 300 and r == 1.0 - 1e-13:
+        assert cert.x0 == 2
 
 
 @pytest.mark.parametrize("n", [10 ** 3, 10 ** 4, 10 ** 5])
@@ -752,28 +758,40 @@ def test_tail_row_holds_to_50_digits_after_a_large_shift(n):
     # n unit entries: the family stores every log shifted by log(2n) or
     # so, which rounds its p_x and q_x as logs of that size would (its
     # float excess is off by 4.06 eps64 (rise + fall) at n = 10^4, against
-    # 50 digits, beyond the bound of 4 eps64); the excess is formed from
-    # rows that leave that shift out, and its rounding bound covers it
-    from mpmath import mp, mpf
-
-    from ergochain.drift import _excess
-
+    # 50 digits); the float bound grows with the family's logs, which
+    # carry that shift, and the rows the search decides hold at 50 digits
     r = 1.0 - 1e-12
     spec = table((1.0,) * n, (1.0,) * n, tail_ratio=r)
     K = _tail_start(spec)
-    z = math.sqrt(2.0 / (r + 1.0))
-    eps, bound = _excess(build_family(spec, K + 3), z)
     cert = certify(spec, 200)
+    assert isinstance(cert, DriftCertificate) and cert.z == math.sqrt(2.0 / (r + 1.0))
+    # the rows before n - 2 are all row 2
+    assert _verdicts_hold_to_50_digits(spec, cert, (2, *range(n - 2, K + 3)))
+
+
+@pytest.mark.parametrize("B", [-744.0, -700.0, 300.0, 700.0, 709.0])
+@pytest.mark.parametrize("r", [0.5, 1.0 - 1e-13, 1.0 - 3e-13])
+def test_float_bound_covers_the_excess_where_the_shift_is_large(B, r):
+    # entries all near e^B: the family's logs are small, but the spec's
+    # logs they were shifted from round at B, and so do p_x and q_x (62
+    # times (1 + the family's log size) eps64 (rise + fall) at B = 700);
+    # s counts |log| of the spec's top weight too, and the float excess
+    # is within (1 + s) eps64 (rise + fall), a 64th of its bound, on every
+    # row of the head family (0.31 times that, at most, here)
+    from mpmath import mp, mpf
+
+    from ergochain.drift import _FILTER, _log_size
+
+    rng = np.random.default_rng(int(B) % 1000)
+    a, b = (tuple(math.exp(B + d) for d in rng.uniform(-1e-3, 1e-3, 3)) for _ in "ab")
+    spec = table(a, b, tail_ratio=r)
+    f, z = _head(spec), math.sqrt(2.0 / (r + 1.0))
+    rise, fall = f.p * (z - 1.0), f.q * ((z - 1.0) / z)
+    room = _FILTER * (1.0 + _log_size(f)) * (rise + fall)
     with mp.workdps(50):
-        # the rows before n - 2 are all row 2
-        for x in (2, *range(n - 2, K + 3)):
-            assert abs(mpf(eps[x - 1]) - _exact_excess(spec, z, x)) <= bound[x - 1], x
-        if isinstance(cert, NoCertificate):
-            assert "is not resolved below -delta" in cert.reason
-            return
-        assert cert.z == z
-        for x in range(cert.x0 + 1, K + 3):
-            assert _exact_excess(spec, z, x) <= -mpf(cert.one_minus_rho), x
+        for x in range(2, f.N):
+            err = abs(mpf(rise[x - 1] - fall[x - 1]) - _exact_excess(spec, z, x))
+            assert err <= room[x - 1] / 64.0, x
 
 
 # -- L is the largest one-step expectation up to x0, to 50 digits -------------

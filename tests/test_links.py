@@ -14,8 +14,8 @@ and each tolerance is the stated rounding of its two sides:
   bound carries its rounding, 8 eps plus n times g's, and TV that of n
   transport steps over the states, 2 (n + 1) n_states eps;
 - drift.certify issues a certificate exactly where no divergence flag
-  fires, and refuses only where 1 - rho underflows float64 or r_hat is
-  so close to 1 that the tail's excess is not resolved;
+  fires, and refuses only where 1 - rho underflows float64 or z* rounds
+  to 1.0 (r_hat within five ulps of 1);
 - a certificate is the untruncated tail's: certify gives the same one at
   every N but for the N it records, with x0 <= K (spec._tail_start), and
   verify_drift accepts it on every truncation;
@@ -197,12 +197,9 @@ def test_certificate_is_issued_exactly_where_no_flag_fires(spec, N, scan_p):
         with mp.workdps(50):
             r, q = mpf(cert.r_hat), mpf(cert.q_hat)
             assert q / 2 * (1 - sqrt((r + 1) / 2)) ** 2 < np.finfo(float).tiny
-    elif isinstance(cert, NoCertificate):
-        # the tail's excess, at most -6 delta in exact arithmetic, is
-        # within the rounding of the head family's rows of -delta
-        assert "is not resolved below -delta" in cert.reason
-        assert 1.0 - cert.r_hat < 1e-11
     else:
+        # tail ratios within 1e-11 of 1 too: the exact check decides the
+        # tail rows that the float bound leaves open
         assert isinstance(cert, DriftCertificate)
         assert verify_drift(cert, f).holds
 
@@ -217,3 +214,90 @@ def test_certificate_does_not_depend_on_N(spec, N, N2, scan_p):
     assert certify(spec, N2, scan_p) == dataclasses.replace(cert, N=N2)
     for n in (N, N2):
         assert verify_drift(cert, build_family(spec, n)).holds
+
+
+def _mp_excess(spec, z, x, N):
+    """eps(x) + 0 of the truncation at N, at 50 digits from the table
+    spec's entries taken as exact: its tail ratio extends them, b_0 = 0
+    and b_N = 0."""
+    def w(tab, i):
+        n = len(tab)
+        return mpf(tab[i - 1]) if i <= n else mpf(tab[-1]) * mpf(spec.tail_ratio) ** (i - n)
+
+    a1, b1 = w(spec.a_table, x), (w(spec.b_table, x) if x < N else mpf(0))
+    a0, b0 = w(spec.a_table, x - 1), w(spec.b_table, x - 1)
+    pix, z = a1 + b0, mpf(z)
+    return (a1 * b1 / (a1 + b1) * (z - 1) - a0 * b0 / (a0 + b0) * (1 - 1 / z)) / pix
+
+
+@st.composite
+def _near_one_tables(draw):
+    """Tables of 1-12 entries over 10^+-3, with up to two more near e^+-700,
+    and a tail ratio within 6 to 2^20 ulps of 1 or a moderate one."""
+    def entries():
+        tab = draw(st.lists(st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e),
+                            min_size=1, max_size=12))
+        for _ in range(draw(st.integers(0, 2))):
+            big = draw(st.sampled_from([-700.0, 700.0])) + draw(st.floats(-1.0, 1.0))
+            tab.insert(draw(st.integers(0, len(tab))), math.exp(big))
+        return tuple(tab)
+
+    r = draw(st.integers(6, 2 ** 20).map(lambda k: 1.0 - k * 2.0 ** -53)
+             | st.sampled_from([0.05, 0.3, 0.9, 0.99, 0.9999]))
+    return table(entries(), entries(), tail_ratio=r)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_near_one_tables(), st.sampled_from([None, 0.5]))
+def test_exact_check_agrees_with_50_digits(spec, scan_p):
+    # the rows the float bound leaves open are decided exactly, and each
+    # decision the certificate rests on holds at 50 digits; a lifted pair's
+    # float excess is at most the marginal excess of its x, so the lift
+    # rests on the same decisions
+    from ergochain.drift import _excess, _lift_terms
+    from ergochain.family import staircase_xy
+
+    K = _tail_start(spec)
+    cert = certify(spec, K + 3, scan_p)
+    if isinstance(cert, NoCertificate):     # an e^+-700 entry can make q_hat tiny
+        with mp.workdps(50):
+            r, q = mpf(cert.r_hat), mpf(cert.q_hat)
+            assert q / 2 * (1 - sqrt((r + 1) / 2)) ** 2 < np.finfo(float).tiny
+        return
+    assert cert.x0 <= K
+    delta = cert.one_minus_rho
+    with mp.workdps(50):
+        for x in range(cert.x0 + 1, K + 4):
+            assert _mp_excess(spec, cert.z, x, K + 3) <= -mpf(delta), x
+    for N in (K + 3, 2000):
+        f = build_family(spec, N)
+        assert verify_drift(cert, f).holds
+        if scan_p is None:
+            continue
+        marginal = _excess(f, cert.z, delta, cert.x0)[1]
+        g_term, slack = _lift_terms(scan_p, cert.tau, delta)
+        x, _ = staircase_xy(N)
+        G_over_V = np.ones(2 * N - 1)
+        G_over_V[0::2] += f.beta * (cert.z - 1.0)
+        G_over_V[1::2] -= f.stay_y[:-1] * ((cert.z - 1.0) / cert.z)
+        assert (g_term * G_over_V + slack + marginal[x - 1] <= marginal[x - 1]).all()
+
+
+@pytest.mark.parametrize("log10_c", [-300, -100, -10, 0, 10, 100, 300])
+def test_geometric_leaves_no_row_open(log10_c):
+    # the float bound decides every row of geometric(c) at every N, so no
+    # geometric certificate needs an exact check: its tail rows sit 0.32
+    # (rise + fall) below -delta
+    from ergochain.drift import _FILTER, _log_size
+
+    spec = geometric(10.0 ** log10_c)
+    cert = certify(spec, 10)
+    z, delta = cert.z, cert.one_minus_rho
+    for N in (_tail_start(spec) + 3, 2000, 10 ** 6):
+        f = build_family(spec, N)
+        rise, fall = f.p * (z - 1.0), f.q * ((z - 1.0) / z)
+        room = _FILTER * (1.0 + _log_size(f)) * (rise + fall)
+        gap = rise - fall + delta
+        assert not ((gap + room > 0.0) & (gap - room <= 0.0))[1:].any(), N
+        tail = gap[_tail_start(spec):N - 1] / (rise + fall)[_tail_start(spec):N - 1]
+        assert (-0.33 < tail).all() and (tail < -0.3).all(), N

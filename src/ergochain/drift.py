@@ -24,15 +24,13 @@ log10_one_minus_rho carries delta.
 
 A certificate belongs to the tail. Beyond K = spec._tail_start (2 for
 geometric, max(len a, len b) + 2 for a table; every other kind fires a
-flag) the untruncated chain's p_x, q_x, beta_y and stay_y are constant.
-The head family, the truncation at K + 3, has the untruncated rows up
-to K + 2, so its row K + 1 and pairs (K + 1, K + 1) and (K + 2, K + 1)
-stand for every state beyond K. The search and the check run on it and
-keep x0 <= K, so the certificate holds for the untruncated chain, and
-every field but N is the same at every N. It holds on each truncation
-too, whose rows are the untruncated chain's except row N, where p_N = 0
-lowers the marginal excess, and with it the lifted excess of the pairs
-at x = N (below).
+flag) the untruncated chain's p_x and q_x are constant. The head
+family, the truncation at K + 3, has the untruncated rows up to K + 2,
+so its row K + 1 stands for every row beyond K. The search and the
+check run on it and keep x0 <= K, so the certificate holds for the
+untruncated chain, and every field but N is the same at every N. It
+holds on each truncation too, whose rows are the untruncated chain's
+except row N, where p_N = 0 lowers the excess.
 
 eps(x) <= -delta is decided row by row (_excess), with no tolerance. The
 float excess, from the family's own p and q, settles each row more than
@@ -68,30 +66,25 @@ and everything else is read from them: 1 - gamma is formed exactly
 (fractions.Fraction) in their values and delta's, gamma is 1 - gamma
 rounded up to float64, c is rounded to nearest, and
 log10_one_minus_gamma carries 1 - gamma. So the lift holds where c
-rounds to lo, and the rates a certificate states are the ones
-verify_drift checks. One record, DriftCertificate, serves all three
+rounds to lo, and the rates a certificate states are the ones its
+verification proves. One record, DriftCertificate, serves all three
 chains (the deterministic scan's x-marginal is the marginal chain).
 
-verify_drift checks the same excess form at every state of the family
-it is given, at most 0 beyond x0 and at most L/V(x) up to it:
-eps(x) + delta on the marginal chain, and on the random scan's 2N-1
-staircase pairs, with w as above,
+verify_drift checks eps(x) + delta on the rows x = 1..N of the family it
+is given: at most 0 beyond x0 and at most L/V(x) up to it, delta being
+the certificate's one_minus_rho (the closed form, or 1 - rho where a
+hand-set rho claims more). A lifted certificate is checked on the same
+rows. At a staircase pair (x, y) of the random scan, with w as above,
 
     (E W - gamma W) / ((1-s) c V(x)) = (c w - tau) G(y)/V(x)
                                        + (w + tau - delta) + eps(x) + delta,
 
-where G(y)/V(x) is 1 + beta_y (z - 1) at (y, y) and 1 - (a_y /
-pi_Y(y))(1 - 1/z) at (y + 1, y). In exact arithmetic c w - tau <= 0,
-w + tau - delta <= 0 and G(y)/V(x) > 0, so a pair's lifted excess is at
-most the marginal excess of its x: the lift needs no exact path of its
-own, and a marginal row decided exactly counts as 0 there. delta is the
-certificate's one_minus_rho: the closed form, or 1 - rho where a
-hand-set rho claims more. certify, the one path that issues a
+and for 0 < s < 1 and 0 < tau < delta, which DriftCertificate enforces,
+c w - tau <= 0, w + tau - delta <= 0 and G(y)/V(x) > 0: the lift holds
+wherever the marginal rows do. certify, the one path that issues a
 certificate, takes the spec and N and builds no family at N: it builds
 the head family once and runs the search, the lift when a scan
-probability is given, and one verification on that family, in that
-order; a lifted certificate's verification checks the marginal excess
-at every state too.
+probability is given, and one verification on that family.
 
 A certificate proves the drift condition for the untruncated chain and
 for each of its truncations. Whether the family converges geometrically
@@ -108,7 +101,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import COutOfRange
-from .family import BivariateFamily, _check_N, _exp_sat, build_family, staircase_xy
+from .family import BivariateFamily, _check_N, _exp_sat, build_family
 from .spec import (SequenceSpec, _encode_extended, _tail_start, check_scan_p,
                    tail_limits)
 from .subgeo import divergence_flags
@@ -325,16 +318,6 @@ def admissible_c_interval(cert: DriftCertificate, scan_p: float) -> tuple[float,
     return lo, hi
 
 
-def _lift_terms(s: float, tau: float, delta: float) -> tuple[float, float]:
-    """The two terms the lift at scan probability s with c = lo / (1 - tau)
-    adds to eps(x) + delta: c w - tau, the coefficient of G(y)/V(x), and
-    w + tau - delta. Both are at most 0; min keeps rounding from lifting
-    them above it."""
-    lo = s / (1.0 - s)
-    a1, a2 = delta - tau, tau * (1.0 - tau) / lo
-    return min(0.0, lo * a1 / (1.0 - tau) - tau), min(0.0, a2 - a1)
-
-
 def lift_to_rgs(cert: DriftCertificate, scan_p: float,
                 c: float | None = None) -> DriftCertificate:
     """cert lifted to the random-scan chain at scan_p from its marginal
@@ -357,47 +340,31 @@ def lift_to_rgs(cert: DriftCertificate, scan_p: float,
 
 @dataclass(frozen=True)
 class DriftReport:
-    """Exhaustive verification outcome over the truncated support.
+    """A certificate checked on the marginal rows x = 1..N, lifted or not.
 
     max_violation is the largest excess of the one-step expectation over
-    the certified bound, as a fraction of delta; the certificate holds
-    when it is at most 0.
+    the certified bound, as a fraction of delta, at the row worst_state;
+    the certificate holds when it is at most 0. checked is N.
     """
 
     max_violation: float
     holds: bool
-    worst_state: object
+    worst_state: int
     checked: int
 
 
 def verify_drift(cert: DriftCertificate, fam: BivariateFamily) -> DriftReport:
-    """Check a certificate's drift inequality at every support state, in
-    the excess form of the module docstring.
-
-    Every certificate is checked on the marginal chain (x = 1..N); a
-    lifted one also on the random scan's 2N-1 staircase pairs, and its
-    max_violation and worst_state are the lift's. So a certificate holds
-    only where every rate it states holds.
-    """
+    """Check a certificate's drift inequality at every row of fam, in the
+    excess form of the module docstring; a lifted one holds where its
+    marginal rows do, so it is checked on them."""
     delta = cert.one_minus_rho
-    x = np.arange(1, fam.N + 1)
+    x = np.arange(1, min(cert.x0, fam.N) + 1)
     excess = _excess(fam, cert.z, delta, cert.x0)[1]
     with np.errstate(over="ignore"):
-        excess[:cert.x0] -= np.exp(cert.log_L - x[:cert.x0] * math.log(cert.z))
-    holds, y = bool(np.max(excess) <= 0.0), None
-    if cert.scan_p is not None:
-        g_term, slack = _lift_terms(cert.scan_p, cert.tau, delta)
-        x, y = staircase_xy(fam.N)
-        up = cert.z - 1.0
-        G_over_V = np.empty(2 * fam.N - 1)
-        G_over_V[0::2] = 1.0 + fam.beta * up
-        G_over_V[1::2] = 1.0 - fam.stay_y[:-1] * (up / cert.z)
-        excess = g_term * G_over_V + slack + excess[x - 1]
+        excess[:cert.x0] -= np.exp(cert.log_L - x * math.log(cert.z))
     k = int(np.argmax(excess))
-    worst = int(x[k]) if y is None else (int(x[k]), int(y[k]))
     return DriftReport(max_violation=float(excess[k]) / delta,
-                       holds=holds and bool(excess[k] <= 0.0), worst_state=worst,
-                       checked=len(excess))
+                       holds=bool(excess[k] <= 0.0), worst_state=k + 1, checked=fam.N)
 
 
 def certify(spec: SequenceSpec, N: int = 200, scan_p: float | None = None):
@@ -417,7 +384,7 @@ def certify(spec: SequenceSpec, N: int = 200, scan_p: float | None = None):
     if isinstance(cert, NoCertificate):
         return cert
     chain = "marginal"
-    if scan_p is not None:      # the lift's verification checks the marginal excess too
+    if scan_p is not None:
         cert, chain = lift_to_rgs(cert, scan_p), "lifted"
     if not verify_drift(cert, head).holds:
         return NoCertificate(reason=f"{chain} certificate fails verification",

@@ -20,10 +20,11 @@ are stored as their diagonals down[m] = P[m+1, m], stay[m] = P[m, m] and
 up[m] = P[m, m+1]; rows (y, y) and (y+1, y) fill the even and odd entries
 of each, products of the family's conditional laws stay_x, stay_y, beta
 and delta. _scan_diagonals fills s Pi_x + (1 - s) Pi_y, and a dgs
-kernel's P is its s = 1 times its s = 0. Total variation curves transport
-only tridiagonal chains: after one sweep of the deterministic scan y is
-drawn from pi(.|x), so a dgs curve is the x-marginal chain's from the law
-of the first x, read from the dgs kernel's family. They transport the
+kernel's P is Pi_x Pi_y, each entry one product of the two. Total
+variation curves transport only tridiagonal chains: after one sweep of
+the deterministic scan y is drawn from pi(.|x), so a dgs curve is the
+x-marginal chain's from the law of the first x, read from the dgs
+kernel's family. They transport the
 difference from pi by one three-band step, three products and two sums
 from one buffer into the other; the n-step matrix is never formed.
 After n steps the start's mass lies within n states of the start,
@@ -46,11 +47,10 @@ reduction's last pivot.
 
 TransitionMatrix.P is a BandMatrix, the kernel's diagonals stored
 row-aligned, three for the marginal and random-scan kernels and five for
-dgs, whose product of the two updates is formed from shifted products of
-their bands. It offers row sums, products with a vector, the transpose
-and toarray, and nothing here imports scipy: importing this module,
-building kernels, reading P, transporting TV curves and solving spectral
-gaps load numpy alone.
+dgs, formed from the family's conditional laws. It offers row sums,
+products with a vector, the transpose and toarray, and nothing here
+imports scipy: importing this module, building kernels, reading P,
+transporting TV curves and solving spectral gaps load numpy alone.
 """
 
 from __future__ import annotations
@@ -150,19 +150,6 @@ def _tridiagonal(down: np.ndarray, stay: np.ndarray, up: np.ndarray) -> BandMatr
     return BandMatrix((-1, 0, 1), bands)
 
 
-def _product(A: BandMatrix, B: BandMatrix) -> BandMatrix:
-    """A B for band matrices whose offsets are consecutive: band a + b of
-    the product gains A[i, i + a] B[i + a, i + a + b], from shifted
-    products of whole bands, added in increasing a, the order in which a
-    CSR product adds each entry's terms."""
-    offsets = tuple(range(A.offsets[0] + B.offsets[0], A.offsets[-1] + B.offsets[-1] + 1))
-    bands = np.zeros((len(offsets), A.bands.shape[1]))
-    for a, band, lo, hi in A._diagonals():
-        for b, other in zip(B.offsets, B.bands):
-            bands[a + b - offsets[0], lo:hi] += band[lo:hi] * other[lo + a:hi + a]
-    return BandMatrix(offsets, bands)
-
-
 @dataclass(frozen=True)
 class TransitionMatrix:
     """A kernel and its stationary distribution: a marginal or random-scan
@@ -195,9 +182,7 @@ class TransitionMatrix:
         diagonals down, stay and up, or for dgs the five-band product
         Pi_x Pi_y of the two conditional updates."""
         if self.kind == DGS:
-            fam = _family_of(self)
-            return _product(_tridiagonal(*_scan_diagonals(fam, 1.0)),
-                            _tridiagonal(*_scan_diagonals(fam, 0.0)))
+            return _dgs_bands(_family_of(self))
         return _tridiagonal(self.down, self.stay, self.up)
 
     def index_of(self, state) -> int:
@@ -213,6 +198,22 @@ def _family_of(tm: TransitionMatrix) -> BivariateFamily:
     if tm.family is None:
         raise IndexOutOfRange("dgs kernel has no family; build it with build_Pdgs")
     return tm.family
+
+
+def _dgs_bands(fam: BivariateFamily) -> BandMatrix:
+    """Pi_x Pi_y as five bands, each entry one product of the two updates'
+    entries: from (y, y) the x-update keeps x = y (stay_y) or moves it to
+    y + 1 (beta), and the y-update then sets y' from x'."""
+    sy, beta, delta, sx = fam.stay_y, fam.beta, fam.delta, fam.stay_x
+    bands = np.zeros((5, 2 * fam.N - 1))
+    even, odd = bands[:, 0::2], bands[:, 1::2]     # rows (y, y) and (y + 1, y)
+    np.multiply(sy[1:], delta[1:], out=even[1, 1:])        # to (y, y - 1)
+    np.multiply(sy, sx, out=even[2])                       # to (y, y)
+    np.multiply(beta[:-1], delta[1:], out=even[3, :-1])    # to (y + 1, y)
+    np.multiply(beta[:-1], sx[1:], out=even[4, :-1])       # to (y + 1, y + 1)
+    for k in range(4):      # (y + 1, y) reaches the same states a band lower;
+        odd[k] = even[k + 1, :-1]   # one band at a time, so numpy stages no copy
+    return BandMatrix((-2, -1, 0, 1, 2), bands)
 
 
 def build_Px(fam: BivariateFamily) -> TransitionMatrix:

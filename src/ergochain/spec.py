@@ -80,8 +80,9 @@ class SequenceSpec(namedtuple("SequenceSpec", "kind d c1 c2 c a_table b_table "
 
     The fields are kind, then d, c1, c2, c, a_table, b_table and
     tail_ratio, each None unless the kind uses it; a table's entries and
-    tail_ratio (0.5 when omitted) are stored as floats. to_json_dict and from_json_dict read each kind's params from
-    _KIND_PARAMS. Construction does not normalize; build_family
+    tail_ratio (0.5 when omitted) are stored as floats. to_json_dict and
+    from_json_dict read each kind's params from _KIND_PARAMS, and
+    from_json_dict refuses a key that the kind does not read. Construction does not normalize; build_family
     renormalizes the truncated mass, so only ratios of parameters matter
     there. The factory helpers (power_law(), geometric(), ...) solve the
     missing constants so the untruncated mass is one, matching the usual
@@ -244,9 +245,18 @@ class SequenceSpec(namedtuple("SequenceSpec", "kind d c1 c2 c a_table b_table "
         # a kind such as [] is unhashable; it fails this test, not the lookup
         if kind not in KINDS:
             raise NonPositiveSequence(f"unknown sequence kind {kind!r}")
+        names = _KIND_PARAMS[kind]
+        for key in d:
+            if key not in ("kind", "params"):
+                raise UnknownFormat(f"spec key {key!r} is not read: a spec has "
+                                    "only kind and params")
+        for key in params:
+            if key not in names:
+                raise UnknownFormat(f"params key {key!r} is not read: a {kind} "
+                                    f"spec's params are {', '.join(names)}")
         return SequenceSpec(kind=kind, **{
             fld: (array if fld.endswith("_table") else scalar)(name)
-            for name, fld in _KIND_PARAMS[kind].items()})
+            for name, fld in names.items()})
 
     @staticmethod
     def from_json(text: str) -> "SequenceSpec":

@@ -61,8 +61,6 @@ import numpy as np
 from .family import BivariateFamily
 from .spec import SequenceSpec, TailLimits, check_scan_p, tail_limits
 
-STATISTICS = ("S1", "S2", "S3")
-
 
 def _log_mu_T(fam: BivariateFamily) -> tuple[np.ndarray, np.ndarray]:
     """log mu_i and log T_i for i = 2..N, from one suffix sum of pi_X
@@ -74,7 +72,7 @@ def _log_mu_T(fam: BivariateFamily) -> tuple[np.ndarray, np.ndarray]:
 
 def divergence_flags(lim: TailLimits) -> dict:
     """Whether the exact tail limits leave S1, S2 and S3 unbounded, in
-    STATISTICS order."""
+    that order."""
     s1 = lim.A >= 1.0
     return {"S1": s1, "S2": s1 or lim.a_over_bprev == math.inf,
             "S3": lim.b_over_a == math.inf}
@@ -157,7 +155,4 @@ def build_subgeo_report(fam: BivariateFamily, *,
                         log_T=log_T, flags=divergence_flags(tail_limits(fam.spec)))
 
 
-__all__ = [
-    "STATISTICS", "SubgeoReport",
-    "divergence_flags", "build_subgeo_report",
-]
+__all__ = ["SubgeoReport", "divergence_flags", "build_subgeo_report"]

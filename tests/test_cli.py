@@ -369,6 +369,10 @@ MALFORMED_SPECS = {
     "kind-array": {"kind": []},
     "kind-object": {"kind": {}},
     "table-null": {"kind": "table", "params": {"a": None, "b": [1]}},
+    "param-misspelled": {"kind": "table", "params": {"a": [1.0], "b": [1.0],
+                                                      "tail_raito": 0.99}},
+    "param-of-another-kind": {"kind": "geometric", "params": {"c": 1.0, "d": 2.0}},
+    "key-unknown": {"kind": "geometric", "params": {"c": 1.0}, "scope": "tail"},
 }
 
 
@@ -850,10 +854,22 @@ def _spec_docs(draw):
     names = _KIND_NAMES.get(kind, ("c",)) if isinstance(kind, str) else ("c",)
     params = {k: rarely(_PARAMS[k], _ANY) for k in names
               if draw(st.integers(0, 7))}
+    if not draw(st.integers(0, 7)):     # a key that this kind may not read
+        params[draw(st.sampled_from(["tail_raito", "c", "d", ""]))] = draw(_ANY)
     doc = {"kind": kind, "params": rarely(st.just(params), _ANY)}
     if not draw(st.integers(0, 7)):
         doc["declared_limits"] = draw(_ANY | st.just({"A": 0.5}))
+    if not draw(st.integers(0, 15)):
+        doc["scope"] = draw(_ANY)
     return doc
+
+
+def _reads_every_key(doc):
+    """Whether every key of a spec document is one its kind reads."""
+    params, kind = doc["params"], doc["kind"]
+    names = _KIND_NAMES.get(kind, ("c",)) if isinstance(kind, str) else ()
+    return set(doc) <= {"kind", "params"} and (not isinstance(params, dict)
+                                                or set(params) <= set(names))
 
 
 _SCAN_PS = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0,
@@ -1031,6 +1047,7 @@ def test_spec_fuzz_answers_or_refuses_once(command, doc, n, scan):
         code = dispatch([command, "--spec", json.dumps(doc), "--n", str(n), *scan,
                          *fmt])
     assert code in ((0, 4) if command == "classify" else (0, 3, 4))
+    assert code == 4 or _reads_every_key(doc)
     if code == 4:
         assert out.getvalue() == "" and "Traceback" not in err.getvalue()
         lines = err.getvalue().splitlines()

@@ -8,6 +8,7 @@ search that normally produces their inputs.
 import dataclasses
 import json
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -217,8 +218,30 @@ def test_lifted_certificate_verifies_on_support(fam):
     lifted = lift_to_rgs(cert, 0.5)
     rep = verify_drift(lifted, f)
     assert rep.holds
-    assert rep.checked == 2 * 100 - 1
+    assert rep.checked == 100 and rep == verify_drift(cert, f)
     assert lifted.gamma > cert.rho
+
+
+def _verify_peak(cert, f):
+    tracemalloc.start()
+    try:
+        assert verify_drift(cert, f).holds
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_lifted_verification_costs_the_marginal_one():
+    # a lifted certificate is checked on the N marginal rows: its peak is
+    # within 10 % of the marginal one's, and 10 % of that is less than one
+    # N-state array, so no array of the 2N - 1 staircase pairs is allocated
+    N = 2 * 10 ** 5
+    f = build_family(example_spec("geometric"), N)
+    f.p, f.q                            # derived on first read, by either
+    cert = certify(f.spec, N)
+    marginal = _verify_peak(cert, f)
+    lifted = _verify_peak(lift_to_rgs(cert, 0.5), f)
+    assert lifted <= 1.1 * marginal and 0.1 * marginal < 8 * N
 
 
 @pytest.mark.parametrize("scan_p, u", [(None, None), (0.2, 0.1), (0.2, 0.9),
@@ -226,7 +249,9 @@ def test_lifted_certificate_verifies_on_support(fam):
 def test_verified_excess_is_the_dense_one(fam, scan_p, u):
     # max_violation is the largest excess of the one-step expectation over
     # the certified bound, in units of 1 - rho; rebuilt here densely from
-    # the conditional laws, where float64 resolves it (1 - rho = 5e-3)
+    # the conditional laws, where float64 resolves it (1 - rho = 5e-3). A
+    # lifted pair's excess is at most the marginal excess of its x, so a
+    # lifted certificate reports its marginal rows
     f = fam("geometric", 40)
     cert = find_drift_certificate(f)
     z, delta, L = cert.z, cert.one_minus_rho, cert.L
@@ -234,10 +259,9 @@ def test_verified_excess_is_the_dense_one(fam, scan_p, u):
     V = z ** xs.astype(float)
     PV = V * (f.p * z + (1.0 - f.p - f.q) + f.q / z)
     inside = xs <= cert.x0
-    if scan_p is None:
-        ref = (PV - (1.0 - delta) * V - L * inside) / (V * delta)
-        rep = verify_drift(cert, f)
-    else:
+    ref = (PV - (1.0 - delta) * V - L * inside) / (V * delta)
+    rep = verify_drift(cert, f)
+    if scan_p is not None:
         lo, hi = admissible_c_interval(cert, scan_p)
         lifted = lift_to_rgs(cert, scan_p, c=lo * (hi / lo) ** u)
         s, c = scan_p, lifted.c
@@ -248,8 +272,10 @@ def test_verified_excess_is_the_dense_one(fam, scan_p, u):
         W = V[x - 1] + c * G[y - 1]
         EW = s * (1.0 + c) * G[y - 1] + (1.0 - s) * (V[x - 1] + c * PV[x - 1])
         K = (1.0 - s) * c * L * inside[x - 1]
-        ref = (EW - gamma * W - K) / ((1.0 - s) * c * V[x - 1] * delta)
-        rep = verify_drift(lifted, f)
+        lifted_ref = (EW - gamma * W - K) / ((1.0 - s) * c * V[x - 1] * delta)
+        # float64 rounding of the dense sums, in units of 1 - rho
+        assert (lifted_ref <= ref[x - 1] + 1e-9).all()
+        assert verify_drift(lifted, f) == rep
     assert rep.holds
     assert rep.max_violation == pytest.approx(ref.max(), rel=1e-6)
 

@@ -404,6 +404,21 @@ def test_tail_limits_argument_validation():
         classify(spec, N=1)
 
 
+@pytest.mark.parametrize("doc, key", [
+    ({"kind": "table", "params": {"a": [1.0], "b": [1.0], "tail_raito": 0.99}},
+     "tail_raito"),
+    ({"kind": "geometric", "params": {"c": 1.0, "d": 2.0}}, "d"),
+    ({"kind": "power_law", "params": {"d": 2.0, "c": 1.0}}, "c"),
+    ({"kind": "geometric", "params": {"c": 1.0}, "scope": "tail"}, "scope"),
+    ({"kind": "table", "params": {}, "tail_ratio": 0.5}, "tail_ratio"),
+])
+def test_spec_refuses_keys_its_kind_does_not_read(doc, key):
+    # a key that is not read would leave its field at the default, and the
+    # answer would belong to another chain
+    with pytest.raises(UnknownFormat, match=f"key {key!r} is not read"):
+        SequenceSpec.from_json_dict(doc)
+
+
 def test_declared_limits_must_be_nonnegative():
     # a declared limit is refused whatever it holds, in range or not
     for limits in ({"A": 0.5}, {"A": -5.0}, {"lim_b_over_a": "nan"}, None):

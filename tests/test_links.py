@@ -19,6 +19,10 @@ and each tolerance is the stated rounding of its two sides:
 - a certificate is the untruncated tail's: certify gives the same one at
   every N but for the N it records, with x0 <= K (spec._tail_start), and
   verify_drift accepts it on every truncation;
+- a lifted certificate's excess at each staircase pair, formed from the
+  random scan's one-step expectation of W = V + c G at 50 digits, is at
+  most the marginal excess of the pair's x, to 1e-45 of E W + W: so
+  verify_drift checks a lifted certificate on its marginal rows;
 - Fact 1: the random-scan gap at scan probability s is 2 s t g /
   (1 + sqrt(1 - 4 s t g)), t = 1 - s, a function of the gap g of Px
   alone. Each gap carries its 4 eps, and g's moves the formula by
@@ -216,16 +220,24 @@ def test_certificate_does_not_depend_on_N(spec, N, N2, scan_p):
         assert verify_drift(cert, build_family(spec, n)).holds
 
 
-def _mp_excess(spec, z, x, N):
-    """eps(x) + 0 of the truncation at N, at 50 digits from the table
-    spec's entries taken as exact: its tail ratio extends them, b_0 = 0
-    and b_N = 0."""
+def _mp_weights(spec, N):
+    """a_i and b_i for i = 0..N of the table spec's truncation at N, at 50
+    digits from its entries taken as exact: its tail ratio extends them,
+    a_0 = b_0 = 0 and b_N = 0."""
     def w(tab, i):
         n = len(tab)
         return mpf(tab[i - 1]) if i <= n else mpf(tab[-1]) * mpf(spec.tail_ratio) ** (i - n)
 
-    a1, b1 = w(spec.a_table, x), (w(spec.b_table, x) if x < N else mpf(0))
-    a0, b0 = w(spec.a_table, x - 1), w(spec.b_table, x - 1)
+    a = [mpf(0)] + [w(spec.a_table, i) for i in range(1, N + 1)]
+    b = [mpf(0)] + [w(spec.b_table, i) for i in range(1, N)] + [mpf(0)]
+    return a, b
+
+
+def _mp_excess(spec, z, x, N):
+    """eps(x) + 0 of the truncation at N, 2 <= x <= N, at 50 digits
+    (_mp_weights)."""
+    a, b = _mp_weights(spec, N)
+    a1, b1, a0, b0 = a[x], b[x], a[x - 1], b[x - 1]
     pix, z = a1 + b0, mpf(z)
     return (a1 * b1 / (a1 + b1) * (z - 1) - a0 * b0 / (a0 + b0) * (1 - 1 / z)) / pix
 
@@ -251,12 +263,7 @@ def _near_one_tables(draw):
 @given(_near_one_tables(), st.sampled_from([None, 0.5]))
 def test_exact_check_agrees_with_50_digits(spec, scan_p):
     # the rows the float bound leaves open are decided exactly, and each
-    # decision the certificate rests on holds at 50 digits; a lifted pair's
-    # float excess is at most the marginal excess of its x, so the lift
-    # rests on the same decisions
-    from ergochain.drift import _excess, _lift_terms
-    from ergochain.family import staircase_xy
-
+    # decision the certificate rests on holds at 50 digits
     K = _tail_start(spec)
     cert = certify(spec, K + 3, scan_p)
     if isinstance(cert, NoCertificate):     # an e^+-700 entry can make q_hat tiny
@@ -270,17 +277,40 @@ def test_exact_check_agrees_with_50_digits(spec, scan_p):
         for x in range(cert.x0 + 1, K + 4):
             assert _mp_excess(spec, cert.z, x, K + 3) <= -mpf(delta), x
     for N in (K + 3, 2000):
-        f = build_family(spec, N)
-        assert verify_drift(cert, f).holds
-        if scan_p is None:
-            continue
-        marginal = _excess(f, cert.z, delta, cert.x0)[1]
-        g_term, slack = _lift_terms(scan_p, cert.tau, delta)
-        x, _ = staircase_xy(N)
-        G_over_V = np.ones(2 * N - 1)
-        G_over_V[0::2] += f.beta * (cert.z - 1.0)
-        G_over_V[1::2] -= f.stay_y[:-1] * ((cert.z - 1.0) / cert.z)
-        assert (g_term * G_over_V + slack + marginal[x - 1] <= marginal[x - 1]).all()
+        assert verify_drift(cert, build_family(spec, N)).holds
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_near_one_tables() | TABLES, st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_lifted_excess_is_at_most_the_marginal_one(spec, scan_p, u):
+    # at each staircase pair (x, y) of the head family, the random scan's
+    # one-step expectation of W = V + c G, formed at 50 digits from the
+    # conditional laws, exceeds gamma W by at most (1 - s) c V(x) times the
+    # marginal excess eps(x) + delta, for any 0 < tau < delta and 0 < s < 1:
+    # so a lifted certificate holds where its marginal rows do
+    N = _tail_start(spec) + 3
+    cert = certify(spec, N)
+    if isinstance(cert, NoCertificate):     # an e^+-700 entry can make q_hat tiny
+        return
+    tau = u * cert.one_minus_rho
+    if not 0.0 < tau < cert.one_minus_rho:
+        return
+    m = dataclasses.replace(cert, scan_p=scan_p, tau=tau)._one_minus_gamma()
+    with mp.workdps(50):
+        a, b = _mp_weights(spec, N)
+        z, s, t, d = mpf(cert.z), mpf(scan_p), mpf(tau), mpf(cert.one_minus_rho)
+        c, gamma = s / ((1 - s) * (1 - t)), 1 - mpf(m.numerator) / m.denominator
+        G = [None] + [(a[y] * z ** y + b[y] * z ** (y + 1)) / (a[y] + b[y])
+                      for y in range(1, N + 1)]       # G(y) = E[V(X) | Y = y]
+        PV = [None, G[1]] + [(a[x] * G[x] + b[x - 1] * G[x - 1]) / (a[x] + b[x - 1])
+                             for x in range(2, N + 1)]
+        for x, y in [(y, y) for y in range(1, N + 1)] + [(y + 1, y) for y in range(1, N)]:
+            V, W = z ** x, z ** x + c * G[y]
+            EW = s * (1 + c) * G[y] + (1 - s) * (V + c * PV[x])
+            scale = (1 - s) * c * V
+            rounding = mpf(10) ** -45 * (EW + W) / scale
+            assert (EW - gamma * W) / scale <= PV[x] / V - 1 + d + rounding, (x, y)
 
 
 @pytest.mark.parametrize("log10_c", [-300, -100, -10, 0, 10, 100, 300])
